@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .domains import BoundaryCloud
 from .errors import EmptyCloudError, InvalidArgumentError, ResolutionError
@@ -100,11 +101,15 @@ class Partition:
     def __post_init__(self):
         n = len(self.cloud)
         all_members = np.concatenate([c.member_indices for c in self.cells])
-        # structural guarantees, asserted on every construction
-        assert all(len(c.member_indices) > 0 for c in self.cells), "empty cell"
-        assert len(all_members) == len(np.unique(all_members)), "cells overlap"
-        assert len(all_members) == n, "cells do not cover the cloud"
-        assert all(c.rd <= self.delta for c in self.cells), "rd exceeds delta"
+        # structural guarantees, checked on every construction
+        if not all(len(c.member_indices) > 0 for c in self.cells):
+            raise InvalidArgumentError("partition has an empty cell")
+        if len(all_members) != len(np.unique(all_members)):
+            raise InvalidArgumentError("partition cells overlap")
+        if len(all_members) != n:
+            raise InvalidArgumentError("partition cells do not cover the cloud")
+        if not all(c.rd <= self.delta for c in self.cells):
+            raise InvalidArgumentError("partition cell rd exceeds delta")
 
     @property
     def rd_max(self) -> float:
@@ -123,26 +128,27 @@ def cover_sum(cov: Covering) -> float:
 
 
 def _diameter(pts: np.ndarray) -> float:
-    """Exact diameter of a point set (blocked pairwise evaluation)."""
+    """Exact diameter of a point set (blocked pairwise evaluation).
+
+    Blocks of rows bound the working set at 2048 x m distances, so large
+    cells never allocate the full m x m matrix.
+    """
     m = len(pts)
     if m == 1:
         return 0.0
     diam2 = 0.0
     block = 2048
     for i0 in range(0, m, block):
-        a = pts[i0 : i0 + block]
-        diff = a[:, None, :] - pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        d2 = cdist(pts[i0 : i0 + block], pts, "sqeuclidean")
         diam2 = max(diam2, float(d2.max()))
     return math.sqrt(diam2)
 
 
-def _cloud_nn(cloud: BoundaryCloud) -> np.ndarray:
-    """Per-point distance to the nearest other cloud point (0 for one point)."""
-    if len(cloud) < 2:
-        return np.zeros(len(cloud))
-    tree = cKDTree(cloud.points)
-    dist, _ = tree.query(cloud.points, k=2)
+def _cloud_nn(tree: cKDTree) -> np.ndarray:
+    """Per-point distance to the nearest other point of the tree (0 for one point)."""
+    if tree.n < 2:
+        return np.zeros(tree.n)
+    dist, _ = tree.query(tree.data, k=2)
     return dist[:, 1]
 
 
@@ -159,14 +165,19 @@ def _sample_rd(pts: np.ndarray, nn_gaps: np.ndarray, resolution: float, scale: f
     return min(0.5 * (diam + comp), scale)
 
 
+def _group_by_label(labels: np.ndarray, n_labels: int) -> list:
+    """Indices carrying each label 0..n_labels-1, each in ascending order."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(n_labels + 1))
+    return [order[bounds[g] : bounds[g + 1]] for g in range(n_labels)]
+
+
 def _box_groups(points: np.ndarray, side: float):
     """Group point indices by axis-aligned boxes of the given side length."""
     anchor = points.min(axis=0)
     idx = np.floor((points - anchor) / side).astype(np.int64)
     uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-    groups = [order[bounds[g] : bounds[g + 1]] for g in range(len(uniq))]
+    groups = _group_by_label(inverse, len(uniq))
     centers = anchor + (uniq + 0.5) * side
     return groups, centers
 
@@ -185,32 +196,40 @@ def _box_covering(cloud: BoundaryCloud, d: float, delta: float, nn_gaps: np.ndar
     return Covering(dim_d=d, cells=cells, n_points=len(cloud))
 
 
-def _fps_centers(points: np.ndarray, threshold: float, limit: int | None = None):
-    """Greedy farthest-point centers until every point is within threshold."""
+def _fps_centers(points: np.ndarray, tree: cKDTree, threshold: float,
+                 limit: int | None = None):
+    """Greedy farthest-point centers until every point is within threshold.
+
+    ``tree`` indexes ``points``.  A new center at distance ``far`` can only
+    lower the distance of points closer to it than ``far``, so only the rows
+    a ball query returns are updated (the slack absorbs the tree's own
+    rounding); the chosen centers equal those of full-array updates.
+    """
     order = np.lexsort(points.T[::-1])  # deterministic start: smallest coordinates
     start = int(order[0])
     centers = [start]
     dist = np.linalg.norm(points - points[start], axis=1)
-    while dist.max() > threshold:
+    while True:
+        nxt = int(np.argmax(dist))
+        far = dist[nxt]
+        if not far > threshold:
+            return np.asarray(centers, dtype=np.int64)
         if limit is not None and len(centers) >= limit:
             return None
-        nxt = int(np.argmax(dist))
         centers.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
-    return np.asarray(centers, dtype=np.int64)
+        near = np.asarray(tree.query_ball_point(points[nxt], far * (1.0 + 1e-9)), dtype=np.intp)
+        dist[near] = np.minimum(dist[near], np.linalg.norm(points[near] - points[nxt], axis=1))
 
 
-def _ball_covering(cloud: BoundaryCloud, d: float, delta: float, nn_gaps: np.ndarray,
-                   limit: int | None = None):
+def _ball_covering(cloud: BoundaryCloud, tree: cKDTree, d: float, delta: float,
+                   nn_gaps: np.ndarray, limit: int | None = None):
     pts = cloud.points
-    centers = _fps_centers(pts, delta, limit=limit)
+    centers = _fps_centers(pts, tree, delta, limit=limit)
     if centers is None:
         return None
-    tree = cKDTree(pts[centers])
-    _, owner = tree.query(pts)
+    _, owner = cKDTree(pts[centers]).query(pts)
     cells = []
-    for ci in range(len(centers)):
-        members = np.flatnonzero(owner == ci)
+    for ci, members in enumerate(_group_by_label(owner, len(centers))):
         if len(members) == 0:
             continue
         cells.append(
@@ -241,6 +260,12 @@ _CASCADE_FLOOR = 8.0
 _MAX_FPS_CENTERS = 20000
 
 
+def _check_finite(d: float, delta: float) -> None:
+    # a non-finite scale would never reach the cascade floor
+    if not (math.isfinite(d) and math.isfinite(delta)):
+        raise InvalidArgumentError(f"d and delta must be finite, got d={d}, delta={delta}")
+
+
 def estimate_hm_detail(cloud: BoundaryCloud, d: float, delta: float) -> HmEstimate:
     """Best covering sum over box and greedy-ball coverings at scale delta.
 
@@ -251,6 +276,7 @@ def estimate_hm_detail(cloud: BoundaryCloud, d: float, delta: float) -> HmEstima
     feasible covering, so the result is an upper estimate of the
     scale-delta covering infimum and is flagged as an upper bound.
     """
+    _check_finite(d, delta)
     if d < 0:
         raise InvalidArgumentError("dimension must be nonnegative")
     if delta <= 0:
@@ -261,13 +287,14 @@ def estimate_hm_detail(cloud: BoundaryCloud, d: float, delta: float) -> HmEstima
         )
     if len(cloud) == 0:
         return HmEstimate(0.0, d, delta, "empty", 0)
-    nn_gaps = _cloud_nn(cloud)
+    tree = cKDTree(cloud.points)
+    nn_gaps = _cloud_nn(tree)
     best = None
     scale = delta
     while True:
         boxes = _box_covering(cloud, d, scale, nn_gaps)
         cand = [(cover_sum(boxes), f"boxes@{scale:g}", len(boxes.cells))]
-        balls = _ball_covering(cloud, d, scale, nn_gaps, limit=_MAX_FPS_CENTERS)
+        balls = _ball_covering(cloud, tree, d, scale, nn_gaps, limit=_MAX_FPS_CENTERS)
         if balls is not None:
             cand.append((cover_sum(balls), f"balls@{scale:g}", len(balls.cells)))
         for value, method, n_cells in cand:
@@ -291,6 +318,7 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
     of the member weights.  The representative is the member nearest the
     cell centroid, ties broken by lexicographically smallest coordinates.
     """
+    _check_finite(d, delta)
     if len(cloud) == 0:
         raise EmptyCloudError("cannot partition an empty cloud")
     if delta < 4 * cloud.resolution:
@@ -298,7 +326,7 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
             f"delta {delta} must be at least 4 times the resolution {cloud.resolution}"
         )
     side = delta / math.sqrt(cloud.dim)
-    nn_gaps = _cloud_nn(cloud)
+    nn_gaps = _cloud_nn(cKDTree(cloud.points))
     groups, _ = _box_groups(cloud.points, side)
     cells = []
     for members in groups:

@@ -4,12 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from gmtlab.domains import BoundaryCloud
+from gmtlab import hausdorff
+from gmtlab.domains import BoundaryCloud, extract_boundary, make_annulus, make_ball
 from gmtlab.errors import EmptyCloudError, InvalidArgumentError, ResolutionError
 from gmtlab.hausdorff import (
     CoverCell,
     Covering,
+    Partition,
+    PartitionCell,
+    _ball_covering,
+    _cloud_nn,
+    _diameter,
+    _fps_centers,
     build_partition,
     cover_sum,
     estimate_hm,
@@ -76,6 +84,98 @@ class TestCoverSum:
         assert cover_sum(reduced) < cover_sum(full)
 
 
+def _fps_reference(points, threshold, limit=None):
+    """Greedy farthest-point sampling with a full distance update per center."""
+    order = np.lexsort(points.T[::-1])
+    start = int(order[0])
+    centers = [start]
+    dist = np.linalg.norm(points - points[start], axis=1)
+    while dist.max() > threshold:
+        if limit is not None and len(centers) >= limit:
+            return None
+        nxt = int(np.argmax(dist))
+        centers.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    return np.asarray(centers, dtype=np.int64)
+
+
+@pytest.fixture(scope="module")
+def fps_clouds():
+    return {
+        "disk": extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 128)),
+        "annulus": extract_boundary(make_annulus((0.1, -0.2), 1.0, 0.45, 1 / 128)),
+        "ball3": extract_boundary(make_ball((0.0, 0.0, 0.0), 1.0, 1 / 16)),
+    }
+
+
+class TestFpsCenters:
+    @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
+    @pytest.mark.parametrize("k", [2.0, 8.0, 20.0, 64.0])
+    def test_matches_full_update_reference(self, fps_clouds, name, k):
+        cloud = fps_clouds[name]
+        threshold = k * cloud.resolution
+        expected = _fps_reference(cloud.points, threshold)
+        got = _fps_centers(cloud.points, cKDTree(cloud.points), threshold)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    def test_limit_returns_none(self, fps_clouds):
+        cloud = fps_clouds["disk"]
+        threshold = 4 * cloud.resolution
+        n_centers = len(_fps_reference(cloud.points, threshold))
+        tree = cKDTree(cloud.points)
+        assert _fps_reference(cloud.points, threshold, limit=n_centers - 1) is None
+        assert _fps_centers(cloud.points, tree, threshold, limit=n_centers - 1) is None
+        np.testing.assert_array_equal(
+            _fps_centers(cloud.points, tree, threshold, limit=n_centers),
+            _fps_reference(cloud.points, threshold),
+        )
+
+
+class TestBallCovering:
+    def test_cells_are_owner_groups_in_ascending_order(self):
+        cloud = ellipse_cloud(1.3, 0.7, 1 / 256)
+        tree = cKDTree(cloud.points)
+        delta = 0.05
+        cov = _ball_covering(cloud, tree, 1.0, delta, _cloud_nn(tree))
+        centers = _fps_centers(cloud.points, tree, delta)
+        _, owner = cKDTree(cloud.points[centers]).query(cloud.points)
+        expected = [np.flatnonzero(owner == ci) for ci in range(len(centers))]
+        expected = [m for m in expected if len(m) > 0]
+        assert len(cov.cells) == len(expected)
+        for cell, members in zip(cov.cells, expected):
+            np.testing.assert_array_equal(cell.members, members)
+
+    def test_center_owning_no_point_is_skipped(self, monkeypatch):
+        # two coincident centers: the nearest-center query gives every tied
+        # point to one of them, so the other owns nothing and yields no cell
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        cloud = BoundaryCloud(dim=2, resolution=0.01, points=pts, weights=np.full(3, 0.01))
+        tree = cKDTree(pts)
+        monkeypatch.setattr(hausdorff, "_fps_centers",
+                            lambda *args, **kwargs: np.array([0, 1, 2], dtype=np.int64))
+        cov = _ball_covering(cloud, tree, 1.0, 0.5, _cloud_nn(tree))
+        assert [list(c.members) for c in cov.cells] == [[0, 1], [2]]
+
+
+class TestDiameter:
+    def test_matches_brute_force_across_blocks(self):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(2500, 3))
+        brute = max(math.sqrt(float(np.max(np.sum((pts - p) ** 2, axis=1)))) for p in pts)
+        assert _diameter(pts) == pytest.approx(brute, rel=1e-12)
+
+    def test_far_pair_both_in_second_block(self):
+        pts = np.zeros((2100, 2))
+        pts[:, 0] = np.linspace(0.0, 1.0, 2100)
+        pts[2050] = [0.5, 3.0]
+        pts[2090] = [0.5, -3.0]
+        assert _diameter(pts) == 6.0
+
+    def test_single_point_is_zero(self):
+        assert _diameter(np.array([[0.3, 0.4, 0.5]])) == 0.0
+
+
 class TestEstimateHm:
     def test_unit_segment_length(self):
         cloud = segment_cloud(1.0, 1 / 512)
@@ -107,6 +207,15 @@ class TestEstimateHm:
         cloud = BoundaryCloud(dim=2, resolution=0.01,
                               points=np.zeros((0, 2)), weights=np.zeros(0))
         assert estimate_hm(cloud, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("d, delta", [(1.0, math.inf), (1.0, -math.inf), (1.0, math.nan),
+                                          (math.inf, 0.1), (math.nan, 0.1)])
+    def test_non_finite_arguments_rejected(self, d, delta):
+        cloud = circle_cloud(1.0, 1 / 64)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            estimate_hm_detail(cloud, d, delta)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            build_partition(cloud, d, delta)
 
 
 class TestBuildPartition:
@@ -165,6 +274,35 @@ class TestBuildPartition:
         cloud = circle_cloud(1.0, 1 / 64)
         with pytest.raises(ResolutionError):
             build_partition(cloud, 1.0, 3 / 64)
+
+
+class TestPartitionInvariants:
+    def _cell(self, members, rd=0.01):
+        return PartitionCell(member_indices=np.asarray(members, dtype=np.int64), x_index=0,
+                             x_c=np.zeros(2), rd=rd, hm_est=0.0)
+
+    @pytest.fixture
+    def cloud(self):
+        return segment_cloud(1.0, 1 / 4)
+
+    def test_valid_partition_accepted(self, cloud):
+        assert len(Partition([self._cell([0, 1]), self._cell([2, 3])], 0.5, cloud)) == 2
+
+    def test_empty_cell_rejected(self, cloud):
+        with pytest.raises(InvalidArgumentError, match="empty cell"):
+            Partition([self._cell([0, 1, 2, 3]), self._cell([])], 0.5, cloud)
+
+    def test_overlap_rejected(self, cloud):
+        with pytest.raises(InvalidArgumentError, match="overlap"):
+            Partition([self._cell([0, 1, 2]), self._cell([2, 3])], 0.5, cloud)
+
+    def test_uncovered_point_rejected(self, cloud):
+        with pytest.raises(InvalidArgumentError, match="cover"):
+            Partition([self._cell([0, 1]), self._cell([3])], 0.5, cloud)
+
+    def test_rd_above_delta_rejected(self, cloud):
+        with pytest.raises(InvalidArgumentError, match="rd exceeds delta"):
+            Partition([self._cell([0, 1]), self._cell([2, 3], rd=0.6)], 0.5, cloud)
 
 
 class TestPartitionDefect:

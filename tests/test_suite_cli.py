@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gmtlab
 from gmtlab.cli import main
 from gmtlab.errors import SpecError
 from gmtlab.suite import (
@@ -241,6 +244,19 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "upper bound" in out
+
+    @pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
+    def test_estimate_hm_non_finite_delta_exits_two(self, tmp_path, delta):
+        # a non-finite delta used to spin forever in the dyadic cascade
+        src = os.path.dirname(os.path.dirname(gmtlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmtlab.cli", "estimate-hm", self._domain_file(tmp_path),
+             "--d", "1", f"--delta={delta}"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
     def test_partition_command_with_sweep(self, tmp_path, capsys):
         cells = tmp_path / "cells.json"
