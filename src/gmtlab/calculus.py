@@ -115,16 +115,6 @@ class GridFunction:
             m = max(m, float(np.max(np.abs(self.trace))))
         return m
 
-    def with_values(self, values, trace=None) -> "GridFunction":
-        return GridFunction(
-            domain=self.domain,
-            values=values,
-            cloud=self.cloud,
-            trace=self.trace if trace is None else trace,
-            lipschitz=None,
-            metadata=dict(self.metadata),
-        )
-
 
 @dataclass(frozen=True)
 class Mollifier:

@@ -13,37 +13,29 @@ import sys
 from . import __version__
 from . import calculus as calc
 from . import inequalities as ineq
-from .domains import domain_from_spec, extract_boundary, load_domain_spec
+from .domains import domain_from_spec, extract_boundary, load_json, spec_number
 from .errors import GmtLabError, SpecError
 from .hausdorff import build_partition, estimate_hm_detail, partition_defect, partition_to_json
-from .suite import RunManifest, emit, hash_file, parse_suite, run_suite
+from .suite import build_function, emit, hash_file, parse_function_spec, parse_suite, run_suite
 
 
-def _load_domain(path, h_override=None):
-    spec = load_domain_spec(path)
-    return domain_from_spec(spec, h_override=h_override)
+def _load_domain(path):
+    return domain_from_spec(load_json(path))
 
 
-def _load_function(path, domain, cloud):
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    if spec == "indicator" or spec.get("expr") == "indicator":
-        return calc.indicator_function(domain, cloud)
-    unknown = set(spec) - {"expr", "lipschitz"}
-    if unknown:
-        raise SpecError(f"unknown function spec keys: {sorted(unknown)}")
-    lips = spec.get("lipschitz")
-    return calc.from_expression(
-        domain, spec["expr"], cloud, lipschitz=None if lips is None else float(lips)
-    )
+def _load_function(path, domain):
+    return build_function(parse_function_spec(load_json(path)), domain)
 
 
-def _emit_series(series, out_path):
-    manifest = RunManifest(
-        version=__version__, timestamp="", input_hash="", suite_name="",
-        entries=[], passed=True, series=series,
-    )
-    emit(manifest, "tsv-plots", out_path)
+def write_series(series, path) -> None:
+    """Write each (name, header, rows) series as TSV to ``<stem>_<name>.tsv``."""
+    path = str(path)
+    stem = path[: -len(".tsv")] if path.endswith(".tsv") else path
+    for name, header, rows in series:
+        out = [f"# series {name}", "\t".join(header)]
+        out.extend("\t".join(repr(v) for v in row) for row in rows)
+        with open(f"{stem}_{name}.tsv", "w", encoding="utf-8") as fh:
+            fh.write("\n".join(out) + "\n")
 
 
 def cmd_verify(args) -> int:
@@ -94,7 +86,7 @@ def cmd_estimate_hm(args) -> int:
 def cmd_partition(args) -> int:
     domain = _load_domain(args.domain)
     cloud = extract_boundary(domain)
-    deltas = [float(v) for v in args.delta.split(",")]
+    deltas = spec_number(args.delta.split(","), "--delta", scalar=False).tolist()
     rows = []
     last = None
     for delta in deltas:
@@ -107,14 +99,13 @@ def cmd_partition(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(partition_to_json(last))
     if args.plot:
-        _emit_series([("defect", ("delta", "defect"), rows)], args.plot)
+        write_series([("defect", ("delta", "defect"), rows)], args.plot)
     return 0
 
 
 def cmd_trace(args) -> int:
     domain = _load_domain(args.domain)
-    cloud = extract_boundary(domain)
-    u = _load_function(args.function, domain, cloud)
+    u = _load_function(args.function, domain)
     trace = ineq.proof_trace(domain, u, eps=args.eps, s=args.s)
     for step in trace.steps:
         mark = "ok" if step.holds else "VIOLATED"
@@ -130,34 +121,33 @@ def cmd_trace(args) -> int:
              [("lhs", step.lhs), ("rhs", step.rhs), ("holds", int(step.holds))])
             for step in trace.steps
         ]
-        _emit_series(series, args.plot)
+        write_series(series, args.plot)
     return 0 if trace.all_hold else 1
 
 
 def cmd_search(args) -> int:
     domain = _load_domain(args.domain)
-    cloud = extract_boundary(domain)
-    u0 = _load_function(args.function, domain, cloud)
+    u0 = _load_function(args.function, domain)
     best, q_best = ineq.quotient_search(domain, u0, iters=args.iters, step=args.step)
     history = best.metadata["sweep_history"]
     bound = ineq.iso_constant(domain.dim)
     print(f"best quotient {q_best!r} after {args.iters} sweeps (sharp constant {bound!r})")
     if args.plot:
         rows = list(enumerate(history))
-        _emit_series([("quotient", ("sweep", "Q"), rows)], args.plot)
+        write_series([("quotient", ("sweep", "Q"), rows)], args.plot)
     return 0
 
 
 def cmd_steiner(args) -> int:
     domain = _load_domain(args.domain)
-    eps_list = [float(v) for v in args.eps.split(",")]
+    eps_list = spec_number(args.eps.split(","), "--eps", scalar=False).tolist()
     result = calc.minkowski_steiner(domain, eps_list)
     for e, qv in result.quotients:
         print(f"eps={e}: quotient={qv!r}")
     if result.extrapolated is not None:
         print(f"extrapolated perimeter: {result.extrapolated!r}")
     if args.plot:
-        _emit_series([("steiner", ("eps", "quotient"), result.quotients)], args.plot)
+        write_series([("steiner", ("eps", "quotient"), result.quotients)], args.plot)
     return 0
 
 

@@ -89,9 +89,6 @@ class GridDomain:
         idx = np.argwhere(self.mask)
         return self.origin + (idx + 0.5) * self.spacing
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + (np.arange(self.shape[axis]) + 0.5) * self.spacing
-
     def volume(self) -> float:
         return float(self.mask.sum()) * self.spacing ** self.dim
 
@@ -178,7 +175,7 @@ def make_box(corner: Sequence[float], sides: Sequence[float], h: float) -> GridD
     """Rasterize an axis-aligned open box [corner, corner + sides]."""
     corner = np.asarray(corner, dtype=float)
     sides = np.asarray(sides, dtype=float)
-    if corner.shape != sides.shape or corner.shape[0] not in (2, 3):
+    if corner.shape != sides.shape or corner.shape not in ((2,), (3,)):
         raise InvalidArgumentError("corner and sides must both have 2 or 3 components")
     if (sides <= 0).any() or h <= 0:
         raise InvalidArgumentError("sides and spacing must be positive")
@@ -265,7 +262,13 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     exact for axis-aligned boundaries and measures the staircase (l1)
     boundary of curved sets; quantitative boundary-measure values come from
     the covering estimator, not from these raw weights.
+
+    Domains and clouds are immutable, so the cloud is built once per domain,
+    cached on it, and shared by every caller.
     """
+    cached = vars(domain).get("_boundary")
+    if cached is not None:
+        return cached
     if not domain.mask.any():
         raise EmptyDomainError("cannot extract the boundary of an empty mask")
     h = domain.spacing
@@ -289,7 +292,9 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     axes_arr = np.concatenate(axes_list)
     signs_arr = np.concatenate(signs)
     weights = np.full(len(points), h ** (n - 1))
-    return BoundaryCloud(
+    for arr in (cells, axes_arr, signs_arr):
+        arr.setflags(write=False)
+    cloud = BoundaryCloud(
         dim=n,
         resolution=h,
         points=points,
@@ -298,6 +303,8 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
         face_axes=axes_arr,
         face_signs=signs_arr,
     )
+    object.__setattr__(domain, "_boundary", cloud)
+    return cloud
 
 
 def dilate(domain: GridDomain, eps: float) -> GridDomain:
@@ -392,12 +399,25 @@ def load_domain(path) -> GridDomain:
 # JSON domain specs: {"kind": ..., "params": {...}, "h": ...}
 
 _SPEC_KEYS = {"kind", "params", "h"}
+# kind -> (required, optional) parameter names
 _PARAM_KEYS = {
-    "ball": {"r", "center"},
-    "box": {"sides", "corner"},
-    "polygon": {"vertices"},
-    "annulus": {"r_outer", "r_inner", "center"},
+    "ball": ({"r"}, {"center"}),
+    "box": ({"sides"}, {"corner"}),
+    "polygon": ({"vertices"}, set()),
+    "annulus": ({"r_outer", "r_inner"}, {"center"}),
 }
+_SCALAR_PARAMS = {"r", "r_outer", "r_inner"}
+
+
+def spec_number(value, what: str, scalar: bool = True):
+    """A finite float (a float array unless ``scalar``) from an input value, else SpecError."""
+    try:
+        out = float(value) if scalar else np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{what} must be numeric, got {value!r}") from exc
+    if not np.isfinite(out).all():
+        raise SpecError(f"{what} must be finite, got {value!r}")
+    return out
 
 
 def domain_from_spec(spec: dict, h_override: float | None = None) -> GridDomain:
@@ -416,21 +436,22 @@ def domain_from_spec(spec: dict, h_override: float | None = None) -> GridDomain:
     params = spec["params"]
     if not isinstance(params, dict):
         raise SpecError("domain params must be an object")
-    unknown = set(params) - _PARAM_KEYS[kind]
+    required, optional = _PARAM_KEYS[kind]
+    unknown = set(params) - required - optional
     if unknown:
         raise SpecError(f"unknown parameters for kind '{kind}': {sorted(unknown)}")
-    h = float(h_override if h_override is not None else spec["h"])
+    missing = required - set(params)
+    if missing:
+        raise SpecError(f"kind '{kind}' is missing parameters {sorted(missing)}")
+    h = spec_number(h_override if h_override is not None else spec["h"], "h")
+    p = {k: spec_number(v, k, scalar=k in _SCALAR_PARAMS) for k, v in params.items()}
     if kind == "ball":
-        center = params.get("center", [0.0, 0.0])
-        return make_ball(center, float(params["r"]), h)
+        return make_ball(p.get("center", [0.0, 0.0]), p["r"], h)
     if kind == "box":
-        sides = params["sides"]
-        corner = params.get("corner", [0.0] * len(sides))
-        return make_box(corner, sides, h)
+        return make_box(p.get("corner", np.zeros_like(p["sides"])), p["sides"], h)
     if kind == "annulus":
-        center = params.get("center", [0.0, 0.0])
-        return make_annulus(center, float(params["r_outer"]), float(params["r_inner"]), h)
-    return rasterize_polygon(params["vertices"], h)
+        return make_annulus(p.get("center", [0.0, 0.0]), p["r_outer"], p["r_inner"], h)
+    return rasterize_polygon(p["vertices"], h)
 
 
 def describe_spec(spec: dict) -> str:
@@ -439,9 +460,15 @@ def describe_spec(spec: dict) -> str:
     return f"{spec['kind']}({params})"
 
 
-def load_domain_spec(path) -> dict:
+def load_json(path):
+    """Read a JSON spec file; a missing or malformed file is a SpecError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except FileNotFoundError as exc:
+        raise SpecError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}") from exc
+
+
+load_domain_spec = load_json

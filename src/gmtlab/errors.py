@@ -37,6 +37,10 @@ class DegenerateStartError(GmtLabError):
     """Quotient search started from an all-zero function."""
 
 
+class NumericalError(GmtLabError, ArithmeticError):
+    """A numerical self-check failed: the discretization broke an identity."""
+
+
 class SpecError(GmtLabError, ValueError):
     """Malformed domain, function, or suite specification."""
 

@@ -99,6 +99,8 @@ class Partition:
     cloud: BoundaryCloud = field(repr=False)
 
     def __post_init__(self):
+        if not self.cells:
+            raise InvalidArgumentError("partition has no cells")
         n = len(self.cloud)
         all_members = np.concatenate([c.member_indices for c in self.cells])
         # structural guarantees, checked on every construction

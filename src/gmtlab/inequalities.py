@@ -23,7 +23,10 @@ from .errors import (
     DegenerateStartError,
     InvalidArgumentError,
     NoModulusError,
+    NoTraceError,
+    NumericalError,
     ResolutionError,
+    SpecError,
     SupportError,
 )
 from .hausdorff import build_partition, estimate_hm_detail, partition_defect, unit_ball_volume
@@ -44,19 +47,7 @@ __all__ = [
     "check_perimeter_iso",
     "proof_trace",
     "quotient_search",
-    "INEQUALITY_IDS",
 ]
-
-INEQUALITY_IDS = (
-    "mazya",
-    "mazya_l2",
-    "isoperimetric",
-    "sobolev",
-    "sobolev_extended",
-    "brunn_minkowski",
-    "bv_bound",
-    "perimeter_iso",
-)
 
 
 @dataclass
@@ -152,7 +143,7 @@ def iso_constant(n: int) -> float:
     value = 1.0 / (n * omega ** (1.0 / n))
     alt = math.gamma(n / 2.0 + 1.0) ** (1.0 / n) / (n * math.sqrt(math.pi))
     if not math.isclose(value, alt, rel_tol=1e-12):
-        raise ArithmeticError("closed forms of the sharp constant disagree")
+        raise NumericalError("closed forms of the sharp constant disagree")
     return value
 
 
@@ -171,24 +162,38 @@ def paper_boundary_factor(n: int) -> float:
 _MIN_RESOLVED_POINTS_FACTOR = 4
 
 
-def _boundary_measure(domain: GridDomain, cloud: BoundaryCloud) -> tuple[float, dict]:
+def _boundary_measure(domain: GridDomain, cloud: BoundaryCloud | None) -> tuple[float, dict]:
+    """Covering estimate of the boundary measure at scale 8h, with its provenance.
+
+    The estimate is a pure function of the immutable cloud, so it is computed
+    once per cloud and scale and cached on the cloud; every caller gets its
+    own copy of the metadata.
+    """
+    if cloud is None:
+        raise NoTraceError("the boundary term needs a function with a boundary trace")
     n = domain.dim
     delta = 8.0 * domain.spacing
-    meta = {"delta_auto": delta}
-    if len(cloud) <= _MIN_RESOLVED_POINTS_FACTOR * n * 2:
-        meta["method"] = "face-count fallback (cloud too small to cover)"
-        meta["upper_bound"] = False
-        return cloud.total_weight, meta
-    est = estimate_hm_detail(cloud, n - 1, delta)
-    meta.update({"method": est.method, "upper_bound": est.upper_bound, "n_cells": est.n_cells})
-    return est.value, meta
+    cache = vars(cloud).setdefault("_boundary_measures", {})
+    if (n, delta) not in cache:
+        meta = {"delta_auto": delta}
+        if len(cloud) <= _MIN_RESOLVED_POINTS_FACTOR * n * 2:
+            meta["method"] = "face-count fallback (cloud too small to cover)"
+            meta["upper_bound"] = False
+            measure = cloud.total_weight
+        else:
+            est = estimate_hm_detail(cloud, n - 1, delta)
+            meta.update({"method": est.method, "upper_bound": est.upper_bound,
+                         "n_cells": est.n_cells})
+            measure = est.value
+        cache[(n, delta)] = (measure, meta)
+    measure, meta = cache[(n, delta)]
+    return measure, dict(meta)
 
 
 def _calibration(domain: GridDomain, cloud: BoundaryCloud) -> tuple[float, dict]:
     measure, meta = _boundary_measure(domain, cloud)
     raw = cloud.total_weight
     factor = measure / raw if raw > 0 else 1.0
-    meta = dict(meta)
     meta.update({"boundary_measure": measure, "raw_weight": raw, "calibration_factor": factor})
     return factor, meta
 
@@ -207,8 +212,7 @@ def check_isoperimetric(domain: GridDomain, tol: float | None = None) -> Report:
     vol = volume(domain)
     if vol == 0:
         raise InvalidArgumentError("isoperimetric check needs a nonempty domain")
-    cloud = extract_boundary(domain)
-    measure, meta = _boundary_measure(domain, cloud)
+    measure, meta = _boundary_measure(domain, extract_boundary(domain))
     c = iso_constant(n)
     lhs = vol ** ((n - 1) / n)
     rhs = c * measure
@@ -255,7 +259,7 @@ def check_mazya(
     q = n / (n - 1)
     c = iso_constant(n)
     factor = 1.0 if mode == "optimal" else paper_boundary_factor(n)
-    cal, meta = _calibration(domain, u.cloud if u.cloud is not None else extract_boundary(domain))
+    cal, meta = _calibration(domain, u.cloud)
     lhs = calc.lq_norm(u, q)
     rhs = c * (calc.grad_l1(u) + factor * calc.boundary_integral(u, calibration=cal))
     meta.update({"h": domain.spacing, "q": q, "boundary_factor": factor})
@@ -287,7 +291,9 @@ def check_mazya_l2(
     tol: float | None = None,
 ) -> Report:
     """Squared L2 norm against 2 c1 (2 c1 |grad u|_2^2 + squared trace mass)."""
-    cloud = u.cloud if u.cloud is not None else extract_boundary(domain)
+    if u.trace is None:
+        raise InvalidArgumentError("the squared-trace term needs a boundary trace")
+    cloud = u.cloud
     cal, meta = _calibration(domain, cloud)
     auto = isinstance(c1, str)
     if auto:
@@ -298,8 +304,6 @@ def check_mazya_l2(
         c1_val = float(c1)
     if c1_val <= 0:
         raise InvalidArgumentError("c1 must be positive")
-    if u.trace is None:
-        raise InvalidArgumentError("the squared-trace term needs a boundary trace")
     lhs = calc.lq_norm(u, 2.0) ** 2
     grad_sq = calc.grad_l2_squared(u)
     trace_sq = float(np.sum(u.trace ** 2 * cloud.weights)) * cal
@@ -328,7 +332,7 @@ def check_bv_bound(domain: GridDomain, u: calc.GridFunction, tol: float | None =
     """Total variation of the zero extension against interior plus boundary mass."""
     n = domain.dim
     factor = paper_boundary_factor(n)
-    cal, meta = _calibration(domain, u.cloud if u.cloud is not None else extract_boundary(domain))
+    cal, meta = _calibration(domain, u.cloud)
     lhs = calc.total_variation(u)
     rhs = calc.grad_l1(u) + factor * calc.boundary_integral(u, calibration=cal)
     meta.update({"h": domain.spacing, "boundary_factor": factor})
@@ -544,10 +548,10 @@ def proof_trace(
 
 
 def _env_seed() -> int:
-    try:
-        return int(os.environ.get("GMT_SEED", "0"))
-    except ValueError:
-        return 0
+    raw = os.environ.get("GMT_SEED", "0")
+    if not (raw.isascii() and raw.isdigit()):
+        raise SpecError(f"GMT_SEED must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def quotient_search(
@@ -724,10 +728,10 @@ def quotient_search(
         g_sum, b_sum, num_sum = full_sums()
         q_new = q_of(g_sum, b_sum, num_sum)
         if q_new < q_cur * (1.0 - 1e-9):
-            raise ArithmeticError("quotient decreased across a sweep")
+            raise NumericalError("quotient decreased across a sweep")
         q_cur = q_new
         if q_cur > c_bound:
-            raise ArithmeticError(
+            raise NumericalError(
                 f"quotient {q_cur} exceeded the sharp bound {c_bound}; discretization broke"
             )
         history.append(q_cur)

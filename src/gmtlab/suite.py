@@ -9,22 +9,51 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from . import __version__
 from . import calculus as calc
 from . import inequalities as ineq
-from .domains import describe_spec, domain_from_spec, extract_boundary
+from .domains import describe_spec, domain_from_spec, load_json
 from .errors import GmtLabError, SpecError
 
 __all__ = ["SuiteSpec", "SuiteEntry", "RunManifest", "parse_suite", "run_suite", "emit"]
-
-KNOWN_CHECKS = set(ineq.INEQUALITY_IDS) | {"swap_test"}
 
 _ENTRY_KEYS = {"domain", "function", "checks", "modes", "parameters"}
 _PARAM_KEYS = {"h", "eps", "s", "delta", "k_list", "c1", "domain_b", "eps_list", "iters", "step"}
 _FUNCTION_KEYS = {"expr", "lipschitz"}
 _SUITE_KEYS = {"name", "entries"}
+
+
+def _swap_test(domain, tol):
+    """Deliberately violated fixture: the isoperimetric sides swapped."""
+    base = ineq.check_isoperimetric(domain, tol=tol)
+    return ineq.Report(
+        "swap_test", base.rhs, base.lhs, base.constant_mode,
+        base.constant_value, base.tol, metadata={"swap_test": True, "h": domain.spacing},
+    )
+
+
+# check id -> reports of that check for (entry, domain, function, h, tol); the
+# rows look ``ineq.check_*`` up at call time so wrappers installed on the
+# module see every call
+_CHECKS = {
+    "mazya": lambda e, d, u, h, tol: [ineq.check_mazya(d, u, mode=m, tol=tol) for m in e.modes],
+    "mazya_l2": lambda e, d, u, h, tol: [
+        ineq.check_mazya_l2(d, u, e.parameters.get("c1", "auto"), tol=tol)],
+    "isoperimetric": lambda e, d, u, h, tol: [ineq.check_isoperimetric(d, tol=tol)],
+    "sobolev": lambda e, d, u, h, tol: [ineq.check_sobolev(u, tol=tol)],
+    "sobolev_extended": lambda e, d, u, h, tol: [
+        ineq.check_extended_sobolev(u, e.parameters.get("k_list", (4, 8, 16)), tol=tol)],
+    "bv_bound": lambda e, d, u, h, tol: [ineq.check_bv_bound(d, u, tol=tol)],
+    "brunn_minkowski": lambda e, d, u, h, tol: [ineq.check_brunn_minkowski(
+        d, domain_from_spec(e.parameters.get("domain_b", e.domain_spec), h_override=h), tol=tol)],
+    "perimeter_iso": lambda e, d, u, h, tol: [
+        ineq.check_perimeter_iso(d, e.parameters.get("eps_list"), tol=tol)],
+    "swap_test": lambda e, d, u, h, tol: [_swap_test(d, tol)],
+}
+KNOWN_CHECKS = set(_CHECKS)
 
 
 @dataclass
@@ -60,7 +89,6 @@ class RunManifest:
     suite_name: str
     entries: list  # {"index", "domain", "function", "error", "reports": [...]}
     passed: bool
-    series: list = field(default_factory=list)  # (name, header, rows) for plot data
 
     def to_dict(self) -> dict:
         return {
@@ -74,7 +102,8 @@ class RunManifest:
         }
 
 
-def _validate_function_spec(fn) -> dict | str:
+def parse_function_spec(fn) -> dict | str:
+    """The spec if valid: ``"indicator"`` or ``{"expr": str[, "lipschitz": finite number]}``."""
     if fn == "indicator":
         return fn
     if not isinstance(fn, dict):
@@ -82,9 +111,21 @@ def _validate_function_spec(fn) -> dict | str:
     unknown = set(fn) - _FUNCTION_KEYS
     if unknown:
         raise SpecError(f"unknown function spec keys: {sorted(unknown)}")
-    if "expr" not in fn:
-        raise SpecError("function spec is missing 'expr'")
+    if not isinstance(fn.get("expr"), str):
+        raise SpecError("function spec needs a string 'expr'")
+    lips = fn.get("lipschitz", 0.0)
+    if isinstance(lips, bool) or not isinstance(lips, (int, float)) or not math.isfinite(lips):
+        raise SpecError(f"'lipschitz' must be a finite number, got {lips!r}")
     return fn
+
+
+def build_function(spec: dict | str, domain):
+    """The grid function of a spec accepted by :func:`parse_function_spec`."""
+    if spec == "indicator":
+        return calc.indicator_function(domain)
+    lips = spec.get("lipschitz")
+    return calc.from_expression(domain, spec["expr"],
+                                lipschitz=None if lips is None else float(lips))
 
 
 def parse_suite_dict(data: dict) -> SuiteSpec:
@@ -131,7 +172,7 @@ def parse_suite_dict(data: dict) -> SuiteSpec:
         entries.append(
             SuiteEntry(
                 domain_spec=raw["domain"],
-                function_spec=_validate_function_spec(raw["function"]),
+                function_spec=parse_function_spec(raw["function"]),
                 checks=list(checks),
                 modes=list(modes),
                 parameters=dict(parameters),
@@ -141,16 +182,7 @@ def parse_suite_dict(data: dict) -> SuiteSpec:
 
 
 def parse_suite(path) -> SuiteSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise SpecError(f"suite file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(
-            f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}"
-        ) from exc
-    return parse_suite_dict(data)
+    return parse_suite_dict(load_json(path))
 
 
 def suite_to_dict(spec: SuiteSpec) -> dict:
@@ -169,58 +201,13 @@ def suite_to_dict(spec: SuiteSpec) -> dict:
     }
 
 
-def _build_function(entry: SuiteEntry, domain, cloud):
-    if entry.function_spec == "indicator":
-        return calc.indicator_function(domain, cloud)
-    lips = entry.function_spec.get("lipschitz")
-    return calc.from_expression(domain, entry.function_spec["expr"], cloud,
-                                lipschitz=None if lips is None else float(lips))
-
-
 def _run_entry(entry: SuiteEntry, h_override, tol_override) -> list:
-    params = entry.parameters
-    h = h_override if h_override is not None else params.get("h")
+    h = h_override if h_override is not None else entry.parameters.get("h")
     domain = domain_from_spec(entry.domain_spec, h_override=h)
-    cloud = extract_boundary(domain)
-    u = _build_function(entry, domain, cloud)
-    reports = []
-    for cid in entry.checks:
-        if cid == "mazya":
-            for mode in entry.modes:
-                reports.append(ineq.check_mazya(domain, u, mode=mode, tol=tol_override))
-        elif cid == "mazya_l2":
-            reports.append(
-                ineq.check_mazya_l2(domain, u, params.get("c1", "auto"), tol=tol_override)
-            )
-        elif cid == "isoperimetric":
-            reports.append(ineq.check_isoperimetric(domain, tol=tol_override))
-        elif cid == "sobolev":
-            reports.append(ineq.check_sobolev(u, tol=tol_override))
-        elif cid == "sobolev_extended":
-            reports.append(
-                ineq.check_extended_sobolev(u, params.get("k_list", (4, 8, 16)), tol=tol_override)
-            )
-        elif cid == "bv_bound":
-            reports.append(ineq.check_bv_bound(domain, u, tol=tol_override))
-        elif cid == "brunn_minkowski":
-            spec_b = params.get("domain_b", entry.domain_spec)
-            domain_b = domain_from_spec(spec_b, h_override=h)
-            reports.append(ineq.check_brunn_minkowski(domain, domain_b, tol=tol_override))
-        elif cid == "perimeter_iso":
-            reports.append(
-                ineq.check_perimeter_iso(domain, params.get("eps_list"), tol=tol_override)
-            )
-        elif cid == "swap_test":
-            # deliberately violated fixture: the isoperimetric sides swapped
-            base = ineq.check_isoperimetric(domain, tol=tol_override)
-            swapped = ineq.Report(
-                "isoperimetric", base.rhs, base.lhs, base.constant_mode,
-                base.constant_value, base.tol, metadata={"swap_test": True, "h": domain.spacing},
-            )
-            swapped.inequality_id = "swap_test"
-            reports.append(swapped)
+    u = build_function(entry.function_spec, domain)
+    reports = [rep for cid in entry.checks
+               for rep in _CHECKS[cid](entry, domain, u, h, tol_override)]
     for rep in reports:
-        rep.metadata.setdefault("h", domain.spacing)
         rep.metadata["domain"] = entry.domain_label
         rep.metadata["function"] = entry.function_label
     return reports
@@ -304,7 +291,7 @@ def _csv_body(manifest: RunManifest) -> list:
 
 
 def emit(manifest: RunManifest, fmt: str, path) -> None:
-    """Write a manifest as json, csv, or tsv-plots.
+    """Write a manifest as json or csv.
 
     Output bytes depend only on the manifest content; the timestamp is
     confined to one header line (csv) or one top-level field (json).
@@ -320,15 +307,5 @@ def emit(manifest: RunManifest, fmt: str, path) -> None:
         lines.extend(_csv_body(manifest))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        return
-    if fmt == "tsv-plots":
-        if not manifest.series:
-            raise SpecError("manifest carries no plot series")
-        stem = path[: -len(".tsv")] if path.endswith(".tsv") else path
-        for name, header, rows in manifest.series:
-            out = [f"# series {name}", "\t".join(header)]
-            out.extend("\t".join(repr(v) for v in row) for row in rows)
-            with open(f"{stem}_{name}.tsv", "w", encoding="utf-8") as fh:
-                fh.write("\n".join(out) + "\n")
         return
     raise SpecError(f"unknown emission format '{fmt}'")

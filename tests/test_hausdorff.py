@@ -288,6 +288,10 @@ class TestPartitionInvariants:
     def test_valid_partition_accepted(self, cloud):
         assert len(Partition([self._cell([0, 1]), self._cell([2, 3])], 0.5, cloud)) == 2
 
+    def test_no_cells_rejected(self, cloud):
+        with pytest.raises(InvalidArgumentError, match="no cells"):
+            Partition([], 0.5, cloud)
+
     def test_empty_cell_rejected(self, cloud):
         with pytest.raises(InvalidArgumentError, match="empty cell"):
             Partition([self._cell([0, 1, 2, 3]), self._cell([])], 0.5, cloud)

@@ -18,6 +18,7 @@ from gmtlab.errors import (
     DegenerateStartError,
     InvalidArgumentError,
     NoModulusError,
+    NumericalError,
     SupportError,
 )
 from gmtlab.inequalities import (
@@ -57,6 +58,13 @@ class TestConstants:
     def test_boundary_factor_dimension_guard(self):
         with pytest.raises(InvalidArgumentError):
             paper_boundary_factor(1)
+
+    def test_disagreeing_closed_forms_raise_typed_error(self, monkeypatch):
+        import gmtlab.inequalities as ineq
+
+        monkeypatch.setattr(ineq, "unit_ball_volume", lambda n: 2.0 * math.pi)
+        with pytest.raises(NumericalError):
+            iso_constant(2)
 
     def test_iso_constant_dimension_guard(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,5 +1,6 @@
 """Suite parsing, execution, emission, and the command-line surface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,9 +10,13 @@ import sys
 import pytest
 
 import gmtlab
+import gmtlab.inequalities as ineq
+from gmtlab import suite as suite_mod
 from gmtlab.cli import main
+from gmtlab.domains import domain_from_spec
 from gmtlab.errors import SpecError
 from gmtlab.suite import (
+    build_function,
     emit,
     hash_file,
     parse_suite,
@@ -19,6 +24,8 @@ from gmtlab.suite import (
     run_suite,
     suite_to_dict,
 )
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SMOKE = {
     "name": "smoke",
@@ -109,25 +116,31 @@ class TestRunSuite:
         assert manifest.entries == []
 
     def test_entry_error_recorded_without_abort(self):
+        bad_domains = [
+            {"kind": "ball", "params": {"r": 0.005}, "h": 0.01},
+            {"kind": "ball", "params": {}, "h": 0.01},
+            {"kind": "ball", "params": {"r": 1}, "h": "abc"},
+            {"kind": "ball", "params": {"r": 1}, "h": math.inf},
+            {"kind": "ball", "params": {"r": "one"}, "h": 0.01},
+            {"kind": "ball", "params": {"r": math.nan}, "h": 0.01},
+            {"kind": "box", "params": {}, "h": 0.01},
+            {"kind": "box", "params": {"sides": [1, math.inf]}, "h": 0.01},
+            {"kind": "polygon", "params": {}, "h": 0.01},
+            {"kind": "annulus", "params": {"r_outer": 1.0}, "h": 0.01},
+        ]
+        good = {"kind": "ball", "params": {"r": 1}, "h": 0.01}
         suite = {
             "name": "erroring",
             "entries": [
-                {
-                    "domain": {"kind": "ball", "params": {"r": 0.005}, "h": 0.01},
-                    "function": "indicator",
-                    "checks": ["isoperimetric"],
-                },
-                {
-                    "domain": {"kind": "ball", "params": {"r": 1}, "h": 0.01},
-                    "function": "indicator",
-                    "checks": ["isoperimetric"],
-                },
+                {"domain": d, "function": "indicator", "checks": ["isoperimetric"]}
+                for d in bad_domains + [good]
             ],
         }
         manifest = run_suite(parse_suite_dict(suite))
         assert not manifest.passed
-        assert manifest.entries[0]["error"] is not None
-        assert manifest.entries[1]["reports"][0]["holds"] is True
+        for entry in manifest.entries[:-1]:
+            assert entry["error"] is not None
+        assert manifest.entries[-1]["reports"][0]["holds"] is True
 
     def test_mazya_modes_produce_two_reports(self):
         suite = {
@@ -144,6 +157,34 @@ class TestRunSuite:
         manifest = run_suite(parse_suite_dict(suite))
         reports = manifest.entries[0]["reports"]
         assert [r["constant_mode"] for r in reports] == ["optimal", "paper_factor"]
+
+    def test_standard_suite_estimates_each_boundary_once(self, monkeypatch):
+        calls = []
+        estimate = ineq.estimate_hm_detail
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(ineq, "estimate_hm_detail", counting)
+        spec = parse_suite(os.path.join(REPO, "suites", "standard.json"))
+        manifest = run_suite(spec)
+        assert len(calls) == 4
+        # every report equals the same check run on a freshly built domain
+        # and function, so no cached estimate or metadata leaks between reports
+        for entry, record in zip(spec.entries, manifest.entries):
+            fresh = []
+            for cid in entry.checks:
+                for mode in entry.modes if cid == "mazya" else [None]:
+                    domain = domain_from_spec(entry.domain_spec)
+                    u = build_function(entry.function_spec, domain)
+                    one = dataclasses.replace(entry, modes=[mode])
+                    [rep] = suite_mod._CHECKS[cid](one, domain, u, None, None)
+                    fresh.append(rep.to_dict())
+            got = [dict(r, metadata={k: v for k, v in r["metadata"].items()
+                                     if k not in ("domain", "function")})
+                   for r in record["reports"]]
+            assert got == fresh
 
 
 class TestEmission:
@@ -258,6 +299,21 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("domain", [
+        {"kind": "ball", "params": {}, "h": 0.01},
+        {"kind": "ball", "params": {"r": 1}, "h": "abc"},
+    ])
+    def test_estimate_hm_malformed_domain_exits_two(self, tmp_path, capsys, domain):
+        path = write_json(tmp_path / "bad.json", domain)
+        assert main(["estimate-hm", path, "--d", "1", "--delta", "0.08"]) == 2
+        assert capsys.readouterr().err.startswith("spec error:")
+
+    @pytest.mark.parametrize("command,flag", [("partition", "--delta"), ("steiner", "--eps")])
+    @pytest.mark.parametrize("values", ["0.5,abc", "0.5,inf", "nan"])
+    def test_list_flag_rejects_bad_items(self, tmp_path, capsys, command, flag, values):
+        assert main([command, self._domain_file(tmp_path), flag, values]) == 2
+        assert capsys.readouterr().err.startswith("spec error:")
+
     def test_partition_command_with_sweep(self, tmp_path, capsys):
         cells = tmp_path / "cells.json"
         plot = tmp_path / "plot.tsv"
@@ -311,6 +367,44 @@ class TestCli:
         main(args)
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+    @pytest.mark.parametrize("seed", ["abc", "-1", "1.5"])
+    def test_search_rejects_malformed_gmt_seed(self, tmp_path, capsys, monkeypatch, seed):
+        monkeypatch.setenv("GMT_SEED", seed)
+        code = main(["search", self._domain_file(tmp_path, h=0.05), self._function_file(tmp_path),
+                     "--iters", "1", "--step", "0.1"])
+        assert code == 2
+        assert "GMT_SEED" in capsys.readouterr().err
+
+    def test_search_reports_broken_quotient_bound(self, tmp_path, capsys, monkeypatch):
+        # a sharp constant far too small makes the first sweep exceed the bound
+        monkeypatch.setattr(ineq, "iso_constant", lambda n: 1e-6)
+        code = main(["search", self._domain_file(tmp_path, h=0.05), self._function_file(tmp_path),
+                     "--iters", "1", "--step", "0.1"])
+        assert code == 2
+        assert "exceeded the sharp bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[1]", "{}", '{"lipschitz": 1}', '{"expr": x}', '{"expr": "x", "scale": 2}',
+        '{"expr": "indicator"}',
+    ])
+    def test_malformed_function_spec_refused_everywhere(self, tmp_path, capsys, text):
+        fn = tmp_path / "fn.json"
+        fn.write_text(text)
+        domain = self._domain_file(tmp_path, h=0.05)
+        for args in (["trace", domain, str(fn), "--eps", "0.9"],
+                     ["search", domain, str(fn), "--iters", "1", "--step", "0.1"]):
+            assert main(args) == 2
+            assert capsys.readouterr().err.startswith(("spec error:", "error:"))
+        suite = tmp_path / "suite.json"
+        suite.write_text('{"name": "f", "entries": [{"domain": '
+                         + json.dumps({"kind": "ball", "params": {"r": 1}, "h": 0.05})
+                         + ', "function": ' + text + ', "checks": ["mazya"]}]}')
+        try:
+            manifest = run_suite(parse_suite(suite))
+        except SpecError:
+            return  # refused at parse time
+        assert manifest.entries[0]["error"] is not None
 
     def test_steiner_command(self, tmp_path, capsys):
         code = main([
