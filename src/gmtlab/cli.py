@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -17,6 +18,17 @@ from .domains import domain_from_spec, extract_boundary, load_json, spec_number
 from .errors import GmtLabError, SpecError
 from .hausdorff import build_partition, estimate_hm_detail, partition_defect, partition_to_json
 from .suite import build_function, emit, hash_file, parse_function_spec, parse_suite, run_suite
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the scalar flags: a finite float (nan and inf exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _load_domain(path):
@@ -162,14 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a suite of inequality checks")
     p.add_argument("suite")
     p.add_argument("--out", help="write the manifest (.json or .csv)")
-    p.add_argument("--h", type=float, default=None, help="override every domain spacing")
-    p.add_argument("--tol", type=float, default=None, help="override the verdict tolerance")
+    p.add_argument("--h", type=_finite_float, default=None, help="override every domain spacing")
+    p.add_argument("--tol", type=_finite_float, default=None, help="override the verdict tolerance")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("estimate-hm", help="estimate a boundary measure by coverings")
     p.add_argument("domain")
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--d", type=_finite_float, required=True)
+    p.add_argument("--delta", type=_finite_float, required=True)
     p.set_defaults(func=cmd_estimate_hm)
 
     p = sub.add_parser("partition", help="build a measured boundary partition")
@@ -182,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="trace the truncation proof step by step")
     p.add_argument("domain")
     p.add_argument("function")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--s", type=float, default=None)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--s", type=_finite_float, default=None)
     p.add_argument("--out", help="write the trace report as JSON")
     p.add_argument("--plot", help="write one TSV series per step")
     p.set_defaults(func=cmd_trace)
@@ -192,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("domain")
     p.add_argument("function")
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--step", type=_finite_float, required=True)
     p.add_argument("--plot", help="write the (sweep, Q) TSV series")
     p.set_defaults(func=cmd_search)
 

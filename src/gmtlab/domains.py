@@ -456,6 +456,8 @@ def domain_from_spec(spec: dict, h_override: float | None = None) -> GridDomain:
 
 def describe_spec(spec: dict) -> str:
     """Short deterministic label used in reports."""
+    if "kind" not in spec or not isinstance(spec.get("params"), dict):
+        raise SpecError("domain spec needs a 'kind' and a 'params' object")
     params = ",".join(f"{k}={spec['params'][k]}" for k in sorted(spec["params"]))
     return f"{spec['kind']}({params})"
 

@@ -178,7 +178,11 @@ def _box_groups(points: np.ndarray, side: float):
     """Group point indices by axis-aligned boxes of the given side length."""
     anchor = points.min(axis=0)
     idx = np.floor((points - anchor) / side).astype(np.int64)
-    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
+    # C-order linear keys of the nonnegative box indices sort like the index
+    # rows, so this is np.unique(idx, axis=0) without the row sort
+    dims = tuple(idx.max(axis=0) + 1)
+    keys, inverse = np.unique(np.ravel_multi_index(idx.T, dims), return_inverse=True)
+    uniq = np.stack(np.unravel_index(keys, dims), axis=1)
     groups = _group_by_label(inverse, len(uniq))
     centers = anchor + (uniq + 0.5) * side
     return groups, centers

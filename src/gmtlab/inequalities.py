@@ -21,6 +21,7 @@ from .constants import TRACE_STEP_TOLERANCES, holds_tolerance
 from .domains import BoundaryCloud, GridDomain, extract_boundary, volume
 from .errors import (
     DegenerateStartError,
+    GmtLabError,
     InvalidArgumentError,
     NoModulusError,
     NoTraceError,
@@ -275,7 +276,7 @@ def _auto_c1(domain: GridDomain, cloud: BoundaryCloud, cal: float) -> float:
     for expr in _AUTO_C1_EXPRS:
         try:
             f = calc.from_expression(domain, expr, cloud)
-        except Exception:
+        except GmtLabError:
             continue
         lhs = calc.lq_norm(f, 1.0)
         rhs = calc.grad_l1(f) + calc.boundary_integral(f, calibration=cal)
@@ -341,10 +342,8 @@ def check_bv_bound(domain: GridDomain, u: calc.GridFunction, tol: float | None =
 
 
 def _minkowski_sum(a: GridDomain, b: GridDomain) -> GridDomain:
-    from scipy.signal import fftconvolve
-
     h = a.spacing
-    conv = fftconvolve(a.mask.astype(float), b.mask.astype(float))
+    conv = calc.fft_convolve(a.mask.astype(float), b.mask.astype(float))
     mask = conv > 0.5  # counts are integers >= 1 on the support
     mask = np.pad(mask, 1)
     origin = a.origin + b.origin + 0.5 * h - h
@@ -388,7 +387,7 @@ def check_extended_sobolev(
     for k in k_list:
         try:
             mk = calc.mollify(u, k)
-        except Exception as exc:
+        except GmtLabError as exc:  # e.g. a kernel narrower than two cells
             chain.append({"k": int(k), "error": str(exc)})
             continue
         lq_k = calc.lq_norm(mk, q)

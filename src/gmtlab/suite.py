@@ -166,6 +166,9 @@ def parse_suite_dict(data: dict) -> SuiteSpec:
         unknown = set(parameters) - _PARAM_KEYS
         if unknown:
             raise SpecError(f"entry {pos}: unknown parameters {sorted(unknown)}")
+        k_list = parameters.get("k_list", [])
+        if not (isinstance(k_list, list) and all(type(k) is int and k >= 1 for k in k_list)):
+            raise SpecError(f"entry {pos}: 'k_list' must be a list of positive integers")
         # validate domain spec eagerly for parse-time diagnostics
         if not isinstance(raw["domain"], dict):
             raise SpecError(f"entry {pos}: 'domain' must be an object")
@@ -229,12 +232,13 @@ def run_suite(
     for idx, entry in enumerate(spec.entries):
         record = {
             "index": idx,
-            "domain": entry.domain_label,
+            "domain": "?",  # kept if the domain spec is too malformed to describe
             "function": entry.function_label,
             "error": None,
             "reports": [],
         }
         try:
+            record["domain"] = entry.domain_label
             reports = _run_entry(entry, h_override, tol_override)
             record["reports"] = [r.to_dict() for r in reports]
             if not all(r.holds for r in reports):

@@ -13,6 +13,7 @@ from gmtlab.calculus import (
     boundary_integral,
     build_mollifier,
     constant_function,
+    fft_convolve,
     from_expression,
     grad_l1,
     grad_l2_squared,
@@ -318,6 +319,63 @@ class TestTotalVariation:
     def test_disk_indicator_anisotropy_bracket(self, disk_512):
         tv = total_variation(indicator_function(disk_512))
         assert 2 * math.pi * 0.95 <= tv <= 8.0
+
+
+def _brute_full_convolve(a, b):
+    """Direct full linear convolution: every tap of b adds a shifted copy of a."""
+    out = np.zeros(tuple(n + m - 1 for n, m in zip(a.shape, b.shape)))
+    for j in np.ndindex(b.shape):
+        out[tuple(slice(o, o + n) for o, n in zip(j, a.shape))] += b[j] * a
+    return out
+
+
+class TestFftConvolve:
+    SHAPES = [
+        ((9, 12), (3, 5)),
+        ((10, 7), (4, 6)),
+        ((6, 7, 8), (3, 3, 5)),
+        ((5, 8, 6), (2, 4, 3)),
+    ]
+
+    @pytest.mark.parametrize("a_shape,b_shape", SHAPES)
+    def test_full_and_same_match_direct_sums(self, a_shape, b_shape):
+        rng = np.random.default_rng(sum(a_shape) + sum(b_shape))
+        a = rng.normal(size=a_shape)
+        b = rng.normal(size=b_shape)
+        full = _brute_full_convolve(a, b)
+        peak = np.abs(full).max()
+        got = fft_convolve(a, b)
+        assert got.shape == full.shape
+        assert np.abs(got - full).max() <= 1e-12 * peak
+        start = [(m - 1) // 2 for m in b_shape]
+        same = full[tuple(slice(s0, s0 + n) for s0, n in zip(start, a_shape))]
+        got = fft_convolve(a, b, same=True)
+        assert got.shape == a.shape
+        assert np.abs(got - same).max() <= 1e-12 * peak
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((9, 12), (3, 5)), ((10, 7), (5, 7)), ((6, 7, 8), (3, 3, 5)), ((5, 8, 6), (3, 5, 3)),
+    ])
+    def test_same_matches_centred_ndimage_convolve(self, a_shape, b_shape):
+        rng = np.random.default_rng(len(a_shape) + a_shape[0])
+        a = rng.normal(size=a_shape)
+        b = rng.normal(size=b_shape)
+        ref = ndimage.convolve(a, b, mode="constant", cval=0.0)
+        got = fft_convolve(a, b, same=True)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_mollify_masks_match_the_direct_stencil(self, square_128):
+        # the direct convolution is exactly zero off the kernel's reach; the
+        # scrubbed FFT product must give the same support and values
+        u = from_expression(square_128, "1 + x*y")
+        for k in (8, 16):
+            mk = mollify(u, k)
+            mol = build_mollifier(k, square_128.spacing, 2)
+            pad = (mol.kernel.shape[0] - 1) // 2 + 2
+            ref = ndimage.convolve(np.pad(u.values, pad), mol.kernel * square_128.spacing ** 2,
+                                   mode="constant", cval=0.0)
+            assert np.array_equal(mk.domain.mask, (ref != 0.0) | np.pad(square_128.mask, pad))
+            assert np.abs(mk.values - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestMollify:

@@ -15,6 +15,7 @@ from gmtlab.hausdorff import (
     Partition,
     PartitionCell,
     _ball_covering,
+    _box_groups,
     _cloud_nn,
     _diameter,
     _fps_centers,
@@ -130,6 +131,30 @@ class TestFpsCenters:
             _fps_centers(cloud.points, tree, threshold, limit=n_centers),
             _fps_reference(cloud.points, threshold),
         )
+
+
+def _box_groups_reference(points, side):
+    """Row-sorted grouping of the integer box coordinates."""
+    anchor = points.min(axis=0)
+    idx = np.floor((points - anchor) / side).astype(np.int64)
+    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    groups = [np.flatnonzero(inverse == g) for g in range(len(uniq))]
+    return groups, anchor + (uniq + 0.5) * side
+
+
+class TestBoxGroups:
+    @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
+    @pytest.mark.parametrize("k", [1.5, 6.0, 20.0])
+    def test_matches_row_sorted_grouping(self, fps_clouds, name, k):
+        cloud = fps_clouds[name]
+        side = k * cloud.resolution
+        groups, centers = _box_groups(cloud.points, side)
+        ref_groups, ref_centers = _box_groups_reference(cloud.points, side)
+        assert len(groups) == len(ref_groups) > 1
+        for got, ref in zip(groups, ref_groups):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(centers, ref_centers)
 
 
 class TestBallCovering:

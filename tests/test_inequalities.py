@@ -23,6 +23,7 @@ from gmtlab.errors import (
 )
 from gmtlab.inequalities import (
     Report,
+    _minkowski_sum,
     check_brunn_minkowski,
     check_bv_bound,
     check_extended_sobolev,
@@ -324,6 +325,26 @@ class TestBrunnMinkowski:
         assert rep.rhs == pytest.approx(3.0, rel=0.01)
         assert rep.rhs / rep.lhs >= 1.05
 
+    @pytest.mark.parametrize("corner_b,sides_b", [
+        ((0.25, -0.5), (0.75, 0.25)), ((0.0, 0.0, 0.0), (0.25, 0.5, 0.375))])
+    def test_box_sum_is_the_exact_box(self, corner_b, sides_b):
+        # the cell centres of A + B are all sums of a centre of A and one of
+        # B: for boxes, the full box between the sums of the extreme centres
+        h = 1 / 32
+        dim = len(sides_b)
+        a = make_box((0.0,) * dim, (0.5, 0.75, 0.25)[:dim], h)
+        b = make_box(corner_b, sides_b, h)
+
+        def centres(d):
+            return d.origin + (np.argwhere(d.mask) + 0.5) * d.spacing
+
+        ca, cb, cs = centres(a), centres(b), centres(_minkowski_sum(a, b))
+        lo, hi = ca.min(0) + cb.min(0), ca.max(0) + cb.max(0)
+        counts = np.rint((hi - lo) / h).astype(int) + 1
+        assert len(cs) == np.prod(counts)
+        np.testing.assert_allclose(cs.min(0), lo, atol=1e-12)
+        np.testing.assert_allclose(cs.max(0), hi, atol=1e-12)
+
     def test_dimension_mismatch_rejected(self):
         a = make_ball((0.0, 0.0), 1.0, 1 / 32)
         b = make_ball((0.0, 0.0, 0.0), 1.0, 1 / 16)
@@ -356,6 +377,14 @@ class TestExtendedSobolev:
         rep = check_extended_sobolev(u, k_list=(4,))
         assert rep.holds and rep.lhs == 0.0
 
+
+    def test_unresolved_kernel_recorded_other_errors_raise(self):
+        u = indicator_function(make_box((0.0, 0.0), (1.0, 1.0), 1 / 16))
+        chain = check_extended_sobolev(u, k_list=(4, 16)).metadata["mollified_chain"]
+        assert chain[0]["k"] == 4 and "lq" in chain[0]
+        assert chain[1] == {"k": 16, "error": "kernel support 1/k must be at least two cells wide"}
+        with pytest.raises(TypeError):
+            check_extended_sobolev(u, k_list=("4",))
 
 class TestPerimeterIso:
     def test_disk_ratio_near_one(self):

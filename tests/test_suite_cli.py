@@ -52,6 +52,13 @@ class TestParseSuite:
         assert len(spec.entries) == 1
         assert spec.entries[0].checks == ["isoperimetric"]
 
+    @pytest.mark.parametrize("k_list", [4, [0], [4.5], ["8"], [True], [1e999], None])
+    def test_k_list_must_hold_positive_integers(self, k_list):
+        bad = json.loads(json.dumps(SMOKE))
+        bad["entries"][0]["parameters"] = {"k_list": k_list}
+        with pytest.raises(SpecError, match="k_list"):
+            parse_suite_dict(bad)
+
     def test_unknown_check_rejected_by_name(self, tmp_path):
         bad = json.loads(json.dumps(SMOKE))
         bad["entries"][0]["checks"] = ["bogus"]
@@ -416,6 +423,56 @@ class TestCli:
         assert "extrapolated perimeter" in out
         value = float(out.strip().splitlines()[-1].split()[-1])
         assert value == pytest.approx(2 * math.pi, rel=0.02)
+
+    def test_domain_without_params_is_an_entry_error(self, tmp_path, capsys):
+        good = SMOKE["entries"][0]
+        suite = write_json(tmp_path / "s.json", {"name": "np", "entries": [
+            dict(good, domain={"kind": "ball", "h": 0.05}), good]})
+        assert main(["verify", suite]) == 1
+        out = capsys.readouterr().out
+        assert "[ERROR] entry 0 (?): SpecError:" in out
+        assert "[ok] isoperimetric (optimal) on ball(r=1)" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "s.json", "--h"],
+        ["verify", "s.json", "--tol"],
+        ["estimate-hm", "d.json", "--delta", "0.1", "--d"],
+        ["estimate-hm", "d.json", "--d", "1", "--delta"],
+        ["trace", "d.json", "f.json", "--eps"],
+        ["trace", "d.json", "f.json", "--eps", "0.1", "--s"],
+        ["search", "d.json", "f.json", "--iters", "1", "--step"],
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_scalar_flag_is_a_usage_error(self, capsys, argv, value):
+        # parsing fails before any file is read, so the paths need not exist
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:-1], f"{argv[-1]}={value}"])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_step_exits_two_without_traceback(self, tmp_path, value):
+        # `search --step nan` used to run and report a quotient
+        src = os.path.dirname(os.path.dirname(gmtlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmtlab.cli", "search", self._domain_file(tmp_path),
+             self._function_file(tmp_path), "--iters", "1", f"--step={value}"],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_verify_never_imports_scipy_signal(self):
+        src = os.path.dirname(os.path.dirname(gmtlab.__file__))
+        code = ("import sys; from gmtlab.cli import main; "
+                "code = main(['verify', 'suites/standard.json']); "
+                "assert code == 0, code; assert 'scipy.signal' not in sys.modules")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=REPO,
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_bundled_smoke_suite(self, capsys):
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
