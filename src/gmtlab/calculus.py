@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .domains import BoundaryCloud, GridDomain, extract_boundary, dilate, parse_domain_text, serialize_domain, volume
 from .errors import (
@@ -80,6 +81,8 @@ class GridFunction:
             raise InvalidArgumentError("values must cover the full grid box")
         if not np.isfinite(values[self.domain.mask]).all():
             raise InvalidArgumentError("values must be finite on every interior cell")
+        if self.lipschitz is not None and not self.lipschitz >= 0:
+            raise InvalidArgumentError("lipschitz must be nonnegative")
         values[~self.domain.mask] = 0.0
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -212,7 +215,13 @@ def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
     Cells without an interior backward neighbor contribute the one-sided
     difference toward the -face trace as an extra component, so jumps
     against the boundary are never invisible to the scheme.
+
+    Functions are immutable, so the result is computed once per function and
+    cached on it read-only.
     """
+    cached = vars(u).get("_grad_mag2")
+    if cached is not None:
+        return cached
     dom = u.domain
     h = dom.spacing
     mask = dom.mask
@@ -234,6 +243,8 @@ def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
         extra = np.zeros(dom.shape)
         extra[side] = (vals[side] - tmap[side]) / (h / 2.0)
         mag2 += extra * extra
+    mag2.setflags(write=False)
+    object.__setattr__(u, "_grad_mag2", mag2)
     return mag2
 
 
@@ -310,25 +321,30 @@ def shell_mass_limit(r: float, height: float, n: int) -> float:
     return height * n * unit_ball_volume(n) * r ** (n - 1)
 
 
-def _window(domain: GridDomain, center: np.ndarray, radius: float):
+def _index_box(domain: GridDomain, center: np.ndarray, radius: float):
+    """Cell index bounds [lo, hi) per axis covering B(center, radius), unclipped."""
     h = domain.spacing
     lo = np.floor((center - radius - domain.origin) / h - 1).astype(int)
     hi = np.ceil((center + radius - domain.origin) / h + 1).astype(int)
-    lo = np.maximum(lo, 0)
-    hi = np.minimum(hi, np.array(domain.shape))
-    return tuple(slice(a, b) for a, b in zip(lo, hi))
+    return lo, hi
 
 
-def _distance_field(domain: GridDomain, center: np.ndarray, window=None):
+def _lattice_distance(domain: GridDomain, center: np.ndarray, lo, hi) -> np.ndarray:
+    """Distance from ``center`` to the cell centres with indices in [lo, hi).
+
+    The box may reach past the grid box (a virtual lattice aligned with the
+    grid).  The per-axis squares broadcast through a sparse meshgrid, so each
+    element is summed in the same order as on a dense grid.
+    """
     h = domain.spacing
-    if window is None:
-        window = tuple(slice(0, s) for s in domain.shape)
-    axes = [
-        domain.origin[a] + (np.arange(window[a].start, window[a].stop) + 0.5) * h
-        for a in range(domain.dim)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center))), window
+    axes = [domain.origin[a] + (np.arange(lo[a], hi[a]) + 0.5) * h for a in range(domain.dim)]
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center)))
+
+
+def _ramp(dist, diam: float, s: float, height: float):
+    """Barrier ramp of a distance: 0 up to ``diam``, linear up to ``height`` at ``diam + s``."""
+    return height * np.clip((dist - diam) / s, 0.0, 1.0)
 
 
 def barrier(
@@ -352,14 +368,12 @@ def barrier(
     x_c = np.asarray(x_c, dtype=float)
     if sentinel is None:
         sentinel = max(1.0e6, 1.0e3 * (height + 1.0))
-    dist, _ = _distance_field(domain, x_c)
-    ramp = height * np.clip((dist - diam) / s, 0.0, 1.0)
-    values = np.where(dist <= diam + s, ramp, sentinel)
+    dist = _lattice_distance(domain, x_c, np.zeros(domain.dim, dtype=int), domain.shape)
+    values = np.where(dist <= diam + s, _ramp(dist, diam, s, height), sentinel)
     trace = None
     if cloud is not None:
         pd = np.linalg.norm(cloud.points - x_c, axis=1)
-        tramp = height * np.clip((pd - diam) / s, 0.0, 1.0)
-        trace = np.where(pd <= diam + s, tramp, sentinel)
+        trace = np.where(pd <= diam + s, _ramp(pd, diam, s, height), sentinel)
     fn = GridFunction(domain, values, cloud if trace is not None else None, trace)
     fn.metadata["sentinel"] = sentinel
     return fn
@@ -373,32 +387,27 @@ def shell_gradient_discrete(x_c, diam: float, s: float, height: float, domain: G
     matching the analytic ``shell_mass`` of the same parameters.
     """
     x_c = np.asarray(x_c, dtype=float)
-    h = domain.spacing
-    radius = diam + s + 3 * h
-    lo = np.floor((x_c - radius - domain.origin) / h - 1).astype(int)
-    hi = np.ceil((x_c + radius - domain.origin) / h + 1).astype(int)
-    axes = [
-        domain.origin[a] + (np.arange(lo[a], hi[a]) + 0.5) * h
-        for a in range(domain.dim)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    dist = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, x_c)))
-    v = height * np.clip((dist - diam) / s, 0.0, 1.0)
-    total = np.zeros_like(v)
-    for axis in range(domain.dim):
-        d = np.diff(v, axis=axis)
-        pad = [(0, 0)] * domain.dim
-        pad[axis] = (0, 1)
-        d = np.pad(d, pad)
-        total += d * d
-    # raw differences carry one factor of h less than the gradient
-    return float(np.sum(np.sqrt(total))) * h ** (domain.dim - 1)
+    lo, hi = _index_box(domain, x_c, diam + s + 3 * domain.spacing)
+    return _forward_tv(_ramp(_lattice_distance(domain, x_c, lo, hi), diam, s, height), domain.spacing)
 
 
 def interior_region(domain: GridDomain, eps: float) -> np.ndarray:
     """Cells whose eps-ball stays inside the domain (conservative mask)."""
-    dist = ndimage.distance_transform_edt(domain.mask, sampling=domain.spacing)
-    return dist >= eps + 0.5 * domain.spacing
+    return _interior_distance(domain) >= eps + 0.5 * domain.spacing
+
+
+def _interior_distance(domain: GridDomain) -> np.ndarray:
+    """Distance from each cell centre to the nearest exterior cell centre (0 outside).
+
+    A pure function of the immutable domain: computed once and cached on it
+    read-only, like its boundary cloud.
+    """
+    dist = vars(domain).get("_interior_distance")
+    if dist is None:
+        dist = ndimage.distance_transform_edt(domain.mask, sampling=domain.spacing)
+        dist.setflags(write=False)
+        object.__setattr__(domain, "_interior_distance", dist)
+    return dist
 
 
 def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunction:
@@ -416,27 +425,30 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
         raise InvalidArgumentError("truncate expects a nonnegative function")
     if not 0 < s < part.delta / 2:
         raise InvalidArgumentError("need 0 < s < delta/2 for the partition's delta")
-    h = u.domain.spacing
     heights = np.array([u.trace[c.x_index] + eps for c in part.cells])
     sentinel = 2.0 * (u.max_abs() + float(heights.max(initial=0.0))) + 1.0
 
     out = u.values.copy()
     pts = u.cloud.points
     trace_out = u.trace.copy()
-    for cell, height in zip(part.cells, heights):
-        diam = 2.0 * cell.rd
-        window = _window(u.domain, cell.x_c, diam + s)
-        dist, _ = _distance_field(u.domain, cell.x_c, window)
-        ramp = height * np.clip((dist - diam) / s, 0.0, 1.0)
-        psi = np.where(dist <= diam + s, ramp, np.inf)
+    diams = np.array([2.0 * c.rd for c in part.cells])
+    centers = np.array([c.x_c for c in part.cells])
+    # candidate trace points per cell; the slack absorbs the tree's own rounding
+    candidates = cKDTree(pts).query_ball_point(centers, (diams + s) * (1.0 + 1e-9), return_sorted=True)
+    for x_c, diam, height, rows in zip(centers, diams, heights, candidates):
+        lo, hi = _index_box(u.domain, x_c, diam + s)
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, u.domain.shape)
+        window = tuple(slice(a, b) for a, b in zip(lo, hi))
+        dist = _lattice_distance(u.domain, x_c, lo, hi)
+        psi = np.where(dist <= diam + s, _ramp(dist, diam, s, height), np.inf)
         out[window] = np.minimum(out[window], psi)
-        pd = np.linalg.norm(pts - cell.x_c, axis=1)
-        near = pd <= diam + s
-        tr = height * np.clip((pd[near] - diam) / s, 0.0, 1.0)
-        trace_out[near] = np.minimum(trace_out[near], tr)
+        rows = np.asarray(rows, dtype=np.intp)
+        pd = np.linalg.norm(pts[rows] - x_c, axis=1)
+        keep = pd <= diam + s
+        near = rows[keep]
+        trace_out[near] = np.minimum(trace_out[near], _ramp(pd[keep], diam, s, height))
     # discrete vanishing trace: zero out the collar next to the boundary
-    dist_in = ndimage.distance_transform_edt(mask, sampling=h)
-    collar = mask & (dist_in <= 1.5 * h)
+    collar = mask & (_interior_distance(u.domain) <= 1.5 * u.domain.spacing)
     out[collar] = 0.0
     out[~mask] = 0.0
     result = GridFunction(u.domain, out, u.cloud, trace_out)
@@ -448,22 +460,22 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
 # total variation, mollification, perimeter
 
 
-def _extended_values(u: GridFunction) -> np.ndarray:
-    return np.where(u.domain.mask, u.values, 0.0)
-
-
 def total_variation(u: GridFunction) -> float:
     """Isotropic discrete TV of u extended by zero over the whole grid box."""
-    v = _extended_values(u)
-    h = u.domain.spacing
+    return _forward_tv(u.values, u.domain.spacing)
+
+
+def _forward_tv(v: np.ndarray, h: float) -> float:
+    """Isotropic forward-difference TV of a grid array (Chambolle, JMIV 20 (2004)).
+
+    Along each axis the last slice has no forward neighbour and adds nothing.
+    """
     total = np.zeros_like(v)
-    for axis in range(u.domain.dim):
+    for axis in range(v.ndim):
         d = np.diff(v, axis=axis)
-        pad = [(0, 0)] * u.domain.dim
-        pad[axis] = (0, 1)
-        d = np.pad(d, pad)
-        total += d * d
-    return float(np.sum(np.sqrt(total))) * h ** (u.domain.dim - 1)
+        total[(slice(None),) * axis + (slice(0, -1),)] += d * d
+    # raw differences carry one factor of h less than the gradient
+    return float(np.sum(np.sqrt(total))) * h ** (v.ndim - 1)
 
 
 def build_mollifier(k: int, spacing: float, dim: int) -> Mollifier:
@@ -516,7 +528,7 @@ def mollify(u: GridFunction, k: int) -> GridFunction:
     mol = build_mollifier(k, u.domain.spacing, u.domain.dim)
     m = (mol.kernel.shape[0] - 1) // 2
     pad = m + 2
-    v = np.pad(_extended_values(u), pad)
+    v = np.pad(u.values, pad)
     weights = mol.kernel * u.domain.spacing ** u.domain.dim  # discrete weights sum to 1
     conv = fft_convolve(v, weights, same=True)
     tiny = 1e-13 * float(np.max(np.abs(conv), initial=0.0))
@@ -545,8 +557,8 @@ def l1_distance(u: GridFunction, v: GridFunction) -> float:
     dims = np.maximum(iu + np.array(u.domain.shape), iv + np.array(v.domain.shape))
     a = np.zeros(tuple(dims))
     b = np.zeros(tuple(dims))
-    a[tuple(slice(o, o + s) for o, s in zip(iu, u.domain.shape))] = _extended_values(u)
-    b[tuple(slice(o, o + s) for o, s in zip(iv, v.domain.shape))] = _extended_values(v)
+    a[tuple(slice(o, o + s) for o, s in zip(iu, u.domain.shape))] = u.values
+    b[tuple(slice(o, o + s) for o, s in zip(iv, v.domain.shape))] = v.values
     return float(np.sum(np.abs(a - b))) * h ** u.domain.dim
 
 
@@ -603,7 +615,7 @@ def restrict_to_domain(u: GridFunction, domain: GridDomain, cloud: BoundaryCloud
         raise InvalidArgumentError("restriction requires matching spacings")
     if cloud is None:
         cloud = extract_boundary(domain)
-    src = _extended_values(u)
+    src = u.values
 
     def sample(points):
         coords = (points - u.domain.origin) / h - 0.5

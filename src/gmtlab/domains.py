@@ -158,7 +158,7 @@ def _centers_grid(origin, shape, h):
 def make_ball(center: Sequence[float], radius: float, h: float) -> GridDomain:
     """Rasterize the open ball: cells whose center lies strictly inside."""
     center = np.asarray(center, dtype=float)
-    if center.shape[0] not in (2, 3):
+    if center.shape not in ((2,), (3,)):
         raise InvalidArgumentError("center must have 2 or 3 components")
     if radius <= 0 or h <= 0:
         raise InvalidArgumentError("radius and spacing must be positive")
@@ -194,6 +194,8 @@ def make_annulus(center: Sequence[float], r_outer: float, r_inner: float, h: flo
     if h <= 0 or h >= r_outer - r_inner:
         raise InvalidArgumentError("spacing must resolve the annulus width")
     center = np.asarray(center, dtype=float)
+    if center.shape not in ((2,), (3,)):
+        raise InvalidArgumentError("center must have 2 or 3 components")
     origin, shape = _empty_grid(center - r_outer, center + r_outer, h)
     grids = _centers_grid(origin, shape, h)
     dist2 = sum((g - c) ** 2 for g, c in zip(grids, center))
@@ -431,7 +433,7 @@ def domain_from_spec(spec: dict, h_override: float | None = None) -> GridDomain:
         if key not in spec:
             raise SpecError(f"domain spec is missing '{key}'")
     kind = spec["kind"]
-    if kind not in _PARAM_KEYS:
+    if not isinstance(kind, str) or kind not in _PARAM_KEYS:
         raise SpecError(f"unknown domain kind '{kind}'")
     params = spec["params"]
     if not isinstance(params, dict):

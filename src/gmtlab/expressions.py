@@ -165,7 +165,7 @@ class Expression:
             if tag == "mul":
                 return a * b
             if tag == "div":
-                return a / b
+                return np.true_divide(a, b)  # 1/0 is inf, as on arrays
             return np.power(a, b)
         _, fn = _FUNCTIONS[node[1]]
         args = [self._eval(arg, env) for arg in node[2]]

@@ -103,7 +103,7 @@ class RunManifest:
 
 
 def parse_function_spec(fn) -> dict | str:
-    """The spec if valid: ``"indicator"`` or ``{"expr": str[, "lipschitz": finite number]}``."""
+    """The spec if valid: ``"indicator"`` or ``{"expr": str[, "lipschitz": finite number >= 0]}``."""
     if fn == "indicator":
         return fn
     if not isinstance(fn, dict):
@@ -116,6 +116,8 @@ def parse_function_spec(fn) -> dict | str:
     lips = fn.get("lipschitz", 0.0)
     if isinstance(lips, bool) or not isinstance(lips, (int, float)) or not math.isfinite(lips):
         raise SpecError(f"'lipschitz' must be a finite number, got {lips!r}")
+    if lips < 0:
+        raise SpecError(f"'lipschitz' must be nonnegative, got {lips!r}")
     return fn
 
 

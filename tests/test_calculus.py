@@ -34,13 +34,13 @@ from gmtlab.calculus import (
     truncate,
 )
 from gmtlab.constants import LATTICE_SLACK_COEFF
-from gmtlab.domains import extract_boundary, make_ball, make_box, volume
+from gmtlab.domains import extract_boundary, make_annulus, make_ball, make_box, volume
 from gmtlab.errors import (
     InvalidArgumentError,
     NoTraceError,
     ResolutionError,
 )
-from gmtlab.hausdorff import build_partition, estimate_hm
+from gmtlab.hausdorff import Partition, PartitionCell, build_partition, estimate_hm
 
 
 def random_function(domain, cloud, rng, sigma=3.0):
@@ -477,6 +477,15 @@ class TestGridFunction:
         with pytest.raises(InvalidArgumentError):
             GridFunction(square_128, vals, cloud, bad_trace, lipschitz=1.0)
 
+    @pytest.mark.parametrize("lips", [-1.0, -1e-300, float("nan")])
+    def test_negative_or_nan_modulus_rejected(self, square_128, lips):
+        cloud = extract_boundary(square_128)
+        with pytest.raises(InvalidArgumentError, match="lipschitz must be nonnegative"):
+            GridFunction(square_128, np.zeros(square_128.shape), cloud,
+                         np.zeros(len(cloud)), lipschitz=lips)
+        with pytest.raises(InvalidArgumentError):
+            from_expression(square_128, "1", lipschitz=lips)
+
     def test_expression_trace_from_cloud_points(self, square_128):
         cloud = extract_boundary(square_128)
         u = from_expression(square_128, "x", cloud)
@@ -508,3 +517,149 @@ class TestGridFunction:
         # deep inside, the mollified indicator is exactly one
         inner = interior_region(disk_128, 0.3) & disk_128.mask
         assert np.allclose(u.values[inner], 1.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the dense-lattice, padded-difference and
+# full-cloud versions of the shell, TV and truncation code.  The library's
+# sparse lattices, sliced TV sums and KD-tree trace queries must reproduce
+# them bit for bit (exact ==, not approx).
+
+
+def _ref_distance(domain, center, lo, hi):
+    h = domain.spacing
+    axes = [domain.origin[a] + (np.arange(lo[a], hi[a]) + 0.5) * h for a in range(domain.dim)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center)))
+
+
+def _ref_padded_tv(v, h):
+    total = np.zeros_like(v)
+    for axis in range(v.ndim):
+        d = np.diff(v, axis=axis)
+        pad = [(0, 0)] * v.ndim
+        pad[axis] = (0, 1)
+        d = np.pad(d, pad)
+        total += d * d
+    return float(np.sum(np.sqrt(total))) * h ** (v.ndim - 1)
+
+
+def _ref_box(domain, center, radius):
+    h = domain.spacing
+    lo = np.floor((center - radius - domain.origin) / h - 1).astype(int)
+    hi = np.ceil((center + radius - domain.origin) / h + 1).astype(int)
+    return lo, hi
+
+
+def _ref_shell_gradient(x_c, diam, s, height, domain):
+    x_c = np.asarray(x_c, dtype=float)
+    lo, hi = _ref_box(domain, x_c, diam + s + 3 * domain.spacing)
+    dist = _ref_distance(domain, x_c, lo, hi)
+    return _ref_padded_tv(height * np.clip((dist - diam) / s, 0.0, 1.0), domain.spacing)
+
+
+def _ref_truncate(u, part, eps, s):
+    dom = u.domain
+    heights = np.array([u.trace[c.x_index] + eps for c in part.cells])
+    out = u.values.copy()
+    trace_out = u.trace.copy()
+    pts = u.cloud.points
+    for cell, height in zip(part.cells, heights):
+        diam = 2.0 * cell.rd
+        lo, hi = _ref_box(dom, cell.x_c, diam + s)
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, np.array(dom.shape))
+        window = tuple(slice(a, b) for a, b in zip(lo, hi))
+        dist = _ref_distance(dom, cell.x_c, lo, hi)
+        ramp = height * np.clip((dist - diam) / s, 0.0, 1.0)
+        out[window] = np.minimum(out[window], np.where(dist <= diam + s, ramp, np.inf))
+        pd = np.linalg.norm(pts - cell.x_c, axis=1)
+        near = pd <= diam + s
+        tr = height * np.clip((pd[near] - diam) / s, 0.0, 1.0)
+        trace_out[near] = np.minimum(trace_out[near], tr)
+    dist_in = ndimage.distance_transform_edt(dom.mask, sampling=dom.spacing)
+    out[dom.mask & (dist_in <= 1.5 * dom.spacing)] = 0.0
+    out[~dom.mask] = 0.0
+    return out, trace_out
+
+
+# (domain, nonnegative function, partition delta, s values)
+_BIT_CASES = {
+    "disk": (lambda: make_ball((0.0, 0.0), 1.0, 1 / 128), "x*x + 0.5*y + 0.7", 0.1,
+             (0.01, 0.03, 0.049)),
+    "annulus": (lambda: make_annulus((0.1, -0.05), 1.0, 0.5, 1 / 128), "max(0, 1 - r*r)", 0.1,
+                (0.02, 0.045)),
+    "ball3d": (lambda: make_ball((0.0, 0.0, 0.0), 0.5, 1 / 32), "1 + x*y*z", 0.15,
+               (0.02, 0.07)),
+}
+
+
+class TestBitIdentityWithReferences:
+    @pytest.fixture(scope="class", params=sorted(_BIT_CASES))
+    def case(self, request):
+        make, expr, delta, s_values = _BIT_CASES[request.param]
+        dom = make()
+        u = from_expression(dom, expr)
+        part = build_partition(u.cloud, dom.dim - 1, delta)
+        return dom, u, part, s_values
+
+    def test_truncate_values_and_trace(self, case):
+        dom, u, part, s_values = case
+        for s in s_values:
+            for eps in (0.05, 0.3):
+                out = truncate(u, part, eps=eps, s=s)
+                ref_values, ref_trace = _ref_truncate(u, part, eps, s)
+                assert np.array_equal(out.values, ref_values)
+                assert np.array_equal(out.trace, ref_trace)
+
+    def test_trace_point_on_the_outer_shell_edge(self):
+        # one cell whose closed shell ends exactly on a trace point: the
+        # KD-tree query must still return it, so its trace is capped
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 64)
+        u = from_expression(dom, "x + 2")
+        pts, i = u.cloud.points, int(np.argmin(u.cloud.points[:, 0]))
+        pd = np.linalg.norm(pts - pts[i], axis=1)
+        s, eps = 0.1, 0.01
+        edge = [j for j in np.argsort(pd) if pd[j] > 0.3 and 2.0 * ((pd[j] - s) / 2.0) + s == pd[j]]
+        j = edge[0]
+        cell = PartitionCell(np.arange(len(pts)), i, pts[i], (pd[j] - s) / 2.0, 0.0)
+        part = Partition([cell], 1.0, u.cloud)
+        out = truncate(u, part, eps=eps, s=s)
+        ref_values, ref_trace = _ref_truncate(u, part, eps, s)
+        assert out.trace[j] < u.trace[j]
+        assert np.array_equal(out.trace, ref_trace)
+        assert np.array_equal(out.values, ref_values)
+
+    def test_shell_gradient_on_partition_cells(self, case):
+        dom, u, part, s_values = case
+        for s in s_values:
+            for cell in part.cells[:40]:
+                args = (cell.x_c, 2.0 * cell.rd, s, u.trace[cell.x_index] + 0.05, dom)
+                assert shell_gradient_discrete(*args) == _ref_shell_gradient(*args)
+
+    def test_shell_gradient_past_the_grid_box(self, case):
+        # centres on and beyond the rim: the shell lattice leaves the grid box
+        dom = case[0]
+        corner = dom.origin + np.array(dom.shape) * dom.spacing
+        for x_c in (corner, dom.origin - 0.3, 0.5 * (dom.origin + corner) + 0.013):
+            for diam, s in ((0.0, 0.02), (0.05, 0.02), (0.4, 0.11)):
+                args = (x_c, diam, s, 1.3, dom)
+                assert shell_gradient_discrete(*args) == _ref_shell_gradient(*args)
+
+    def test_total_variation(self, case):
+        dom, u, _, _ = case
+        for fn in (u, indicator_function(dom), abs_value(from_expression(dom, "x - 0.1*y"))):
+            v = np.where(dom.mask, fn.values, 0.0)
+            assert total_variation(fn) == _ref_padded_tv(v, dom.spacing)
+
+    def test_barrier_values_and_trace(self, case):
+        dom, u, _, s_values = case
+        x_c, diam, height, sentinel = u.cloud.points[7], 0.08, 0.9, 1.0e6
+        for s in s_values:
+            psi = barrier(x_c, diam, s, height, dom, cloud=u.cloud)
+            dist = _ref_distance(dom, x_c, np.zeros(dom.dim, dtype=int), dom.shape)
+            ramp = height * np.clip((dist - diam) / s, 0.0, 1.0)
+            ref = np.where(dom.mask, np.where(dist <= diam + s, ramp, sentinel), 0.0)
+            assert np.array_equal(psi.values, ref)
+            pd = np.linalg.norm(u.cloud.points - x_c, axis=1)
+            tramp = height * np.clip((pd - diam) / s, 0.0, 1.0)
+            assert np.array_equal(psi.trace, np.where(pd <= diam + s, tramp, sentinel))

@@ -521,3 +521,64 @@ class TestVerdictHomogeneity:
         r1 = check_bv_bound(square_128, u)
         r2 = check_bv_bound(square_128, scaled)
         assert r2.ratio == pytest.approx(r1.ratio, rel=1e-9)
+
+
+class TestComputedOnce:
+    """Domains and functions are immutable: their distance transform and
+    gradient are computed once and cached on them read-only."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        import gmtlab.calculus as calc
+        from scipy import ndimage
+
+        edt_calls, stencil_runs = [], []
+        edt, trace_maps = ndimage.distance_transform_edt, calc._trace_maps
+
+        def counting_edt(*args, **kwargs):
+            edt_calls.append(1)
+            return edt(*args, **kwargs)
+
+        def counting_maps(u, sign):
+            if sign == 1:  # one pair of trace maps per stencil run
+                stencil_runs.append(u)
+            return trace_maps(u, sign)
+
+        monkeypatch.setattr(ndimage, "distance_transform_edt", counting_edt)
+        monkeypatch.setattr(calc, "_trace_maps", counting_maps)
+        return edt_calls, stencil_runs
+
+    def test_proof_trace_runs_each_transform_and_stencil_once(self, monkeypatch):
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 256)  # fresh: nothing cached yet
+        u = from_expression(dom, "max(0, 1 - r*r)", lipschitz=2.0)
+        edt_calls, stencil_runs = self._count(monkeypatch)
+        assert proof_trace(dom, u, eps=0.1).all_hold
+        assert len(edt_calls) == 1  # truncate's collar and interior_region share it
+        assert len(stencil_runs) == 2  # u (also for main3's check_mazya) and u_t
+        assert stencil_runs[0] is not stencil_runs[1] and any(f is u for f in stencil_runs)
+
+    def test_standard_suite_differentiates_each_function_once(self, monkeypatch):
+        import os
+
+        from gmtlab.suite import parse_suite, run_suite
+
+        spec = parse_suite(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                        "suites", "standard.json"))
+        run_suite(spec)  # warm
+        _, stencil_runs = self._count(monkeypatch)
+        assert run_suite(spec).passed
+        # 23 stencil runs before the cache; every grid function now takes one
+        assert len({id(u) for u in stencil_runs}) == len(stencil_runs) == 16
+
+    def test_cached_arrays_are_read_only(self):
+        import gmtlab.calculus as calc
+
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 64)
+        u = from_expression(dom, "x*x")
+        mag2 = calc._gradient_mag_squared(u)
+        assert calc._gradient_mag_squared(u) is mag2
+        dist = calc._interior_distance(dom)
+        assert calc._interior_distance(dom) is dist
+        for arr in (mag2, dist):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0

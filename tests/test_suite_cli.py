@@ -413,6 +413,40 @@ class TestCli:
             return  # refused at parse time
         assert manifest.entries[0]["error"] is not None
 
+    def test_negative_lipschitz_refused_everywhere(self, tmp_path, capsys):
+        # used to reach `trace` and fail there as an inconsistent trace (exit 2)
+        spec = {"expr": "1", "lipschitz": -1}
+        fn = write_json(tmp_path / "fn.json", spec)
+        domain = self._domain_file(tmp_path, h=0.05)
+        for args in (["trace", domain, fn, "--eps", "0.9"],
+                     ["search", domain, fn, "--iters", "1", "--step", "0.1"]):
+            assert main(args) == 2
+            assert "'lipschitz' must be nonnegative" in capsys.readouterr().err
+        bad = json.loads(json.dumps(SMOKE))
+        bad["entries"][0]["function"] = spec
+        with pytest.raises(SpecError, match="'lipschitz' must be nonnegative"):
+            parse_suite_dict(bad)
+        assert main(["verify", write_json(tmp_path / "s.json", bad)]) == 2
+        assert "'lipschitz' must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", [
+        {"kind": [], "params": {"r": 1}, "h": 0.05},
+        {"kind": "annulus", "params": {"r_outer": 1, "r_inner": 0.5, "center": -1}, "h": 0.05},
+        {"kind": "ball", "params": {"r": 1, "center": 0.5}, "h": 0.05},
+        {"kind": "ball", "params": {"r": 1, "center": [[0, 0]]}, "h": 0.05},
+    ])
+    def test_malformed_domain_shapes_exit_two(self, tmp_path, capsys, domain):
+        # an unhashable kind and a scalar or nested centre used to end in a traceback
+        dom = write_json(tmp_path / "d.json", domain)
+        assert main(["estimate-hm", dom, "--d", "1", "--delta", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith(("spec error:", "error:"))
+
+    def test_constant_division_by_zero_exits_two(self, tmp_path, capsys):
+        # 1/0 between constants used to raise ZeroDivisionError
+        fn = write_json(tmp_path / "fn.json", {"expr": "1/0", "lipschitz": 1})
+        assert main(["trace", self._domain_file(tmp_path, h=0.05), fn, "--eps", "0.9"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_steiner_command(self, tmp_path, capsys):
         code = main([
             "steiner", self._domain_file(tmp_path, h=1 / 256),
