@@ -9,6 +9,7 @@ summation, which keeps results bitwise reproducible for a fixed shape.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -190,31 +191,55 @@ def indicator_function(domain: GridDomain, cloud: BoundaryCloud | None = None) -
 # gradients and norms
 
 
-def _trace_maps(u: GridFunction, sign: int):
-    """Per-axis full-grid arrays holding the trace value at sign-axis faces."""
-    cloud = u.cloud
-    if cloud is None or u.trace is None or cloud.face_cells is None:
-        raise NoTraceError("operation needs a boundary trace with face metadata")
-    maps = []
-    for axis in range(u.domain.dim):
-        sel = (cloud.face_axes == axis) & (cloud.face_signs == sign)
-        tmap = np.zeros(u.domain.shape)
-        has = np.zeros(u.domain.shape, dtype=bool)
-        cells = cloud.face_cells[sel]
-        tmap[tuple(cells.T)] = u.trace[sel]
-        has[tuple(cells.T)] = True
-        maps.append((tmap, has))
-    return maps
+def _face_table(cloud: BoundaryCloud, shape: tuple) -> dict:
+    """Per (axis, sign): the cloud rows of those boundary faces and the flat
+    indices, in a grid of ``shape``, of the interior cells they sit on.
+
+    A pure function of the immutable cloud and the grid it indexes, so it is
+    built once and cached on the cloud read-only, like its boundary measures.
+    """
+    cache = vars(cloud).setdefault("_face_tables", {})
+    if shape not in cache:
+        flat = np.ravel_multi_index(tuple(cloud.face_cells.T), shape)
+        table = {}
+        for axis, sign in itertools.product(range(len(shape)), (1, -1)):
+            rows = np.flatnonzero((cloud.face_axes == axis) & (cloud.face_signs == sign))
+            table[axis, sign] = (rows, flat[rows])
+            for arr in table[axis, sign]:
+                arr.setflags(write=False)
+        cache[shape] = table
+    return cache[shape]
+
+
+def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndarray, faces: dict) -> np.ndarray:
+    """Squared forward-difference gradient magnitude per cell (uncached).
+
+    Along each axis, cells whose forward neighbour is interior take the
+    difference from a shifted slice; cells on a +face difference toward the
+    trace there (half spacing) instead.  Cells on a -face add the one-sided
+    difference toward that trace as an extra component, so jumps against the
+    boundary are never invisible to the scheme.  Per axis the component is
+    squared and added before the extra one.
+    """
+    mag2 = np.zeros(mask.shape)
+    flat_mag2 = mag2.reshape(-1)
+    flat_vals = values.reshape(-1)
+    for axis in range(mask.ndim):
+        head = (slice(None),) * axis + (slice(0, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        comp = np.zeros(mask.shape)
+        np.divide(np.diff(values, axis=axis), h, out=comp[head], where=mask[head] & mask[tail])
+        rows, cells = faces[axis, 1]
+        comp.reshape(-1)[cells] = (trace[rows] - flat_vals[cells]) / (h / 2.0)
+        mag2 += np.multiply(comp, comp, out=comp)
+        rows, cells = faces[axis, -1]
+        extra = (flat_vals[cells] - trace[rows]) / (h / 2.0)
+        flat_mag2[cells] += extra * extra
+    return mag2
 
 
 def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
-    """Squared gradient magnitude per cell.
-
-    Components are forward differences; cells without an interior forward
-    neighbor difference toward the trace at the +face (half spacing).
-    Cells without an interior backward neighbor contribute the one-sided
-    difference toward the -face trace as an extra component, so jumps
-    against the boundary are never invisible to the scheme.
+    """Squared gradient magnitude per cell (see :func:`_grad_stencil`).
 
     Functions are immutable, so the result is computed once per function and
     cached on it read-only.
@@ -222,27 +247,10 @@ def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
     cached = vars(u).get("_grad_mag2")
     if cached is not None:
         return cached
-    dom = u.domain
-    h = dom.spacing
-    mask = dom.mask
-    vals = u.values
-    plus_maps = _trace_maps(u, 1)
-    minus_maps = _trace_maps(u, -1)
-    mag2 = np.zeros(dom.shape)
-    for axis in range(dom.dim):
-        fwd_int = mask & np.roll(mask, -1, axis=axis)
-        comp = np.zeros(dom.shape)
-        shifted = np.roll(vals, -1, axis=axis)
-        comp[fwd_int] = (shifted[fwd_int] - vals[fwd_int]) / h
-        tmap, has = plus_maps[axis]
-        side = mask & has
-        comp[side] = (tmap[side] - vals[side]) / (h / 2.0)
-        mag2 += comp * comp
-        tmap, has = minus_maps[axis]
-        side = mask & has
-        extra = np.zeros(dom.shape)
-        extra[side] = (vals[side] - tmap[side]) / (h / 2.0)
-        mag2 += extra * extra
+    cloud = u.cloud
+    if cloud is None or u.trace is None or cloud.face_cells is None:
+        raise NoTraceError("operation needs a boundary trace with face metadata")
+    mag2 = _grad_stencil(u.domain.mask, u.h, u.values, u.trace, _face_table(cloud, u.domain.shape))
     mag2.setflags(write=False)
     object.__setattr__(u, "_grad_mag2", mag2)
     return mag2
@@ -295,6 +303,9 @@ def pointwise_min(u: GridFunction, v: GridFunction) -> GridFunction:
 
 
 def abs_value(u: GridFunction) -> GridFunction:
+    """|u|; a function with no negative value or trace is returned as it is."""
+    if not (u.values < 0).any() and (u.trace is None or not (u.trace < 0).any()):
+        return u
     trace = None if u.trace is None else np.abs(u.trace)
     return GridFunction(u.domain, np.abs(u.values), u.cloud if trace is not None else None,
                         trace, u.lipschitz)
@@ -321,28 +332,48 @@ def shell_mass_limit(r: float, height: float, n: int) -> float:
     return height * n * unit_ball_volume(n) * r ** (n - 1)
 
 
-def _index_box(domain: GridDomain, center: np.ndarray, radius: float):
-    """Cell index bounds [lo, hi) per axis covering B(center, radius), unclipped."""
+def _index_box(domain: GridDomain, center: np.ndarray, radius):
+    """Cell index bounds [lo, hi) per axis covering B(center, radius), unclipped; broadcasts."""
     h = domain.spacing
     lo = np.floor((center - radius - domain.origin) / h - 1).astype(int)
     hi = np.ceil((center + radius - domain.origin) / h + 1).astype(int)
     return lo, hi
 
 
-def _lattice_distance(domain: GridDomain, center: np.ndarray, lo, hi) -> np.ndarray:
-    """Distance from ``center`` to the cell centres with indices in [lo, hi).
+def _lattice_distance(domain: GridDomain, centers: np.ndarray, lo, hi) -> np.ndarray:
+    """Distance from each of B centres to the cell centres with indices in its [lo, hi).
 
-    The box may reach past the grid box (a virtual lattice aligned with the
-    grid).  The per-axis squares broadcast through a sparse meshgrid, so each
-    element is summed in the same order as on a dense grid.
+    ``centers``, ``lo`` and ``hi`` are (B, n); the result is (B, *width), with
+    every box padded to the widest one and ``inf`` on the padding.  A box may
+    reach past the grid box (a virtual lattice aligned with the grid).  The
+    per-axis squares broadcast, so each element is summed in the same order
+    as on a dense grid.
     """
     h = domain.spacing
-    axes = [domain.origin[a] + (np.arange(lo[a], hi[a]) + 0.5) * h for a in range(domain.dim)]
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    return np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center)))
+    n = domain.dim
+    width = np.max(hi - lo, axis=0, initial=0)
+    total = 0
+    for a in range(n):
+        idx = lo[:, a, None] + np.arange(width[a])
+        sq = (domain.origin[a] + (idx + 0.5) * h - centers[:, a, None]) ** 2
+        sq[idx >= hi[:, a, None]] = np.inf
+        total = total + sq.reshape((len(sq),) + (1,) * a + (width[a],) + (1,) * (n - 1 - a))
+    return np.sqrt(total)
 
 
-def _ramp(dist, diam: float, s: float, height: float):
+# lattice points per block of stacked windows: 2 MB per float array, in 3D too
+_BLOCK_POINTS = 1 << 18
+
+
+def _window_blocks(domain: GridDomain, centers: np.ndarray, lo, hi):
+    """Yield (slice of the centres, their window distances) in blocks of bounded size."""
+    block = max(1, _BLOCK_POINTS // max(1, int(np.prod(np.max(hi - lo, axis=0, initial=0)))))
+    for start in range(0, len(centers), block):
+        b = slice(start, start + block)
+        yield b, _lattice_distance(domain, centers[b], lo[b], hi[b])
+
+
+def _ramp(dist, diam, s: float, height):
     """Barrier ramp of a distance: 0 up to ``diam``, linear up to ``height`` at ``diam + s``."""
     return height * np.clip((dist - diam) / s, 0.0, 1.0)
 
@@ -368,7 +399,7 @@ def barrier(
     x_c = np.asarray(x_c, dtype=float)
     if sentinel is None:
         sentinel = max(1.0e6, 1.0e3 * (height + 1.0))
-    dist = _lattice_distance(domain, x_c, np.zeros(domain.dim, dtype=int), domain.shape)
+    dist = _lattice_distance(domain, x_c[None], np.zeros((1, domain.dim), int), np.array([domain.shape]))[0]
     values = np.where(dist <= diam + s, _ramp(dist, diam, s, height), sentinel)
     trace = None
     if cloud is not None:
@@ -379,16 +410,25 @@ def barrier(
     return fn
 
 
-def shell_gradient_discrete(x_c, diam: float, s: float, height: float, domain: GridDomain) -> float:
+def shell_gradient_discrete(x_c, diam, s: float, height, domain: GridDomain):
     """Discrete gradient mass of the capped barrier over its full shell.
 
     Computed on an unclipped virtual lattice aligned with the domain grid
     (the shell may extend beyond both the domain and its grid box),
-    matching the analytic ``shell_mass`` of the same parameters.
+    matching the analytic ``shell_mass`` of the same parameters.  Given a
+    stack of B centres (B, n) with B diameters and heights, it evaluates the
+    shells on stacked windows and returns their B masses, each the same as
+    for that shell alone.
     """
     x_c = np.asarray(x_c, dtype=float)
-    lo, hi = _index_box(domain, x_c, diam + s + 3 * domain.spacing)
-    return _forward_tv(_ramp(_lattice_distance(domain, x_c, lo, hi), diam, s, height), domain.spacing)
+    centers = x_c.reshape(-1, domain.dim)
+    per_shell = (-1,) + (1,) * domain.dim
+    diams, heights = (np.broadcast_to(np.asarray(v, dtype=float), len(centers)).reshape(per_shell)
+                      for v in (diam, height))
+    lo, hi = _index_box(domain, centers, (diams + s + 3 * domain.spacing).reshape(-1, 1))
+    masses = np.concatenate([_forward_tv(_ramp(dist, diams[b], s, heights[b]), domain.spacing, hi[b] - lo[b])
+                             for b, dist in _window_blocks(domain, centers, lo, hi)])
+    return masses if x_c.ndim == 2 else float(masses[0])
 
 
 def interior_region(domain: GridDomain, eps: float) -> np.ndarray:
@@ -417,41 +457,50 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     The result satisfies 0 <= out <= u, equals u wherever the eps-ball fits
     inside the domain, and vanishes on all cells within one spacing of the
     boundary (discrete vanishing trace).
+
+    All barriers are evaluated in one pass: their windows (clipped to the
+    grid box) are stacked in blocks of bounded size, and the closed shells
+    are folded in with an unbuffered minimum, which is exact in any order.
     """
     if u.trace is None or u.cloud is None:
         raise NoTraceError("truncate needs a boundary trace")
-    mask = u.domain.mask
+    dom = u.domain
+    mask = dom.mask
     if (u.values[mask] < 0).any() or (u.trace < 0).any():
         raise InvalidArgumentError("truncate expects a nonnegative function")
     if not 0 < s < part.delta / 2:
         raise InvalidArgumentError("need 0 < s < delta/2 for the partition's delta")
     heights = np.array([u.trace[c.x_index] + eps for c in part.cells])
     sentinel = 2.0 * (u.max_abs() + float(heights.max(initial=0.0))) + 1.0
-
-    out = u.values.copy()
-    pts = u.cloud.points
-    trace_out = u.trace.copy()
     diams = np.array([2.0 * c.rd for c in part.cells])
     centers = np.array([c.x_c for c in part.cells])
+    reach = diams + s
+
+    out = u.values.copy()
+    lo, hi = _index_box(dom, centers, reach[:, None])
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, dom.shape)
+    for b, dist in _window_blocks(dom, centers, lo, hi):
+        inside = dist <= reach[b].reshape((-1,) + (1,) * dom.dim)
+        which, *offsets = np.nonzero(inside)
+        cell = b.start + which
+        flat = np.ravel_multi_index(tuple(lo[cell, a] + offsets[a] for a in range(dom.dim)), dom.shape)
+        np.minimum.at(out.reshape(-1), flat, _ramp(dist[inside], diams[cell], s, heights[cell]))
+
     # candidate trace points per cell; the slack absorbs the tree's own rounding
-    candidates = cKDTree(pts).query_ball_point(centers, (diams + s) * (1.0 + 1e-9), return_sorted=True)
-    for x_c, diam, height, rows in zip(centers, diams, heights, candidates):
-        lo, hi = _index_box(u.domain, x_c, diam + s)
-        lo, hi = np.maximum(lo, 0), np.minimum(hi, u.domain.shape)
-        window = tuple(slice(a, b) for a, b in zip(lo, hi))
-        dist = _lattice_distance(u.domain, x_c, lo, hi)
-        psi = np.where(dist <= diam + s, _ramp(dist, diam, s, height), np.inf)
-        out[window] = np.minimum(out[window], psi)
-        rows = np.asarray(rows, dtype=np.intp)
-        pd = np.linalg.norm(pts[rows] - x_c, axis=1)
-        keep = pd <= diam + s
-        near = rows[keep]
-        trace_out[near] = np.minimum(trace_out[near], _ramp(pd[keep], diam, s, height))
+    pts = u.cloud.points
+    candidates = cKDTree(pts).query_ball_point(centers, reach * (1.0 + 1e-9), return_sorted=False)
+    rows = np.fromiter(itertools.chain.from_iterable(candidates), dtype=np.intp)
+    cell = np.repeat(np.arange(len(centers)), [len(c) for c in candidates])
+    pd = np.linalg.norm(pts[rows] - centers[cell], axis=1)
+    near = pd <= reach[cell]
+    cell = cell[near]
+    trace_out = u.trace.copy()
+    np.minimum.at(trace_out, rows[near], _ramp(pd[near], diams[cell], s, heights[cell]))
     # discrete vanishing trace: zero out the collar next to the boundary
-    collar = mask & (_interior_distance(u.domain) <= 1.5 * u.domain.spacing)
+    collar = mask & (_interior_distance(dom) <= 1.5 * dom.spacing)
     out[collar] = 0.0
     out[~mask] = 0.0
-    result = GridFunction(u.domain, out, u.cloud, trace_out)
+    result = GridFunction(dom, out, u.cloud, trace_out)
     result.metadata.update({"sentinel": sentinel, "eps": eps, "s": s})
     return result
 
@@ -462,20 +511,28 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
 
 def total_variation(u: GridFunction) -> float:
     """Isotropic discrete TV of u extended by zero over the whole grid box."""
-    return _forward_tv(u.values, u.domain.spacing)
+    return float(_forward_tv(u.values[None], u.domain.spacing, np.array([u.domain.shape]))[0])
 
 
-def _forward_tv(v: np.ndarray, h: float) -> float:
-    """Isotropic forward-difference TV of a grid array (Chambolle, JMIV 20 (2004)).
+def _forward_tv(v: np.ndarray, h: float, widths: np.ndarray) -> np.ndarray:
+    """Isotropic forward-difference TV of stacked grid arrays (Chambolle, JMIV 20 (2004)).
 
-    Along each axis the last slice has no forward neighbour and adds nothing.
+    ``v`` stacks B arrays padded to one shape, and row i of ``widths`` is
+    array i's own shape.  Along each axis an array's last slice has no
+    forward neighbour and adds nothing: the padding must repeat the values
+    on each array's edge (the ramp's cap, for barrier shells), so a
+    difference into it is zero.  Each array is summed over its own cells in
+    its own order, so every TV is the same as for that array alone.
     """
+    n = v.ndim - 1
     total = np.zeros_like(v)
-    for axis in range(v.ndim):
-        d = np.diff(v, axis=axis)
-        total[(slice(None),) * axis + (slice(0, -1),)] += d * d
+    for a in range(n):
+        d = np.diff(v, axis=a + 1)
+        total[(slice(None),) * (a + 1) + (slice(0, -1),)] += d * d
+    roots = np.sqrt(total)
+    sums = [np.sum(np.ascontiguousarray(r[tuple(slice(0, k) for k in w)])) for r, w in zip(roots, widths)]
     # raw differences carry one factor of h less than the gradient
-    return float(np.sum(np.sqrt(total))) * h ** (v.ndim - 1)
+    return np.array(sums) * h ** (n - 1)
 
 
 def build_mollifier(k: int, spacing: float, dim: int) -> Mollifier:

@@ -165,7 +165,8 @@ class Expression:
             if tag == "mul":
                 return a * b
             if tag == "div":
-                return np.true_divide(a, b)  # 1/0 is inf, as on arrays
+                with np.errstate(divide="ignore", invalid="ignore"):  # callers refuse inf and nan
+                    return np.true_divide(a, b)
             return np.power(a, b)
         _, fn = _FUNCTIONS[node[1]]
         args = [self._eval(arg, env) for arg in node[2]]

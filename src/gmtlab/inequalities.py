@@ -477,16 +477,10 @@ def proof_trace(
     heights = np.array([u.trace[c.x_index] + eps for c in part.cells])
     diams = np.array([2.0 * c.rd for c in part.cells])
     rds = np.array([c.rd for c in part.cells])
+    centers = np.array([c.x_c for c in part.cells])
 
     # shell masses: discrete on the grid versus the closed formula
-    main5_lhs = float(
-        np.sum(
-            [
-                calc.shell_gradient_discrete(c.x_c, d, s, ht, domain)
-                for c, d, ht in zip(part.cells, diams, heights)
-            ]
-        )
-    )
+    main5_lhs = float(np.sum(calc.shell_gradient_discrete(centers, diams, s, heights, domain)))
     main5_rhs = float(np.sum([calc.shell_mass(d, s, ht, n) for d, ht in zip(diams, heights)]))
 
     grad_u = calc.grad_l1(u)
@@ -586,63 +580,48 @@ def quotient_search(
     c_bound = iso_constant(n) * 1.05
 
     cloud = u0.cloud
-    cell_idx = np.argwhere(mask)
-    n_cells = len(cell_idx)
-    flat_of = {tuple(ix): i for i, ix in enumerate(map(tuple, cell_idx))}
-    vals = u0.values[mask].astype(float).copy()
-    trace = u0.trace.astype(float).copy()
-    w_cal = cloud.weights * cal
-
-    # neighbor tables: forward cell or trace per axis, backward cell or trace
-    fwd_cell = np.full((n_cells, n), -1, dtype=np.int64)
-    fwd_trace = np.full((n_cells, n), -1, dtype=np.int64)
-    bwd_cell = np.full((n_cells, n), -1, dtype=np.int64)
-    bwd_trace = np.full((n_cells, n), -1, dtype=np.int64)
-    for i, ix in enumerate(cell_idx):
-        for a in range(n):
-            nxt = tuple(ix + np.eye(n, dtype=int)[a])
-            prv = tuple(ix - np.eye(n, dtype=int)[a])
-            if nxt in flat_of:
-                fwd_cell[i, a] = flat_of[nxt]
-            if prv in flat_of:
-                bwd_cell[i, a] = flat_of[prv]
-    trace_owner = np.full(len(cloud), -1, dtype=np.int64)
-    if cloud.face_cells is not None:
-        for j in range(len(cloud)):
-            owner = flat_of.get(tuple(cloud.face_cells[j]))
-            if owner is None:
-                continue
-            trace_owner[j] = owner
-            if cloud.face_signs[j] == 1:
-                fwd_trace[owner, cloud.face_axes[j]] = j
-            else:
-                bwd_trace[owner, cloud.face_axes[j]] = j
-
+    n_cells = int(np.count_nonzero(mask))
     hn = h ** n
+    w_cal = (cloud.weights * cal).tolist()
 
-    def cell_grad(i) -> float:
+    # The search coordinates x are the cell values followed by the trace
+    # values.  Per cell, ``terms`` lists the differences of its gradient in
+    # the stencil's order as (coordinate, step): per axis the forward
+    # neighbour cell (step h), else the trace on the +face (step h/2), then
+    # the trace on the -face (h/2) when there is no backward neighbour cell.
+    label = np.full(domain.shape, -1, dtype=np.intp)
+    label[mask] = np.arange(n_cells)
+    src = np.full((n_cells, 2 * n), -1, dtype=np.intp)
+    trace_owner = np.full(len(cloud), -1, dtype=np.intp)
+    faces = calc._face_table(cloud, domain.shape) if cloud.face_cells is not None else {}
+    for (a, sign), (rows, cells) in faces.items():
+        trace_owner[rows] = owner = label.reshape(-1)[cells]
+        src[owner[owner >= 0], 2 * a + (sign < 0)] = n_cells + rows[owner >= 0]
+    # neighbour labels; the grid's false margin keeps a roll from wrapping onto a cell
+    fwd_cell, bwd_cell = (np.stack([np.roll(label, -k, axis=a)[mask] for a in range(n)], axis=1)
+                          for k in (1, -1))
+    src[:, 0::2] = np.where(fwd_cell >= 0, fwd_cell, src[:, 0::2])
+    src[:, 1::2] = np.where(bwd_cell >= 0, -1, src[:, 1::2])
+    terms = [[(k, h if k < n_cells else h / 2.0) for k in ks if k >= 0] for ks in src.tolist()]
+    # cells whose gradient a coordinate enters: a cell and its backward
+    # neighbours, a trace point and the cell it sits on
+    affected = [[i] + [j for j in row if j >= 0] for i, row in enumerate(bwd_cell.tolist())]
+    affected += [[o] if o >= 0 else [] for o in trace_owner.tolist()]
+    x = u0.values[mask].tolist() + u0.trace.tolist()
+
+    def grad_at(i) -> float:
+        v = x[i]
         acc = 0.0
-        for a in range(n):
-            fc = fwd_cell[i, a]
-            if fc >= 0:
-                d = (vals[fc] - vals[i]) / h
-            else:
-                ft = fwd_trace[i, a]
-                d = (trace[ft] - vals[i]) / (h / 2.0) if ft >= 0 else 0.0
+        for k, w in terms[i]:
+            d = (x[k] - v) / w
             acc += d * d
-            if bwd_cell[i, a] < 0:
-                bt = bwd_trace[i, a]
-                if bt >= 0:
-                    e = (vals[i] - trace[bt]) / (h / 2.0)
-                    acc += e * e
         return math.sqrt(acc)
 
-    grad_mag = np.array([cell_grad(i) for i in range(n_cells)])
-
     def full_sums():
+        arr = np.array(x)
         g = float(np.sum(grad_mag)) * hn
-        b = float(np.sum(np.abs(trace) * w_cal))
-        num = float(np.sum(np.abs(vals) ** q)) * hn
+        b = float(np.sum(np.abs(arr[n_cells:]) * w_cal))
+        num = float(np.sum(np.abs(arr[:n_cells]) ** q)) * hn
         return g, b, num
 
     def q_of(g, b, num) -> float:
@@ -651,79 +630,42 @@ def quotient_search(
             return math.inf if num > 0 else 0.0
         return num ** (1.0 / q) / den
 
+    grad_mag = [grad_at(i) for i in range(n_cells)]
     g_sum, b_sum, num_sum = full_sums()
     q_cur = q_of(g_sum, b_sum, num_sum)
     history = [q_cur]
 
-    def touched_by_cell(i):
-        out = [i]
-        for a in range(n):
-            bc = bwd_cell[i, a]
-            if bc >= 0:
-                out.append(int(bc))
-        return out
-
     for sweep in range(iters):
-        scale = max(float(np.max(vals, initial=0.0)), float(np.max(trace, initial=0.0)), 1e-12)
-        order = rng.permutation(n_cells + len(trace))
-        for coord in order:
-            if coord < n_cells:
-                i = int(coord)
-                affected = touched_by_cell(i)
-                old_val = vals[i]
-                old_mags = [grad_mag[j] for j in affected]
-                for sgn in (1.0, -1.0):
-                    cand = max(0.0, old_val + sgn * step * scale)
-                    if cand == old_val:
-                        continue
-                    vals[i] = cand
+        scale = max(max(x), 1e-12)
+        for coord in rng.permutation(len(x)).tolist():
+            old_val = x[coord]
+            touched = affected[coord]
+            for sgn in (1.0, -1.0):
+                cand = max(0.0, old_val + sgn * step * scale)
+                if cand == old_val:
+                    continue
+                x[coord] = cand
+                new_num, new_b = num_sum, b_sum
+                if coord < n_cells:
                     new_num = num_sum + (abs(cand) ** q - abs(old_val) ** q) * hn
-                    new_g = g_sum
-                    new_mags = []
-                    for j in affected:
-                        mg = cell_grad(j)
-                        new_mags.append(mg)
-                        new_g += (mg - grad_mag[j]) * hn
-                    if q_of(new_g, b_sum, new_num) > q_cur:
-                        num_sum, g_sum = new_num, new_g
-                        for j, mg in zip(affected, new_mags):
-                            grad_mag[j] = mg
-                        q_cur = q_of(g_sum, b_sum, num_sum)
-                        break
-                    vals[i] = old_val
-                    for j, mg in zip(affected, old_mags):
+                else:
+                    new_b = b_sum + (abs(cand) - abs(old_val)) * w_cal[coord - n_cells]
+                new_g = g_sum
+                new_mags = [grad_at(j) for j in touched]
+                for j, mg in zip(touched, new_mags):
+                    new_g += (mg - grad_mag[j]) * hn
+                if q_of(new_g, new_b, new_num) > q_cur:
+                    num_sum, b_sum, g_sum = new_num, new_b, new_g
+                    for j, mg in zip(touched, new_mags):
                         grad_mag[j] = mg
-            else:
-                j = int(coord - n_cells)
-                old_val = trace[j]
-                owner = trace_owner[j]
-                old_mag = grad_mag[owner] if owner >= 0 else 0.0
-                for sgn in (1.0, -1.0):
-                    cand = max(0.0, old_val + sgn * step * scale)
-                    if cand == old_val:
-                        continue
-                    trace[j] = cand
-                    new_b = b_sum + (abs(cand) - abs(old_val)) * w_cal[j]
-                    new_g = g_sum
-                    new_mag = old_mag
-                    if owner >= 0:
-                        new_mag = cell_grad(owner)
-                        new_g += (new_mag - old_mag) * hn
-                    if q_of(new_g, new_b, num_sum) > q_cur:
-                        b_sum, g_sum = new_b, new_g
-                        if owner >= 0:
-                            grad_mag[owner] = new_mag
-                        q_cur = q_of(g_sum, b_sum, num_sum)
-                        break
-                    trace[j] = old_val
-                    if owner >= 0:
-                        grad_mag[owner] = old_mag
+                    q_cur = q_of(g_sum, b_sum, num_sum)
+                    break
+                x[coord] = old_val
         # renormalize the q-norm to one (the quotient is scale invariant)
         norm = num_sum ** (1.0 / q)
         if norm > 0:
-            vals /= norm
-            trace /= norm
-        grad_mag = np.array([cell_grad(i) for i in range(n_cells)])
+            x = (np.array(x) / norm).tolist()
+        grad_mag = [grad_at(i) for i in range(n_cells)]
         g_sum, b_sum, num_sum = full_sums()
         q_new = q_of(g_sum, b_sum, num_sum)
         if q_new < q_cur * (1.0 - 1e-9):
@@ -736,7 +678,7 @@ def quotient_search(
         history.append(q_cur)
 
     out_values = np.zeros(domain.shape)
-    out_values[mask] = vals
-    best = calc.GridFunction(domain, out_values, cloud, trace)
+    out_values[mask] = x[:n_cells]
+    best = calc.GridFunction(domain, out_values, cloud, x[n_cells:])
     best.metadata.update({"sweep_history": history, "calibration_factor": cal})
     return best, q_cur

@@ -34,7 +34,8 @@ from gmtlab.calculus import (
     truncate,
 )
 from gmtlab.constants import LATTICE_SLACK_COEFF
-from gmtlab.domains import extract_boundary, make_annulus, make_ball, make_box, volume
+import gmtlab.calculus as calc
+from gmtlab.domains import extract_boundary, make_annulus, make_ball, make_box, rasterize_polygon, volume
 from gmtlab.errors import (
     InvalidArgumentError,
     NoTraceError,
@@ -158,6 +159,7 @@ class TestPointwiseOps:
         u = from_expression(disk_128, "1 + x*x")
         a = abs_value(u)
         assert np.array_equal(a.values, u.values)
+        assert a is u  # nothing to flip: the same function, so its gradient is shared
 
     def test_abs_is_even(self, disk_128):
         u = from_expression(disk_128, "x - 0.2")
@@ -582,6 +584,73 @@ def _ref_truncate(u, part, eps, s):
     return out, trace_out
 
 
+def _ref_trace_maps(u, sign):
+    cloud = u.cloud
+    maps = []
+    for axis in range(u.domain.dim):
+        sel = (cloud.face_axes == axis) & (cloud.face_signs == sign)
+        tmap = np.zeros(u.domain.shape)
+        has = np.zeros(u.domain.shape, dtype=bool)
+        cells = cloud.face_cells[sel]
+        tmap[tuple(cells.T)] = u.trace[sel]
+        has[tuple(cells.T)] = True
+        maps.append((tmap, has))
+    return maps
+
+
+def _ref_gradient_mag_squared(u):
+    # full-grid trace maps and rolled copies, without the cache
+    dom = u.domain
+    h = dom.spacing
+    mask = dom.mask
+    vals = u.values
+    plus_maps = _ref_trace_maps(u, 1)
+    minus_maps = _ref_trace_maps(u, -1)
+    mag2 = np.zeros(dom.shape)
+    for axis in range(dom.dim):
+        fwd_int = mask & np.roll(mask, -1, axis=axis)
+        comp = np.zeros(dom.shape)
+        shifted = np.roll(vals, -1, axis=axis)
+        comp[fwd_int] = (shifted[fwd_int] - vals[fwd_int]) / h
+        tmap, has = plus_maps[axis]
+        side = mask & has
+        comp[side] = (tmap[side] - vals[side]) / (h / 2.0)
+        mag2 += comp * comp
+        tmap, has = minus_maps[axis]
+        side = mask & has
+        extra = np.zeros(dom.shape)
+        extra[side] = (vals[side] - tmap[side]) / (h / 2.0)
+        mag2 += extra * extra
+    return mag2
+
+
+_GRADIENT_DOMAINS = {
+    "disk": lambda: make_ball((0.1, -0.2), 0.9, 1 / 128),
+    "ball3d": lambda: make_ball((0.0, 0.0, 0.0), 0.5, 1 / 32),
+    "box": lambda: make_box((0.0, 0.0), (1.0, 0.7), 1 / 128),
+    "box3d": lambda: make_box((0.0, 0.0, 0.0), (0.5, 0.4, 0.3), 1 / 32),
+    "annulus": lambda: make_annulus((0.1, -0.05), 1.0, 0.5, 1 / 128),
+    "annulus3d": lambda: make_annulus((0.0, 0.0, 0.0), 0.5, 0.25, 1 / 32),
+    "polygon": lambda: rasterize_polygon([(0, 0), (1, 0.2), (0.6, 0.5), (0.3, 0.9)], 1 / 128),
+}
+
+
+class TestGradientBitIdentity:
+    """The face-table stencil reproduces the full-grid trace-map stencil bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_GRADIENT_DOMAINS))
+    def test_matches_reference(self, name):
+        dom = _GRADIENT_DOMAINS[name]()
+        cloud = extract_boundary(dom)
+        expr = "x - 0.3*y - 0.1" if dom.dim == 2 else "x*y - z + 0.1"
+        # signed values with nonzero traces; the random field's trace jumps
+        # away from the cell values, the expression's is exact at the faces
+        signed = (from_expression(dom, expr, cloud), random_function(dom, cloud, np.random.default_rng(3)))
+        assert all((fn.values < 0).any() and (fn.trace != 0).any() for fn in signed)
+        for fn in signed + (indicator_function(dom, cloud),):
+            assert np.array_equal(calc._gradient_mag_squared(fn), _ref_gradient_mag_squared(fn))
+
+
 # (domain, nonnegative function, partition delta, s values)
 _BIT_CASES = {
     "disk": (lambda: make_ball((0.0, 0.0), 1.0, 1 / 128), "x*x + 0.5*y + 0.7", 0.1,
@@ -611,6 +680,19 @@ class TestBitIdentityWithReferences:
                 assert np.array_equal(out.values, ref_values)
                 assert np.array_equal(out.trace, ref_trace)
 
+    @pytest.mark.parametrize("block_points", [1, 5000])
+    def test_truncate_in_many_blocks(self, case, monkeypatch, block_points):
+        dom, u, part, s_values = case
+        widest = 1
+        for lo, hi in (calc._index_box(dom, c.x_c, 2.0 * c.rd + s_values[-1]) for c in part.cells):
+            widest = max(widest, int(np.prod(np.minimum(hi, dom.shape) - np.maximum(lo, 0))))
+        assert len(part.cells) > max(1, block_points // widest)  # several blocks
+        monkeypatch.setattr(calc, "_BLOCK_POINTS", block_points)
+        out = truncate(u, part, eps=0.05, s=s_values[-1])
+        ref_values, ref_trace = _ref_truncate(u, part, 0.05, s_values[-1])
+        assert np.array_equal(out.values, ref_values)
+        assert np.array_equal(out.trace, ref_trace)
+
     def test_trace_point_on_the_outer_shell_edge(self):
         # one cell whose closed shell ends exactly on a trace point: the
         # KD-tree query must still return it, so its trace is capped
@@ -635,6 +717,19 @@ class TestBitIdentityWithReferences:
             for cell in part.cells[:40]:
                 args = (cell.x_c, 2.0 * cell.rd, s, u.trace[cell.x_index] + 0.05, dom)
                 assert shell_gradient_discrete(*args) == _ref_shell_gradient(*args)
+
+    @pytest.mark.parametrize("block_points", [1, 5000, calc._BLOCK_POINTS])
+    def test_stacked_shell_gradients(self, case, monkeypatch, block_points):
+        # all shells at once, in blocks, give each shell's mass exactly
+        dom, u, part, s_values = case
+        monkeypatch.setattr(calc, "_BLOCK_POINTS", block_points)
+        centers = np.array([c.x_c for c in part.cells])
+        diams = np.array([2.0 * c.rd for c in part.cells])
+        heights = np.array([u.trace[c.x_index] + 0.05 for c in part.cells])
+        for s in s_values:
+            masses = shell_gradient_discrete(centers, diams, s, heights, dom)
+            ref = [_ref_shell_gradient(*args, s, ht, dom) for *args, ht in zip(centers, diams, heights)]
+            assert np.array_equal(masses, ref)
 
     def test_shell_gradient_past_the_grid_box(self, case):
         # centres on and beyond the rim: the shell lattice leaves the grid box

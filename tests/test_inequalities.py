@@ -499,6 +499,17 @@ class TestQuotientSearch:
         _, q2 = quotient_search(disk_128, u0, iters=3, step=0.1, seed=42)
         assert q1 == q2
 
+    @pytest.mark.parametrize("seed, history", [
+        (0, [0.04496061775946892, 0.048326716529142305, 0.053103480056366406, 0.05875106891395357]),
+        (42, [0.04496061775946892, 0.048315948307925176, 0.05308809928416411, 0.05872647181673761]),
+    ])
+    def test_history_pinned(self, disk_128, seed, history):
+        # the exact history of the reference implementation: the RNG stream, the
+        # accept/reject order and the renormalisation must not change
+        best, q = quotient_search(disk_128, indicator_function(disk_128), iters=3, step=0.1, seed=seed)
+        assert best.metadata["sweep_history"] == history
+        assert q == history[-1]
+
     def test_mollified_start_improves_monotonically(self, disk_128):
         cloud = extract_boundary(disk_128)
         u0 = restrict_to_domain(mollify(indicator_function(disk_128, cloud), 8),
@@ -533,19 +544,18 @@ class TestComputedOnce:
         from scipy import ndimage
 
         edt_calls, stencil_runs = [], []
-        edt, trace_maps = ndimage.distance_transform_edt, calc._trace_maps
+        edt, stencil = ndimage.distance_transform_edt, calc._grad_stencil
 
         def counting_edt(*args, **kwargs):
             edt_calls.append(1)
             return edt(*args, **kwargs)
 
-        def counting_maps(u, sign):
-            if sign == 1:  # one pair of trace maps per stencil run
-                stencil_runs.append(u)
-            return trace_maps(u, sign)
+        def counting_stencil(mask, h, values, trace, faces):
+            stencil_runs.append(values)  # a function's read-only values: one array per function
+            return stencil(mask, h, values, trace, faces)
 
         monkeypatch.setattr(ndimage, "distance_transform_edt", counting_edt)
-        monkeypatch.setattr(calc, "_trace_maps", counting_maps)
+        monkeypatch.setattr(calc, "_grad_stencil", counting_stencil)
         return edt_calls, stencil_runs
 
     def test_proof_trace_runs_each_transform_and_stencil_once(self, monkeypatch):
@@ -555,7 +565,7 @@ class TestComputedOnce:
         assert proof_trace(dom, u, eps=0.1).all_hold
         assert len(edt_calls) == 1  # truncate's collar and interior_region share it
         assert len(stencil_runs) == 2  # u (also for main3's check_mazya) and u_t
-        assert stencil_runs[0] is not stencil_runs[1] and any(f is u for f in stencil_runs)
+        assert stencil_runs[0] is not stencil_runs[1] and any(v is u.values for v in stencil_runs)
 
     def test_standard_suite_differentiates_each_function_once(self, monkeypatch):
         import os
@@ -567,8 +577,9 @@ class TestComputedOnce:
         run_suite(spec)  # warm
         _, stencil_runs = self._count(monkeypatch)
         assert run_suite(spec).passed
-        # 23 stencil runs before the cache; every grid function now takes one
-        assert len({id(u) for u in stencil_runs}) == len(stencil_runs) == 16
+        # 23 stencil runs before the cache and 16 before abs_value kept a
+        # nonnegative function as it is; every grid function now takes one
+        assert len({id(v) for v in stencil_runs}) == len(stencil_runs) == 14
 
     def test_cached_arrays_are_read_only(self):
         import gmtlab.calculus as calc

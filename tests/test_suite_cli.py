@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -445,6 +446,13 @@ class TestCli:
         # 1/0 between constants used to raise ZeroDivisionError
         fn = write_json(tmp_path / "fn.json", {"expr": "1/0", "lipschitz": 1})
         assert main(["trace", self._domain_file(tmp_path, h=0.05), fn, "--eps", "0.9"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_division_by_zero_emits_no_runtime_warning(self, tmp_path, capsys):
+        fn = write_json(tmp_path / "fn.json", {"expr": "1/0"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["trace", self._domain_file(tmp_path, h=0.05), fn, "--eps", "0.9"]) == 2
         assert "must be finite" in capsys.readouterr().err
 
     def test_steiner_command(self, tmp_path, capsys):
