@@ -18,7 +18,16 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .domains import BoundaryCloud, GridDomain, extract_boundary, dilate, parse_domain_text, serialize_domain, volume
+from .domains import (
+    BoundaryCloud,
+    GridDomain,
+    _lattice,
+    dilate,
+    extract_boundary,
+    parse_domain_text,
+    serialize_domain,
+    volume,
+)
 from .errors import (
     InvalidArgumentError,
     NoTraceError,
@@ -344,20 +353,12 @@ def _lattice_distance(domain: GridDomain, centers: np.ndarray, lo, hi) -> np.nda
     """Distance from each of B centres to the cell centres with indices in its [lo, hi).
 
     ``centers``, ``lo`` and ``hi`` are (B, n); the result is (B, *width), with
-    every box padded to the widest one and ``inf`` on the padding.  A box may
-    reach past the grid box (a virtual lattice aligned with the grid).  The
-    per-axis squares broadcast, so each element is summed in the same order
-    as on a dense grid.
+    every box padded to the widest one and ``inf`` on the padding (see
+    ``domains._lattice``).
     """
-    h = domain.spacing
-    n = domain.dim
-    width = np.max(hi - lo, axis=0, initial=0)
     total = 0
-    for a in range(n):
-        idx = lo[:, a, None] + np.arange(width[a])
-        sq = (domain.origin[a] + (idx + 0.5) * h - centers[:, a, None]) ** 2
-        sq[idx >= hi[:, a, None]] = np.inf
-        total = total + sq.reshape((len(sq),) + (1,) * a + (width[a],) + (1,) * (n - 1 - a))
+    for a, x in enumerate(_lattice(domain.origin, domain.spacing, lo, hi)):
+        total = total + (x - centers[:, a].reshape((-1,) + (1,) * domain.dim)) ** 2
     return np.sqrt(total)
 
 

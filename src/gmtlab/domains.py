@@ -150,9 +150,31 @@ def _empty_grid(low, high, h, pad_cells=2):
     return origin, tuple(dims)
 
 
-def _centers_grid(origin, shape, h):
-    axes = [origin[a] + (np.arange(shape[a]) + 0.5) * h for a in range(len(shape))]
-    return np.meshgrid(*axes, indexing="ij")
+def _lattice(origin, h, lo, hi) -> list:
+    """Cell-centre coordinates of B index boxes [lo, hi), one sparse array per axis.
+
+    ``lo`` and ``hi`` are (B, n) integer bounds, which may reach past the grid
+    box (a virtual lattice aligned with the grid).  Axis a's array has shape
+    (B, 1, ..., width_a, ..., 1), where width is the widest box, and holds
+    ``inf`` past each box's ``hi``.  The arrays broadcast against each other,
+    so a per-axis sum such as ``sum((x - c) ** 2 ...)`` adds every element in
+    the same order as on a dense meshgrid.
+    """
+    n = len(origin)
+    width = np.max(hi - lo, axis=0, initial=0)
+    coords = []
+    for a in range(n):
+        idx = lo[:, a, None] + np.arange(width[a])
+        x = origin[a] + (idx + 0.5) * h
+        x[idx >= hi[:, a, None]] = np.inf
+        coords.append(x.reshape((len(x),) + (1,) * a + (width[a],) + (1,) * (n - 1 - a)))
+    return coords
+
+
+def _centers_grid(origin, shape, h) -> list:
+    """Cell-centre coordinates of the whole grid box as a sparse lattice."""
+    lo = np.zeros((1, len(shape)), dtype=np.int64)
+    return [x[0] for x in _lattice(origin, h, lo, np.array([shape]))]
 
 
 def make_ball(center: Sequence[float], radius: float, h: float) -> GridDomain:
@@ -271,18 +293,32 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     cached = vars(domain).get("_boundary")
     if cached is not None:
         return cached
-    if not domain.mask.any():
+    mask = domain.mask
+    if not mask.any():
         raise EmptyDomainError("cannot extract the boundary of an empty mask")
     h = domain.spacing
     n = domain.dim
+    # cells with an exterior neighbour, from shifted slices: the false margin
+    # keeps every true cell off the grid faces, so the slices never leave the grid
+    inner = (slice(1, -1),) * n
+    edge = mask.copy()
+    for axis in range(n):
+        for sign in (1, -1):
+            shifted = list(inner)
+            shifted[axis] = slice(1 + sign, mask.shape[axis] - 1 + sign)
+            edge[inner] &= mask[tuple(shifted)]
+    edge ^= mask  # true cells minus those with all 2n neighbours true
+    flat = np.flatnonzero(edge)
+    flat_mask = mask.reshape(-1)
+    strides = [int(np.prod(mask.shape[a + 1:])) for a in range(n)]
     points, cells, axes_list, signs = [], [], [], []
     for axis in range(n):
         for sign in (1, -1):
-            neighbor = np.roll(domain.mask, -sign, axis=axis)
-            faces = domain.mask & ~neighbor  # margin is false, so roll cannot wrap junk in
-            idx = np.argwhere(faces)
-            if len(idx) == 0:
+            # faces in C order within each (axis, sign) block, as argwhere gives them
+            sel = flat[~flat_mask[flat + sign * strides[axis]]]
+            if len(sel) == 0:
                 continue
+            idx = np.stack(np.unravel_index(sel, mask.shape), axis=1)
             pts = domain.origin + (idx + 0.5) * h
             pts[:, axis] += sign * h / 2.0
             points.append(pts)

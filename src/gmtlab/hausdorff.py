@@ -12,6 +12,12 @@ Whether covering cells are open or closed makes no difference on a finite
 cloud (any cell can be enlarged to an open superset with arbitrarily small
 extra half-diameter), so the open-covering refinement of the underlying
 definition is a deliberate no-op here.
+
+Coverings and partitions are held as segmented index arrays (cell g owns
+``order[bounds[g]:bounds[g + 1]]``), and one segmented pass,
+:func:`_cell_rds`, gives every cell's half-diameter, each bit for bit as if
+its cell were computed alone.  ``CoverCell`` and ``Covering`` remain the
+explicit form for coverings built by hand.
 """
 
 from __future__ import annotations
@@ -121,12 +127,16 @@ class Partition:
         return len(self.cells)
 
 
+def _sum_rd(rds: np.ndarray, d: float) -> float:
+    """omega_d * sum(rds ** d) over an array of cell half-diameters."""
+    return unit_ball_volume(d) * float(np.sum(np.power(rds, d)))
+
+
 def cover_sum(cov: Covering) -> float:
     """omega_d * sum(rd ** d); an empty covering sums to zero."""
     if not cov.cells:
         return 0.0
-    rds = np.array([c.rd for c in cov.cells])
-    return unit_ball_volume(cov.dim_d) * float(np.sum(np.power(rds, cov.dim_d)))
+    return _sum_rd(np.array([c.rd for c in cov.cells]), cov.dim_d)
 
 
 def _diameter(pts: np.ndarray) -> float:
@@ -146,6 +156,32 @@ def _diameter(pts: np.ndarray) -> float:
     return math.sqrt(diam2)
 
 
+# cells of at most this many members get their diameters from one broadcast
+# difference table per cell size; larger cells keep the blocked cdist
+_SMALL_CELL = 64
+# pairwise differences held at once by the broadcast tables (2 MB per array)
+_PAIR_BLOCK = 1 << 18
+
+
+def _small_diameters(pts: np.ndarray) -> np.ndarray:
+    """Diameters of k cells of m points each, ``pts`` of shape (k, m, n).
+
+    Squared distances are accumulated as dx*dx (+dy*dy)(+dz*dz), the order
+    in which cdist's "sqeuclidean" sums them, so the maxima are the same bits.
+    """
+    k, m, n = pts.shape
+    out = np.empty(k)
+    rows = max(1, _PAIR_BLOCK // (m * m))
+    for r0 in range(0, k, rows):
+        p = pts[r0 : r0 + rows]
+        d2 = 0
+        for a in range(n):
+            diff = p[:, :, None, a] - p[:, None, :, a]
+            d2 = d2 + diff * diff
+        out[r0 : r0 + rows] = np.sqrt(d2.reshape(len(p), -1).max(axis=1))
+    return out
+
+
 def _cloud_nn(tree: cKDTree) -> np.ndarray:
     """Per-point distance to the nearest other point of the tree (0 for one point)."""
     if tree.n < 2:
@@ -154,28 +190,48 @@ def _cloud_nn(tree: cKDTree) -> np.ndarray:
     return dist[:, 1]
 
 
-def _sample_rd(pts: np.ndarray, nn_gaps: np.ndarray, resolution: float, scale: float) -> float:
-    """Half-diameter of a cell with the per-sample patch compensation.
+def _cell_rds(points: np.ndarray, nn_gaps: np.ndarray, order: np.ndarray,
+              bounds: np.ndarray, resolution: float, scale: float) -> np.ndarray:
+    """Half-diameter with patch compensation of every cell ``order[bounds[g]:bounds[g + 1]]``.
 
     Every sample stands for a boundary patch whose extent is roughly its
-    nearest-neighbor gap; the compensation is that mean gap, capped so the
-    cell stays feasible at the covering scale.
+    nearest-neighbor gap; a cell's compensation is the mean gap of its
+    members, capped so the cell stays feasible at the covering scale, and
+    its rd is min((diameter + compensation) / 2, scale).  Cells are taken in
+    buckets of one exact size: a bucket's rows of m gaps are averaged as
+    each cell's own m gaps would be (padding would change numpy's pairwise
+    summation), and cells of up to ``_SMALL_CELL`` members get their
+    diameters from :func:`_small_diameters`.  Cells must be nonempty.
     """
-    diam = _diameter(pts)
-    dim = pts.shape[1]
-    comp = min(float(np.mean(nn_gaps)), 2.0 * math.sqrt(dim) * resolution)
-    return min(0.5 * (diam + comp), scale)
+    sizes = np.diff(bounds)
+    mean_gap = np.empty(len(sizes))
+    diam = np.empty(len(sizes))
+    for m in np.unique(sizes):
+        cells = np.flatnonzero(sizes == m)
+        members = order[bounds[cells, None] + np.arange(m)]
+        mean_gap[cells] = nn_gaps[members].mean(axis=1)
+        if m <= _SMALL_CELL:
+            diam[cells] = _small_diameters(points[members])
+        else:
+            diam[cells] = [_diameter(points[row]) for row in members]
+    comp = np.minimum(mean_gap, 2.0 * math.sqrt(points.shape[1]) * resolution)
+    return np.minimum(0.5 * (diam + comp), scale)
 
 
-def _group_by_label(labels: np.ndarray, n_labels: int) -> list:
-    """Indices carrying each label 0..n_labels-1, each in ascending order."""
+def _group_by_label(labels: np.ndarray, n_labels: int):
+    """(order, bounds): label g is carried by ``order[bounds[g]:bounds[g + 1]]``, ascending."""
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(n_labels + 1))
-    return [order[bounds[g] : bounds[g + 1]] for g in range(n_labels)]
+    return order, bounds
 
 
 def _box_groups(points: np.ndarray, side: float):
-    """Group point indices by axis-aligned boxes of the given side length."""
+    """Group point indices by axis-aligned boxes of the given side length.
+
+    Returns (order, bounds, centers): box g holds ``order[bounds[g]:bounds[g + 1]]``
+    and is centred at ``centers[g]``; boxes come in lexicographic order of
+    their integer coordinates and none is empty.
+    """
     anchor = points.min(axis=0)
     idx = np.floor((points - anchor) / side).astype(np.int64)
     # C-order linear keys of the nonnegative box indices sort like the index
@@ -183,23 +239,8 @@ def _box_groups(points: np.ndarray, side: float):
     dims = tuple(idx.max(axis=0) + 1)
     keys, inverse = np.unique(np.ravel_multi_index(idx.T, dims), return_inverse=True)
     uniq = np.stack(np.unravel_index(keys, dims), axis=1)
-    groups = _group_by_label(inverse, len(uniq))
-    centers = anchor + (uniq + 0.5) * side
-    return groups, centers
-
-
-def _box_covering(cloud: BoundaryCloud, d: float, delta: float, nn_gaps: np.ndarray) -> Covering:
-    side = delta / math.sqrt(cloud.dim)
-    groups, centers = _box_groups(cloud.points, side)
-    cells = [
-        CoverCell(
-            center=centers[g],
-            rd=_sample_rd(cloud.points[groups[g]], nn_gaps[groups[g]], cloud.resolution, delta),
-            members=groups[g],
-        )
-        for g in range(len(groups))
-    ]
-    return Covering(dim_d=d, cells=cells, n_points=len(cloud))
+    order, bounds = _group_by_label(inverse, len(uniq))
+    return order, bounds, anchor + (uniq + 0.5) * side
 
 
 def _fps_centers(points: np.ndarray, tree: cKDTree, threshold: float,
@@ -227,25 +268,19 @@ def _fps_centers(points: np.ndarray, tree: cKDTree, threshold: float,
         dist[near] = np.minimum(dist[near], np.linalg.norm(points[near] - points[nxt], axis=1))
 
 
-def _ball_covering(cloud: BoundaryCloud, tree: cKDTree, d: float, delta: float,
-                   nn_gaps: np.ndarray, limit: int | None = None):
-    pts = cloud.points
-    centers = _fps_centers(pts, tree, delta, limit=limit)
+def _ball_groups(points: np.ndarray, tree: cKDTree, scale: float, limit: int | None = None):
+    """Greedy-ball cells at ``scale`` as (order, bounds), or None past ``limit`` centers.
+
+    Each point joins its nearest center; cells follow the center order, and
+    a center that owns no point (a tie lost to a coincident center) gives
+    no cell.
+    """
+    centers = _fps_centers(points, tree, scale, limit=limit)
     if centers is None:
         return None
-    _, owner = cKDTree(pts[centers]).query(pts)
-    cells = []
-    for ci, members in enumerate(_group_by_label(owner, len(centers))):
-        if len(members) == 0:
-            continue
-        cells.append(
-            CoverCell(
-                center=pts[centers[ci]],
-                rd=_sample_rd(pts[members], nn_gaps[members], cloud.resolution, delta),
-                members=members,
-            )
-        )
-    return Covering(dim_d=d, cells=cells, n_points=len(pts))
+    _, owner = cKDTree(points[centers]).query(points)
+    order, bounds = _group_by_label(owner, len(centers))
+    return order, np.unique(bounds)
 
 
 @dataclass(frozen=True)
@@ -256,6 +291,9 @@ class HmEstimate:
     method: str
     n_cells: int
     upper_bound: bool = True
+    # cascade scales whose greedy-ball candidate was skipped for needing
+    # more than _MAX_FPS_CENTERS centers (the box candidate still ran)
+    fps_skipped: tuple = ()
 
 
 # cascading below this multiple of the resolution would fragment cells into
@@ -281,6 +319,12 @@ def estimate_hm_detail(cloud: BoundaryCloud, d: float, delta: float) -> HmEstima
     non-increasing in delta on dyadic ladders.  Every candidate is a
     feasible covering, so the result is an upper estimate of the
     scale-delta covering infimum and is flagged as an upper bound.
+
+    Each candidate is held as segmented cells, its rds come from one
+    :func:`_cell_rds` pass, and candidates compete as (sum, method, cells)
+    tuples; no per-cell objects are built.  Scales at which the greedy-ball
+    candidate would need more than ``_MAX_FPS_CENTERS`` centers are skipped
+    for that candidate and listed in ``fps_skipped``.
     """
     _check_finite(d, delta)
     if d < 0:
@@ -293,23 +337,29 @@ def estimate_hm_detail(cloud: BoundaryCloud, d: float, delta: float) -> HmEstima
         )
     if len(cloud) == 0:
         return HmEstimate(0.0, d, delta, "empty", 0)
-    tree = cKDTree(cloud.points)
+    pts = cloud.points
+    tree = cKDTree(pts)
     nn_gaps = _cloud_nn(tree)
     best = None
+    skipped = []
     scale = delta
     while True:
-        boxes = _box_covering(cloud, d, scale, nn_gaps)
-        cand = [(cover_sum(boxes), f"boxes@{scale:g}", len(boxes.cells))]
-        balls = _ball_covering(cloud, tree, d, scale, nn_gaps, limit=_MAX_FPS_CENTERS)
-        if balls is not None:
-            cand.append((cover_sum(balls), f"balls@{scale:g}", len(balls.cells)))
-        for value, method, n_cells in cand:
+        order, bounds, _ = _box_groups(pts, scale / math.sqrt(cloud.dim))
+        cand = [("boxes", order, bounds)]
+        balls = _ball_groups(pts, tree, scale, limit=_MAX_FPS_CENTERS)
+        if balls is None:
+            skipped.append(scale)
+        else:
+            cand.append(("balls", *balls))
+        for kind, order, bounds in cand:
+            rds = _cell_rds(pts, nn_gaps, order, bounds, cloud.resolution, scale)
+            value = _sum_rd(rds, d)
             if best is None or value < best[0]:
-                best = (value, method, n_cells)
+                best = (value, f"{kind}@{scale:g}", len(rds))
         scale /= 2.0
         if scale < _CASCADE_FLOOR * cloud.resolution:
             break
-    return HmEstimate(best[0], d, delta, best[1], best[2])
+    return HmEstimate(best[0], d, delta, best[1], best[2], fps_skipped=tuple(skipped))
 
 
 def estimate_hm(cloud: BoundaryCloud, d: float, delta: float) -> float:
@@ -333,11 +383,12 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
         )
     side = delta / math.sqrt(cloud.dim)
     nn_gaps = _cloud_nn(cKDTree(cloud.points))
-    groups, _ = _box_groups(cloud.points, side)
+    order, bounds, _ = _box_groups(cloud.points, side)
+    rds = _cell_rds(cloud.points, nn_gaps, order, bounds, cloud.resolution, delta)
     cells = []
-    for members in groups:
+    for g, rd in enumerate(rds.tolist()):
+        members = order[bounds[g] : bounds[g + 1]]
         pts = cloud.points[members]
-        rd = _sample_rd(pts, nn_gaps[members], cloud.resolution, delta)
         centroid = pts.mean(axis=0)
         dist = np.linalg.norm(pts - centroid, axis=1)
         cand = np.flatnonzero(dist == dist.min())

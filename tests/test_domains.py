@@ -1,12 +1,15 @@
 """Domain construction, boundary extraction, dilation, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gmtlab.domains import (
     GridDomain,
+    _centers_grid,
+    _empty_grid,
     domain_from_spec,
     dilate,
     extract_boundary,
@@ -235,3 +238,126 @@ class TestDomainSpecs:
         cloud = extract_boundary(d)
         radii = np.linalg.norm(cloud.points, axis=1)
         assert (radii > 0.8).any() and (radii < 0.7).any()
+
+
+# ---------------------------------------------------------------------------
+# sparse-lattice rasterizers and slice-based extraction against the dense
+# meshgrid and np.roll/argwhere paths they replaced
+
+
+def _ref_grids(low, high, h):
+    origin, shape = _empty_grid(low, high, h)
+    axes = [origin[a] + (np.arange(shape[a]) + 0.5) * h for a in range(len(shape))]
+    return origin, np.meshgrid(*axes, indexing="ij")
+
+
+def _ref_ball(center, radius, h):
+    center = np.asarray(center, dtype=float)
+    origin, grids = _ref_grids(center - radius, center + radius, h)
+    dist2 = sum((g - c) ** 2 for g, c in zip(grids, center))
+    return origin, dist2 < radius ** 2
+
+
+def _ref_box(corner, sides, h):
+    corner, sides = np.asarray(corner, dtype=float), np.asarray(sides, dtype=float)
+    origin, grids = _ref_grids(corner, corner + sides, h)
+    mask = np.ones(grids[0].shape, dtype=bool)
+    for g, lo, side in zip(grids, corner, sides):
+        mask &= (g > lo) & (g < lo + side)
+    return origin, mask
+
+
+def _ref_annulus(center, r_outer, r_inner, h):
+    center = np.asarray(center, dtype=float)
+    origin, grids = _ref_grids(center - r_outer, center + r_outer, h)
+    dist2 = sum((g - c) ** 2 for g, c in zip(grids, center))
+    return origin, (dist2 < r_outer ** 2) & (dist2 >= r_inner ** 2)
+
+
+def _ref_boundary(domain):
+    """(points, face_cells, face_axes, face_signs) from rolled copies of the mask."""
+    h = domain.spacing
+    points, cells, axes, signs = [], [], [], []
+    for axis in range(domain.dim):
+        for sign in (1, -1):
+            faces = domain.mask & ~np.roll(domain.mask, -sign, axis=axis)
+            idx = np.argwhere(faces)
+            if len(idx) == 0:
+                continue
+            pts = domain.origin + (idx + 0.5) * h
+            pts[:, axis] += sign * h / 2.0
+            points.append(pts)
+            cells.append(idx)
+            axes.append(np.full(len(idx), axis, dtype=np.int64))
+            signs.append(np.full(len(idx), sign, dtype=np.int64))
+    return tuple(np.concatenate(parts) for parts in (points, cells, axes, signs))
+
+
+# name -> (builder, its reference, arguments)
+_RASTER_CASES = {
+    "disk": (make_ball, _ref_ball, ((0.0, 0.0), 1.0, 1 / 128)),
+    "disk_off": (make_ball, _ref_ball, ((0.013, -0.21), 0.77, 1 / 200)),
+    "ball3": (make_ball, _ref_ball, ((0.0, 0.0, 0.0), 1.0, 1 / 32)),
+    "ball3_off": (make_ball, _ref_ball, ((0.1, 0.02, -0.3), 0.6, 1 / 40)),
+    "box": (make_box, _ref_box, ((0.0, 0.0), (1.0, 0.6), 1 / 128)),
+    "box_off": (make_box, _ref_box, ((-0.33, 0.07), (0.5, 1.3), 1 / 90)),
+    "box3": (make_box, _ref_box, ((0.1, 0.0, -0.2), (1.0, 0.5, 0.7), 1 / 32)),
+    "annulus": (make_annulus, _ref_annulus, ((0.0, 0.0), 1.0, 0.5, 1 / 128)),
+    "annulus_off": (make_annulus, _ref_annulus, ((0.1, -0.2), 1.0, 0.45, 1 / 100)),
+    "annulus3": (make_annulus, _ref_annulus, ((0.05, 0.0, -0.1), 1.0, 0.5, 1 / 24)),
+}
+
+_CLOUD_CASES = {
+    **{name: (lambda b=build, a=args: b(*a)) for name, (build, _, args) in _RASTER_CASES.items()},
+    "lshape": lambda: rasterize_polygon(
+        [(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)], 1 / 100),
+    "triangle": lambda: rasterize_polygon([(0, 0), (1, 0.2), (0.3, 0.9)], 1 / 77),
+    "single_cell": lambda: GridDomain(0.1, np.zeros(2), np.pad(np.ones((1, 1), dtype=bool), 1)),
+    "single_cell3": lambda: GridDomain(0.1, np.ones(3), np.pad(np.ones((1, 1, 1), dtype=bool), 1)),
+}
+
+
+def _same(got, ref):
+    return got.dtype == ref.dtype and got.shape == ref.shape and np.array_equal(got, ref)
+
+
+class TestBitIdentityWithReferences:
+    @pytest.mark.parametrize("name", sorted(_RASTER_CASES))
+    def test_masks(self, name):
+        build, ref, args = _RASTER_CASES[name]
+        dom = build(*args)
+        origin, mask = ref(*args)
+        assert _same(dom.mask, mask)
+        assert _same(dom.origin, origin)
+
+    @pytest.mark.parametrize("h", [1 / 128, 1 / 90, 0.0123])
+    def test_lattice_coordinates(self, h):
+        origin, shape = np.array([-0.37, 0.21, 1.3]), (7, 5, 6)
+        axes = [origin[a] + (np.arange(shape[a]) + 0.5) * h for a in range(3)]
+        for got, ref in zip(_centers_grid(origin, shape, h), np.meshgrid(*axes, indexing="ij")):
+            assert _same(np.broadcast_to(got, shape), ref)
+
+    @pytest.mark.parametrize("name", sorted(_CLOUD_CASES))
+    def test_boundary_cloud(self, name):
+        dom = _CLOUD_CASES[name]()
+        cloud = extract_boundary(dom)
+        points, cells, axes, signs = _ref_boundary(dom)
+        assert _same(cloud.points, points)
+        assert _same(cloud.face_cells, cells)
+        assert _same(cloud.face_axes, axes)
+        assert _same(cloud.face_signs, signs)
+
+
+class TestMemory:
+    def test_disk_build_and_extract_peak(self):
+        # the dense meshgrid path peaked at 32 mask sizes here, the sparse
+        # lattice at 10 (one float distance grid plus two masks)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            dom = make_ball((0.0, 0.0), 1.0, 1 / 1024)
+            extract_boundary(dom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * dom.mask.nbytes

@@ -14,7 +14,7 @@ from gmtlab.hausdorff import (
     Covering,
     Partition,
     PartitionCell,
-    _ball_covering,
+    _ball_groups,
     _box_groups,
     _cloud_nn,
     _diameter,
@@ -143,13 +143,19 @@ def _box_groups_reference(points, side):
     return groups, anchor + (uniq + 0.5) * side
 
 
+def _segments(order, bounds):
+    """The cells ``order[bounds[g]:bounds[g + 1]]`` as a list of arrays."""
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 class TestBoxGroups:
     @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
     @pytest.mark.parametrize("k", [1.5, 6.0, 20.0])
     def test_matches_row_sorted_grouping(self, fps_clouds, name, k):
         cloud = fps_clouds[name]
         side = k * cloud.resolution
-        groups, centers = _box_groups(cloud.points, side)
+        order, bounds, centers = _box_groups(cloud.points, side)
+        groups = _segments(order, bounds)
         ref_groups, ref_centers = _box_groups_reference(cloud.points, side)
         assert len(groups) == len(ref_groups) > 1
         for got, ref in zip(groups, ref_groups):
@@ -162,25 +168,24 @@ class TestBallCovering:
         cloud = ellipse_cloud(1.3, 0.7, 1 / 256)
         tree = cKDTree(cloud.points)
         delta = 0.05
-        cov = _ball_covering(cloud, tree, 1.0, delta, _cloud_nn(tree))
+        cells = _segments(*_ball_groups(cloud.points, tree, delta))
         centers = _fps_centers(cloud.points, tree, delta)
         _, owner = cKDTree(cloud.points[centers]).query(cloud.points)
         expected = [np.flatnonzero(owner == ci) for ci in range(len(centers))]
         expected = [m for m in expected if len(m) > 0]
-        assert len(cov.cells) == len(expected)
-        for cell, members in zip(cov.cells, expected):
-            np.testing.assert_array_equal(cell.members, members)
+        assert len(cells) == len(expected)
+        for members, ref in zip(cells, expected):
+            np.testing.assert_array_equal(members, ref)
 
     def test_center_owning_no_point_is_skipped(self, monkeypatch):
         # two coincident centers: the nearest-center query gives every tied
         # point to one of them, so the other owns nothing and yields no cell
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        cloud = BoundaryCloud(dim=2, resolution=0.01, points=pts, weights=np.full(3, 0.01))
         tree = cKDTree(pts)
         monkeypatch.setattr(hausdorff, "_fps_centers",
                             lambda *args, **kwargs: np.array([0, 1, 2], dtype=np.int64))
-        cov = _ball_covering(cloud, tree, 1.0, 0.5, _cloud_nn(tree))
-        assert [list(c.members) for c in cov.cells] == [[0, 1], [2]]
+        cells = _segments(*_ball_groups(pts, tree, 0.5))
+        assert [list(m) for m in cells] == [[0, 1], [2]]
 
 
 class TestDiameter:
@@ -371,3 +376,180 @@ class TestPartitionExport:
         assert data["total_measure"] == pytest.approx(cloud.total_weight)
         cell = data["cells"][0]
         assert set(cell) == {"x_c", "rd", "hm_est", "members"}
+
+
+# ---------------------------------------------------------------------------
+# the segmented rd pass against the per-cell path it replaced
+
+
+def _ref_sample_rd(pts, nn_gaps, resolution, scale):
+    """One cell's compensated half-diameter, computed on its own."""
+    diam = _diameter(pts)
+    comp = min(float(np.mean(nn_gaps)), 2.0 * math.sqrt(pts.shape[1]) * resolution)
+    return min(0.5 * (diam + comp), scale)
+
+
+def _ref_estimate(cloud, d, delta):
+    """The per-cell estimator: one CoverCell per cell, one Covering per candidate."""
+    pts = cloud.points
+    tree = cKDTree(pts)
+    nn_gaps = _cloud_nn(tree)
+    best = None
+    scale = delta
+    while True:
+        order, bounds, centers = _box_groups(pts, scale / math.sqrt(cloud.dim))
+        cells = [CoverCell(centers[g], _ref_sample_rd(pts[m], nn_gaps[m], cloud.resolution, scale), m)
+                 for g, m in enumerate(_segments(order, bounds))]
+        coverings = [("boxes", Covering(d, cells, len(pts)))]
+        fps = _fps_centers(pts, tree, scale, limit=hausdorff._MAX_FPS_CENTERS)
+        if fps is not None:
+            _, owner = cKDTree(pts[fps]).query(pts)
+            cells = []
+            for ci in range(len(fps)):
+                m = np.flatnonzero(owner == ci)
+                if len(m):
+                    cells.append(CoverCell(pts[fps[ci]], _ref_sample_rd(
+                        pts[m], nn_gaps[m], cloud.resolution, scale), m))
+            coverings.append(("balls", Covering(d, cells, len(pts))))
+        for kind, cov in coverings:
+            value = cover_sum(cov)
+            if best is None or value < best[0]:
+                best = (value, f"{kind}@{scale:g}", len(cov.cells))
+        scale /= 2.0
+        if scale < 8.0 * cloud.resolution:
+            return best
+
+
+def _ref_partition_cells(cloud, delta):
+    """(rd, x_index, hm_est, members) of each box cell, computed cell by cell."""
+    nn_gaps = _cloud_nn(cKDTree(cloud.points))
+    order, bounds, _ = _box_groups(cloud.points, delta / math.sqrt(cloud.dim))
+    out = []
+    for members in _segments(order, bounds):
+        pts = cloud.points[members]
+        rd = _ref_sample_rd(pts, nn_gaps[members], cloud.resolution, delta)
+        dist = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+        cand = np.flatnonzero(dist == dist.min())
+        if len(cand) > 1:
+            cand = cand[np.lexsort(pts[cand].T[::-1])[:1]]
+        out.append((rd, int(members[int(cand[0])]), float(np.sum(cloud.weights[members])),
+                    members.tolist()))
+    return out
+
+
+def _scattered_cloud():
+    # samples far apart against the resolution: most cells are singletons
+    pts = np.random.default_rng(3).uniform(0.0, 4.0, size=(300, 2))
+    return BoundaryCloud(dim=2, resolution=0.002, points=pts, weights=np.full(300, 0.002))
+
+
+def _doubled_cloud():
+    # every sample twice: all nearest-neighbour gaps are 0
+    base = circle_cloud(1.0, 1 / 128)
+    pts = np.concatenate([base.points, base.points])
+    return BoundaryCloud(dim=2, resolution=base.resolution, points=pts,
+                         weights=np.concatenate([base.weights, base.weights]) / 2)
+
+
+# name -> (cloud factory, d, delta ladder)
+_RD_CASES = {
+    "disk": (lambda: extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 256)), 1.0,
+             (0.4, 0.2, 0.1, 0.05)),
+    "disk_off_fractional_d": (lambda: extract_boundary(make_ball((0.013, -0.21), 0.77, 1 / 200)),
+                              1.5, (0.3, 0.1)),
+    "annulus": (lambda: extract_boundary(make_annulus((0.1, -0.2), 1.0, 0.45, 1 / 128)), 1.0,
+                (0.4, 0.1)),
+    "ball3": (lambda: extract_boundary(make_ball((0.0, 0.0, 0.0), 1.0, 1 / 24)), 2.0,
+              (0.6, 0.35)),
+    "ball3_off": (lambda: extract_boundary(make_ball((0.1, 0.02, -0.3), 0.6, 1 / 40)), 2.0,
+                  (0.4,)),
+    "scattered": (_scattered_cloud, 1.0, (0.3, 0.05)),
+    "doubled": (_doubled_cloud, 1.0, (0.5, 0.1)),
+    "circle": (lambda: circle_cloud(1.0, 1 / 512), 1.0, (0.4, 0.05)),
+}
+
+
+class TestSegmentedRdBitIdentity:
+    @pytest.fixture(scope="class", params=sorted(_RD_CASES))
+    def case(self, request):
+        make, d, deltas = _RD_CASES[request.param]
+        return request.param, make(), d, deltas
+
+    @pytest.mark.parametrize("pair_block", [64, hausdorff._PAIR_BLOCK])
+    def test_estimate_matches_per_cell_path(self, case, monkeypatch, pair_block):
+        _, cloud, d, deltas = case
+        monkeypatch.setattr(hausdorff, "_PAIR_BLOCK", pair_block)
+        for delta in deltas:
+            est = estimate_hm_detail(cloud, d, delta)
+            assert (est.value, est.method, est.n_cells) == _ref_estimate(cloud, d, delta)
+
+    def test_ladders_reach_every_cell_size_path(self):
+        # singletons, bucketed cells and cells above the bucket bound all occur
+        sizes = set()
+        for make, _, deltas in _RD_CASES.values():
+            cloud = make()
+            for delta in deltas:
+                side = delta / math.sqrt(cloud.dim)
+                sizes.update(np.diff(_box_groups(cloud.points, side)[1]).tolist())
+        assert 1 in sizes
+        assert any(1 < m <= hausdorff._SMALL_CELL for m in sizes)
+        assert any(m > hausdorff._SMALL_CELL for m in sizes)
+
+    def test_cell_rds_of_ball_cells(self, case):
+        _, cloud, _, deltas = case
+        tree = cKDTree(cloud.points)
+        nn_gaps = _cloud_nn(tree)
+        for scale in deltas:
+            order, bounds = _ball_groups(cloud.points, tree, scale)
+            rds = hausdorff._cell_rds(cloud.points, nn_gaps, order, bounds, cloud.resolution, scale)
+            ref = [_ref_sample_rd(cloud.points[m], nn_gaps[m], cloud.resolution, scale)
+                   for m in _segments(order, bounds)]
+            assert rds.tolist() == ref
+
+
+class TestPartitionBitIdentity:
+    def test_proof_disk_partition(self):
+        # the proof input: disk h=1/512, eps=0.05, Lipschitz 2 -> delta 0.015
+        cloud = extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 512))
+        delta = 0.6 * 0.05 / 2.0
+        part = build_partition(cloud, 1.0, delta)
+        got = [(c.rd, c.x_index, c.hm_est, c.member_indices.tolist()) for c in part.cells]
+        ref = _ref_partition_cells(cloud, delta)
+        assert got == ref
+        assert all(type(c.rd) is float for c in part.cells)
+
+    @pytest.mark.parametrize("name", ["ball3", "scattered", "doubled"])
+    def test_other_clouds(self, name):
+        make, d, deltas = _RD_CASES[name]
+        cloud = make()
+        for delta in deltas:
+            if delta >= 4 * cloud.resolution:
+                got = [(c.rd, c.x_index, c.hm_est, c.member_indices.tolist())
+                       for c in build_partition(cloud, d, delta).cells]
+                assert got == _ref_partition_cells(cloud, delta)
+
+
+class TestFpsCap:
+    def test_skipped_scales_are_recorded(self, monkeypatch):
+        cloud = extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 64))
+        tree = cKDTree(cloud.points)
+        scales = (0.5, 0.25, 0.125)  # the cascade from 0.5 down to 8h
+        counts = {s: len(_fps_centers(cloud.points, tree, s)) for s in scales}
+        assert counts[0.5] < counts[0.25] < counts[0.125]
+        assert estimate_hm_detail(cloud, 1.0, 0.5).fps_skipped == ()
+
+        monkeypatch.setattr(hausdorff, "_MAX_FPS_CENTERS", counts[0.25])
+        assert estimate_hm_detail(cloud, 1.0, 0.5).fps_skipped == (0.125,)
+
+        monkeypatch.setattr(hausdorff, "_MAX_FPS_CENTERS", 1)
+        est = estimate_hm_detail(cloud, 1.0, 0.5)
+        assert est.fps_skipped == scales
+        assert est.method.startswith("boxes@")
+        boxes = []
+        for s in scales:
+            order, bounds, _ = _box_groups(cloud.points, s / math.sqrt(2))
+            boxes.append(cover_sum(Covering(1.0, [
+                CoverCell(np.zeros(2), _ref_sample_rd(cloud.points[m], _cloud_nn(tree)[m],
+                                                      cloud.resolution, s), m)
+                for m in _segments(order, bounds)], len(cloud))))
+        assert est.value == min(boxes)

@@ -164,6 +164,23 @@ class TestSobolev:
         with pytest.raises(SupportError):
             check_sobolev(bad)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_outer_face_is_checked(self, dim):
+        # one nonzero value on a single outer face, away from every other face
+        dom = make_box((0.0,) * dim, (1.0,) * dim, 1 / 8)
+        for axis in range(dim):
+            for end in (0, -1):
+                vals = np.zeros(dom.shape)
+                index = [2] * dim
+                index[axis] = end
+                vals[tuple(index)] = -0.5
+                bad = object.__new__(GridFunction)
+                for name, value in (("domain", dom), ("values", vals), ("cloud", None),
+                                    ("trace", None), ("lipschitz", None), ("metadata", {})):
+                    object.__setattr__(bad, name, value)
+                with pytest.raises(SupportError):
+                    check_sobolev(bad)
+
 
 class TestMazya:
     def test_disk_indicator_optimal_equality_probe(self, disk_512):
@@ -258,6 +275,21 @@ class TestMazyaL2:
         assert rep.holds
         assert rep.metadata["c1_auto"] is True
         assert rep.constant_value > 0
+
+    def test_auto_c1_family_built_once_per_cloud(self, monkeypatch):
+        import gmtlab.calculus as calc
+
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 64)
+        u = from_expression(dom, "x*x + y*y")
+        built = []
+        real = calc.from_expression
+        monkeypatch.setattr(calc, "from_expression",
+                            lambda *args, **kwargs: built.append(args[1]) or real(*args, **kwargs))
+        first = check_mazya_l2(dom, u, "auto")
+        assert built == ["1", "x", "y", "x*y", "x*x+y*y"]
+        second = check_mazya_l2(dom, from_expression(dom, "x", u.cloud), "auto")
+        assert len(built) == 5
+        assert second.constant_value == first.constant_value
 
     def test_nonpositive_c1_rejected(self, square_128):
         with pytest.raises(InvalidArgumentError):
