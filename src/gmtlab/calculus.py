@@ -168,13 +168,9 @@ def from_expression(
         expr = Expression(expr)
     if cloud is None:
         cloud = extract_boundary(domain)
-    idx = np.argwhere(domain.mask)
-    centers = domain.origin + (idx + 0.5) * domain.spacing
     values = np.zeros(domain.shape)
-    values[tuple(idx.T)] = expr(centers)
-    trace = np.asarray(expr(cloud.points), dtype=float)
-    if trace.ndim == 0:
-        trace = np.full(len(cloud), float(trace))
+    values[domain.mask] = expr(domain.cell_centers())
+    trace = np.broadcast_to(np.asarray(expr(cloud.points), dtype=float), len(cloud))
     fn = GridFunction(domain, values, cloud, trace, lipschitz)
     fn.metadata["expr"] = expr.text
     return fn
@@ -324,21 +320,25 @@ def abs_value(u: GridFunction) -> GridFunction:
 # spherical shells and barriers
 
 
-def shell_mass(r: float, s: float, height: float, n: int) -> float:
+# the shell formulas broadcast over radii and heights; float_power takes C pow
+# per element as ** on one float does, so each shell keeps its own bits
+
+
+def shell_mass(r, s: float, height, n: int):
     """Gradient mass of a linear ramp of rise ``height`` on the shell [r, r+s]."""
     if s <= 0:
         raise InvalidArgumentError("shell width s must be positive")
-    if r < 0 or height < 0:
+    if np.any(np.asarray(r) < 0) or np.any(np.asarray(height) < 0):
         raise InvalidArgumentError("radius and height must be nonnegative")
     omega = unit_ball_volume(n)
-    return height / s * omega * ((r + s) ** n - r ** n)
+    return height / s * omega * (np.float_power(r + s, n) - np.float_power(r, n))
 
 
-def shell_mass_limit(r: float, height: float, n: int) -> float:
+def shell_mass_limit(r, height, n: int):
     """Limit of shell_mass as the width shrinks: height * n * omega_n * r^(n-1)."""
-    if r < 0 or height < 0:
+    if np.any(np.asarray(r) < 0) or np.any(np.asarray(height) < 0):
         raise InvalidArgumentError("radius and height must be nonnegative")
-    return height * n * unit_ball_volume(n) * r ** (n - 1)
+    return height * n * unit_ball_volume(n) * np.float_power(r, n - 1)
 
 
 def _index_box(domain: GridDomain, center: np.ndarray, radius):
@@ -451,6 +451,12 @@ def _interior_distance(domain: GridDomain) -> np.ndarray:
     return dist
 
 
+def _barriers(u: GridFunction, part: Partition, eps: float):
+    """The barrier rule: cell C's barrier is centred at x_C, has ball diameter
+    2 * rd(C) and rises to trace(x_C) + eps; returns (centres, diams, heights)."""
+    return part.x_c, 2.0 * part.rd, u.trace[part.x_index] + eps
+
+
 def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunction:
     """Cut u down with boundary barriers: min(u, inf over cells of barrier).
 
@@ -471,10 +477,8 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
         raise InvalidArgumentError("truncate expects a nonnegative function")
     if not 0 < s < part.delta / 2:
         raise InvalidArgumentError("need 0 < s < delta/2 for the partition's delta")
-    heights = np.array([u.trace[c.x_index] + eps for c in part.cells])
+    centers, diams, heights = _barriers(u, part, eps)
     sentinel = 2.0 * (u.max_abs() + float(heights.max(initial=0.0))) + 1.0
-    diams = np.array([2.0 * c.rd for c in part.cells])
-    centers = np.array([c.x_c for c in part.cells])
     reach = diams + s
 
     out = u.values.copy()
@@ -679,10 +683,8 @@ def restrict_to_domain(u: GridFunction, domain: GridDomain, cloud: BoundaryCloud
         coords = (points - u.domain.origin) / h - 0.5
         return ndimage.map_coordinates(src, coords.T, order=1, mode="constant", cval=0.0)
 
-    idx = np.argwhere(domain.mask)
-    centers = domain.origin + (idx + 0.5) * h
     values = np.zeros(domain.shape)
-    values[tuple(idx.T)] = sample(centers)
+    values[domain.mask] = sample(domain.cell_centers())
     trace = sample(cloud.points)
     fn = GridFunction(domain, values, cloud, trace)
     fn.metadata.update(u.metadata)

@@ -141,12 +141,18 @@ class BoundaryCloud:
         return float(np.sum(self.weights))
 
 
-def _empty_grid(low, high, h, pad_cells=2):
-    """Grid box covering [low, high] with a false margin of pad_cells."""
+# false cells around the bounding box of a rasterized shape, per side
+_PAD_CELLS = 2
+# cells per block of the radial rasterizer's distances (2 MB per float array)
+_RADIAL_BLOCK = 1 << 18
+
+
+def _empty_grid(low, high, h):
+    """Grid box covering [low, high] with a false margin of ``_PAD_CELLS``."""
     low = np.asarray(low, float)
     high = np.asarray(high, float)
-    dims = np.ceil((high - low) / h).astype(int) + 2 * pad_cells
-    origin = low - pad_cells * h
+    dims = np.ceil((high - low) / h).astype(int) + 2 * _PAD_CELLS
+    origin = low - _PAD_CELLS * h
     return origin, tuple(dims)
 
 
@@ -186,11 +192,7 @@ def make_ball(center: Sequence[float], radius: float, h: float) -> GridDomain:
         raise InvalidArgumentError("radius and spacing must be positive")
     if h >= radius:
         raise InvalidArgumentError("spacing must be smaller than the radius")
-    origin, shape = _empty_grid(center - radius, center + radius, h)
-    grids = _centers_grid(origin, shape, h)
-    dist2 = sum((g - c) ** 2 for g, c in zip(grids, center))
-    mask = dist2 < radius ** 2
-    return GridDomain(h, origin, mask)
+    return _radial_domain(center, radius, 0.0, h)
 
 
 def make_box(corner: Sequence[float], sides: Sequence[float], h: float) -> GridDomain:
@@ -218,10 +220,22 @@ def make_annulus(center: Sequence[float], r_outer: float, r_inner: float, h: flo
     center = np.asarray(center, dtype=float)
     if center.shape not in ((2,), (3,)):
         raise InvalidArgumentError("center must have 2 or 3 components")
+    return _radial_domain(center, r_outer, r_inner, h)
+
+
+def _radial_domain(center: np.ndarray, r_outer: float, r_inner: float, h: float) -> GridDomain:
+    """Cells whose centre c has r_inner <= |c - center| < r_outer (r_inner 0: the open ball).
+
+    Squared distances, summed ``((0 + a) + b)(+ c)``, are formed in blocks of
+    grid rows, so no full-grid float array is built.
+    """
     origin, shape = _empty_grid(center - r_outer, center + r_outer, h)
-    grids = _centers_grid(origin, shape, h)
-    dist2 = sum((g - c) ** 2 for g, c in zip(grids, center))
-    mask = (dist2 < r_outer ** 2) & (dist2 >= r_inner ** 2)
+    first, *rest = _centers_grid(origin, shape, h)
+    mask = np.empty(shape, dtype=bool)
+    rows = max(1, _RADIAL_BLOCK // int(np.prod(shape[1:])))
+    for r0 in range(0, shape[0], rows):
+        dist2 = sum((g - c) ** 2 for g, c in zip([first[r0 : r0 + rows], *rest], center))
+        mask[r0 : r0 + rows] = (dist2 < r_outer ** 2) & (dist2 >= r_inner ** 2)
     return GridDomain(h, origin, mask)
 
 
@@ -264,10 +278,7 @@ def rasterize_polygon(vertices: Sequence[Sequence[float]], h: float) -> GridDoma
                 raise InvalidArgumentError("polygon is self-intersecting")
 
     origin, shape = _empty_grid(verts.min(axis=0), verts.max(axis=0), h)
-    xc = origin[0] + (np.arange(shape[0]) + 0.5) * h
-    yc = origin[1] + (np.arange(shape[1]) + 0.5) * h
-    XC = xc[:, None]
-    YC = yc[None, :]
+    XC, YC = _centers_grid(origin, shape, h)
     inside = np.zeros(shape, dtype=bool)
     a, b = _segments(verts)
     for (x1, y1), (x2, y2) in zip(a, b):
@@ -387,15 +398,8 @@ def serialize_domain(domain: GridDomain) -> str:
         runs = list(np.diff(bounds))
         if flat[0]:
             runs = [0] + runs  # runs always start with a false run
-    body_lines = []
-    line = []
-    for r in runs:
-        line.append(str(int(r)))
-        if len(line) >= 32:
-            body_lines.append(" ".join(line))
-            line = []
-    if line:
-        body_lines.append(" ".join(line))
+    tokens = [str(int(r)) for r in runs]
+    body_lines = [" ".join(tokens[i : i + 32]) for i in range(0, len(tokens), 32)]
     return "\n".join([header] + body_lines) + "\n"
 
 

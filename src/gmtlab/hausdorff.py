@@ -16,8 +16,9 @@ definition is a deliberate no-op here.
 Coverings and partitions are held as segmented index arrays (cell g owns
 ``order[bounds[g]:bounds[g + 1]]``), and one segmented pass,
 :func:`_cell_rds`, gives every cell's half-diameter, each bit for bit as if
-its cell were computed alone.  ``CoverCell`` and ``Covering`` remain the
-explicit form for coverings built by hand.
+its cell were computed alone.  A :class:`Partition` keeps that form plus one
+column entry per cell (representative, rd, measure).  ``CoverCell`` and
+``Covering`` remain the explicit form for coverings built by hand.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "unit_ball_volume",
     "CoverCell",
     "Covering",
-    "PartitionCell",
     "Partition",
     "cover_sum",
     "estimate_hm",
@@ -88,43 +88,50 @@ class Covering:
 
 
 @dataclass(frozen=True)
-class PartitionCell:
-    member_indices: np.ndarray
-    x_index: int
-    x_c: np.ndarray
-    rd: float
-    hm_est: float
-
-
-@dataclass(frozen=True)
 class Partition:
-    """Disjoint cells covering a cloud, with representatives and measures."""
+    """Disjoint cells covering a cloud, with representatives and measures.
 
-    cells: list
+    Cell g owns the cloud points ``order[bounds[g]:bounds[g + 1]]`` (integer
+    arrays); its representative is point ``x_index[g]``, its half-diameter
+    ``rd[g]`` and its measure ``hm_est[g]`` (one array entry per cell).
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+    x_index: np.ndarray
+    rd: np.ndarray
+    hm_est: np.ndarray
     delta: float
     cloud: BoundaryCloud = field(repr=False)
 
     def __post_init__(self):
-        if not self.cells:
-            raise InvalidArgumentError("partition has no cells")
-        n = len(self.cloud)
-        all_members = np.concatenate([c.member_indices for c in self.cells])
         # structural guarantees, checked on every construction
-        if not all(len(c.member_indices) > 0 for c in self.cells):
+        sizes = np.diff(self.bounds)
+        if len(sizes) == 0:
+            raise InvalidArgumentError("partition has no cells")
+        if not len(self.x_index) == len(self.rd) == len(self.hm_est) == len(sizes):
+            raise InvalidArgumentError("partition columns must have one entry per cell")
+        if (sizes <= 0).any():
             raise InvalidArgumentError("partition has an empty cell")
-        if len(all_members) != len(np.unique(all_members)):
+        uniq = np.unique(self.order)
+        if len(uniq) != len(self.order):
             raise InvalidArgumentError("partition cells overlap")
-        if len(all_members) != n:
+        spans = self.bounds[0] == 0 and self.bounds[-1] == len(self.order)
+        if not spans or not np.array_equal(uniq, np.arange(len(self.cloud))):
             raise InvalidArgumentError("partition cells do not cover the cloud")
-        if not all(c.rd <= self.delta for c in self.cells):
+        if not (self.rd <= self.delta).all():
             raise InvalidArgumentError("partition cell rd exceeds delta")
 
     @property
+    def x_c(self) -> np.ndarray:
+        return self.cloud.points[self.x_index]
+
+    @property
     def rd_max(self) -> float:
-        return max(c.rd for c in self.cells)
+        return float(self.rd.max())
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.rd)
 
 
 def _sum_rd(rds: np.ndarray, d: float) -> float:
@@ -145,15 +152,8 @@ def _diameter(pts: np.ndarray) -> float:
     Blocks of rows bound the working set at 2048 x m distances, so large
     cells never allocate the full m x m matrix.
     """
-    m = len(pts)
-    if m == 1:
-        return 0.0
-    diam2 = 0.0
-    block = 2048
-    for i0 in range(0, m, block):
-        d2 = cdist(pts[i0 : i0 + block], pts, "sqeuclidean")
-        diam2 = max(diam2, float(d2.max()))
-    return math.sqrt(diam2)
+    return math.sqrt(max((float(cdist(pts[i0 : i0 + 2048], pts, "sqeuclidean").max())
+                          for i0 in range(0, len(pts), 2048)), default=0.0))
 
 
 # cells of at most this many members get their diameters from one broadcast
@@ -190,6 +190,15 @@ def _cloud_nn(tree: cKDTree) -> np.ndarray:
     return dist[:, 1]
 
 
+def _size_buckets(order: np.ndarray, bounds: np.ndarray):
+    """Yield (cells, members) for each cell size m: the cells of exactly m
+    members, ascending, and their (k, m) rows of member indices."""
+    sizes = np.diff(bounds)
+    for m in np.unique(sizes):
+        cells = np.flatnonzero(sizes == m)
+        yield cells, order[bounds[cells, None] + np.arange(m)]
+
+
 def _cell_rds(points: np.ndarray, nn_gaps: np.ndarray, order: np.ndarray,
               bounds: np.ndarray, resolution: float, scale: float) -> np.ndarray:
     """Half-diameter with patch compensation of every cell ``order[bounds[g]:bounds[g + 1]]``.
@@ -203,14 +212,11 @@ def _cell_rds(points: np.ndarray, nn_gaps: np.ndarray, order: np.ndarray,
     summation), and cells of up to ``_SMALL_CELL`` members get their
     diameters from :func:`_small_diameters`.  Cells must be nonempty.
     """
-    sizes = np.diff(bounds)
-    mean_gap = np.empty(len(sizes))
-    diam = np.empty(len(sizes))
-    for m in np.unique(sizes):
-        cells = np.flatnonzero(sizes == m)
-        members = order[bounds[cells, None] + np.arange(m)]
+    mean_gap = np.empty(len(bounds) - 1)
+    diam = np.empty(len(bounds) - 1)
+    for cells, members in _size_buckets(order, bounds):
         mean_gap[cells] = nn_gaps[members].mean(axis=1)
-        if m <= _SMALL_CELL:
+        if members.shape[1] <= _SMALL_CELL:
             diam[cells] = _small_diameters(points[members])
         else:
             diam[cells] = [_diameter(points[row]) for row in members]
@@ -373,6 +379,10 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
     cloud, rd(cell) <= delta/2 + gap/2 <= delta, and hm_est(cell) is the sum
     of the member weights.  The representative is the member nearest the
     cell centroid, ties broken by lexicographically smallest coordinates.
+    Centroids and measures come from the exact-size buckets of
+    :func:`_cell_rds` (each row reduced as its cell alone would be), and one
+    lexsort over (cell, distance to centroid, coordinates) picks every
+    representative.
     """
     _check_finite(d, delta)
     if len(cloud) == 0:
@@ -381,36 +391,26 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
         raise ResolutionError(
             f"delta {delta} must be at least 4 times the resolution {cloud.resolution}"
         )
-    side = delta / math.sqrt(cloud.dim)
-    nn_gaps = _cloud_nn(cKDTree(cloud.points))
-    order, bounds, _ = _box_groups(cloud.points, side)
-    rds = _cell_rds(cloud.points, nn_gaps, order, bounds, cloud.resolution, delta)
-    cells = []
-    for g, rd in enumerate(rds.tolist()):
-        members = order[bounds[g] : bounds[g + 1]]
-        pts = cloud.points[members]
-        centroid = pts.mean(axis=0)
-        dist = np.linalg.norm(pts - centroid, axis=1)
-        cand = np.flatnonzero(dist == dist.min())
-        if len(cand) > 1:
-            cand = cand[np.lexsort(pts[cand].T[::-1])[:1]]
-        local = int(cand[0])
-        cells.append(
-            PartitionCell(
-                member_indices=members,
-                x_index=int(members[local]),
-                x_c=pts[local],
-                rd=rd,
-                hm_est=float(np.sum(cloud.weights[members])),
-            )
-        )
-    return Partition(cells=cells, delta=delta, cloud=cloud)
+    pts = cloud.points
+    nn_gaps = _cloud_nn(cKDTree(pts))
+    order, bounds, _ = _box_groups(pts, delta / math.sqrt(cloud.dim))
+    rds = _cell_rds(pts, nn_gaps, order, bounds, cloud.resolution, delta)
+    centroid = np.empty((len(rds), cloud.dim))
+    hm_est = np.empty(len(rds))
+    for cells, members in _size_buckets(order, bounds):
+        centroid[cells] = pts[members].mean(axis=1)
+        hm_est[cells] = cloud.weights[members].sum(axis=1)
+    cell = np.repeat(np.arange(len(rds)), np.diff(bounds))
+    dist = np.linalg.norm(pts[order] - centroid[cell], axis=1)
+    first = np.lexsort((*pts[order].T[::-1], dist, cell))[bounds[:-1]]
+    return Partition(order, bounds, order[first], rds, hm_est, delta, cloud)
 
 
 def partition_defect(part: Partition, d: float) -> float:
     """Sum over cells of |hm_est - omega_d * rd^d|."""
-    omega = unit_ball_volume(d)
-    terms = [abs(c.hm_est - omega * c.rd ** d) for c in part.cells]
+    # float_power takes C pow per element, as ** on one float does; np.power
+    # may take a vectorized pow with other last bits
+    terms = np.abs(part.hm_est - unit_ball_volume(d) * np.float_power(part.rd, d))
     return float(np.sum(terms))
 
 
@@ -418,15 +418,9 @@ def partition_to_json(part: Partition) -> str:
     data = {
         "delta": part.delta,
         "n_cells": len(part),
-        "total_measure": float(np.sum([c.hm_est for c in part.cells])),
-        "cells": [
-            {
-                "x_c": [float(v) for v in c.x_c],
-                "rd": c.rd,
-                "hm_est": c.hm_est,
-                "members": int(len(c.member_indices)),
-            }
-            for c in part.cells
-        ],
+        "total_measure": float(np.sum(part.hm_est)),
+        "cells": [{"x_c": x_c, "rd": rd, "hm_est": hm_est, "members": members}
+                  for x_c, rd, hm_est, members in zip(part.x_c.tolist(), part.rd.tolist(),
+                                                      part.hm_est.tolist(), np.diff(part.bounds).tolist())],
     }
     return json.dumps(data, indent=2)

@@ -98,7 +98,7 @@ class TraceStep:
     holds: bool
 
 
-_TRACE_ORDER = ("main4", "main5", "main6", "prelim_est", "hm_sum_estimate", "main3")
+_TRACE_ORDER = tuple(TRACE_STEP_TOLERANCES)
 
 
 @dataclass
@@ -477,14 +477,11 @@ def proof_trace(
     part = build_partition(u.cloud, n - 1, delta)
     u_t = calc.truncate(u, part, eps, s)
 
-    heights = np.array([u.trace[c.x_index] + eps for c in part.cells])
-    diams = np.array([2.0 * c.rd for c in part.cells])
-    rds = np.array([c.rd for c in part.cells])
-    centers = np.array([c.x_c for c in part.cells])
+    centers, diams, heights = calc._barriers(u, part, eps)
 
     # shell masses: discrete on the grid versus the closed formula
     main5_lhs = float(np.sum(calc.shell_gradient_discrete(centers, diams, s, heights, domain)))
-    main5_rhs = float(np.sum([calc.shell_mass(d, s, ht, n) for d, ht in zip(diams, heights)]))
+    main5_rhs = float(np.sum(calc.shell_mass(diams, s, heights, n)))
 
     grad_u = calc.grad_l1(u)
     main4_lhs = calc.grad_l1(u_t)
@@ -494,7 +491,7 @@ def proof_trace(
     main6_rhs = iso_constant(n) * calc.total_variation(u_t)
 
     # zero-width limit of the shells
-    limit_sum = float(np.sum([calc.shell_mass_limit(d, ht, n) for d, ht in zip(diams, heights)]))
+    limit_sum = float(np.sum(calc.shell_mass_limit(diams, heights, n)))
     inner = calc.interior_region(domain, eps)
     restricted = np.where(inner & domain.mask, u.values, 0.0)
     prelim_lhs = float(np.sum(np.abs(restricted) ** q) * h ** n) ** (1.0 / q)
@@ -502,7 +499,7 @@ def proof_trace(
 
     # partition certificate bounding the shell sum by boundary mass
     omega = unit_ball_volume(n - 1)
-    hs_lhs = float(np.sum(heights * omega * rds ** (n - 1)))
+    hs_lhs = float(np.sum(heights * omega * part.rd ** (n - 1)))
     defect = partition_defect(part, n - 1)
     sup_u = float(np.max(u.trace, initial=0.0))
     hs_rhs = (sup_u + eps) * defect + float(

@@ -41,7 +41,7 @@ from gmtlab.errors import (
     NoTraceError,
     ResolutionError,
 )
-from gmtlab.hausdorff import Partition, PartitionCell, build_partition, estimate_hm
+from gmtlab.hausdorff import Partition, build_partition, estimate_hm, unit_ball_volume
 
 
 def random_function(domain, cloud, rng, sigma=3.0):
@@ -191,6 +191,24 @@ class TestShellMass:
     def test_zero_width_rejected(self):
         with pytest.raises(InvalidArgumentError):
             shell_mass(1.0, 0.0, 1.0, 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_shells_match_python_floats(self, n):
+        # a stack of shells gives the bits of the formula on one Python float
+        rng = np.random.default_rng(5)
+        r, height, s = rng.uniform(0.0, 0.1, 2000), rng.uniform(0.0, 2.0, 2000), 0.0123
+        omega = unit_ball_volume(n)
+        pairs = list(zip(r.tolist(), height.tolist()))
+        assert shell_mass(r, s, height, n).tolist() == [ht / s * omega * ((x + s) ** n - x ** n)
+                                                         for x, ht in pairs]
+        assert shell_mass_limit(r, height, n).tolist() == [ht * n * omega * x ** (n - 1)
+                                                           for x, ht in pairs]
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            shell_mass(np.array([0.1, -0.1]), 0.1, 1.0, 2)
+        with pytest.raises(InvalidArgumentError):
+            shell_mass_limit(0.1, np.array([1.0, -1.0]), 2)
 
 
 class TestShellMassProperties:
@@ -562,19 +580,20 @@ def _ref_shell_gradient(x_c, diam, s, height, domain):
 
 def _ref_truncate(u, part, eps, s):
     dom = u.domain
-    heights = np.array([u.trace[c.x_index] + eps for c in part.cells])
     out = u.values.copy()
     trace_out = u.trace.copy()
     pts = u.cloud.points
-    for cell, height in zip(part.cells, heights):
-        diam = 2.0 * cell.rd
-        lo, hi = _ref_box(dom, cell.x_c, diam + s)
+    for x_index, rd in zip(part.x_index.tolist(), part.rd.tolist()):
+        x_c = pts[x_index]
+        height = u.trace[x_index] + eps
+        diam = 2.0 * rd
+        lo, hi = _ref_box(dom, x_c, diam + s)
         lo, hi = np.maximum(lo, 0), np.minimum(hi, np.array(dom.shape))
         window = tuple(slice(a, b) for a, b in zip(lo, hi))
-        dist = _ref_distance(dom, cell.x_c, lo, hi)
+        dist = _ref_distance(dom, x_c, lo, hi)
         ramp = height * np.clip((dist - diam) / s, 0.0, 1.0)
         out[window] = np.minimum(out[window], np.where(dist <= diam + s, ramp, np.inf))
-        pd = np.linalg.norm(pts - cell.x_c, axis=1)
+        pd = np.linalg.norm(pts - x_c, axis=1)
         near = pd <= diam + s
         tr = height * np.clip((pd[near] - diam) / s, 0.0, 1.0)
         trace_out[near] = np.minimum(trace_out[near], tr)
@@ -684,9 +703,10 @@ class TestBitIdentityWithReferences:
     def test_truncate_in_many_blocks(self, case, monkeypatch, block_points):
         dom, u, part, s_values = case
         widest = 1
-        for lo, hi in (calc._index_box(dom, c.x_c, 2.0 * c.rd + s_values[-1]) for c in part.cells):
+        for x_c, rd in zip(part.x_c, part.rd):
+            lo, hi = calc._index_box(dom, x_c, 2.0 * rd + s_values[-1])
             widest = max(widest, int(np.prod(np.minimum(hi, dom.shape) - np.maximum(lo, 0))))
-        assert len(part.cells) > max(1, block_points // widest)  # several blocks
+        assert len(part) > max(1, block_points // widest)  # several blocks
         monkeypatch.setattr(calc, "_BLOCK_POINTS", block_points)
         out = truncate(u, part, eps=0.05, s=s_values[-1])
         ref_values, ref_trace = _ref_truncate(u, part, 0.05, s_values[-1])
@@ -703,8 +723,8 @@ class TestBitIdentityWithReferences:
         s, eps = 0.1, 0.01
         edge = [j for j in np.argsort(pd) if pd[j] > 0.3 and 2.0 * ((pd[j] - s) / 2.0) + s == pd[j]]
         j = edge[0]
-        cell = PartitionCell(np.arange(len(pts)), i, pts[i], (pd[j] - s) / 2.0, 0.0)
-        part = Partition([cell], 1.0, u.cloud)
+        part = Partition(np.arange(len(pts)), np.array([0, len(pts)]), np.array([i]),
+                     np.array([(pd[j] - s) / 2.0]), np.zeros(1), 1.0, u.cloud)
         out = truncate(u, part, eps=eps, s=s)
         ref_values, ref_trace = _ref_truncate(u, part, eps, s)
         assert out.trace[j] < u.trace[j]
@@ -714,8 +734,8 @@ class TestBitIdentityWithReferences:
     def test_shell_gradient_on_partition_cells(self, case):
         dom, u, part, s_values = case
         for s in s_values:
-            for cell in part.cells[:40]:
-                args = (cell.x_c, 2.0 * cell.rd, s, u.trace[cell.x_index] + 0.05, dom)
+            for x_index, rd in zip(part.x_index[:40], part.rd[:40]):
+                args = (u.cloud.points[x_index], 2.0 * rd, s, u.trace[x_index] + 0.05, dom)
                 assert shell_gradient_discrete(*args) == _ref_shell_gradient(*args)
 
     @pytest.mark.parametrize("block_points", [1, 5000, calc._BLOCK_POINTS])
@@ -723,9 +743,7 @@ class TestBitIdentityWithReferences:
         # all shells at once, in blocks, give each shell's mass exactly
         dom, u, part, s_values = case
         monkeypatch.setattr(calc, "_BLOCK_POINTS", block_points)
-        centers = np.array([c.x_c for c in part.cells])
-        diams = np.array([2.0 * c.rd for c in part.cells])
-        heights = np.array([u.trace[c.x_index] + 0.05 for c in part.cells])
+        centers, diams, heights = calc._barriers(u, part, 0.05)
         for s in s_values:
             masses = shell_gradient_discrete(centers, diams, s, heights, dom)
             ref = [_ref_shell_gradient(*args, s, ht, dom) for *args, ht in zip(centers, diams, heights)]

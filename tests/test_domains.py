@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gmtlab import domains
 from gmtlab.domains import (
     GridDomain,
     _centers_grid,
@@ -305,6 +306,8 @@ _RASTER_CASES = {
     "annulus": (make_annulus, _ref_annulus, ((0.0, 0.0), 1.0, 0.5, 1 / 128)),
     "annulus_off": (make_annulus, _ref_annulus, ((0.1, -0.2), 1.0, 0.45, 1 / 100)),
     "annulus3": (make_annulus, _ref_annulus, ((0.05, 0.0, -0.1), 1.0, 0.5, 1 / 24)),
+    # four cell centres lie exactly on the closed inner rim
+    "annulus_rim": (make_annulus, _ref_annulus, ((0.0, 0.0), 1.0625, 0.5, 1 / 8)),
 }
 
 _CLOUD_CASES = {
@@ -330,6 +333,14 @@ class TestBitIdentityWithReferences:
         assert _same(dom.mask, mask)
         assert _same(dom.origin, origin)
 
+    @pytest.mark.parametrize("block", [1, 1000])
+    @pytest.mark.parametrize("name", ["disk_off", "ball3_off", "annulus_off", "annulus3", "annulus_rim"])
+    def test_radial_masks_in_row_blocks(self, monkeypatch, name, block):
+        # blocks of one row and of a few rows give the whole-grid bits
+        monkeypatch.setattr(domains, "_RADIAL_BLOCK", block)
+        build, ref, args = _RASTER_CASES[name]
+        assert _same(build(*args).mask, ref(*args)[1])
+
     @pytest.mark.parametrize("h", [1 / 128, 1 / 90, 0.0123])
     def test_lattice_coordinates(self, h):
         origin, shape = np.array([-0.37, 0.21, 1.3]), (7, 5, 6)
@@ -348,16 +359,26 @@ class TestBitIdentityWithReferences:
         assert _same(cloud.face_signs, signs)
 
 
+def _build_and_extract_peak(build, *args):
+    """(domain, tracemalloc peak of building it and extracting its boundary)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        dom = build(*args)
+        extract_boundary(dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return dom, peak
+
+
 class TestMemory:
+    # the dense meshgrid path peaked at 32 mask sizes on the disk, a
+    # whole-grid float distance array at 10; row blocks keep it near 2
     def test_disk_build_and_extract_peak(self):
-        # the dense meshgrid path peaked at 32 mask sizes here, the sparse
-        # lattice at 10 (one float distance grid plus two masks)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            dom = make_ball((0.0, 0.0), 1.0, 1 / 1024)
-            extract_boundary(dom)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * dom.mask.nbytes
+        dom, peak = _build_and_extract_peak(make_ball, (0.0, 0.0), 1.0, 1 / 1024)
+        assert peak < 4 * dom.mask.nbytes
+
+    def test_annulus_build_and_extract_peak(self):
+        dom, peak = _build_and_extract_peak(make_annulus, (0.0, 0.0), 1.0, 0.5, 1 / 1024)
+        assert peak < 4 * dom.mask.nbytes

@@ -1,5 +1,6 @@
 """Covering sums, the boundary-measure estimator, and measured partitions."""
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from gmtlab.hausdorff import (
     CoverCell,
     Covering,
     Partition,
-    PartitionCell,
     _ball_groups,
     _box_groups,
     _cloud_nn,
@@ -264,10 +264,9 @@ class TestBuildPartition:
                               weights=np.full(4 * n, sp))
         part = build_partition(cloud, 1.0, 0.25)
         # disjoint, union, nonempty are asserted in the constructor; check rd
-        assert all(c.rd <= 0.125 + 2 * sp for c in part.cells)
+        assert (part.rd <= 0.125 + 2 * sp).all()
         assert part.rd_max <= 0.25
-        total_members = sum(len(c.member_indices) for c in part.cells)
-        assert total_members == len(cloud)
+        assert len(part.order) == part.bounds[-1] == len(cloud)
 
     def test_straight_segment_zero_defect(self):
         cloud = segment_cloud(1.0, 1 / 512)
@@ -284,14 +283,14 @@ class TestBuildPartition:
     def test_representative_is_member(self):
         cloud = circle_cloud(1.0, 1 / 128)
         part = build_partition(cloud, 1.0, 0.2)
-        for cell in part.cells:
-            assert cell.x_index in cell.member_indices
-            assert any(np.allclose(cloud.points[m], cell.x_c) for m in [cell.x_index])
+        for g, x_index in enumerate(part.x_index):
+            assert x_index in part.order[part.bounds[g] : part.bounds[g + 1]]
+        assert np.array_equal(part.x_c, cloud.points[part.x_index])
 
     def test_measure_preserved(self):
         cloud = ellipse_cloud(1.3, 0.7, 1 / 256)
         part = build_partition(cloud, 1.0, 0.2)
-        total = sum(c.hm_est for c in part.cells)
+        total = sum(part.hm_est.tolist())
         assert total == pytest.approx(cloud.total_weight, rel=1e-12)
 
     def test_empty_cloud_rejected(self):
@@ -307,36 +306,52 @@ class TestBuildPartition:
 
 
 class TestPartitionInvariants:
-    def _cell(self, members, rd=0.01):
-        return PartitionCell(member_indices=np.asarray(members, dtype=np.int64), x_index=0,
-                             x_c=np.zeros(2), rd=rd, hm_est=0.0)
+    @staticmethod
+    def _partition(cells, cloud, rds=None, n_column=None):
+        """A partition of the given member lists, its columns of ``n_column`` entries."""
+        n_column = len(cells) if n_column is None else n_column
+        order = np.array([m for cell in cells for m in cell], dtype=np.intp)
+        bounds = np.cumsum([0] + [len(cell) for cell in cells])
+        rds = np.full(n_column, 0.01) if rds is None else np.asarray(rds)
+        return Partition(order, bounds, np.zeros(n_column, dtype=np.intp), rds, np.zeros(n_column),
+                         0.5, cloud)
 
     @pytest.fixture
     def cloud(self):
         return segment_cloud(1.0, 1 / 4)
 
     def test_valid_partition_accepted(self, cloud):
-        assert len(Partition([self._cell([0, 1]), self._cell([2, 3])], 0.5, cloud)) == 2
+        assert len(self._partition([[0, 1], [2, 3]], cloud)) == 2
 
     def test_no_cells_rejected(self, cloud):
         with pytest.raises(InvalidArgumentError, match="no cells"):
-            Partition([], 0.5, cloud)
+            self._partition([], cloud)
 
     def test_empty_cell_rejected(self, cloud):
         with pytest.raises(InvalidArgumentError, match="empty cell"):
-            Partition([self._cell([0, 1, 2, 3]), self._cell([])], 0.5, cloud)
+            self._partition([[0, 1, 2, 3], []], cloud)
 
     def test_overlap_rejected(self, cloud):
         with pytest.raises(InvalidArgumentError, match="overlap"):
-            Partition([self._cell([0, 1, 2]), self._cell([2, 3])], 0.5, cloud)
+            self._partition([[0, 1, 2], [2, 3]], cloud)
 
     def test_uncovered_point_rejected(self, cloud):
         with pytest.raises(InvalidArgumentError, match="cover"):
-            Partition([self._cell([0, 1]), self._cell([3])], 0.5, cloud)
+            self._partition([[0, 1], [3]], cloud)
+
+    def test_order_entry_outside_every_cell_rejected(self, cloud):
+        with pytest.raises(InvalidArgumentError, match="cover"):
+            Partition(np.arange(4), np.array([0, 2]), np.zeros(1, dtype=np.intp), np.full(1, 0.01),
+                      np.zeros(1), 0.5, cloud)
 
     def test_rd_above_delta_rejected(self, cloud):
         with pytest.raises(InvalidArgumentError, match="rd exceeds delta"):
-            Partition([self._cell([0, 1]), self._cell([2, 3], rd=0.6)], 0.5, cloud)
+            self._partition([[0, 1], [2, 3]], cloud, rds=[0.01, 0.6])
+
+    @pytest.mark.parametrize("n_column", [1, 3])
+    def test_column_length_mismatch_rejected(self, cloud, n_column):
+        with pytest.raises(InvalidArgumentError, match="one entry per cell"):
+            self._partition([[0, 1], [2, 3]], cloud, n_column=n_column)
 
 
 class TestPartitionDefect:
@@ -359,16 +374,14 @@ class TestPartitionDefect:
         cloud = circle_cloud(1.0, 1 / 512)
         part = build_partition(cloud, 1.0, 8.0)
         assert len(part) == 1
-        expected = abs(2 * math.pi - 2.0 * part.cells[0].rd)
-        assert part.cells[0].rd == pytest.approx(1.0, rel=2e-3)
+        expected = abs(2 * math.pi - 2.0 * part.rd[0])
+        assert part.rd[0] == pytest.approx(1.0, rel=2e-3)
         assert partition_defect(part, 1.0) == pytest.approx(expected, rel=1e-12)
         assert partition_defect(part, 1.0) == pytest.approx(2 * math.pi - 2.0, rel=5e-3)
 
 
 class TestPartitionExport:
     def test_json_fields(self):
-        import json
-
         cloud = circle_cloud(1.0, 1 / 128)
         part = build_partition(cloud, 1.0, 0.2)
         data = json.loads(partition_to_json(part))
@@ -437,6 +450,12 @@ def _ref_partition_cells(cloud, delta):
     return out
 
 
+def _partition_cells(part):
+    """(rd, x_index, hm_est, members) of each cell of a partition, read from its columns."""
+    return [(part.rd[g].item(), part.x_index[g].item(), part.hm_est[g].item(),
+             part.order[part.bounds[g] : part.bounds[g + 1]].tolist()) for g in range(len(part))]
+
+
 def _scattered_cloud():
     # samples far apart against the resolution: most cells are singletons
     pts = np.random.default_rng(3).uniform(0.0, 4.0, size=(300, 2))
@@ -449,6 +468,13 @@ def _doubled_cloud():
     pts = np.concatenate([base.points, base.points])
     return BoundaryCloud(dim=2, resolution=base.resolution, points=pts,
                          weights=np.concatenate([base.weights, base.weights]) / 2)
+
+
+def _weighted_cloud():
+    # unequal weights: a cell's measure then depends on its summation order
+    base = extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 128))
+    weights = base.weights * np.random.default_rng(7).uniform(0.5, 1.5, len(base))
+    return BoundaryCloud(dim=2, resolution=base.resolution, points=base.points, weights=weights)
 
 
 # name -> (cloud factory, d, delta ladder)
@@ -466,6 +492,7 @@ _RD_CASES = {
     "scattered": (_scattered_cloud, 1.0, (0.3, 0.05)),
     "doubled": (_doubled_cloud, 1.0, (0.5, 0.1)),
     "circle": (lambda: circle_cloud(1.0, 1 / 512), 1.0, (0.4, 0.05)),
+    "weighted": (_weighted_cloud, 1.0, (0.4, 0.05)),
 }
 
 
@@ -513,20 +540,42 @@ class TestPartitionBitIdentity:
         cloud = extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 512))
         delta = 0.6 * 0.05 / 2.0
         part = build_partition(cloud, 1.0, delta)
-        got = [(c.rd, c.x_index, c.hm_est, c.member_indices.tolist()) for c in part.cells]
-        ref = _ref_partition_cells(cloud, delta)
-        assert got == ref
-        assert all(type(c.rd) is float for c in part.cells)
+        assert _partition_cells(part) == _ref_partition_cells(cloud, delta)
+        assert part.rd.dtype == part.hm_est.dtype == np.float64
 
-    @pytest.mark.parametrize("name", ["ball3", "scattered", "doubled"])
+    @pytest.mark.parametrize("name", ["ball3", "scattered", "doubled", "weighted"])
     def test_other_clouds(self, name):
         make, d, deltas = _RD_CASES[name]
         cloud = make()
         for delta in deltas:
             if delta >= 4 * cloud.resolution:
-                got = [(c.rd, c.x_index, c.hm_est, c.member_indices.tolist())
-                       for c in build_partition(cloud, d, delta).cells]
+                got = _partition_cells(build_partition(cloud, d, delta))
                 assert got == _ref_partition_cells(cloud, delta)
+
+    @pytest.mark.parametrize("name", ["disk", "disk_off_fractional_d", "ball3"])
+    def test_defect_matches_per_cell_sum(self, name):
+        make, d, deltas = _RD_CASES[name]
+        cloud = make()
+        omega = unit_ball_volume(d)
+        for delta in deltas:
+            ref = [abs(hm_est - omega * rd ** d) for rd, _, hm_est, _ in _ref_partition_cells(cloud, delta)]
+            assert partition_defect(build_partition(cloud, d, delta), d) == float(np.sum(ref))
+
+    @pytest.mark.parametrize("name", ["disk", "ball3", "scattered"])
+    def test_json_matches_reference_cells(self, name):
+        make, _, deltas = _RD_CASES[name]
+        cloud = make()
+        delta = deltas[-1]
+        ref = _ref_partition_cells(cloud, delta)
+        expected = json.dumps({
+            "delta": delta,
+            "n_cells": len(ref),
+            "total_measure": float(np.sum([hm_est for _, _, hm_est, _ in ref])),
+            "cells": [{"x_c": [float(v) for v in cloud.points[x_index]], "rd": rd,
+                       "hm_est": hm_est, "members": len(members)}
+                      for rd, x_index, hm_est, members in ref],
+        }, indent=2)
+        assert partition_to_json(build_partition(cloud, cloud.dim - 1, delta)) == expected
 
 
 class TestFpsCap:
