@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .domains import (
     BoundaryCloud,
@@ -35,7 +34,7 @@ from .errors import (
     SpecError,
 )
 from .expressions import Expression
-from .hausdorff import Partition, unit_ball_volume
+from .hausdorff import Partition, _cloud_tree, unit_ball_volume
 
 __all__ = [
     "GridFunction",
@@ -493,7 +492,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
 
     # candidate trace points per cell; the slack absorbs the tree's own rounding
     pts = u.cloud.points
-    candidates = cKDTree(pts).query_ball_point(centers, reach * (1.0 + 1e-9), return_sorted=False)
+    candidates = _cloud_tree(u.cloud).query_ball_point(centers, reach * (1.0 + 1e-9), return_sorted=False)
     rows = np.fromiter(itertools.chain.from_iterable(candidates), dtype=np.intp)
     cell = np.repeat(np.arange(len(centers)), [len(c) for c in candidates])
     pd = np.linalg.norm(pts[rows] - centers[cell], axis=1)

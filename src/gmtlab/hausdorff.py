@@ -16,7 +16,12 @@ definition is a deliberate no-op here.
 Coverings and partitions are held as segmented index arrays (cell g owns
 ``order[bounds[g]:bounds[g + 1]]``), and one segmented pass,
 :func:`_cell_rds`, gives every cell's half-diameter, each bit for bit as if
-its cell were computed alone.  A :class:`Partition` keeps that form plus one
+its cell were computed alone; diameters are taken only over the members
+that the triangle inequality lets end one.  The greedy-ball coverings of
+every cascade scale are prefixes of one greedy farthest-point order, whose
+distance updates read a contiguous slab of a copy of the cloud sorted along
+its widest axis.  The cloud's KD-tree and nearest-neighbor gaps are built
+once and cached on the immutable cloud.  A :class:`Partition` keeps that form plus one
 column entry per cell (representative, rd, measure).  ``CoverCell`` and
 ``Covering`` remain the explicit form for coverings built by hand.
 """
@@ -121,6 +126,14 @@ class Partition:
             raise InvalidArgumentError("partition cells do not cover the cloud")
         if not (self.rd <= self.delta).all():
             raise InvalidArgumentError("partition cell rd exceeds delta")
+        # order is now a permutation of the cloud; owner[i] is the cell of point i
+        owner = np.empty(len(self.order), dtype=np.intp)
+        owner[self.order] = np.repeat(np.arange(len(sizes)), sizes)
+        x_index = np.asarray(self.x_index)
+        if not (np.issubdtype(x_index.dtype, np.integer)
+                and ((0 <= x_index) & (x_index < len(owner))).all()
+                and np.array_equal(owner[x_index], np.arange(len(sizes)))):
+            raise InvalidArgumentError("partition representative is not a member of its cell")
 
     @property
     def x_c(self) -> np.ndarray:
@@ -182,12 +195,24 @@ def _small_diameters(pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cloud_nn(tree: cKDTree) -> np.ndarray:
-    """Per-point distance to the nearest other point of the tree (0 for one point)."""
-    if tree.n < 2:
-        return np.zeros(tree.n)
-    dist, _ = tree.query(tree.data, k=2)
-    return dist[:, 1]
+def _cloud_tree(cloud: BoundaryCloud) -> cKDTree:
+    """KD-tree over the cloud's points, built once and cached on the immutable cloud."""
+    tree = vars(cloud).get("_kdtree")
+    if tree is None:
+        tree = vars(cloud)["_kdtree"] = cKDTree(cloud.points)
+    return tree
+
+
+def _cloud_nn(cloud: BoundaryCloud) -> np.ndarray:
+    """Per-point distance to the nearest other point (0 for one point), cached read-only."""
+    gaps = vars(cloud).get("_nn_gaps")
+    if gaps is None:
+        gaps = np.zeros(len(cloud))
+        if len(cloud) >= 2:
+            gaps = _cloud_tree(cloud).query(cloud.points, k=2)[0][:, 1].copy()
+        gaps.setflags(write=False)
+        vars(cloud)["_nn_gaps"] = gaps
+    return gaps
 
 
 def _size_buckets(order: np.ndarray, bounds: np.ndarray):
@@ -197,6 +222,31 @@ def _size_buckets(order: np.ndarray, bounds: np.ndarray):
     for m in np.unique(sizes):
         cells = np.flatnonzero(sizes == m)
         yield cells, order[bounds[cells, None] + np.arange(m)]
+
+
+def _diameter_candidates(points: np.ndarray, order: np.ndarray, bounds: np.ndarray):
+    """The members of each cell that can end one of its diameters, as (order, bounds).
+
+    With r_p a member's distance to the cell centroid, R the largest r_p and
+    L a distance between two members (from the member farthest from the
+    centroid to the member farthest from it), both ends of a diameter D >= L
+    satisfy r_p >= D - R >= L - R by the triangle inequality.  Members below
+    that bound, less a slack of 1e-9 R for rounding, are dropped; every cell
+    keeps at least the pair that gives L.  Cells must be nonempty.
+    """
+    sizes = np.diff(bounds)
+    starts = bounds[:-1]
+    cell = np.repeat(np.arange(len(sizes)), sizes)
+    pts = points[order]
+    centroid = np.add.reduceat(pts, starts, axis=0) / sizes[:, None]
+    r = np.linalg.norm(pts - centroid[cell], axis=1)
+    big_r = np.maximum.reduceat(r, starts)
+    at_max = np.flatnonzero(r == big_r[cell])
+    first = at_max[np.flatnonzero(np.diff(cell[at_max], prepend=-1))]
+    ell = np.maximum.reduceat(np.linalg.norm(pts - pts[first][cell], axis=1), starts)
+    keep = r >= (ell - big_r - 1e-9 * big_r)[cell]
+    kept = np.add.reduceat(keep.astype(np.intp), starts)
+    return order[keep], np.concatenate(([0], np.cumsum(kept)))
 
 
 def _cell_rds(points: np.ndarray, nn_gaps: np.ndarray, order: np.ndarray,
@@ -209,13 +259,17 @@ def _cell_rds(points: np.ndarray, nn_gaps: np.ndarray, order: np.ndarray,
     its rd is min((diameter + compensation) / 2, scale).  Cells are taken in
     buckets of one exact size: a bucket's rows of m gaps are averaged as
     each cell's own m gaps would be (padding would change numpy's pairwise
-    summation), and cells of up to ``_SMALL_CELL`` members get their
-    diameters from :func:`_small_diameters`.  Cells must be nonempty.
+    summation).  Diameters are taken over the members
+    :func:`_diameter_candidates` keeps, which hold every pair at the
+    diameter, so each is the same maximum of the same pair distances;
+    cells of up to ``_SMALL_CELL`` such members get theirs from
+    :func:`_small_diameters`.  Cells must be nonempty.
     """
     mean_gap = np.empty(len(bounds) - 1)
     diam = np.empty(len(bounds) - 1)
     for cells, members in _size_buckets(order, bounds):
         mean_gap[cells] = nn_gaps[members].mean(axis=1)
+    for cells, members in _size_buckets(*_diameter_candidates(points, order, bounds)):
         if members.shape[1] <= _SMALL_CELL:
             diam[cells] = _small_diameters(points[members])
         else:
@@ -249,41 +303,72 @@ def _box_groups(points: np.ndarray, side: float):
     return order, bounds, anchor + (uniq + 0.5) * side
 
 
-def _fps_centers(points: np.ndarray, tree: cKDTree, threshold: float,
-                 limit: int | None = None):
-    """Greedy farthest-point centers until every point is within threshold.
+def _column_norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of ``diff`` (one row per axis).
 
-    ``tree`` indexes ``points``.  A new center at distance ``far`` can only
-    lower the distance of points closer to it than ``far``, so only the rows
-    a ball query returns are updated (the slack absorbs the tree's own
-    rounding); the chosen centers equal those of full-array updates.
+    The squares are summed axis by axis, as np.linalg.norm(rows, axis=1)
+    sums each row, so the norms have the same bits.
     """
-    order = np.lexsort(points.T[::-1])  # deterministic start: smallest coordinates
-    start = int(order[0])
+    d2 = diff[0] * diff[0]
+    for a in range(1, len(diff)):
+        d2 += diff[a] * diff[a]
+    return np.sqrt(d2)
+
+
+def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
+    """One greedy farthest-point order, cut at each of the descending ``thresholds``.
+
+    Returns (centers, counts): the first ``counts[j]`` centers leave every
+    point within ``thresholds[j]``, or ``counts[j]`` is None when that takes
+    more than ``limit`` centers.  The greedy choice does not depend on where
+    it stops (Gonzalez, Theor. Comput. Sci. 38 (1985)), so one run serves
+    every threshold.  A new center c at distance ``far`` can only lower the
+    distance of points closer to it than ``far``.  They all lie in the slab
+    ``|x_a - c_a| <= far`` along the cloud's widest axis a, which is one run
+    of rows of a copy of the cloud sorted along that axis, and in the box of
+    half-side ``far`` around c (the slack absorbs rounding).  Only those rows
+    are updated, with distances of the bits of np.linalg.norm and the
+    ``np.argmax`` tie-break of full-array updates, so the centers are the
+    same.
+    """
+    start = int(np.lexsort(points.T[::-1])[0])  # deterministic start: smallest coordinates
     centers = [start]
+    counts = []
     dist = np.linalg.norm(points - points[start], axis=1)
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    by_axis = np.argsort(points[:, axis], kind="stable")
+    cols = points[by_axis].T.copy()  # one contiguous row of coordinates per axis
+    others = [b for b in range(points.shape[1]) if b != axis]
     while True:
         nxt = int(np.argmax(dist))
         far = dist[nxt]
-        if not far > threshold:
-            return np.asarray(centers, dtype=np.int64)
+        while not far > thresholds[len(counts)]:
+            counts.append(len(centers))
+            if len(counts) == len(thresholds):
+                return np.asarray(centers, dtype=np.int64), counts
         if limit is not None and len(centers) >= limit:
-            return None
+            return np.asarray(centers, dtype=np.int64), counts + [None] * (len(thresholds) - len(counts))
         centers.append(nxt)
-        near = np.asarray(tree.query_ball_point(points[nxt], far * (1.0 + 1e-9)), dtype=np.intp)
-        dist[near] = np.minimum(dist[near], np.linalg.norm(points[near] - points[nxt], axis=1))
+        c = points[nxt]
+        reach = far * (1.0 + 1e-9)
+        lo = np.searchsorted(cols[axis], c[axis] - reach, side="left")
+        hi = np.searchsorted(cols[axis], c[axis] + reach, side="right")
+        slab = cols[:, lo:hi]
+        inside = np.ones(hi - lo, dtype=bool)
+        for b in others:
+            inside &= np.abs(slab[b] - c[b]) <= reach
+        rows = np.flatnonzero(inside)
+        near = by_axis[lo + rows]
+        dist[near] = np.minimum(dist[near], _column_norms(slab[:, rows] - c[:, None]))
 
 
-def _ball_groups(points: np.ndarray, tree: cKDTree, scale: float, limit: int | None = None):
-    """Greedy-ball cells at ``scale`` as (order, bounds), or None past ``limit`` centers.
+def _ball_groups(points: np.ndarray, centers: np.ndarray):
+    """Greedy-ball cells of the given centers as (order, bounds).
 
     Each point joins its nearest center; cells follow the center order, and
     a center that owns no point (a tie lost to a coincident center) gives
     no cell.
     """
-    centers = _fps_centers(points, tree, scale, limit=limit)
-    if centers is None:
-        return None
     _, owner = cKDTree(points[centers]).query(points)
     order, bounds = _group_by_label(owner, len(centers))
     return order, np.unique(bounds)
@@ -344,28 +429,24 @@ def estimate_hm_detail(cloud: BoundaryCloud, d: float, delta: float) -> HmEstima
     if len(cloud) == 0:
         return HmEstimate(0.0, d, delta, "empty", 0)
     pts = cloud.points
-    tree = cKDTree(pts)
-    nn_gaps = _cloud_nn(tree)
+    nn_gaps = _cloud_nn(cloud)
+    scales = [delta]
+    while scales[-1] / 2.0 >= _CASCADE_FLOOR * cloud.resolution:
+        scales.append(scales[-1] / 2.0)
+    centers, counts = _fps_centers(pts, scales, limit=_MAX_FPS_CENTERS)
     best = None
-    skipped = []
-    scale = delta
-    while True:
+    for scale, count in zip(scales, counts):
         order, bounds, _ = _box_groups(pts, scale / math.sqrt(cloud.dim))
         cand = [("boxes", order, bounds)]
-        balls = _ball_groups(pts, tree, scale, limit=_MAX_FPS_CENTERS)
-        if balls is None:
-            skipped.append(scale)
-        else:
-            cand.append(("balls", *balls))
+        if count is not None:
+            cand.append(("balls", *_ball_groups(pts, centers[:count])))
         for kind, order, bounds in cand:
             rds = _cell_rds(pts, nn_gaps, order, bounds, cloud.resolution, scale)
             value = _sum_rd(rds, d)
             if best is None or value < best[0]:
                 best = (value, f"{kind}@{scale:g}", len(rds))
-        scale /= 2.0
-        if scale < _CASCADE_FLOOR * cloud.resolution:
-            break
-    return HmEstimate(best[0], d, delta, best[1], best[2], fps_skipped=tuple(skipped))
+    skipped = tuple(scale for scale, count in zip(scales, counts) if count is None)
+    return HmEstimate(best[0], d, delta, best[1], best[2], fps_skipped=skipped)
 
 
 def estimate_hm(cloud: BoundaryCloud, d: float, delta: float) -> float:
@@ -392,7 +473,7 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
             f"delta {delta} must be at least 4 times the resolution {cloud.resolution}"
         )
     pts = cloud.points
-    nn_gaps = _cloud_nn(cKDTree(pts))
+    nn_gaps = _cloud_nn(cloud)
     order, bounds, _ = _box_groups(pts, delta / math.sqrt(cloud.dim))
     rds = _cell_rds(pts, nn_gaps, order, bounds, cloud.resolution, delta)
     centroid = np.empty((len(rds), cloud.dim))

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from gmtlab import hausdorff
+from gmtlab import hausdorff, inequalities
+from gmtlab.calculus import from_expression
 from gmtlab.domains import BoundaryCloud, extract_boundary, make_annulus, make_ball
 from gmtlab.errors import EmptyCloudError, InvalidArgumentError, ResolutionError
 from gmtlab.hausdorff import (
@@ -116,7 +120,8 @@ class TestFpsCenters:
         cloud = fps_clouds[name]
         threshold = k * cloud.resolution
         expected = _fps_reference(cloud.points, threshold)
-        got = _fps_centers(cloud.points, cKDTree(cloud.points), threshold)
+        got, counts = _fps_centers(cloud.points, [threshold])
+        assert counts == [len(expected)]
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
 
@@ -124,11 +129,10 @@ class TestFpsCenters:
         cloud = fps_clouds["disk"]
         threshold = 4 * cloud.resolution
         n_centers = len(_fps_reference(cloud.points, threshold))
-        tree = cKDTree(cloud.points)
         assert _fps_reference(cloud.points, threshold, limit=n_centers - 1) is None
-        assert _fps_centers(cloud.points, tree, threshold, limit=n_centers - 1) is None
+        assert _fps_centers(cloud.points, [threshold], limit=n_centers - 1)[1] == [None]
         np.testing.assert_array_equal(
-            _fps_centers(cloud.points, tree, threshold, limit=n_centers),
+            _fps_centers(cloud.points, [threshold], limit=n_centers)[0],
             _fps_reference(cloud.points, threshold),
         )
 
@@ -166,10 +170,8 @@ class TestBoxGroups:
 class TestBallCovering:
     def test_cells_are_owner_groups_in_ascending_order(self):
         cloud = ellipse_cloud(1.3, 0.7, 1 / 256)
-        tree = cKDTree(cloud.points)
-        delta = 0.05
-        cells = _segments(*_ball_groups(cloud.points, tree, delta))
-        centers = _fps_centers(cloud.points, tree, delta)
+        centers, _ = _fps_centers(cloud.points, [0.05])
+        cells = _segments(*_ball_groups(cloud.points, centers))
         _, owner = cKDTree(cloud.points[centers]).query(cloud.points)
         expected = [np.flatnonzero(owner == ci) for ci in range(len(centers))]
         expected = [m for m in expected if len(m) > 0]
@@ -177,14 +179,11 @@ class TestBallCovering:
         for members, ref in zip(cells, expected):
             np.testing.assert_array_equal(members, ref)
 
-    def test_center_owning_no_point_is_skipped(self, monkeypatch):
+    def test_center_owning_no_point_is_skipped(self):
         # two coincident centers: the nearest-center query gives every tied
         # point to one of them, so the other owns nothing and yields no cell
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        tree = cKDTree(pts)
-        monkeypatch.setattr(hausdorff, "_fps_centers",
-                            lambda *args, **kwargs: np.array([0, 1, 2], dtype=np.int64))
-        cells = _segments(*_ball_groups(pts, tree, 0.5))
+        cells = _segments(*_ball_groups(pts, np.array([0, 1, 2], dtype=np.int64)))
         assert [list(m) for m in cells] == [[0, 1], [2]]
 
 
@@ -308,13 +307,18 @@ class TestBuildPartition:
 class TestPartitionInvariants:
     @staticmethod
     def _partition(cells, cloud, rds=None, n_column=None):
-        """A partition of the given member lists, its columns of ``n_column`` entries."""
+        """A partition of the given member lists, its columns of ``n_column`` entries.
+
+        Each cell's representative is its first member (0 for an empty cell
+        and for entries past the last cell).
+        """
         n_column = len(cells) if n_column is None else n_column
         order = np.array([m for cell in cells for m in cell], dtype=np.intp)
         bounds = np.cumsum([0] + [len(cell) for cell in cells])
+        firsts = [cell[0] if cell else 0 for cell in cells[:n_column]]
+        x_index = np.array(firsts + [0] * (n_column - len(firsts)), dtype=np.intp)
         rds = np.full(n_column, 0.01) if rds is None else np.asarray(rds)
-        return Partition(order, bounds, np.zeros(n_column, dtype=np.intp), rds, np.zeros(n_column),
-                         0.5, cloud)
+        return Partition(order, bounds, x_index, rds, np.zeros(n_column), 0.5, cloud)
 
     @pytest.fixture
     def cloud(self):
@@ -352,6 +356,18 @@ class TestPartitionInvariants:
     def test_column_length_mismatch_rejected(self, cloud, n_column):
         with pytest.raises(InvalidArgumentError, match="one entry per cell"):
             self._partition([[0, 1], [2, 3]], cloud, n_column=n_column)
+
+    def test_representative_outside_its_cell_rejected(self, cloud):
+        # both cells name point 0, which belongs to the first cell only
+        with pytest.raises(InvalidArgumentError, match="representative"):
+            Partition(np.arange(4), np.array([0, 2, 4]), np.array([0, 0]), np.full(2, 0.01),
+                      np.zeros(2), 0.5, cloud)
+
+    @pytest.mark.parametrize("x_index", [[1, 4], [-1, 2], [0.0, 2.0]])
+    def test_representative_not_a_point_index_rejected(self, cloud, x_index):
+        with pytest.raises(InvalidArgumentError, match="representative"):
+            Partition(np.arange(4), np.array([0, 2, 4]), np.array(x_index), np.full(2, 0.01),
+                      np.zeros(2), 0.5, cloud)
 
 
 class TestPartitionDefect:
@@ -405,8 +421,7 @@ def _ref_sample_rd(pts, nn_gaps, resolution, scale):
 def _ref_estimate(cloud, d, delta):
     """The per-cell estimator: one CoverCell per cell, one Covering per candidate."""
     pts = cloud.points
-    tree = cKDTree(pts)
-    nn_gaps = _cloud_nn(tree)
+    nn_gaps = _cloud_nn(cloud)
     best = None
     scale = delta
     while True:
@@ -414,7 +429,7 @@ def _ref_estimate(cloud, d, delta):
         cells = [CoverCell(centers[g], _ref_sample_rd(pts[m], nn_gaps[m], cloud.resolution, scale), m)
                  for g, m in enumerate(_segments(order, bounds))]
         coverings = [("boxes", Covering(d, cells, len(pts)))]
-        fps = _fps_centers(pts, tree, scale, limit=hausdorff._MAX_FPS_CENTERS)
+        fps = _fps_reference(pts, scale, limit=hausdorff._MAX_FPS_CENTERS)
         if fps is not None:
             _, owner = cKDTree(pts[fps]).query(pts)
             cells = []
@@ -435,7 +450,7 @@ def _ref_estimate(cloud, d, delta):
 
 def _ref_partition_cells(cloud, delta):
     """(rd, x_index, hm_est, members) of each box cell, computed cell by cell."""
-    nn_gaps = _cloud_nn(cKDTree(cloud.points))
+    nn_gaps = _cloud_nn(cloud)
     order, bounds, _ = _box_groups(cloud.points, delta / math.sqrt(cloud.dim))
     out = []
     for members in _segments(order, bounds):
@@ -524,10 +539,9 @@ class TestSegmentedRdBitIdentity:
 
     def test_cell_rds_of_ball_cells(self, case):
         _, cloud, _, deltas = case
-        tree = cKDTree(cloud.points)
-        nn_gaps = _cloud_nn(tree)
+        nn_gaps = _cloud_nn(cloud)
         for scale in deltas:
-            order, bounds = _ball_groups(cloud.points, tree, scale)
+            order, bounds = _ball_groups(cloud.points, _fps_centers(cloud.points, [scale])[0])
             rds = hausdorff._cell_rds(cloud.points, nn_gaps, order, bounds, cloud.resolution, scale)
             ref = [_ref_sample_rd(cloud.points[m], nn_gaps[m], cloud.resolution, scale)
                    for m in _segments(order, bounds)]
@@ -581,9 +595,8 @@ class TestPartitionBitIdentity:
 class TestFpsCap:
     def test_skipped_scales_are_recorded(self, monkeypatch):
         cloud = extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 64))
-        tree = cKDTree(cloud.points)
         scales = (0.5, 0.25, 0.125)  # the cascade from 0.5 down to 8h
-        counts = {s: len(_fps_centers(cloud.points, tree, s)) for s in scales}
+        counts = {s: len(_fps_reference(cloud.points, s)) for s in scales}
         assert counts[0.5] < counts[0.25] < counts[0.125]
         assert estimate_hm_detail(cloud, 1.0, 0.5).fps_skipped == ()
 
@@ -598,7 +611,183 @@ class TestFpsCap:
         for s in scales:
             order, bounds, _ = _box_groups(cloud.points, s / math.sqrt(2))
             boxes.append(cover_sum(Covering(1.0, [
-                CoverCell(np.zeros(2), _ref_sample_rd(cloud.points[m], _cloud_nn(tree)[m],
+                CoverCell(np.zeros(2), _ref_sample_rd(cloud.points[m], _cloud_nn(cloud)[m],
                                                       cloud.resolution, s), m)
                 for m in _segments(order, bounds)], len(cloud))))
         assert est.value == min(boxes)
+
+
+# ---------------------------------------------------------------------------
+# one greedy order for the whole cascade, slab-row distances, pruned diameters
+
+
+def _dyadic_scales(cloud, top=64, bottom=2):
+    """top*h, top*h/2, ..., bottom*h."""
+    return [cloud.resolution * top / 2 ** j for j in range(int(math.log2(top // bottom)) + 1)]
+
+
+class TestOneGreedyRun:
+    @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
+    def test_prefixes_match_per_scale_reference(self, fps_clouds, name):
+        cloud = fps_clouds[name]
+        scales = _dyadic_scales(cloud)
+        centers, counts = _fps_centers(cloud.points, scales)
+        refs = [_fps_reference(cloud.points, s) for s in scales]
+        assert counts == [len(ref) for ref in refs]
+        assert len(centers) == counts[-1]
+        for ref, count in zip(refs, counts):
+            np.testing.assert_array_equal(centers[:count], ref)
+
+    @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
+    def test_limit_leaves_the_finer_scales_none(self, fps_clouds, name):
+        cloud = fps_clouds[name]
+        scales = _dyadic_scales(cloud, top=32, bottom=4)
+        full = [len(_fps_reference(cloud.points, s)) for s in scales]
+        limit = full[1]  # enough for the two coarsest scales only
+        centers, counts = _fps_centers(cloud.points, scales, limit=limit)
+        assert counts == full[:2] + [None] * (len(scales) - 2)
+        for s, count in zip(scales, counts):
+            ref = _fps_reference(cloud.points, s, limit=limit)
+            if count is None:
+                assert ref is None
+            else:
+                np.testing.assert_array_equal(centers[:count], ref)
+
+    def test_single_point(self):
+        centers, counts = _fps_centers(np.array([[0.5, 0.25]]), [1.0, 0.5])
+        assert centers.tolist() == [0] and counts == [1, 1]
+
+
+class TestColumnNorms:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bits_of_linalg_norm_on_random_rows(self, dim):
+        rng = np.random.default_rng(dim)
+        pts = rng.normal(size=(50000, dim)) * rng.uniform(1e-3, 1e3, size=(50000, dim))
+        for c in (pts[7], np.zeros(dim), pts.mean(axis=0)):
+            assert np.array_equal(hausdorff._column_norms((pts - c).T),
+                                  np.linalg.norm(pts - c, axis=1))
+
+    @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
+    def test_bits_of_linalg_norm_on_clouds(self, fps_clouds, name):
+        pts = fps_clouds[name].points
+        for c in pts[:: max(1, len(pts) // 50)]:
+            assert np.array_equal(hausdorff._column_norms((pts - c).T),
+                                  np.linalg.norm(pts - c, axis=1))
+
+
+def _cells_from_lists(cells):
+    """(order, bounds) of explicit member lists."""
+    order = np.array([m for cell in cells for m in cell], dtype=np.intp)
+    return order, np.cumsum([0] + [len(cell) for cell in cells])
+
+
+class TestPrunedDiameters:
+    def _assert_rds_match_reference(self, cloud, order, bounds, scale):
+        nn_gaps = _cloud_nn(cloud)
+        rds = hausdorff._cell_rds(cloud.points, nn_gaps, order, bounds, cloud.resolution, scale)
+        ref = [_ref_sample_rd(cloud.points[m], nn_gaps[m], cloud.resolution, scale)
+               for m in _segments(order, bounds)]
+        assert rds.tolist() == ref
+
+    @pytest.mark.parametrize("name", sorted(_RD_CASES))
+    def test_box_cells(self, name):
+        make, _, deltas = _RD_CASES[name]
+        cloud = make()
+        for delta in deltas:
+            order, bounds, _ = _box_groups(cloud.points, delta / math.sqrt(cloud.dim))
+            self._assert_rds_match_reference(cloud, order, bounds, delta)
+
+    def test_collinear_and_coincident_members(self):
+        line = np.linspace(0.0, 1.0, 150)
+        pts = np.concatenate([
+            np.stack([line, 2.0 * line], axis=1),          # 150 collinear, evenly spaced
+            np.stack([line ** 3, -line ** 3], axis=1) + 3,  # 150 collinear, crowded at one end
+            np.full((100, 2), 0.25),                        # 100 coincident
+            np.full((5, 2), -1.0),                          # 5 coincident
+            [[0.0, -2.0], [0.0, -2.0], [1e-9, -2.0]],       # two coincident and a near one
+            [[5.0, 5.0]],                                   # a singleton
+            np.concatenate([np.zeros((2000, 2)), [[1.0, 0.0]]]) + [-3.0, 0.0],  # many at one end
+        ])
+        cloud = BoundaryCloud(dim=2, resolution=1e-3, points=pts, weights=np.full(len(pts), 1e-3))
+        sizes = [150, 150, 100, 5, 3, 1, 2001]
+        cells = np.split(np.arange(len(pts)), np.cumsum(sizes)[:-1])
+        order, bounds = _cells_from_lists([c.tolist() for c in cells])
+        self._assert_rds_match_reference(cloud, order, bounds, 10.0)
+
+    @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
+    def test_candidates_keep_the_diameter_and_drop_most_members(self, fps_clouds, name):
+        cloud = fps_clouds[name]
+        order, bounds, _ = _box_groups(cloud.points, 16 * cloud.resolution)
+        kept, kept_bounds = hausdorff._diameter_candidates(cloud.points, order, bounds)
+        for members, survivors in zip(_segments(order, bounds), _segments(kept, kept_bounds)):
+            assert set(survivors.tolist()) <= set(members.tolist())
+            assert _diameter(cloud.points[survivors]) == _diameter(cloud.points[members])
+        assert len(kept) < len(order) / 2
+
+
+class TestOneTreePerCloud:
+    def test_trace_builds_one_tree_and_one_gap_array(self, monkeypatch):
+        builds, gap_queries = [], []
+
+        class CountingTree(cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                builds.append(len(data))
+                super().__init__(data, *args, **kwargs)
+
+            def query(self, x, k=1, *args, **kwargs):
+                if k == 2:
+                    gap_queries.append(len(x))
+                return super().query(x, k, *args, **kwargs)
+
+        monkeypatch.setattr(hausdorff, "cKDTree", CountingTree)
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 128)
+        cloud = extract_boundary(dom)
+        u = from_expression(dom, "max(0, 1 - r*r)", cloud, lipschitz=2.0)
+        inequalities.proof_trace(dom, u, eps=0.2)
+        assert builds.count(len(cloud)) == 1
+        assert gap_queries == [len(cloud)]
+        assert _cloud_nn(cloud) is _cloud_nn(cloud)
+        assert not _cloud_nn(cloud).flags.writeable
+
+
+_O_SCRIPT = """
+import numpy as np
+from gmtlab.domains import BoundaryCloud
+from gmtlab.errors import GmtLabError, InvalidArgumentError
+from gmtlab.hausdorff import Partition, build_partition, estimate_hm_detail
+
+assert False, "this script must run with assertions stripped"
+pts = np.stack([np.arange(4) * 0.25, np.zeros(4)], axis=1)
+cloud = BoundaryCloud(dim=2, resolution=0.25, points=pts, weights=np.full(4, 0.25))
+bad = {
+    "no cells": ([], [0], []),
+    "empty cell": ([0, 1, 2, 3], [0, 4, 4], [0, 0]),
+    "overlap": ([0, 1, 2, 2, 3], [0, 3, 5], [0, 2]),
+    "cover": ([0, 1, 3], [0, 2, 3], [0, 3]),
+    "representative": ([0, 1, 2, 3], [0, 2, 4], [0, 0]),
+}
+for name, (order, bounds, x_index) in bad.items():
+    k = len(bounds) - 1
+    try:
+        Partition(np.array(order, dtype=np.intp), np.array(bounds), np.array(x_index, dtype=np.intp),
+                  np.full(k, 0.01), np.zeros(k), 0.5, cloud)
+    except InvalidArgumentError as exc:
+        assert name in str(exc)
+        print("raised", name)
+for d, delta in [(1.0, float("nan")), (float("inf"), 0.5)]:
+    for fn in (estimate_hm_detail, build_partition):
+        try:
+            fn(cloud, d, delta)
+        except InvalidArgumentError as exc:
+            print("raised", fn.__name__, "finite" in str(exc))
+"""
+
+
+def test_typed_checks_survive_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", _O_SCRIPT], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.split("\n")
+    assert out[:5] == ["raised no cells", "raised empty cell", "raised overlap", "raised cover",
+                       "raised representative"]
+    assert out[5:9] == ["raised estimate_hm_detail True", "raised build_partition True"] * 2
