@@ -15,17 +15,18 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .domains import (
     BoundaryCloud,
     GridDomain,
     _lattice,
+    check_eps,
     dilate,
     extract_boundary,
     parse_domain_text,
     serialize_domain,
     volume,
+    within_distance,
 )
 from .errors import (
     InvalidArgumentError,
@@ -432,22 +433,10 @@ def shell_gradient_discrete(x_c, diam, s: float, height, domain: GridDomain):
 
 
 def interior_region(domain: GridDomain, eps: float) -> np.ndarray:
-    """Cells whose eps-ball stays inside the domain (conservative mask)."""
-    return _interior_distance(domain) >= eps + 0.5 * domain.spacing
-
-
-def _interior_distance(domain: GridDomain) -> np.ndarray:
-    """Distance from each cell centre to the nearest exterior cell centre (0 outside).
-
-    A pure function of the immutable domain: computed once and cached on it
-    read-only, like its boundary cloud.
-    """
-    dist = vars(domain).get("_interior_distance")
-    if dist is None:
-        dist = ndimage.distance_transform_edt(domain.mask, sampling=domain.spacing)
-        dist.setflags(write=False)
-        object.__setattr__(domain, "_interior_distance", dist)
-    return dist
+    """Cells whose eps-ball stays inside the domain (conservative mask): those
+    at least eps + h/2 from every exterior cell centre."""
+    h = domain.spacing
+    return ~within_distance(~domain.mask, check_eps(eps) + 0.5 * h, h, strict=True)
 
 
 def _barriers(u: GridFunction, part: Partition, eps: float):
@@ -501,7 +490,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     trace_out = u.trace.copy()
     np.minimum.at(trace_out, rows[near], _ramp(pd[near], diams[cell], s, heights[cell]))
     # discrete vanishing trace: zero out the collar next to the boundary
-    collar = mask & (_interior_distance(dom) <= 1.5 * dom.spacing)
+    collar = mask & within_distance(~mask, 1.5 * dom.spacing, dom.spacing)
     out[collar] = 0.0
     out[~mask] = 0.0
     result = GridFunction(dom, out, u.cloud, trace_out)
@@ -644,7 +633,7 @@ def minkowski_steiner(domain: GridDomain, eps_list) -> SteinerResult:
     volumes (where the lattice rasterization bias cancels) are extrapolated
     linearly to zero width.
     """
-    eps_list = [float(e) for e in eps_list]
+    eps_list = [check_eps(e) for e in eps_list]
     if not eps_list:
         raise InvalidArgumentError("need at least one eps value")
     if any(e <= 2 * domain.spacing for e in eps_list):
@@ -677,6 +666,8 @@ def restrict_to_domain(u: GridFunction, domain: GridDomain, cloud: BoundaryCloud
     if cloud is None:
         cloud = extract_boundary(domain)
     src = u.values
+
+    from scipy import ndimage  # first use only: the one caller of scipy.ndimage
 
     def sample(points):
         coords = (points - u.domain.origin) / h - 0.5

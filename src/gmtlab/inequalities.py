@@ -454,8 +454,8 @@ def proof_trace(
     if u.lipschitz is None:
         raise NoModulusError("proof trace needs a declared modulus of continuity")
     h = domain.spacing
-    if eps <= 0:
-        raise InvalidArgumentError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidArgumentError(f"eps must be positive and finite, got {eps!r}")
     if eps < 16 * h:
         raise InvalidArgumentError("eps must be at least 16 grid spacings")
     n = domain.dim

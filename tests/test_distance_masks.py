@@ -1,0 +1,211 @@
+"""Thresholded distance masks: the truncation collar, the eps-interior and dilation.
+
+``within_distance`` forms these masks without a full-grid distance
+transform.  ``ndimage.distance_transform_edt`` is the oracle here:
+every mask must equal its threshold bit for bit, except where offsets of one
+squared length fall on both sides of the threshold.  There the helper's
+stated rule (a length is within when its shortest offset is) is checked
+against brute force.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import ndimage
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from gmtlab.calculus import from_expression, interior_region, minkowski_steiner  # noqa: E402
+from gmtlab.domains import GridDomain, dilate, make_ball, within_distance  # noqa: E402
+from gmtlab.errors import InvalidArgumentError  # noqa: E402
+from gmtlab.inequalities import proof_trace  # noqa: E402
+
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# dyadic spacings make every offset's float distance exact; the others round
+_SPACINGS = [1 / 16, 1 / 8, 0.1, 1 / 3, 0.07]
+
+
+@st.composite
+def small_domains(draw):
+    """A random mask in 2D or 3D that keeps the one-cell false margin."""
+    dim = draw(st.sampled_from([2, 3]))
+    sides = [draw(st.integers(3, 13 if dim == 2 else 7)) for _ in range(dim)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = np.zeros(sides, dtype=bool)
+    mask[(slice(1, -1),) * dim] = rng.random([s - 2 for s in sides]) < draw(st.floats(0.2, 0.95))
+    return GridDomain(draw(st.sampled_from(_SPACINGS)), np.zeros(dim), mask)
+
+
+@st.composite
+def widths(draw, h):
+    """eps on a multiple of h, off it, or h (the collar's 1.5h threshold)."""
+    kind = draw(st.sampled_from(["collar", "on", "off"]))
+    if kind == "collar":
+        return h
+    if kind == "on":
+        return draw(st.integers(0, 5)) * h
+    return draw(st.floats(0.0, 5.0)) * h
+
+
+def _distances(offsets, h):
+    """scipy's formula: sqrt of the per-axis squares of d * h, summed in axis order."""
+    dt = offsets * h
+    dt *= dt
+    return np.sqrt(np.add.reduce(dt, axis=0))
+
+
+def _straddles(t, h, n, strict):
+    """Whether offsets of one squared length fall on both sides of t."""
+    reach = int(t / h) + 2
+    offsets = np.indices((reach + 1,) * n).reshape(n, -1)
+    lengths = np.sum(offsets * offsets, axis=0)
+    inside = _distances(offsets, h) < t if strict else _distances(offsets, h) <= t
+    return any(len(set(inside[lengths == k])) > 1 for k in np.unique(lengths))
+
+
+def _length_rule(source, t, h, strict):
+    """Brute force of the stated rule: a cell is within t when the shortest
+    offset (in float distance) of its squared index distance to the sources is."""
+    n = source.ndim
+    cells = np.indices(source.shape).reshape(n, -1)
+    src = np.argwhere(source).T
+    if src.shape[1] == 0:
+        return np.zeros(source.shape, dtype=bool)
+    offsets = cells[:, :, None] - src[:, None, :]
+    lengths = np.sum(offsets * offsets, axis=0).min(axis=1)
+    box = np.indices((math.isqrt(int(lengths.max())) + 1,) * n).reshape(n, -1)
+    least = np.full(int(lengths.max()) + 1, np.inf)
+    in_box = np.sum(box * box, axis=0)
+    keep = in_box < len(least)
+    np.minimum.at(least, in_box[keep], _distances(box[:, keep], h))
+    dist = least[lengths]
+    return (dist < t if strict else dist <= t).reshape(source.shape)
+
+
+def _edt(mask, h):
+    return ndimage.distance_transform_edt(mask, sampling=h)
+
+
+@_SETTINGS
+@given(dom=small_domains(), data=st.data())
+def test_thresholds_match_the_edt(dom, data):
+    h, n, mask = dom.spacing, dom.dim, dom.mask
+    length = data.draw(st.integers(0, 30))
+    side = data.draw(st.sampled_from([-math.inf, math.inf]))
+    eps = data.draw(widths(h))
+    # an offset's own float distance: with a non-dyadic h, often a length whose offsets straddle it
+    offset = np.array([data.draw(st.integers(0, 6)) for _ in range(n)])
+    thresholds = [1.5 * h, eps + 0.5 * h, float(np.nextafter(math.sqrt(length) * h, side)),
+                  float(_distances(offset, h))]
+    dist = _edt(mask, h)
+    for t in thresholds:
+        for strict in (False, True):
+            got = within_distance(~mask, t, h, strict)
+            assert np.array_equal(got, _length_rule(~mask, t, h, strict))
+            if not _straddles(t, h, n, strict):
+                assert np.array_equal(got, dist < t if strict else dist <= t)
+
+    # the collar and the interior as truncate and proof_trace form them
+    if not _straddles(1.5 * h, h, n, False):
+        assert np.array_equal(mask & within_distance(~mask, 1.5 * h, h), mask & (dist <= 1.5 * h))
+    t = eps + 0.5 * h
+    if not _straddles(t, h, n, True):
+        assert np.array_equal(interior_region(dom, eps), dist >= t)
+    if mask.any() and not _straddles(t, h, n, False):
+        grown = dilate(dom, eps)
+        pad = int(np.ceil(eps / h)) + 2 if eps else 0
+        assert np.array_equal(grown.mask, _edt(~np.pad(mask, pad), h) <= t)
+        assert np.array_equal(grown.origin, dom.origin - pad * h)
+
+
+def test_proof_disk_masks_match_the_edt():
+    """The proof workload's grid: the eps-interior at 26 cells and the collar."""
+    dom = make_ball((0.0, 0.0), 1.0, 1 / 256)
+    h = dom.spacing
+    dist = _edt(dom.mask, h)
+    for eps in (0.05, 0.1, 0.35):
+        assert np.array_equal(interior_region(dom, eps), dist >= eps + 0.5 * h)
+    assert np.array_equal(dom.mask & within_distance(~dom.mask, 1.5 * h, h), dom.mask & (dist <= 1.5 * h))
+
+
+def test_empty_source_reaches_nothing():
+    empty = np.zeros((6, 7, 5), dtype=bool)
+    for t in (0.05, 1.0):
+        assert not within_distance(empty, t, 0.1).any()
+    dom = GridDomain(0.1, np.zeros(2), np.zeros((5, 5), dtype=bool))
+    assert not dilate(dom, 0.3).mask.any()
+
+
+def test_straddled_length_counts_as_within():
+    """At h = 1/3 the offsets (5, 0) and (3, 4) of squared length 25 round to
+    distances one ulp apart; at a threshold between them the EDT keeps one
+    cell and drops the other, while the stated rule keeps both."""
+    h = 1 / 3
+    source = np.zeros((13, 13), dtype=bool)
+    source[6, 6] = True
+    short, long = sorted(float(_distances(np.array(d), h)) for d in ((5, 0), (3, 4)))
+    assert short < long
+    dist = _edt(~source, h)
+    assert (dist[11, 6] <= short) != (dist[9, 10] <= short)
+    got = within_distance(source, short, h)
+    assert got[11, 6] and got[9, 10] and got[6, 1] and got[10, 3]
+    assert not within_distance(source, short, h, strict=True)[11, 6]
+
+
+@pytest.mark.parametrize("shape", [(9, 11), (4, 5, 6)])
+def test_corner_source_reaches_across_the_grid(shape):
+    """A source on the grid's corner: the farthest cells need the longest shift
+    along every axis, and large thresholds reach the opposite corner."""
+    h = 0.1
+    source = np.zeros(shape, dtype=bool)
+    source[(0,) * len(shape)] = True
+    dist = _edt(~source, h)
+    for t in (2.5 * h, 5.0 * h, 7.1 * h, 12.9 * h, 1e3):
+        for strict in (False, True):
+            assert np.array_equal(within_distance(source, t, h, strict), dist < t if strict else dist <= t)
+
+
+def test_threshold_past_the_grid_reaches_every_cell():
+    """A huge finite eps is legal: nothing is that deep inside, and every cell
+    is that near a source."""
+    dom = make_ball((0.0, 0.0, 0.0), 0.3, 0.1)
+    assert not interior_region(dom, 1e300).any()
+    for strict in (False, True):
+        assert within_distance(dom.mask, 1e300, 0.1, strict).all()
+        assert within_distance(dom.mask, 50.0, 0.1, strict).all()
+
+
+def test_threshold_below_every_source_reaches_nothing():
+    source = np.zeros((5, 5), dtype=bool)
+    source[2, 2] = True
+    assert not within_distance(source, 0.0, 0.1, strict=True).any()
+    assert np.array_equal(within_distance(source, 0.0, 0.1), source)
+
+
+class TestBadEps:
+    @pytest.fixture(scope="class")
+    def disk(self):
+        return make_ball((0.0, 0.0), 0.5, 1 / 32)
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, -1.0])
+    def test_dilate(self, disk, eps):
+        with pytest.raises(InvalidArgumentError, match="eps must be finite and nonnegative"):
+            dilate(disk, eps)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])
+    def test_interior_region(self, disk, eps):
+        with pytest.raises(InvalidArgumentError, match="eps must be finite and nonnegative"):
+            interior_region(disk, eps)
+
+    @pytest.mark.parametrize("eps_list", [[math.nan], [math.inf, 0.5], [0.5, math.nan]])
+    def test_minkowski_steiner(self, disk, eps_list):
+        with pytest.raises(InvalidArgumentError, match="eps must be finite and nonnegative"):
+            minkowski_steiner(disk, eps_list)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_proof_trace(self, disk, eps):
+        u = from_expression(disk, "max(0, 1 - r*r)", lipschitz=2.0)
+        with pytest.raises(InvalidArgumentError, match="eps must be positive and finite"):
+            proof_trace(disk, u, eps)

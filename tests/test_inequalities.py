@@ -567,8 +567,8 @@ class TestVerdictHomogeneity:
 
 
 class TestComputedOnce:
-    """Domains and functions are immutable: their distance transform and
-    gradient are computed once and cached on them read-only."""
+    """Functions are immutable: their gradient is computed once and cached on
+    them read-only.  Distance masks never run a full-grid EDT."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -590,12 +590,15 @@ class TestComputedOnce:
         monkeypatch.setattr(calc, "_grad_stencil", counting_stencil)
         return edt_calls, stencil_runs
 
-    def test_proof_trace_runs_each_transform_and_stencil_once(self, monkeypatch):
+    def test_proof_trace_runs_each_stencil_once_without_edt(self, monkeypatch):
+        from gmtlab.calculus import minkowski_steiner
+
         dom = make_ball((0.0, 0.0), 1.0, 1 / 256)  # fresh: nothing cached yet
         u = from_expression(dom, "max(0, 1 - r*r)", lipschitz=2.0)
         edt_calls, stencil_runs = self._count(monkeypatch)
         assert proof_trace(dom, u, eps=0.1).all_hold
-        assert len(edt_calls) == 1  # truncate's collar and interior_region share it
+        minkowski_steiner(dom, [0.1, 0.05, 0.025])
+        assert edt_calls == []  # the collar, interior_region and dilate threshold capped distances
         assert len(stencil_runs) == 2  # u (also for main3's check_mazya) and u_t
         assert stencil_runs[0] is not stencil_runs[1] and any(v is u.values for v in stencil_runs)
 
@@ -620,8 +623,5 @@ class TestComputedOnce:
         u = from_expression(dom, "x*x")
         mag2 = calc._gradient_mag_squared(u)
         assert calc._gradient_mag_squared(u) is mag2
-        dist = calc._interior_distance(dom)
-        assert calc._interior_distance(dom) is dist
-        for arr in (mag2, dist):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            mag2[0, 0] = 1.0

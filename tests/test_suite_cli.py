@@ -516,6 +516,15 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_leaves_scipy_ndimage_unloaded(self):
+        src = os.path.dirname(os.path.dirname(gmtlab.__file__))
+        code = "import sys, gmtlab.cli; assert 'scipy.ndimage' not in sys.modules"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=REPO,
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_bundled_smoke_suite(self, capsys):
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         suite = os.path.join(here, "suites", "smoke.json")
