@@ -8,12 +8,10 @@ from .domains import (  # noqa: F401
     dilate,
     domain_from_spec,
     extract_boundary,
-    load_domain,
     make_annulus,
     make_ball,
     make_box,
     rasterize_polygon,
-    save_domain,
     volume,
 )
 from .hausdorff import (  # noqa: F401

@@ -29,8 +29,6 @@ __all__ = [
     "dilate",
     "volume",
     "domain_from_spec",
-    "load_domain",
-    "save_domain",
     "serialize_domain",
     "parse_domain_text",
 ]
@@ -300,7 +298,9 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     the covering estimator, not from these raw weights.
 
     Domains and clouds are immutable, so the cloud is built once per domain,
-    cached on it, and shared by every caller.
+    cached on it, and shared by every caller.  The cloud keeps the domain's
+    origin and mask (not the domain, which already holds the cloud) for the
+    face-lattice lookups of the covering estimator.
     """
     cached = vars(domain).get("_boundary")
     if cached is not None:
@@ -353,6 +353,7 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
         face_axes=axes_arr,
         face_signs=signs_arr,
     )
+    vars(cloud)["_grid"] = (domain.origin, mask)
     object.__setattr__(domain, "_boundary", cloud)
     return cloud
 
@@ -553,16 +554,6 @@ def parse_domain_text(text: str) -> GridDomain:
     if pos != total:
         raise SpecError("run-length data does not match grid size")
     return GridDomain(h, origin, flat.reshape(dims))
-
-
-def save_domain(domain: GridDomain, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_domain(domain))
-
-
-def load_domain(path) -> GridDomain:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_domain_text(fh.read())
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,12 @@ its cell were computed alone; diameters are taken only over the members
 that the triangle inequality lets end one.  The greedy-ball coverings of
 every cascade scale are prefixes of one greedy farthest-point order, whose
 distance updates read a contiguous slab of a copy of the cloud sorted along
-its widest axis.  The cloud's KD-tree and nearest-neighbor gaps are built
-once and cached on the immutable cloud.  A :class:`Partition` keeps that form plus one
-column entry per cell (representative, rd, measure).  ``CoverCell`` and
+its widest axis and also carry each point's nearest center; a KD-tree over
+the centers settles only exact ties.  The nearest-neighbor gaps of a face
+cloud come from its face lattice, those of other clouds from a KD-tree;
+gaps and tree are built once and cached on the immutable cloud.  A
+:class:`Partition` keeps the segmented form plus one column entry per cell
+(representative, rd, measure).  ``CoverCell`` and
 ``Covering`` remain the explicit form for coverings built by hand.
 """
 
@@ -36,7 +39,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .domains import BoundaryCloud
+from .domains import BoundaryCloud, _centers_grid
 from .errors import EmptyCloudError, InvalidArgumentError, ResolutionError
 
 __all__ = [
@@ -204,15 +207,85 @@ def _cloud_tree(cloud: BoundaryCloud) -> cKDTree:
 
 
 def _cloud_nn(cloud: BoundaryCloud) -> np.ndarray:
-    """Per-point distance to the nearest other point (0 for one point), cached read-only."""
+    """Per-point distance to the nearest other point (0 for one point), cached read-only.
+
+    A cloud from :func:`extract_boundary` reads its gaps off the face
+    lattice (:func:`_face_gaps`); other clouds take the KD-tree's k=2 query.
+    """
     gaps = vars(cloud).get("_nn_gaps")
     if gaps is None:
-        gaps = np.zeros(len(cloud))
-        if len(cloud) >= 2:
+        grid = vars(cloud).get("_grid")
+        if grid is not None:
+            gaps = _face_gaps(cloud, *grid)
+        elif len(cloud) >= 2:
             gaps = _cloud_tree(cloud).query(cloud.points, k=2)[0][:, 1].copy()
+        else:
+            gaps = np.zeros(len(cloud))
         gaps.setflags(write=False)
         vars(cloud)["_nn_gaps"] = gaps
     return gaps
+
+
+def _face_gaps(cloud: BoundaryCloud, origin: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor gaps of a face cloud of the domain (origin, mask), from its lattice.
+
+    In half-cell units the face (c, a, s) of interior cell c toward the
+    exterior cell c + s e_a sits at 2c + 1 + s e_a.  Its nearest other face
+    lies within one cell, at h/sqrt(2) across an edge or else at h, among
+    8 (2D) or 14 (3D) positions; every other face is at least 1.2 h away.
+    For each axis b != a and t = +-1 these are the face (c, b, t), present
+    when c + t e_b is exterior, the face (c + s e_a + t e_b, b, -t), present
+    when that cell is interior, and the coplanar face (c + t e_b, a, s),
+    present when c + t e_b is interior and c + t e_b + s e_a is not (the
+    same position owned by c + t e_b + s e_a has different bits, but then
+    the face (c, b, t) is nearer); along a they are the faces (c, a, -s)
+    and (c + 2s e_a, a, -s).  Presence is one mask gather per position over
+    all faces.  Each neighbor's coordinates follow :func:`extract_boundary`'s
+    formula from its owning cell, and at most two axes differ, so the
+    squared distances have the bits of the KD-tree's and the gaps are those
+    of its k=2 query.
+    """
+    n, h = cloud.dim, cloud.resolution
+    pts, cells, axes, signs = cloud.points, cloud.face_cells, cloud.face_axes, cloud.face_signs
+    rows = np.arange(len(pts))
+    shape = np.array(mask.shape)
+    strides = np.array([int(np.prod(mask.shape[x + 1:])) for x in range(n)])
+    present = mask.reshape(-1)
+    flat = np.ravel_multi_index(cells.T, mask.shape)
+    # the cell-centre coordinates of every axis, end to end
+    base = np.concatenate(([0], np.cumsum(shape)[:-1]))
+    centre = np.concatenate([x.ravel() for x in _centers_grid(origin, mask.shape, h)])
+    half = signs * h / 2.0
+    step = signs * strides[axes]  # flat offset of c + s e_a
+    # along a: each face's own coordinate and the neighbors' differences from it
+    own = pts[rows, axes]
+    ca = cells[rows, axes]
+    ia = base[axes] + ca
+    on_grid = (ca + 2 * signs >= 0) & (ca + 2 * signs < shape[axes])  # c + 2s e_a in the grid
+    inner = centre[ia] - own
+    outer = centre[ia + signs] - own
+    far = centre[np.where(on_grid, ia + 2 * signs, ia)] - half - own
+    back = centre[ia] - half - own
+    best = far * far
+    best[~(on_grid & present[np.where(on_grid, flat + 2 * step, flat)])] = np.inf
+    np.minimum(best, back * back, out=best, where=~present[flat - step])
+    inner *= inner
+    outer *= outer
+    for j in range(1, n):
+        b = (axes + j) % n
+        ib = base[b] + cells[rows, b]
+        other = pts[rows, b]
+        for t in (1, -1):
+            shift = flat + t * strides[b]
+            side = present[shift]  # c + t e_b interior
+            corner = present[shift + step]  # c + s e_a + t e_b interior
+            edge = other + t * h / 2.0 - other
+            np.minimum(best, inner + edge * edge, out=best, where=~side)
+            edge = centre[ib + t] - t * h / 2.0 - other
+            np.minimum(best, outer + edge * edge, out=best, where=corner)
+            edge = centre[ib + t] - other
+            np.minimum(best, edge * edge, out=best, where=side & ~corner)
+    return np.sqrt(best)
 
 
 def _size_buckets(order: np.ndarray, bounds: np.ndarray):
@@ -318,58 +391,74 @@ def _column_norms(diff: np.ndarray) -> np.ndarray:
 def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
     """One greedy farthest-point order, cut at each of the descending ``thresholds``.
 
-    Returns (centers, counts): the first ``counts[j]`` centers leave every
-    point within ``thresholds[j]``, or ``counts[j]`` is None when that takes
-    more than ``limit`` centers.  The greedy choice does not depend on where
-    it stops (Gonzalez, Theor. Comput. Sci. 38 (1985)), so one run serves
-    every threshold.  A new center c at distance ``far`` can only lower the
-    distance of points closer to it than ``far``.  They all lie in the slab
-    ``|x_a - c_a| <= far`` along the cloud's widest axis a, which is one run
-    of rows of a copy of the cloud sorted along that axis, and in the box of
-    half-side ``far`` around c (the slack absorbs rounding).  Only those rows
-    are updated, with distances of the bits of np.linalg.norm and the
-    ``np.argmax`` tie-break of full-array updates, so the centers are the
-    same.
+    Returns (centers, counts, owners): the first ``counts[j]`` centers leave
+    every point within ``thresholds[j]``, or ``counts[j]`` is None when that
+    takes more than ``limit`` centers.  The greedy choice does not depend on
+    where it stops (Gonzalez, Theor. Comput. Sci. 38 (1985)), so one run
+    serves every threshold.  A new center c at distance ``far`` can only
+    lower (or tie) the distance of points within ``far`` of it.  They all
+    lie in the slab ``|x_a - c_a| <= far`` along the cloud's widest axis a
+    (the slack absorbs rounding), which is one run of rows of a copy of the
+    cloud sorted along that axis.  Only those rows are updated, with
+    distances of the bits of np.linalg.norm and the ``np.argmax`` tie-break
+    of full-array updates, so the centers are the same.
+
+    The updates also carry each point's owner, the position in ``centers``
+    of the first center at its least distance, and whether a later center
+    tied that distance.  ``owners[j]`` is the snapshot (owner, tied) at cut
+    j, with ``tied`` the ascending indices of the tied points, or None where
+    ``counts[j]`` is.  The distances are the square roots of a KD-tree's
+    squared distances, so an untied owner is the tree's nearest center and
+    every tie in the tree's distances is among ``tied``.
     """
     start = int(np.lexsort(points.T[::-1])[0])  # deterministic start: smallest coordinates
     centers = [start]
-    counts = []
+    counts, owners = [], []
     dist = np.linalg.norm(points - points[start], axis=1)
+    owner = np.zeros(len(points), dtype=np.intp)
+    tied = np.zeros(len(points), dtype=bool)
     axis = int(np.argmax(np.ptp(points, axis=0)))
     by_axis = np.argsort(points[:, axis], kind="stable")
     cols = points[by_axis].T.copy()  # one contiguous row of coordinates per axis
-    others = [b for b in range(points.shape[1]) if b != axis]
     while True:
         nxt = int(np.argmax(dist))
         far = dist[nxt]
         while not far > thresholds[len(counts)]:
             counts.append(len(centers))
+            owners.append((owner.copy(), np.flatnonzero(tied)))
             if len(counts) == len(thresholds):
-                return np.asarray(centers, dtype=np.int64), counts
+                return np.asarray(centers, dtype=np.int64), counts, owners
         if limit is not None and len(centers) >= limit:
-            return np.asarray(centers, dtype=np.int64), counts + [None] * (len(thresholds) - len(counts))
-        centers.append(nxt)
+            missing = [None] * (len(thresholds) - len(counts))
+            return np.asarray(centers, dtype=np.int64), counts + missing, owners + missing
         c = points[nxt]
         reach = far * (1.0 + 1e-9)
         lo = np.searchsorted(cols[axis], c[axis] - reach, side="left")
         hi = np.searchsorted(cols[axis], c[axis] + reach, side="right")
-        slab = cols[:, lo:hi]
-        inside = np.ones(hi - lo, dtype=bool)
-        for b in others:
-            inside &= np.abs(slab[b] - c[b]) <= reach
-        rows = np.flatnonzero(inside)
-        near = by_axis[lo + rows]
-        dist[near] = np.minimum(dist[near], _column_norms(slab[:, rows] - c[:, None]))
+        near = by_axis[lo:hi]
+        new = _column_norms(cols[:, lo:hi] - c[:, None])
+        old = dist[near]
+        closer = new < old
+        won = near[closer]
+        dist[won] = new[closer]
+        owner[won] = len(centers)
+        tied[won] = False
+        tied[near[new == old]] = True
+        centers.append(nxt)
 
 
-def _ball_groups(points: np.ndarray, centers: np.ndarray):
+def _ball_groups(points: np.ndarray, centers: np.ndarray, owner: np.ndarray, tied: np.ndarray):
     """Greedy-ball cells of the given centers as (order, bounds).
 
-    Each point joins its nearest center; cells follow the center order, and
-    a center that owns no point (a tie lost to a coincident center) gives
-    no cell.
+    Each point joins its nearest center: ``owner`` from the greedy run
+    (:func:`_fps_centers`), except for the ``tied`` points, which a KD-tree
+    over the centers settles as a nearest-center query would.  Cells follow
+    the center order, and a center that owns no point (a tie lost to a
+    coincident center) gives no cell.
     """
-    _, owner = cKDTree(points[centers]).query(points)
+    if len(tied):
+        owner = owner.copy()
+        owner[tied] = cKDTree(points[centers]).query(points[tied])[1]
     order, bounds = _group_by_label(owner, len(centers))
     return order, np.unique(bounds)
 
@@ -433,13 +522,13 @@ def estimate_hm_detail(cloud: BoundaryCloud, d: float, delta: float) -> HmEstima
     scales = [delta]
     while scales[-1] / 2.0 >= _CASCADE_FLOOR * cloud.resolution:
         scales.append(scales[-1] / 2.0)
-    centers, counts = _fps_centers(pts, scales, limit=_MAX_FPS_CENTERS)
+    centers, counts, owners = _fps_centers(pts, scales, limit=_MAX_FPS_CENTERS)
     best = None
-    for scale, count in zip(scales, counts):
+    for scale, count, cut in zip(scales, counts, owners):
         order, bounds, _ = _box_groups(pts, scale / math.sqrt(cloud.dim))
         cand = [("boxes", order, bounds)]
         if count is not None:
-            cand.append(("balls", *_ball_groups(pts, centers[:count])))
+            cand.append(("balls", *_ball_groups(pts, centers[:count], *cut)))
         for kind, order, bounds in cand:
             rds = _cell_rds(pts, nn_gaps, order, bounds, cloud.resolution, scale)
             value = _sum_rd(rds, d)

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 
 from gmtlab import hausdorff, inequalities
 from gmtlab.calculus import from_expression
-from gmtlab.domains import BoundaryCloud, extract_boundary, make_annulus, make_ball
+from gmtlab.domains import BoundaryCloud, extract_boundary, make_annulus, make_ball, make_box
 from gmtlab.errors import EmptyCloudError, InvalidArgumentError, ResolutionError
 from gmtlab.hausdorff import (
     CoverCell,
@@ -120,7 +120,7 @@ class TestFpsCenters:
         cloud = fps_clouds[name]
         threshold = k * cloud.resolution
         expected = _fps_reference(cloud.points, threshold)
-        got, counts = _fps_centers(cloud.points, [threshold])
+        got, counts, _ = _fps_centers(cloud.points, [threshold])
         assert counts == [len(expected)]
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
@@ -170,8 +170,8 @@ class TestBoxGroups:
 class TestBallCovering:
     def test_cells_are_owner_groups_in_ascending_order(self):
         cloud = ellipse_cloud(1.3, 0.7, 1 / 256)
-        centers, _ = _fps_centers(cloud.points, [0.05])
-        cells = _segments(*_ball_groups(cloud.points, centers))
+        centers, _, (cut,) = _fps_centers(cloud.points, [0.05])
+        cells = _segments(*_ball_groups(cloud.points, centers, *cut))
         _, owner = cKDTree(cloud.points[centers]).query(cloud.points)
         expected = [np.flatnonzero(owner == ci) for ci in range(len(centers))]
         expected = [m for m in expected if len(m) > 0]
@@ -180,10 +180,12 @@ class TestBallCovering:
             np.testing.assert_array_equal(members, ref)
 
     def test_center_owning_no_point_is_skipped(self):
-        # two coincident centers: the nearest-center query gives every tied
-        # point to one of them, so the other owns nothing and yields no cell
+        # two coincident centers tie on points 0 and 1: the nearest-center
+        # query gives both to one of them, so the other owns nothing and
+        # yields no cell
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        cells = _segments(*_ball_groups(pts, np.array([0, 1, 2], dtype=np.int64)))
+        centers = np.array([0, 1, 2], dtype=np.int64)
+        cells = _segments(*_ball_groups(pts, centers, np.array([0, 0, 2]), np.array([0, 1])))
         assert [list(m) for m in cells] == [[0, 1], [2]]
 
 
@@ -541,7 +543,8 @@ class TestSegmentedRdBitIdentity:
         _, cloud, _, deltas = case
         nn_gaps = _cloud_nn(cloud)
         for scale in deltas:
-            order, bounds = _ball_groups(cloud.points, _fps_centers(cloud.points, [scale])[0])
+            centers, _, (cut,) = _fps_centers(cloud.points, [scale])
+            order, bounds = _ball_groups(cloud.points, centers, *cut)
             rds = hausdorff._cell_rds(cloud.points, nn_gaps, order, bounds, cloud.resolution, scale)
             ref = [_ref_sample_rd(cloud.points[m], nn_gaps[m], cloud.resolution, scale)
                    for m in _segments(order, bounds)]
@@ -631,7 +634,7 @@ class TestOneGreedyRun:
     def test_prefixes_match_per_scale_reference(self, fps_clouds, name):
         cloud = fps_clouds[name]
         scales = _dyadic_scales(cloud)
-        centers, counts = _fps_centers(cloud.points, scales)
+        centers, counts, _ = _fps_centers(cloud.points, scales)
         refs = [_fps_reference(cloud.points, s) for s in scales]
         assert counts == [len(ref) for ref in refs]
         assert len(centers) == counts[-1]
@@ -644,7 +647,7 @@ class TestOneGreedyRun:
         scales = _dyadic_scales(cloud, top=32, bottom=4)
         full = [len(_fps_reference(cloud.points, s)) for s in scales]
         limit = full[1]  # enough for the two coarsest scales only
-        centers, counts = _fps_centers(cloud.points, scales, limit=limit)
+        centers, counts, _ = _fps_centers(cloud.points, scales, limit=limit)
         assert counts == full[:2] + [None] * (len(scales) - 2)
         for s, count in zip(scales, counts):
             ref = _fps_reference(cloud.points, s, limit=limit)
@@ -654,8 +657,9 @@ class TestOneGreedyRun:
                 np.testing.assert_array_equal(centers[:count], ref)
 
     def test_single_point(self):
-        centers, counts = _fps_centers(np.array([[0.5, 0.25]]), [1.0, 0.5])
+        centers, counts, owners = _fps_centers(np.array([[0.5, 0.25]]), [1.0, 0.5])
         assert centers.tolist() == [0] and counts == [1, 1]
+        assert [(own.tolist(), tied.tolist()) for own, tied in owners] == [([0], [])] * 2
 
 
 class TestColumnNorms:
@@ -726,7 +730,9 @@ class TestPrunedDiameters:
 
 
 class TestOneTreePerCloud:
-    def test_trace_builds_one_tree_and_one_gap_array(self, monkeypatch):
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """(tree sizes built, k=2 query sizes) of every KD-tree the module makes."""
         builds, gap_queries = [], []
 
         class CountingTree(cKDTree):
@@ -740,14 +746,60 @@ class TestOneTreePerCloud:
                 return super().query(x, k, *args, **kwargs)
 
         monkeypatch.setattr(hausdorff, "cKDTree", CountingTree)
+        return builds, gap_queries
+
+    def test_trace_builds_one_tree_and_one_gap_array(self, counted):
+        builds, gap_queries = counted
         dom = make_ball((0.0, 0.0), 1.0, 1 / 128)
         cloud = extract_boundary(dom)
         u = from_expression(dom, "max(0, 1 - r*r)", cloud, lipschitz=2.0)
         inequalities.proof_trace(dom, u, eps=0.2)
-        assert builds.count(len(cloud)) == 1
-        assert gap_queries == [len(cloud)]
+        assert builds.count(len(cloud)) == 1  # truncate's ball queries
+        assert gap_queries == []  # the face lattice gives the gaps
         assert _cloud_nn(cloud) is _cloud_nn(cloud)
         assert not _cloud_nn(cloud).flags.writeable
+
+    def test_synthetic_cloud_gaps_come_from_the_tree(self, counted):
+        builds, gap_queries = counted
+        cloud = _doubled_cloud()  # every sample twice: all gaps are 0
+        gaps = _cloud_nn(cloud)
+        assert builds == gap_queries == [len(cloud)]
+        assert not gaps.any() and not gaps.flags.writeable
+        assert _cloud_nn(cloud) is gaps
+
+
+def _cascade(cloud, delta):
+    """The scales of estimate_hm_detail's cascade from delta."""
+    scales = [delta]
+    while scales[-1] / 2.0 >= hausdorff._CASCADE_FLOOR * cloud.resolution:
+        scales.append(scales[-1] / 2.0)
+    return scales
+
+
+class TestGreedyOwners:
+    def test_owners_and_arbiter_match_the_nearest_center_query(self):
+        cases = [
+            (extract_boundary(make_ball((0.0, 0.0, 0.0), 1.0, 1 / 16)), 1.0),
+            (extract_boundary(make_box((0.0, 0.0), (1.0, 1.0), 1 / 64)), 0.5),
+            (extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 1024)), 0.2),
+        ]
+        n_tied = []
+        for cloud, delta in cases:
+            pts = cloud.points
+            centers, counts, owners = _fps_centers(pts, _cascade(cloud, delta))
+            for count, (owner, tied) in zip(counts, owners):
+                tree = cKDTree(pts[centers[:count]])
+                expected = tree.query(pts)[1]
+                strict = np.setdiff1d(np.arange(len(pts)), tied)
+                np.testing.assert_array_equal(owner[strict], expected[strict])
+                settled = owner.copy()
+                settled[tied] = tree.query(pts[tied])[1]
+                np.testing.assert_array_equal(settled, expected)
+                cells = _segments(*_ball_groups(pts, centers[:count], owner, tied))
+                ref = [m for m in (np.flatnonzero(expected == g) for g in range(count)) if len(m)]
+                assert [m.tolist() for m in cells] == [m.tolist() for m in ref]
+                n_tied.append(len(tied))
+        assert max(n_tied) > 0  # the arbiter has ties to settle
 
 
 _O_SCRIPT = """

@@ -9,11 +9,13 @@ the rounding, which moves with the shift, decides between members that are
 exactly equally near the true centroid.  Each representative is checked to
 be a nearest member in exact integer arithmetic instead.  On a thin strip
 the greedy farthest-point order must still be the full-update greedy order,
-although every update slab then spans the strip's whole width.
+although every update slab then spans the strip's whole width, and every
+point the run does not mark tied must own its KD-tree nearest center.
 """
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -107,6 +109,10 @@ def test_thin_strip_keeps_the_greedy_order(seed, n, width, levels):
     rng = np.random.default_rng(seed)
     pts = np.stack([rng.integers(0, 3, n) * width, rng.integers(-levels, levels + 1, n) / levels], axis=1)
     scales = [0.5, 0.125, 1 / 32]
-    centers, counts = _fps_centers(pts, scales)
-    for scale, count in zip(scales, counts):
+    centers, counts, owners = _fps_centers(pts, scales)
+    for scale, count, (owner, tied) in zip(scales, counts, owners):
         np.testing.assert_array_equal(centers[:count], _fps_reference(pts, scale))
+        # an untied owner is the strictly nearest center, so the tree's answer
+        strict = np.setdiff1d(np.arange(n), tied)
+        nearest = cKDTree(pts[centers[:count]]).query(pts[strict])[1]
+        np.testing.assert_array_equal(owner[strict], nearest)
