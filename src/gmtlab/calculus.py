@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .domains import (
     BoundaryCloud,
@@ -35,7 +36,7 @@ from .errors import (
     SpecError,
 )
 from .expressions import Expression
-from .hausdorff import Partition, _cloud_tree, unit_ball_volume
+from .hausdorff import Partition, unit_ball_volume
 
 __all__ = [
     "GridFunction",
@@ -466,7 +467,6 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     if not 0 < s < part.delta / 2:
         raise InvalidArgumentError("need 0 < s < delta/2 for the partition's delta")
     centers, diams, heights = _barriers(u, part, eps)
-    sentinel = 2.0 * (u.max_abs() + float(heights.max(initial=0.0))) + 1.0
     reach = diams + s
 
     out = u.values.copy()
@@ -481,7 +481,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
 
     # candidate trace points per cell; the slack absorbs the tree's own rounding
     pts = u.cloud.points
-    candidates = _cloud_tree(u.cloud).query_ball_point(centers, reach * (1.0 + 1e-9), return_sorted=False)
+    candidates = cKDTree(pts).query_ball_point(centers, reach * (1.0 + 1e-9), return_sorted=False)
     rows = np.fromiter(itertools.chain.from_iterable(candidates), dtype=np.intp)
     cell = np.repeat(np.arange(len(centers)), [len(c) for c in candidates])
     pd = np.linalg.norm(pts[rows] - centers[cell], axis=1)
@@ -494,7 +494,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     out[collar] = 0.0
     out[~mask] = 0.0
     result = GridFunction(dom, out, u.cloud, trace_out)
-    result.metadata.update({"sentinel": sentinel, "eps": eps, "s": s})
+    result.metadata.update({"eps": eps, "s": s})
     return result
 
 

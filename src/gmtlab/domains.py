@@ -88,9 +88,6 @@ class GridDomain:
         idx = np.argwhere(self.mask)
         return self.origin + (idx + 0.5) * self.spacing
 
-    def volume(self) -> float:
-        return float(self.mask.sum()) * self.spacing ** self.dim
-
     def same_grid(self, other: "GridDomain") -> bool:
         return (
             self.dim == other.dim
@@ -144,15 +141,28 @@ class BoundaryCloud:
 _PAD_CELLS = 2
 # cells per block of the radial rasterizer's distances (2 MB per float array)
 _RADIAL_BLOCK = 1 << 18
+# most cells a domain or dilation grid may have: about 64x the largest suite,
+# bench and test grid (the 2,052 x 2,052 disk); a float array of it is 2 GiB
+_MAX_GRID_CELLS = 1 << 28
+
+
+def _grid_shape(extent) -> tuple:
+    """The integer shape of the per-axis cell counts ``extent`` (floats), or an
+    InvalidArgumentError before anything is allocated when the grid would
+    have more than ``_MAX_GRID_CELLS`` cells (or a count is not finite)."""
+    cells = math.prod(float(e) for e in extent)
+    if not cells <= _MAX_GRID_CELLS:
+        raise InvalidArgumentError(f"grid of {cells:.3g} cells exceeds the limit of {_MAX_GRID_CELLS}")
+    return tuple(int(e) for e in extent)
 
 
 def _empty_grid(low, high, h):
     """Grid box covering [low, high] with a false margin of ``_PAD_CELLS``."""
     low = np.asarray(low, float)
     high = np.asarray(high, float)
-    dims = np.ceil((high - low) / h).astype(int) + 2 * _PAD_CELLS
+    shape = _grid_shape(np.ceil((high - low) / h) + 2 * _PAD_CELLS)
     origin = low - _PAD_CELLS * h
-    return origin, tuple(dims)
+    return origin, shape
 
 
 def _lattice(origin, h, lo, hi) -> list:
@@ -370,8 +380,9 @@ def dilate(domain: GridDomain, eps: float) -> GridDomain:
     if eps == 0:
         return domain
     h = domain.spacing
-    pad = int(np.ceil(eps / h)) + 2
-    mask = np.pad(domain.mask, pad)
+    pad = np.ceil(eps / h) + 2
+    _grid_shape([n + 2 * pad for n in domain.shape])
+    mask = np.pad(domain.mask, int(pad))
     return GridDomain(h, domain.origin - pad * h, within_distance(mask, eps + 0.5 * h, h))
 
 
@@ -507,7 +518,7 @@ def _min_plus(g: np.ndarray, axis: int, reach: int) -> None:
 
 def volume(domain: GridDomain) -> float:
     """Cell count times h^n."""
-    return domain.volume()
+    return float(domain.mask.sum()) * domain.spacing ** domain.dim
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,13 @@ Coverings and partitions are held as segmented index arrays (cell g owns
 ``order[bounds[g]:bounds[g + 1]]``), and one segmented pass,
 :func:`_cell_rds`, gives every cell's half-diameter, each bit for bit as if
 its cell were computed alone; diameters are taken only over the members
-that the triangle inequality lets end one.  The greedy-ball coverings of
-every cascade scale are prefixes of one greedy farthest-point order, whose
-distance updates read a contiguous slab of a copy of the cloud sorted along
-its widest axis and also carry each point's nearest center; a KD-tree over
-the centers settles only exact ties.  The nearest-neighbor gaps of a face
-cloud come from its face lattice, those of other clouds from a KD-tree;
-gaps and tree are built once and cached on the immutable cloud.  A
+that the triangle inequality lets end one, all by one broadcast kernel.
+The greedy-ball coverings of every cascade scale are prefixes of one greedy
+farthest-point order, whose distance updates read a contiguous slab of a
+copy of the cloud sorted along its widest axis and also carry each point's
+nearest center; a KD-tree over the centers settles only exact ties.  The
+nearest-neighbor gaps of a face cloud come from its face lattice, those of
+other clouds from a KD-tree query; only the gaps are cached on the cloud.  A
 :class:`Partition` keeps the segmented form plus one column entry per cell
 (representative, rd, measure).  ``CoverCell`` and
 ``Covering`` remain the explicit form for coverings built by hand.
@@ -31,13 +31,13 @@ gaps and tree are built once and cached on the immutable cloud.  A
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .domains import BoundaryCloud, _centers_grid
 from .errors import EmptyCloudError, InvalidArgumentError, ResolutionError
@@ -58,10 +58,21 @@ __all__ = [
 
 
 def unit_ball_volume(d: float) -> float:
-    """Volume pi^(d/2) / Gamma(d/2 + 1) of the unit ball in dimension d >= 0."""
+    """Volume pi^(d/2) / Gamma(d/2 + 1) of the unit ball in dimension d >= 0.
+
+    Where Gamma or the power overflows (d above about 341) the same ratio is
+    taken in logarithms; it is 0.0 where even log Gamma overflows.
+    """
     if d < 0:
         raise InvalidArgumentError("dimension must be nonnegative")
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    try:
+        return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    except OverflowError:
+        pass
+    try:
+        return math.exp(d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0))
+    except OverflowError:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -152,7 +163,9 @@ class Partition:
 
 def _sum_rd(rds: np.ndarray, d: float) -> float:
     """omega_d * sum(rds ** d) over an array of cell half-diameters."""
-    return unit_ball_volume(d) * float(np.sum(np.power(rds, d)))
+    # float_power takes C pow per element, as ** on one float does; np.power
+    # may take a vectorized pow with other last bits
+    return unit_ball_volume(d) * float(np.sum(np.float_power(rds, d)))
 
 
 def cover_sum(cov: Covering) -> float:
@@ -162,55 +175,33 @@ def cover_sum(cov: Covering) -> float:
     return _sum_rd(np.array([c.rd for c in cov.cells]), cov.dim_d)
 
 
-def _diameter(pts: np.ndarray) -> float:
-    """Exact diameter of a point set (blocked pairwise evaluation).
-
-    Blocks of rows bound the working set at 2048 x m distances, so large
-    cells never allocate the full m x m matrix.
-    """
-    return math.sqrt(max((float(cdist(pts[i0 : i0 + 2048], pts, "sqeuclidean").max())
-                          for i0 in range(0, len(pts), 2048)), default=0.0))
-
-
-# cells of at most this many members get their diameters from one broadcast
-# difference table per cell size; larger cells keep the blocked cdist
-_SMALL_CELL = 64
-# pairwise differences held at once by the broadcast tables (2 MB per array)
+# pairwise differences held at once by the diameter kernel (2 MB per array)
 _PAIR_BLOCK = 1 << 18
 
 
-def _small_diameters(pts: np.ndarray) -> np.ndarray:
+def _diameters(pts: np.ndarray) -> np.ndarray:
     """Diameters of k cells of m points each, ``pts`` of shape (k, m, n).
 
     Squared distances are accumulated as dx*dx (+dy*dy)(+dz*dz), the order
-    in which cdist's "sqeuclidean" sums them, so the maxima are the same bits.
+    in which scipy's "sqeuclidean" pair distance sums them, so the maxima
+    are the same bits.  Each block, of whole cells or of one cell's
+    rows, holds at most ``_PAIR_BLOCK`` differences (one row if m is larger).
     """
     k, m, n = pts.shape
-    out = np.empty(k)
-    rows = max(1, _PAIR_BLOCK // (m * m))
-    for r0 in range(0, k, rows):
-        p = pts[r0 : r0 + rows]
-        d2 = 0
-        for a in range(n):
-            diff = p[:, :, None, a] - p[:, None, :, a]
-            d2 = d2 + diff * diff
-        out[r0 : r0 + rows] = np.sqrt(d2.reshape(len(p), -1).max(axis=1))
-    return out
-
-
-def _cloud_tree(cloud: BoundaryCloud) -> cKDTree:
-    """KD-tree over the cloud's points, built once and cached on the immutable cloud."""
-    tree = vars(cloud).get("_kdtree")
-    if tree is None:
-        tree = vars(cloud)["_kdtree"] = cKDTree(cloud.points)
-    return tree
+    cells, rows = max(1, _PAIR_BLOCK // (m * m)), max(1, _PAIR_BLOCK // m)
+    d2 = np.zeros(k)
+    for c0, r0 in itertools.product(range(0, k, cells), range(0, m, rows)):
+        p, out = pts[c0 : c0 + cells], d2[c0 : c0 + cells]
+        block = sum((p[:, r0 : r0 + rows, None, a] - p[:, None, :, a]) ** 2 for a in range(n))
+        np.maximum(out, block.reshape(len(p), -1).max(axis=1), out=out)
+    return np.sqrt(d2)
 
 
 def _cloud_nn(cloud: BoundaryCloud) -> np.ndarray:
     """Per-point distance to the nearest other point (0 for one point), cached read-only.
 
     A cloud from :func:`extract_boundary` reads its gaps off the face
-    lattice (:func:`_face_gaps`); other clouds take the KD-tree's k=2 query.
+    lattice (:func:`_face_gaps`); other clouds take a KD-tree's k=2 query.
     """
     gaps = vars(cloud).get("_nn_gaps")
     if gaps is None:
@@ -218,7 +209,7 @@ def _cloud_nn(cloud: BoundaryCloud) -> np.ndarray:
         if grid is not None:
             gaps = _face_gaps(cloud, *grid)
         elif len(cloud) >= 2:
-            gaps = _cloud_tree(cloud).query(cloud.points, k=2)[0][:, 1].copy()
+            gaps = cKDTree(cloud.points).query(cloud.points, k=2)[0][:, 1].copy()
         else:
             gaps = np.zeros(len(cloud))
         gaps.setflags(write=False)
@@ -334,19 +325,15 @@ def _cell_rds(points: np.ndarray, nn_gaps: np.ndarray, order: np.ndarray,
     each cell's own m gaps would be (padding would change numpy's pairwise
     summation).  Diameters are taken over the members
     :func:`_diameter_candidates` keeps, which hold every pair at the
-    diameter, so each is the same maximum of the same pair distances;
-    cells of up to ``_SMALL_CELL`` such members get theirs from
-    :func:`_small_diameters`.  Cells must be nonempty.
+    diameter, so each is the same maximum of the same pair distances, and
+    :func:`_diameters` takes them per bucket.  Cells must be nonempty.
     """
     mean_gap = np.empty(len(bounds) - 1)
     diam = np.empty(len(bounds) - 1)
     for cells, members in _size_buckets(order, bounds):
         mean_gap[cells] = nn_gaps[members].mean(axis=1)
     for cells, members in _size_buckets(*_diameter_candidates(points, order, bounds)):
-        if members.shape[1] <= _SMALL_CELL:
-            diam[cells] = _small_diameters(points[members])
-        else:
-            diam[cells] = [_diameter(points[row]) for row in members]
+        diam[cells] = _diameters(points[members])
     comp = np.minimum(mean_gap, 2.0 * math.sqrt(points.shape[1]) * resolution)
     return np.minimum(0.5 * (diam + comp), scale)
 
@@ -361,9 +348,9 @@ def _group_by_label(labels: np.ndarray, n_labels: int):
 def _box_groups(points: np.ndarray, side: float):
     """Group point indices by axis-aligned boxes of the given side length.
 
-    Returns (order, bounds, centers): box g holds ``order[bounds[g]:bounds[g + 1]]``
-    and is centred at ``centers[g]``; boxes come in lexicographic order of
-    their integer coordinates and none is empty.
+    Returns (order, bounds): box g holds ``order[bounds[g]:bounds[g + 1]]``;
+    boxes come in lexicographic order of their integer coordinates and none
+    is empty.
     """
     anchor = points.min(axis=0)
     idx = np.floor((points - anchor) / side).astype(np.int64)
@@ -371,9 +358,7 @@ def _box_groups(points: np.ndarray, side: float):
     # rows, so this is np.unique(idx, axis=0) without the row sort
     dims = tuple(idx.max(axis=0) + 1)
     keys, inverse = np.unique(np.ravel_multi_index(idx.T, dims), return_inverse=True)
-    uniq = np.stack(np.unravel_index(keys, dims), axis=1)
-    order, bounds = _group_by_label(inverse, len(uniq))
-    return order, bounds, anchor + (uniq + 0.5) * side
+    return _group_by_label(inverse, len(keys))
 
 
 def _column_norms(diff: np.ndarray) -> np.ndarray:
@@ -525,7 +510,7 @@ def estimate_hm_detail(cloud: BoundaryCloud, d: float, delta: float) -> HmEstima
     centers, counts, owners = _fps_centers(pts, scales, limit=_MAX_FPS_CENTERS)
     best = None
     for scale, count, cut in zip(scales, counts, owners):
-        order, bounds, _ = _box_groups(pts, scale / math.sqrt(cloud.dim))
+        order, bounds = _box_groups(pts, scale / math.sqrt(cloud.dim))
         cand = [("boxes", order, bounds)]
         if count is not None:
             cand.append(("balls", *_ball_groups(pts, centers[:count], *cut)))
@@ -563,7 +548,7 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
         )
     pts = cloud.points
     nn_gaps = _cloud_nn(cloud)
-    order, bounds, _ = _box_groups(pts, delta / math.sqrt(cloud.dim))
+    order, bounds = _box_groups(pts, delta / math.sqrt(cloud.dim))
     rds = _cell_rds(pts, nn_gaps, order, bounds, cloud.resolution, delta)
     centroid = np.empty((len(rds), cloud.dim))
     hm_est = np.empty(len(rds))
@@ -577,9 +562,7 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
 
 
 def partition_defect(part: Partition, d: float) -> float:
-    """Sum over cells of |hm_est - omega_d * rd^d|."""
-    # float_power takes C pow per element, as ** on one float does; np.power
-    # may take a vectorized pow with other last bits
+    """Sum over cells of |hm_est - omega_d * rd^d|, with :func:`_sum_rd`'s power rule."""
     terms = np.abs(part.hm_est - unit_ball_volume(d) * np.float_power(part.rd, d))
     return float(np.sum(terms))
 

@@ -176,6 +176,37 @@ class TestVolume:
             assert e2 < 0.75 * e1
 
 
+class TestGridSizeGuard:
+    def test_limit_is_inclusive_and_counts_in_floats(self):
+        side = math.isqrt(domains._MAX_GRID_CELLS)
+        assert domains._grid_shape(np.array([side, side], dtype=float)) == (side, side)
+        for extent in ([side, side + 1], [np.inf, 1.0], [np.nan, 1.0], [2.0 ** 40] * 2):
+            with pytest.raises(InvalidArgumentError, match="exceeds the limit"):
+                domains._grid_shape(np.array(extent, dtype=float))
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_ball((0.0, 0.0), 1.0, 1e-7),
+        lambda: make_ball((0.0, 0.0), 1e300, 1.0),
+        lambda: make_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1e-3),
+        lambda: make_annulus((0.0, 0.0), 1.0, 0.5, 1e-6),
+        lambda: rasterize_polygon([(0, 0), (1, 0), (0, 1)], 1e-5),
+        lambda: dilate(make_ball((0.0, 0.0), 1.0, 1 / 16), 1e6),
+        lambda: dilate(make_ball((0.0, 0.0), 1.0, 1 / 16), 1e300),
+    ], ids=["ball_fine", "ball_vast", "box3", "annulus", "polygon", "dilate", "dilate_vast"])
+    def test_oversized_grids_are_refused(self, build):
+        with pytest.raises(InvalidArgumentError, match="exceeds the limit"):
+            build()
+
+    def test_guard_fires_just_past_the_limit(self, monkeypatch):
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 16)
+        monkeypatch.setattr(domains, "_MAX_GRID_CELLS", dom.mask.size)
+        assert make_ball((0.0, 0.0), 1.0, 1 / 16).shape == dom.shape
+        with pytest.raises(InvalidArgumentError):
+            make_ball((0.0, 0.0), 1.0, 1 / 17)
+        with pytest.raises(InvalidArgumentError):
+            dilate(dom, 1 / 16)
+
+
 class TestGridDomainInvariants:
     def test_margin_enforced(self):
         mask = np.ones((4, 4), dtype=bool)

@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
-from gmtlab import hausdorff, inequalities
+from gmtlab import calculus, hausdorff, inequalities
 from gmtlab.calculus import from_expression
 from gmtlab.domains import BoundaryCloud, extract_boundary, make_annulus, make_ball, make_box
 from gmtlab.errors import EmptyCloudError, InvalidArgumentError, ResolutionError
@@ -21,7 +22,7 @@ from gmtlab.hausdorff import (
     _ball_groups,
     _box_groups,
     _cloud_nn,
-    _diameter,
+    _diameters,
     _fps_centers,
     build_partition,
     cover_sum,
@@ -55,6 +56,22 @@ class TestUnitBallVolume:
         with pytest.raises(InvalidArgumentError):
             unit_ball_volume(-0.1)
 
+    def test_closed_form_kept_where_finite(self):
+        for d in [k / 4 for k in range(4 * 341 + 1)]:
+            assert unit_ball_volume(d) == math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+        with pytest.raises(OverflowError):
+            math.gamma(343 / 2 + 1)
+
+    def test_recursion_holds_past_the_closed_form(self):
+        # omega_d = 2 pi / d * omega_{d-2}, across the switch to logarithms
+        for d in (341.5, 342.0, 343.0, 400.0, 420.0):
+            assert unit_ball_volume(d) == pytest.approx(2 * math.pi / d * unit_ball_volume(d - 2), rel=1e-12)
+            assert 0 < unit_ball_volume(d) < unit_ball_volume(d - 2)
+
+    @pytest.mark.parametrize("d", [1300.0, 1e5, 1e200, 1e308, 1.7976931348623157e308])
+    def test_huge_dimensions_give_zero(self, d):
+        assert unit_ball_volume(d) == 0.0
+
 
 class TestCoverSum:
     def _cell(self, rd, members):
@@ -81,6 +98,16 @@ class TestCoverSum:
     def test_uncovered_point_rejected(self):
         with pytest.raises(InvalidArgumentError):
             Covering(1.0, [self._cell(0.5, [0])], 2)
+
+    @pytest.mark.parametrize("d", [1.0, 1.5, 2.0, 2.5])
+    def test_each_power_is_c_pow(self, d):
+        # Python's ** on one float is C pow; np.power may take a vectorized
+        # pow with other last bits on some hosts.  Zeros pad each radius to
+        # a vector-sized array whose sum is that one power exactly.
+        for r in np.random.default_rng(5).uniform(0.0, 0.1, 256).tolist():
+            rds = np.zeros(16)
+            rds[3] = r
+            assert hausdorff._sum_rd(rds, d) == unit_ball_volume(d) * r ** d
 
     def test_removing_redundant_cell_decreases_sum(self):
         cells = [self._cell(0.5, [0, 1]), self._cell(0.4, [1])]
@@ -158,13 +185,11 @@ class TestBoxGroups:
     def test_matches_row_sorted_grouping(self, fps_clouds, name, k):
         cloud = fps_clouds[name]
         side = k * cloud.resolution
-        order, bounds, centers = _box_groups(cloud.points, side)
-        groups = _segments(order, bounds)
-        ref_groups, ref_centers = _box_groups_reference(cloud.points, side)
+        groups = _segments(*_box_groups(cloud.points, side))
+        ref_groups, _ = _box_groups_reference(cloud.points, side)
         assert len(groups) == len(ref_groups) > 1
         for got, ref in zip(groups, ref_groups):
             np.testing.assert_array_equal(got, ref)
-        np.testing.assert_array_equal(centers, ref_centers)
 
 
 class TestBallCovering:
@@ -189,22 +214,42 @@ class TestBallCovering:
         assert [list(m) for m in cells] == [[0, 1], [2]]
 
 
+def _cdist_diameter(pts):
+    """Oracle: one cell's diameter from scipy's full table of squared distances."""
+    return math.sqrt(float(cdist(pts, pts, "sqeuclidean").max()))
+
+
 class TestDiameter:
     def test_matches_brute_force_across_blocks(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(2500, 3))
+        assert len(pts) ** 2 > hausdorff._PAIR_BLOCK  # the cell is taken in blocks of rows
         brute = max(math.sqrt(float(np.max(np.sum((pts - p) ** 2, axis=1)))) for p in pts)
-        assert _diameter(pts) == pytest.approx(brute, rel=1e-12)
+        assert _diameters(pts[None])[0] == pytest.approx(brute, rel=1e-12)
 
     def test_far_pair_both_in_second_block(self):
         pts = np.zeros((2100, 2))
         pts[:, 0] = np.linspace(0.0, 1.0, 2100)
-        pts[2050] = [0.5, 3.0]
-        pts[2090] = [0.5, -3.0]
-        assert _diameter(pts) == 6.0
+        rows = hausdorff._PAIR_BLOCK // len(pts)  # rows per block of this cell
+        pts[rows + 5] = [0.5, 3.0]
+        pts[2 * rows - 5] = [0.5, -3.0]
+        assert _diameters(pts[None]).tolist() == [6.0]
 
     def test_single_point_is_zero(self):
-        assert _diameter(np.array([[0.3, 0.4, 0.5]])) == 0.0
+        assert _diameters(np.array([[[0.3, 0.4, 0.5]]])).tolist() == [0.0]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 5, 64, 65, 511, 513, 2500])
+    def test_bits_match_cdist(self, n, m):
+        rng = np.random.default_rng(m * n)
+        cells = rng.normal(size=(3 if m < 600 else 1, m, n)) * rng.uniform(0.01, 10.0)
+        assert _diameters(cells).tolist() == [_cdist_diameter(c) for c in cells]
+
+    @pytest.mark.parametrize("pair_block", [1, 7, 64, 100])
+    def test_bits_match_cdist_for_any_block(self, monkeypatch, pair_block):
+        monkeypatch.setattr(hausdorff, "_PAIR_BLOCK", pair_block)
+        cells = np.random.default_rng(pair_block).uniform(-1.0, 1.0, size=(5, 13, 3))
+        assert _diameters(cells).tolist() == [_cdist_diameter(c) for c in cells]
 
 
 class TestEstimateHm:
@@ -415,7 +460,7 @@ class TestPartitionExport:
 
 def _ref_sample_rd(pts, nn_gaps, resolution, scale):
     """One cell's compensated half-diameter, computed on its own."""
-    diam = _diameter(pts)
+    diam = _cdist_diameter(pts)
     comp = min(float(np.mean(nn_gaps)), 2.0 * math.sqrt(pts.shape[1]) * resolution)
     return min(0.5 * (diam + comp), scale)
 
@@ -427,9 +472,9 @@ def _ref_estimate(cloud, d, delta):
     best = None
     scale = delta
     while True:
-        order, bounds, centers = _box_groups(pts, scale / math.sqrt(cloud.dim))
+        groups, centers = _box_groups_reference(pts, scale / math.sqrt(cloud.dim))
         cells = [CoverCell(centers[g], _ref_sample_rd(pts[m], nn_gaps[m], cloud.resolution, scale), m)
-                 for g, m in enumerate(_segments(order, bounds))]
+                 for g, m in enumerate(groups)]
         coverings = [("boxes", Covering(d, cells, len(pts)))]
         fps = _fps_reference(pts, scale, limit=hausdorff._MAX_FPS_CENTERS)
         if fps is not None:
@@ -453,7 +498,7 @@ def _ref_estimate(cloud, d, delta):
 def _ref_partition_cells(cloud, delta):
     """(rd, x_index, hm_est, members) of each box cell, computed cell by cell."""
     nn_gaps = _cloud_nn(cloud)
-    order, bounds, _ = _box_groups(cloud.points, delta / math.sqrt(cloud.dim))
+    order, bounds = _box_groups(cloud.points, delta / math.sqrt(cloud.dim))
     out = []
     for members in _segments(order, bounds):
         pts = cloud.points[members]
@@ -528,16 +573,18 @@ class TestSegmentedRdBitIdentity:
             assert (est.value, est.method, est.n_cells) == _ref_estimate(cloud, d, delta)
 
     def test_ladders_reach_every_cell_size_path(self):
-        # singletons, bucketed cells and cells above the bucket bound all occur
+        # at a block of 64 differences the diameter kernel meets singletons,
+        # stacks of whole cells and cells taken in blocks of rows
         sizes = set()
         for make, _, deltas in _RD_CASES.values():
             cloud = make()
             for delta in deltas:
-                side = delta / math.sqrt(cloud.dim)
-                sizes.update(np.diff(_box_groups(cloud.points, side)[1]).tolist())
+                order, bounds = _box_groups(cloud.points, delta / math.sqrt(cloud.dim))
+                kept = hausdorff._diameter_candidates(cloud.points, order, bounds)[1]
+                sizes.update(np.diff(kept).tolist())
         assert 1 in sizes
-        assert any(1 < m <= hausdorff._SMALL_CELL for m in sizes)
-        assert any(m > hausdorff._SMALL_CELL for m in sizes)
+        assert any(1 < m and m * m <= 64 for m in sizes)
+        assert any(m * m > 64 for m in sizes)
 
     def test_cell_rds_of_ball_cells(self, case):
         _, cloud, _, deltas = case
@@ -612,7 +659,7 @@ class TestFpsCap:
         assert est.method.startswith("boxes@")
         boxes = []
         for s in scales:
-            order, bounds, _ = _box_groups(cloud.points, s / math.sqrt(2))
+            order, bounds = _box_groups(cloud.points, s / math.sqrt(2))
             boxes.append(cover_sum(Covering(1.0, [
                 CoverCell(np.zeros(2), _ref_sample_rd(cloud.points[m], _cloud_nn(cloud)[m],
                                                       cloud.resolution, s), m)
@@ -698,7 +745,7 @@ class TestPrunedDiameters:
         make, _, deltas = _RD_CASES[name]
         cloud = make()
         for delta in deltas:
-            order, bounds, _ = _box_groups(cloud.points, delta / math.sqrt(cloud.dim))
+            order, bounds = _box_groups(cloud.points, delta / math.sqrt(cloud.dim))
             self._assert_rds_match_reference(cloud, order, bounds, delta)
 
     def test_collinear_and_coincident_members(self):
@@ -721,31 +768,37 @@ class TestPrunedDiameters:
     @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
     def test_candidates_keep_the_diameter_and_drop_most_members(self, fps_clouds, name):
         cloud = fps_clouds[name]
-        order, bounds, _ = _box_groups(cloud.points, 16 * cloud.resolution)
+        order, bounds = _box_groups(cloud.points, 16 * cloud.resolution)
         kept, kept_bounds = hausdorff._diameter_candidates(cloud.points, order, bounds)
         for members, survivors in zip(_segments(order, bounds), _segments(kept, kept_bounds)):
             assert set(survivors.tolist()) <= set(members.tolist())
-            assert _diameter(cloud.points[survivors]) == _diameter(cloud.points[members])
+            assert _cdist_diameter(cloud.points[survivors]) == _cdist_diameter(cloud.points[members])
         assert len(kept) < len(order) / 2
 
 
 class TestOneTreePerCloud:
     @pytest.fixture
     def counted(self, monkeypatch):
-        """(tree sizes built, k=2 query sizes) of every KD-tree the module makes."""
-        builds, gap_queries = [], []
+        """Sizes of the KD-trees built in calculus and in hausdorff, and of
+        the k=2 queries, for every tree either module makes."""
+        builds = {"calculus": [], "hausdorff": []}
+        gap_queries = []
 
-        class CountingTree(cKDTree):
-            def __init__(self, data, *args, **kwargs):
-                builds.append(len(data))
-                super().__init__(data, *args, **kwargs)
+        def counting_tree(module):
+            class CountingTree(cKDTree):
+                def __init__(self, data, *args, **kwargs):
+                    builds[module].append(len(data))
+                    super().__init__(data, *args, **kwargs)
 
-            def query(self, x, k=1, *args, **kwargs):
-                if k == 2:
-                    gap_queries.append(len(x))
-                return super().query(x, k, *args, **kwargs)
+                def query(self, x, k=1, *args, **kwargs):
+                    if k == 2:
+                        gap_queries.append(len(x))
+                    return super().query(x, k, *args, **kwargs)
 
-        monkeypatch.setattr(hausdorff, "cKDTree", CountingTree)
+            return CountingTree
+
+        monkeypatch.setattr(calculus, "cKDTree", counting_tree("calculus"))
+        monkeypatch.setattr(hausdorff, "cKDTree", counting_tree("hausdorff"))
         return builds, gap_queries
 
     def test_trace_builds_one_tree_and_one_gap_array(self, counted):
@@ -754,7 +807,8 @@ class TestOneTreePerCloud:
         cloud = extract_boundary(dom)
         u = from_expression(dom, "max(0, 1 - r*r)", cloud, lipschitz=2.0)
         inequalities.proof_trace(dom, u, eps=0.2)
-        assert builds.count(len(cloud)) == 1  # truncate's ball queries
+        assert builds["calculus"] == [len(cloud)]  # truncate's ball queries
+        assert len(cloud) not in builds["hausdorff"]  # its trees are over greedy centers
         assert gap_queries == []  # the face lattice gives the gaps
         assert _cloud_nn(cloud) is _cloud_nn(cloud)
         assert not _cloud_nn(cloud).flags.writeable
@@ -763,9 +817,10 @@ class TestOneTreePerCloud:
         builds, gap_queries = counted
         cloud = _doubled_cloud()  # every sample twice: all gaps are 0
         gaps = _cloud_nn(cloud)
-        assert builds == gap_queries == [len(cloud)]
+        assert builds["hausdorff"] == gap_queries == [len(cloud)]
         assert not gaps.any() and not gaps.flags.writeable
         assert _cloud_nn(cloud) is gaps
+        assert builds["hausdorff"] == [len(cloud)]  # cached: no second tree
 
 
 def _cascade(cloud, delta):

@@ -1,9 +1,11 @@
 """Property test of the exit contract on random, often malformed, inputs.
 
-For any domain and function JSON, ``trace``, ``estimate-hm`` and a one-entry
-``verify`` return 0, 1 or 2 (or stop in argparse with exit status 2); no
-other exception escapes ``cli.main``.  Grid spacings stay at h >= 1/32 and
-lengths at most 2, so every example is small.
+For any domain and function JSON, ``trace``, ``estimate-hm``, ``partition``,
+a one-sweep ``search``, ``steiner`` and a one-entry ``verify`` return 0, 1
+or 2 (or stop in argparse with exit status 2); no other exception escapes
+``cli.main``.  Grid spacings stay at h >= 1/32 and lengths at most 2, so
+every example is small.  Explicit examples pin the inputs that once escaped:
+huge dimensions and grids too large to allocate.
 """
 
 import contextlib
@@ -92,5 +94,47 @@ def test_exit_contract_on_random_specs(domain, function, eps, d, delta, checks):
                 json.dump(data, fh)
         for argv in (["trace", dom, fn, "--eps", eps],
                      ["estimate-hm", dom, "--d", d, "--delta", delta],
+                     ["partition", dom, "--delta", delta],
+                     ["search", dom, fn, "--iters", "1", "--step", d],
+                     ["steiner", dom, "--eps", eps],
                      ["verify", suite]):
             assert _run(argv) in (0, 1, 2), argv
+
+
+_DISK = {"kind": "ball", "params": {"r": 1.0}, "h": 0.0625}
+_FINE = {"kind": "ball", "params": {"r": 1.0}, "h": 1e-7}  # 4e14 cells
+_VAST = {"kind": "ball", "params": {"r": 1e300}, "h": 1}  # more cells than int64 counts
+
+
+@pytest.mark.parametrize("domain, argv, status, stdout", [
+    # the unit-ball volume of a huge dimension underflows to 0, it does not overflow
+    (_DISK, ["estimate-hm", "{dom}", "--d", "400", "--delta", "0.2"], 0, "delta=0.2: 0.0 ("),
+    (_DISK, ["estimate-hm", "{dom}", "--d", "1e308", "--delta", "0.2"], 0, "delta=0.2: 0.0 ("),
+    # grids too large to allocate are refused before anything is allocated
+    (_FINE, ["estimate-hm", "{dom}", "--d", "1", "--delta", "0.2"], 2, ""),
+    (_FINE, ["trace", "{dom}", "{fn}", "--eps", "0.2"], 2, ""),
+    (_VAST, ["estimate-hm", "{dom}", "--d", "1", "--delta", "0.2"], 2, ""),
+    (_DISK, ["steiner", "{dom}", "--eps", "1e6,5e5,2e5"], 2, ""),
+    (_DISK, ["steiner", "{dom}", "--eps", "1e300,1e299"], 2, ""),
+    # in a suite the oversized entry is an entry error and the others still run
+    (_FINE, ["verify", "{suite}"], 1, "1 checks, 0 violations, 1 errors -> FAIL"),
+], ids=["d400", "d1e308", "fine_estimate", "fine_trace", "vast_estimate", "steiner_1e6",
+        "steiner_1e300", "fine_verify"])
+def test_exit_contract_examples(tmp_path, domain, argv, status, stdout):
+    files = {"dom": domain, "fn": {"expr": "max(0, 1 - r*r)", "lipschitz": 2.0},
+             "suite": {"name": "p", "entries": [
+                 {"domain": domain, "function": "indicator", "checks": ["isoperimetric"]},
+                 {"domain": _DISK, "function": "indicator", "checks": ["isoperimetric"]}]}}
+    paths = {}
+    for key, data in files.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        with open(paths[key], "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main([a.format(**paths) for a in argv]) == status
+    assert stdout in out.getvalue()
+    if status == 2:
+        assert err.getvalue().startswith("error: grid of ")
+    if argv[0] == "verify":
+        assert "exceeds the limit" in out.getvalue()
