@@ -20,6 +20,7 @@ from scipy.spatial import cKDTree
 from .domains import (
     BoundaryCloud,
     GridDomain,
+    _grid_shape,
     _lattice,
     check_eps,
     dilate,
@@ -528,14 +529,24 @@ def _forward_tv(v: np.ndarray, h: float, widths: np.ndarray) -> np.ndarray:
     return np.array(sums) * h ** (n - 1)
 
 
-def build_mollifier(k: int, spacing: float, dim: int) -> Mollifier:
-    """Radial tent kernel of support radius 1/k, renormalized to unit mass."""
+def _kernel_cells(k: int, spacing: float) -> int:
+    """Half width m, in cells, of the index-k kernel: its grid is (2m+1)^n."""
     if k < 1:
         raise InvalidArgumentError("mollifier index must be a positive integer")
     radius = 1.0 / k
     if radius < 2 * spacing:
         raise ResolutionError("kernel support 1/k must be at least two cells wide")
-    m = int(math.floor(radius / spacing))
+    return int(math.floor(radius / spacing))
+
+
+def build_mollifier(k: int, spacing: float, dim: int) -> Mollifier:
+    """Radial tent kernel of support radius 1/k, renormalized to unit mass.
+
+    A kernel grid above the domain grid limit is an InvalidArgumentError,
+    raised before anything is allocated.
+    """
+    m = _kernel_cells(k, spacing)
+    _grid_shape([2 * m + 1] * dim)
     axes = [np.arange(-m, m + 1) * spacing for _ in range(dim)]
     grids = np.meshgrid(*axes, indexing="ij")
     dist = np.sqrt(sum(g * g for g in grids))
@@ -573,11 +584,13 @@ def mollify(u: GridFunction, k: int) -> GridFunction:
     padded so the convolution is never clipped).  The convolution is one
     real FFT product, whose rounding leaves noise of order 1e-16 of the peak
     on cells the kernel never reaches; values below 1e-13 of the peak are
-    scrubbed to zero so the support of the result stays sharp.
+    scrubbed to zero so the support of the result stays sharp.  A padded
+    grid above the domain grid limit is an InvalidArgumentError, raised
+    before anything is allocated.
     """
+    pad = _kernel_cells(k, u.domain.spacing) + 2
+    _grid_shape([n + 2 * pad for n in u.domain.shape])
     mol = build_mollifier(k, u.domain.spacing, u.domain.dim)
-    m = (mol.kernel.shape[0] - 1) // 2
-    pad = m + 2
     v = np.pad(u.values, pad)
     weights = mol.kernel * u.domain.spacing ** u.domain.dim  # discrete weights sum to 1
     conv = fft_convolve(v, weights, same=True)

@@ -20,13 +20,15 @@ its cell were computed alone; diameters are taken only over the members
 that the triangle inequality lets end one, all by one broadcast kernel.
 The greedy-ball coverings of every cascade scale are prefixes of one greedy
 farthest-point order, whose distance updates read a contiguous slab of a
-copy of the cloud sorted along its widest axis and also carry each point's
-nearest center; a KD-tree over the centers settles only exact ties.  The
-nearest-neighbor gaps of a face cloud come from its face lattice, those of
-other clouds from a KD-tree query; only the gaps are cached on the cloud.  A
-:class:`Partition` keeps the segmented form plus one column entry per cell
-(representative, rd, measure).  ``CoverCell`` and
-``Covering`` remain the explicit form for coverings built by hand.
+copy of the cloud sorted along its widest axis, compare it in place against
+the distances kept in that order, write back only the points that change,
+and also carry each point's nearest center; a KD-tree over the centers
+settles only exact ties.  The nearest-neighbor gaps of a face cloud come
+from its face lattice, those of other clouds from a KD-tree query; only the
+gaps are cached on the cloud.  A :class:`Partition` keeps the segmented
+form plus one column entry per cell (representative, rd, measure).
+``CoverCell`` and ``Covering`` remain the explicit form for coverings built
+by hand.
 """
 
 from __future__ import annotations
@@ -338,11 +340,16 @@ def _cell_rds(points: np.ndarray, nn_gaps: np.ndarray, order: np.ndarray,
     return np.minimum(0.5 * (diam + comp), scale)
 
 
-def _group_by_label(labels: np.ndarray, n_labels: int):
-    """(order, bounds): label g is carried by ``order[bounds[g]:bounds[g + 1]]``, ascending."""
+def _group_by_label(labels: np.ndarray):
+    """(order, bounds) of the nonempty label groups in ascending label order.
+
+    Group g is ``order[bounds[g]:bounds[g + 1]]``, its members ascending: one
+    stable sort, with a group's members one run of the sorted labels.
+    """
     order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(n_labels + 1))
-    return order, bounds
+    runs = labels[order]
+    starts = np.flatnonzero(runs[1:] != runs[:-1]) + 1
+    return order, np.concatenate(([0], starts, [len(labels)]))
 
 
 def _box_groups(points: np.ndarray, side: float):
@@ -354,23 +361,24 @@ def _box_groups(points: np.ndarray, side: float):
     """
     anchor = points.min(axis=0)
     idx = np.floor((points - anchor) / side).astype(np.int64)
-    # C-order linear keys of the nonnegative box indices sort like the index
-    # rows, so this is np.unique(idx, axis=0) without the row sort
-    dims = tuple(idx.max(axis=0) + 1)
-    keys, inverse = np.unique(np.ravel_multi_index(idx.T, dims), return_inverse=True)
-    return _group_by_label(inverse, len(keys))
+    # C-order linear keys of the nonnegative box indices sort like the index rows
+    return _group_by_label(np.ravel_multi_index(idx.T, tuple(idx.max(axis=0) + 1)))
 
 
-def _column_norms(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the columns of ``diff`` (one row per axis).
+def _column_norms(cols: np.ndarray, c: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of ``cols - c[:, None]`` (one row per axis).
 
-    The squares are summed axis by axis, as np.linalg.norm(rows, axis=1)
-    sums each row, so the norms have the same bits.
+    The norms go into ``out`` and the differences into ``work``, which has
+    the shape of ``cols``, so a caller's buffers serve every call.  The
+    squares are summed axis by axis, as np.linalg.norm(rows, axis=1) sums
+    each row, so the norms have the same bits.
     """
-    d2 = diff[0] * diff[0]
-    for a in range(1, len(diff)):
-        d2 += diff[a] * diff[a]
-    return np.sqrt(d2)
+    np.subtract(cols, c[:, None], out=work)
+    np.multiply(work, work, out=work)
+    total = work[0]
+    for a in range(1, len(work)):
+        total = np.add(total, work[a], out=out)
+    return np.sqrt(total, out=out)
 
 
 def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
@@ -387,6 +395,11 @@ def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
     cloud sorted along that axis.  Only those rows are updated, with
     distances of the bits of np.linalg.norm and the ``np.argmax`` tie-break
     of full-array updates, so the centers are the same.
+
+    The distances are kept twice: ``dist`` in cloud order for the argmax,
+    and ``sdist`` in slab order, so a slab compares against a view.  A slab's
+    distances and masks go into work buffers made once per run, and only
+    the rows that a new center wins or ties are written back.
 
     The updates also carry each point's owner, the position in ``centers``
     of the first center at its least distance, and whether a later center
@@ -405,6 +418,9 @@ def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
     axis = int(np.argmax(np.ptp(points, axis=0)))
     by_axis = np.argsort(points[:, axis], kind="stable")
     cols = points[by_axis].T.copy()  # one contiguous row of coordinates per axis
+    sdist = dist[by_axis]
+    diff, new = np.empty_like(cols), np.empty(len(points))
+    closer, equal = np.empty(len(points), dtype=bool), np.empty(len(points), dtype=bool)
     while True:
         nxt = int(np.argmax(dist))
         far = dist[nxt]
@@ -420,15 +436,19 @@ def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
         reach = far * (1.0 + 1e-9)
         lo = np.searchsorted(cols[axis], c[axis] - reach, side="left")
         hi = np.searchsorted(cols[axis], c[axis] + reach, side="right")
-        near = by_axis[lo:hi]
-        new = _column_norms(cols[:, lo:hi] - c[:, None])
-        old = dist[near]
-        closer = new < old
-        won = near[closer]
-        dist[won] = new[closer]
-        owner[won] = len(centers)
-        tied[won] = False
-        tied[near[new == old]] = True
+        m = hi - lo
+        d = _column_norms(cols[:, lo:hi], c, new[:m], diff[:, :m])
+        old = sdist[lo:hi]  # a view: writes to it land in sdist
+        won = np.less(d, old, out=closer[:m]).nonzero()[0]
+        tie = np.equal(d, old, out=equal[:m]).nonzero()[0]
+        gain = d[won]
+        old[won] = gain
+        won_pts = by_axis[lo + won]
+        dist[won_pts] = gain
+        owner[won_pts] = len(centers)
+        tied[won_pts] = False
+        if len(tie):
+            tied[by_axis[lo + tie]] = True
         centers.append(nxt)
 
 
@@ -444,8 +464,7 @@ def _ball_groups(points: np.ndarray, centers: np.ndarray, owner: np.ndarray, tie
     if len(tied):
         owner = owner.copy()
         owner[tied] = cKDTree(points[centers]).query(points[tied])[1]
-    order, bounds = _group_by_label(owner, len(centers))
-    return order, np.unique(bounds)
+    return _group_by_label(owner)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,10 @@
-"""Shared fixtures: synthetic boundary clouds and standard test domains."""
+"""Shared fixtures: synthetic boundary clouds and standard test domains.
+
+Every property test runs the same fixed examples on every run: one
+``hypothesis`` profile, loaded here, derandomizes them, keeps no example
+database and sets no deadline.  Tests set only ``max_examples`` (and health
+checks) themselves.
+"""
 
 import math
 
@@ -6,6 +12,14 @@ import numpy as np
 import pytest
 
 from gmtlab.domains import BoundaryCloud, make_ball, make_box, rasterize_polygon
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    settings.register_profile("gmtlab", derandomize=True, database=None, deadline=None)
+    settings.load_profile("gmtlab")
 
 
 def circle_cloud(r=1.0, spacing=1 / 512, center=(0.0, 0.0)):

@@ -35,6 +35,7 @@ from gmtlab.calculus import (
 )
 from gmtlab.constants import LATTICE_SLACK_COEFF
 import gmtlab.calculus as calc
+from gmtlab import domains
 from gmtlab.domains import extract_boundary, make_annulus, make_ball, make_box, rasterize_polygon, volume
 from gmtlab.errors import (
     InvalidArgumentError,
@@ -221,13 +222,13 @@ class TestShellMassProperties:
         st.floats(0.0, 100.0, allow_subnormal=False),
         st.sampled_from([2, 3]),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_shell_mass_dominates_its_limit(self, r, s, height, n):
         # difference quotients of a convex power exceed its derivative
         assert shell_mass(r, s, height, n) >= shell_mass_limit(r, height, n) * (1 - 1e-12)
 
     @given(st.floats(0.01, 5.0), st.floats(0.0, 10.0), st.sampled_from([2, 3]))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_shell_mass_monotone_in_width(self, r, height, n):
         assert shell_mass(r, 0.2, height, n) >= shell_mass(r, 0.1, height, n) * (1 - 1e-12)
 
@@ -403,6 +404,20 @@ class TestMollify:
         mol = build_mollifier(4, 1 / 64, 2)
         assert float(np.sum(mol.kernel)) * (1 / 64) ** 2 == pytest.approx(1.0, rel=1e-12)
         assert (mol.kernel >= 0).all()
+
+    def test_oversized_kernel_refused_before_allocation(self):
+        # 199,999^2 cells (298 GiB as floats): numpy would fail to allocate
+        with pytest.raises(InvalidArgumentError, match="exceeds the limit"):
+            build_mollifier(1, 1e-5, 2)
+
+    def test_oversized_padded_grid_refused(self, monkeypatch, square_128):
+        # the kernel fits the limit and the padded grid does not
+        u = indicator_function(square_128)
+        kernel = build_mollifier(8, square_128.spacing, 2).kernel
+        monkeypatch.setattr(domains, "_MAX_GRID_CELLS", kernel.size)
+        assert build_mollifier(8, square_128.spacing, 2).kernel.shape == kernel.shape
+        with pytest.raises(InvalidArgumentError, match="exceeds the limit"):
+            mollify(u, 8)
 
     def test_mass_preserved(self, square_128):
         u = indicator_function(square_128)

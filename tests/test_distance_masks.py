@@ -22,7 +22,6 @@ from gmtlab.domains import GridDomain, dilate, make_ball, within_distance  # noq
 from gmtlab.errors import InvalidArgumentError  # noqa: E402
 from gmtlab.inequalities import proof_trace  # noqa: E402
 
-_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 # dyadic spacings make every offset's float distance exact; the others round
 _SPACINGS = [1 / 16, 1 / 8, 0.1, 1 / 3, 0.07]
 
@@ -88,7 +87,7 @@ def _edt(mask, h):
     return ndimage.distance_transform_edt(mask, sampling=h)
 
 
-@_SETTINGS
+@settings(max_examples=60)
 @given(dom=small_domains(), data=st.data())
 def test_thresholds_match_the_edt(dom, data):
     h, n, mask = dom.spacing, dom.dim, dom.mask

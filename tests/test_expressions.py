@@ -81,7 +81,7 @@ def test_parse_once_evaluate_many():
 
 
 @given(st.floats(-5, 5), st.floats(-5, 5))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_matches_python_eval(x, y):
     pts = np.array([[x, y]])
     got = evaluate_expression("x*x - 2*x*y + 3", pts)

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gmtlab.domains import GridDomain, extract_boundary, make_ball  # noqa: E402
 from gmtlab.hausdorff import _cloud_nn, _face_gaps  # noqa: E402
 
-_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 _SPACINGS = [1 / 16, 0.1, 1 / 3, 0.07]
 _ORIGINS = [0.0, 0.37, -1.3, 12.345]
 
@@ -60,7 +59,7 @@ def face_domains(draw):
     return GridDomain(draw(st.sampled_from(_SPACINGS)), origin, mask)
 
 
-@_SETTINGS
+@settings(max_examples=60)
 @given(dom=face_domains())
 def test_gaps_match_the_tree(dom):
     cloud = extract_boundary(dom)

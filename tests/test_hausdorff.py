@@ -703,10 +703,30 @@ class TestOneGreedyRun:
             else:
                 np.testing.assert_array_equal(centers[:count], ref)
 
+    def test_runs_share_no_state(self, fps_clouds):
+        # a run between two runs on one cloud must not change the second
+        disk, ball = fps_clouds["disk"].points, fps_clouds["ball3"].points
+        first = _fps_centers(disk, _dyadic_scales(fps_clouds["disk"]))
+        _fps_centers(ball, _dyadic_scales(fps_clouds["ball3"]))
+        again = _fps_centers(disk, _dyadic_scales(fps_clouds["disk"]))
+        np.testing.assert_array_equal(again[0], first[0])
+        assert again[1] == first[1]
+        for (owner, tied), (ref_owner, ref_tied) in zip(again[2], first[2]):
+            np.testing.assert_array_equal(owner, ref_owner)
+            np.testing.assert_array_equal(tied, ref_tied)
+
     def test_single_point(self):
         centers, counts, owners = _fps_centers(np.array([[0.5, 0.25]]), [1.0, 0.5])
         assert centers.tolist() == [0] and counts == [1, 1]
         assert [(own.tolist(), tied.tolist()) for own, tied in owners] == [([0], [])] * 2
+
+
+def _norms_into_buffers(pts, c):
+    """``_column_norms`` of the rows of ``pts`` about c, in buffers holding stale values."""
+    out, work = np.full(len(pts), np.nan), np.full(pts.T.shape, -7.0)
+    norms = hausdorff._column_norms(pts.T.copy(), c, out, work)
+    assert norms is out
+    return norms
 
 
 class TestColumnNorms:
@@ -715,15 +735,13 @@ class TestColumnNorms:
         rng = np.random.default_rng(dim)
         pts = rng.normal(size=(50000, dim)) * rng.uniform(1e-3, 1e3, size=(50000, dim))
         for c in (pts[7], np.zeros(dim), pts.mean(axis=0)):
-            assert np.array_equal(hausdorff._column_norms((pts - c).T),
-                                  np.linalg.norm(pts - c, axis=1))
+            assert np.array_equal(_norms_into_buffers(pts, c), np.linalg.norm(pts - c, axis=1))
 
     @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
     def test_bits_of_linalg_norm_on_clouds(self, fps_clouds, name):
         pts = fps_clouds[name].points
         for c in pts[:: max(1, len(pts) // 50)]:
-            assert np.array_equal(hausdorff._column_norms((pts - c).T),
-                                  np.linalg.norm(pts - c, axis=1))
+            assert np.array_equal(_norms_into_buffers(pts, c), np.linalg.norm(pts - c, axis=1))
 
 
 def _cells_from_lists(cells):

@@ -418,6 +418,13 @@ class TestExtendedSobolev:
         with pytest.raises(TypeError):
             check_extended_sobolev(u, k_list=("4",))
 
+    def test_oversized_kernel_recorded_as_chain_error(self):
+        # a 404^2 grid whose k=1 kernel would have 199,999^2 cells
+        u = indicator_function(make_ball((0.0, 0.0), 0.002, 1e-5))
+        (link,) = check_extended_sobolev(u, k_list=(1,)).metadata["mollified_chain"]
+        assert link["k"] == 1 and "exceeds the limit" in link["error"]
+
+
 class TestPerimeterIso:
     def test_disk_ratio_near_one(self):
         h = 1 / 256

@@ -10,7 +10,10 @@ exactly equally near the true centroid.  Each representative is checked to
 be a nearest member in exact integer arithmetic instead.  On a thin strip
 the greedy farthest-point order must still be the full-update greedy order,
 although every update slab then spans the strip's whole width, and every
-point the run does not mark tied must own its KD-tree nearest center.
+point the run does not mark tied must own its KD-tree nearest center.  On
+lattice clouds full of duplicate points and exact ties, every output of the
+slab-updated run (centers, counts and each owner and tie snapshot) must be
+that of a run that updates every point for every center.
 """
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from gmtlab.domains import (  # noqa: E402
     GridDomain,
@@ -33,7 +36,6 @@ from gmtlab.hausdorff import _fps_centers, build_partition, estimate_hm_detail  
 
 from test_hausdorff import _fps_reference  # noqa: E402
 
-_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 _LEN = st.floats(0.2, 0.6)
 _POS = st.floats(-0.3, 0.3)
 
@@ -85,7 +87,7 @@ def _partition_columns(part):
     return [np.asarray(col).tobytes() for col in (part.order, part.bounds, part.rd, part.hm_est)]
 
 
-@_SETTINGS
+@settings(max_examples=12)
 @given(dom=small_domains(), cells=st.lists(st.integers(-40, 40), min_size=3, max_size=3),
        k=st.sampled_from([4, 8, 16]))
 def test_whole_cell_translation_keeps_every_number(dom, cells, k):
@@ -101,7 +103,7 @@ def test_whole_cell_translation_keeps_every_number(dom, cells, k):
     assert _exact_nearest(base, parts[0]) and _exact_nearest(moved, parts[1])
 
 
-@_SETTINGS
+@settings(max_examples=12)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 400), width=st.sampled_from([0.0, 1e-4, 1e-2]),
        levels=st.sampled_from([8, 64, 1024]))
 def test_thin_strip_keeps_the_greedy_order(seed, n, width, levels):
@@ -116,3 +118,53 @@ def test_thin_strip_keeps_the_greedy_order(seed, n, width, levels):
         strict = np.setdiff1d(np.arange(n), tied)
         nearest = cKDTree(pts[centers[:count]]).query(pts[strict])[1]
         np.testing.assert_array_equal(owner[strict], nearest)
+
+
+def _fps_owner_reference(points, thresholds, limit=None):
+    """``_fps_centers`` with a full distance, owner and tie update per center."""
+    centers = [int(np.lexsort(points.T[::-1])[0])]
+    dist = np.linalg.norm(points - points[centers[0]], axis=1)
+    owner = np.zeros(len(points), dtype=np.intp)
+    tied = np.zeros(len(points), dtype=bool)
+    counts, owners = [], []
+    while len(counts) < len(thresholds):
+        nxt = int(np.argmax(dist))
+        if not dist[nxt] > thresholds[len(counts)]:
+            counts.append(len(centers))
+            owners.append((owner.copy(), np.flatnonzero(tied)))
+            continue
+        if limit is not None and len(centers) >= limit:
+            missing = [None] * (len(thresholds) - len(counts))
+            return centers, counts + missing, owners + missing
+        new = np.linalg.norm(points - points[nxt], axis=1)
+        owner[new < dist] = len(centers)
+        tied[new < dist] = False
+        tied[new == dist] = True
+        dist = np.minimum(dist, new)
+        centers.append(nxt)
+    return centers, counts, owners
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300), dim=st.sampled_from([2, 3]),
+       levels=st.sampled_from([2, 4, 8]), dups=st.integers(0, 40), top=st.sampled_from([2.0, 0.5]),
+       n_cuts=st.integers(1, 4), limit=st.one_of(st.none(), st.integers(1, 30)))
+@example(seed=0, n=1, dim=2, levels=2, dups=0, top=0.5, n_cuts=2, limit=None)
+@example(seed=0, n=1, dim=3, levels=2, dups=1, top=0.5, n_cuts=1, limit=1)
+@example(seed=1, n=2, dim=2, levels=2, dups=0, top=0.5, n_cuts=3, limit=None)
+@example(seed=2, n=2, dim=3, levels=8, dups=0, top=0.5, n_cuts=4, limit=1)
+def test_slab_updates_match_full_updates(seed, n, dim, levels, dups, top, n_cuts, limit):
+    # a coarse dyadic lattice, plus repeated rows: exact ties and coincident points
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-levels, levels + 1, (n, dim)) / levels
+    pts = np.concatenate([pts, pts[rng.integers(0, n, dups)]])
+    scales = [top / 2 ** j for j in range(n_cuts)]
+    centers, counts, owners = _fps_centers(pts, scales, limit=limit)
+    ref_centers, ref_counts, ref_owners = _fps_owner_reference(pts, scales, limit=limit)
+    assert centers.tolist() == ref_centers and counts == ref_counts
+    for cut, ref in zip(owners, ref_owners):
+        if ref is None:
+            assert cut is None
+        else:
+            np.testing.assert_array_equal(cut[0], ref[0])
+            np.testing.assert_array_equal(cut[1], ref[1])

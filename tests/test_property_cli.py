@@ -79,8 +79,7 @@ def _run(argv):
             return 2
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
 @given(domain=domain_specs(), function=_FUNCTIONS, eps=_ARGS, d=_ARGS, delta=_ARGS,
        checks=st.lists(st.sampled_from(sorted(KNOWN_CHECKS)), min_size=1, max_size=2))
 def test_exit_contract_on_random_specs(domain, function, eps, d, delta, checks):
@@ -138,3 +137,16 @@ def test_exit_contract_examples(tmp_path, domain, argv, status, stdout):
         assert err.getvalue().startswith("error: grid of ")
     if argv[0] == "verify":
         assert "exceeds the limit" in out.getvalue()
+
+
+def test_oversized_mollifier_is_a_chain_error(tmp_path):
+    # the k=1 kernel of this 404^2 grid would have 199,999^2 cells (298 GiB)
+    entry = {"domain": {"kind": "ball", "params": {"r": 0.002}, "h": 1e-5}, "function": "indicator",
+             "checks": ["sobolev_extended"], "parameters": {"k_list": [1]}}
+    suite, report = tmp_path / "suite.json", tmp_path / "report.json"
+    suite.write_text(json.dumps({"name": "p", "entries": [entry]}), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["verify", str(suite), "--out", str(report)]) == 0
+    assert "0 errors -> PASS" in out.getvalue() and err.getvalue() == ""
+    assert "exceeds the limit" in report.read_text(encoding="utf-8")

@@ -516,9 +516,11 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_import_leaves_scipy_ndimage_unloaded(self):
+    def test_import_leaves_scipy_fft_and_ndimage_unloaded(self):
+        # both are imported on first use; a scipy-free command path needs that
         src = os.path.dirname(os.path.dirname(gmtlab.__file__))
-        code = "import sys, gmtlab.cli; assert 'scipy.ndimage' not in sys.modules"
+        code = ("import sys, gmtlab.cli; "
+                "assert not {'scipy.fft', 'scipy.ndimage'} & set(sys.modules)")
         proc = subprocess.run(
             [sys.executable, "-c", code], cwd=REPO,
             capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
