@@ -3,8 +3,10 @@
 Gradients use forward differences with the Euclidean magnitude; cells whose
 forward neighbor is exterior difference toward the trace value at the
 adjacent boundary face (half-spacing step), so affine functions have exact
-gradients up to the boundary.  All reductions go through numpy's pairwise
-summation, which keeps results bitwise reproducible for a fixed shape.
+gradients up to the boundary; the boundary faces are found through the
+cloud's face table, built with the cloud by ``domains.extract_boundary``.
+All reductions go through numpy's pairwise summation, which keeps results
+bitwise reproducible for a fixed shape.
 """
 
 from __future__ import annotations
@@ -98,6 +100,9 @@ class GridFunction:
         values[~self.domain.mask] = 0.0
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        faces = None if self.cloud is None else self.cloud.faces
+        if faces is not None and faces.shape != self.domain.shape:
+            raise InvalidArgumentError(f"cloud grid {faces.shape} is not the domain grid {self.domain.shape}")
         if self.trace is not None:
             if self.cloud is None:
                 raise InvalidArgumentError("a trace requires its boundary cloud")
@@ -106,19 +111,17 @@ class GridFunction:
                 raise InvalidArgumentError("trace length must match the cloud")
             trace.setflags(write=False)
             object.__setattr__(self, "trace", trace)
-            if self.lipschitz is not None and self.cloud.face_cells is not None:
+            if self.lipschitz is not None and self.cloud.faces is not None:
                 self._check_trace_consistency()
 
     def _check_trace_consistency(self):
-        h = self.domain.spacing
-        n = self.domain.dim
-        owners = tuple(self.cloud.face_cells.T)
-        nearest = self.values[owners]
-        bound = self.lipschitz * h * math.sqrt(n) + 1e-12
-        gap = np.abs(self.trace - nearest)
-        if gap.max() > bound:
+        bound = self.lipschitz * self.h * math.sqrt(self.domain.dim) + 1e-12
+        values = self.values.reshape(-1)
+        gap = np.max([np.max(np.abs(self.trace[rows] - values[cells]))
+                      for rows, cells in self.cloud.faces.blocks.values()])
+        if gap > bound:
             raise InvalidArgumentError(
-                f"trace inconsistent with declared modulus: gap {gap.max():.3e} > {bound:.3e}"
+                f"trace inconsistent with declared modulus: gap {gap:.3e} > {bound:.3e}"
             )
 
     @property
@@ -198,26 +201,6 @@ def indicator_function(domain: GridDomain, cloud: BoundaryCloud | None = None) -
 # gradients and norms
 
 
-def _face_table(cloud: BoundaryCloud, shape: tuple) -> dict:
-    """Per (axis, sign): the cloud rows of those boundary faces and the flat
-    indices, in a grid of ``shape``, of the interior cells they sit on.
-
-    A pure function of the immutable cloud and the grid it indexes, so it is
-    built once and cached on the cloud read-only, like its boundary measures.
-    """
-    cache = vars(cloud).setdefault("_face_tables", {})
-    if shape not in cache:
-        flat = np.ravel_multi_index(tuple(cloud.face_cells.T), shape)
-        table = {}
-        for axis, sign in itertools.product(range(len(shape)), (1, -1)):
-            rows = np.flatnonzero((cloud.face_axes == axis) & (cloud.face_signs == sign))
-            table[axis, sign] = (rows, flat[rows])
-            for arr in table[axis, sign]:
-                arr.setflags(write=False)
-        cache[shape] = table
-    return cache[shape]
-
-
 def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndarray, faces: dict) -> np.ndarray:
     """Squared forward-difference gradient magnitude per cell (uncached).
 
@@ -255,9 +238,9 @@ def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
     if cached is not None:
         return cached
     cloud = u.cloud
-    if cloud is None or u.trace is None or cloud.face_cells is None:
+    if cloud is None or u.trace is None or cloud.faces is None:
         raise NoTraceError("operation needs a boundary trace with face metadata")
-    mag2 = _grad_stencil(u.domain.mask, u.h, u.values, u.trace, _face_table(cloud, u.domain.shape))
+    mag2 = _grad_stencil(u.domain.mask, u.h, u.values, u.trace, cloud.faces.blocks)
     mag2.setflags(write=False)
     object.__setattr__(u, "_grad_mag2", mag2)
     return mag2

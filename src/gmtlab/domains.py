@@ -4,6 +4,10 @@ A domain is a boolean mask over a regular grid with spacing h; the cell with
 index (i, j[, k]) has its center at origin + (index + 0.5) * h.  Every mask
 keeps at least a one-cell false margin on each face, so the represented set
 is strictly inside the grid box.
+
+Only this module knows the face lattice: :func:`extract_boundary` builds each
+face cloud with its :class:`FaceTable` and its nearest-neighbour gaps
+(:func:`_face_gaps`), which the other modules read.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +25,7 @@ from .errors import EmptyDomainError, InvalidArgumentError, SpecError
 __all__ = [
     "GridDomain",
     "BoundaryCloud",
+    "FaceTable",
     "make_ball",
     "make_box",
     "make_annulus",
@@ -101,12 +106,27 @@ class GridDomain:
 
 
 @dataclass(frozen=True)
+class FaceTable:
+    """Where the faces of a cloud from :func:`extract_boundary` sit on its grid.
+
+    ``blocks[axis, sign]`` holds, for the faces with outward direction
+    ``sign * e_axis``, their cloud rows and the flat index, in a grid of
+    ``shape``, of the interior cell each sits on (read-only arrays).  Every
+    (axis, sign) has a block, and the blocks follow each other in cloud order.
+    """
+
+    shape: tuple
+    blocks: dict
+
+
+@dataclass(frozen=True)
 class BoundaryCloud:
     """Sampled boundary: points with per-point (n-1)-measure weights.
 
     Clouds produced by :func:`extract_boundary` also carry, for each point,
-    the interior cell it sits on and the outward face direction; synthetic
-    clouds may leave those fields as None.
+    the interior cell it sits on and the outward face direction, and are
+    given their ``faces`` table and nearest-neighbour gaps ``nn_gaps``;
+    synthetic clouds leave those fields as None.
     """
 
     dim: int
@@ -116,6 +136,8 @@ class BoundaryCloud:
     face_cells: np.ndarray | None = None
     face_axes: np.ndarray | None = None
     face_signs: np.ndarray | None = None
+    faces: FaceTable | None = field(default=None, init=False, repr=False, compare=False)
+    nn_gaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float).reshape(-1, self.dim).copy()
@@ -307,10 +329,9 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     boundary of curved sets; quantitative boundary-measure values come from
     the covering estimator, not from these raw weights.
 
+    The cloud is built with its face table and its nearest-neighbour gaps.
     Domains and clouds are immutable, so the cloud is built once per domain,
-    cached on it, and shared by every caller.  The cloud keeps the domain's
-    origin and mask (not the domain, which already holds the cloud) for the
-    face-lattice lookups of the covering estimator.
+    cached on it, and shared by every caller.
     """
     cached = vars(domain).get("_boundary")
     if cached is not None:
@@ -333,39 +354,101 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     flat = np.flatnonzero(edge)
     flat_mask = mask.reshape(-1)
     strides = [int(np.prod(mask.shape[a + 1:])) for a in range(n)]
-    points, cells, axes_list, signs = [], [], [], []
-    for axis in range(n):
-        for sign in (1, -1):
-            # faces in C order within each (axis, sign) block, as argwhere gives them
-            sel = flat[~flat_mask[flat + sign * strides[axis]]]
-            if len(sel) == 0:
-                continue
-            idx = np.stack(np.unravel_index(sel, mask.shape), axis=1)
-            pts = domain.origin + (idx + 0.5) * h
-            pts[:, axis] += sign * h / 2.0
-            points.append(pts)
-            cells.append(idx)
-            axes_list.append(np.full(len(idx), axis, dtype=np.int64))
-            signs.append(np.full(len(idx), sign, dtype=np.int64))
-    points = np.concatenate(points, axis=0)
-    cells = np.concatenate(cells, axis=0)
-    axes_arr = np.concatenate(axes_list)
-    signs_arr = np.concatenate(signs)
-    weights = np.full(len(points), h ** (n - 1))
-    for arr in (cells, axes_arr, signs_arr):
+    # faces in C order within each (axis, sign) block, as argwhere gives them;
+    # a nonempty mask has faces in every direction
+    sels = {(axis, sign): flat[~flat_mask[flat + sign * strides[axis]]]
+            for axis in range(n) for sign in (1, -1)}
+    sizes = [len(sel) for sel in sels.values()]
+    face_flat = np.concatenate(list(sels.values()))
+    rows = np.arange(len(face_flat))
+    axes_arr = np.repeat([axis for axis, _ in sels], sizes)
+    signs_arr = np.repeat([sign for _, sign in sels], sizes)
+    cells = np.stack(np.unravel_index(face_flat, mask.shape), axis=1)
+    points = domain.origin + (cells + 0.5) * h
+    points[rows, axes_arr] += signs_arr * h / 2.0
+    for arr in (rows, face_flat, cells, axes_arr, signs_arr):
         arr.setflags(write=False)
+    split = np.cumsum(sizes)[:-1]
+    blocks = dict(zip(sels, zip(np.split(rows, split), np.split(face_flat, split))))
     cloud = BoundaryCloud(
         dim=n,
         resolution=h,
         points=points,
-        weights=weights,
+        weights=np.full(len(rows), h ** (n - 1)),
         face_cells=cells,
         face_axes=axes_arr,
         face_signs=signs_arr,
     )
-    vars(cloud)["_grid"] = (domain.origin, mask)
+    # the gap pass is where extraction peaks in memory; the cloud has its own copy of the points
+    del edge, flat, sels, points
+    gaps = _face_gaps(cloud, domain.origin, mask, face_flat)
+    gaps.setflags(write=False)
+    object.__setattr__(cloud, "faces", FaceTable(mask.shape, blocks))
+    object.__setattr__(cloud, "nn_gaps", gaps)
     object.__setattr__(domain, "_boundary", cloud)
     return cloud
+
+
+def _face_gaps(cloud: BoundaryCloud, origin: np.ndarray, mask: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor gaps of a face cloud of the domain (origin, mask), from its lattice.
+
+    ``flat`` is the flat index of each face's interior cell, in cloud order.
+    In half-cell units the face (c, a, s) of interior cell c toward the
+    exterior cell c + s e_a sits at 2c + 1 + s e_a.  Its nearest other face
+    lies within one cell, at h/sqrt(2) across an edge or else at h, among
+    8 (2D) or 14 (3D) positions; every other face is at least 1.2 h away.
+    For each axis b != a and t = +-1 these are the face (c, b, t), present
+    when c + t e_b is exterior, the face (c + s e_a + t e_b, b, -t), present
+    when that cell is interior, and the coplanar face (c + t e_b, a, s),
+    present when c + t e_b is interior and c + t e_b + s e_a is not (the
+    same position owned by c + t e_b + s e_a has different bits, but then
+    the face (c, b, t) is nearer); along a they are the faces (c, a, -s)
+    and (c + 2s e_a, a, -s).  Presence is one mask gather per position over
+    all faces.  Each neighbor's coordinates follow :func:`extract_boundary`'s
+    formula from its owning cell, and at most two axes differ, so the
+    squared distances have the bits of a KD-tree's and the gaps are those
+    of its k=2 query.
+    """
+    n, h = cloud.dim, cloud.resolution
+    pts, cells, axes, signs = cloud.points, cloud.face_cells, cloud.face_axes, cloud.face_signs
+    rows = np.arange(len(pts))
+    shape = np.array(mask.shape)
+    strides = np.array([int(np.prod(mask.shape[x + 1:])) for x in range(n)])
+    present = mask.reshape(-1)
+    # the cell-centre coordinates of every axis, end to end
+    base = np.concatenate(([0], np.cumsum(shape)[:-1]))
+    centre = np.concatenate([x.ravel() for x in _centers_grid(origin, mask.shape, h)])
+    half = signs * h / 2.0
+    step = signs * strides[axes]  # flat offset of c + s e_a
+    # along a: each face's own coordinate and the neighbors' differences from it
+    own = pts[rows, axes]
+    ca = cells[rows, axes]
+    ia = base[axes] + ca
+    on_grid = (ca + 2 * signs >= 0) & (ca + 2 * signs < shape[axes])  # c + 2s e_a in the grid
+    inner = centre[ia] - own
+    outer = centre[ia + signs] - own
+    far = centre[np.where(on_grid, ia + 2 * signs, ia)] - half - own
+    back = centre[ia] - half - own
+    best = far * far
+    best[~(on_grid & present[np.where(on_grid, flat + 2 * step, flat)])] = np.inf
+    np.minimum(best, back * back, out=best, where=~present[flat - step])
+    inner *= inner
+    outer *= outer
+    for j in range(1, n):
+        b = (axes + j) % n
+        ib = base[b] + cells[rows, b]
+        other = pts[rows, b]
+        for t in (1, -1):
+            shift = flat + t * strides[b]
+            side = present[shift]  # c + t e_b interior
+            corner = present[shift + step]  # c + s e_a + t e_b interior
+            edge = other + t * h / 2.0 - other
+            np.minimum(best, inner + edge * edge, out=best, where=~side)
+            edge = centre[ib + t] - t * h / 2.0 - other
+            np.minimum(best, outer + edge * edge, out=best, where=corner)
+            edge = centre[ib + t] - other
+            np.minimum(best, edge * edge, out=best, where=side & ~corner)
+    return np.sqrt(best)
 
 
 def dilate(domain: GridDomain, eps: float) -> GridDomain:

@@ -2,7 +2,10 @@
 
 Supports +, -, *, /, ^ (power), parentheses, the functions min, max, abs,
 exp, sqrt, the variables x, y, z, the radial shorthand r = |x|, and the
-constant pi.  Expressions are evaluated pointwise on numpy arrays.
+constant pi.  Expressions are evaluated pointwise on numpy arrays.  An
+expression nests at most ``MAX_DEPTH`` levels deep: each binary operator,
+sign, function call and pair of parentheses is one level above its operands,
+so parsing and evaluation stay far inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import numpy as np
 from .errors import ExpressionError
 
 __all__ = ["parse_expression", "evaluate_expression", "Expression"]
+
+MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|(?P<name>[A-Za-z_]\w*)"
@@ -58,7 +63,8 @@ class Expression:
         self.text = text
         self._tokens = _tokenize(text)
         self._pos = 0
-        self._ast = self._parse_sum()
+        self._open = 0  # _parse_unary calls in progress
+        self._ast, _ = self._parse_sum()
         if self._peek() != ("end", None):
             raise ExpressionError(f"trailing input in expression: {text!r}")
 
@@ -76,42 +82,57 @@ class Expression:
         if kind != "op" or val != op:
             raise ExpressionError(f"expected '{op}' in expression {self.text!r}")
 
+    # Each _parse_* returns (node, height), the levels of the node's subtree.
+    def _above(self, *heights) -> int:
+        """Height of a level above subtrees of the given heights, at most MAX_DEPTH."""
+        height = 1 + max(heights, default=0)
+        if height > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels")
+        return height
+
     def _parse_sum(self):
-        node = self._parse_product()
+        node, height = self._parse_product()
         while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
             _, op = self._next()
-            rhs = self._parse_product()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            rhs, rhs_height = self._parse_product()
+            node, height = ("add" if op == "+" else "sub", node, rhs), self._above(height, rhs_height)
+        return node, height
 
     def _parse_product(self):
-        node = self._parse_unary()
+        node, height = self._parse_unary()
         while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
             _, op = self._next()
-            rhs = self._parse_unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            rhs, rhs_height = self._parse_unary()
+            node, height = ("mul" if op == "*" else "div", node, rhs), self._above(height, rhs_height)
+        return node, height
 
     def _parse_unary(self):
-        if self._peek() == ("op", "-"):
-            self._next()
-            return ("neg", self._parse_unary())
-        if self._peek() == ("op", "+"):
-            self._next()
-            return self._parse_unary()
-        return self._parse_power()
+        # every nested parse passes through here, and no more calls are open
+        # than levels lie above the token being read, so counting them stops a
+        # deep input before the recursion does
+        self._open += 1
+        self._above(self._open - 1)
+        if self._peek() == ("op", "-") or self._peek() == ("op", "+"):
+            _, op = self._next()
+            node, height = self._parse_unary()
+            node, height = ("neg", node) if op == "-" else node, self._above(height)
+        else:
+            node, height = self._parse_power()
+        self._open -= 1
+        return node, height
 
     def _parse_power(self):
-        base = self._parse_atom()
+        base, height = self._parse_atom()
         if self._peek() == ("op", "^"):
             self._next()
-            return ("pow", base, self._parse_unary())
-        return base
+            exponent, exp_height = self._parse_unary()
+            return ("pow", base, exponent), self._above(height, exp_height)
+        return base, height
 
     def _parse_atom(self):
         kind, val = self._next()
         if kind == "num":
-            return ("const", val)
+            return ("const", val), 1
         if kind == "name":
             if val in _FUNCTIONS:
                 self._expect("(")
@@ -123,16 +144,16 @@ class Expression:
                 self._expect(")")
                 if len(args) != arity:
                     raise ExpressionError(f"{val} expects {arity} argument(s)")
-                return ("call", val, args)
+                return ("call", val, [arg for arg, _ in args]), self._above(*(h for _, h in args))
             if val == "pi":
-                return ("const", math.pi)
+                return ("const", math.pi), 1
             if val in ("x", "y", "z", "r"):
-                return ("var", val)
+                return ("var", val), 1
             raise ExpressionError(f"unknown identifier {val!r}")
         if kind == "op" and val == "(":
-            node = self._parse_sum()
+            node, height = self._parse_sum()
             self._expect(")")
-            return node
+            return node, self._above(height)
         raise ExpressionError(f"unexpected token in expression {self.text!r}")
 
     # -- evaluation --------------------------------------------------------

@@ -23,9 +23,9 @@ farthest-point order, whose distance updates read a contiguous slab of a
 copy of the cloud sorted along its widest axis, compare it in place against
 the distances kept in that order, write back only the points that change,
 and also carry each point's nearest center; a KD-tree over the centers
-settles only exact ties.  The nearest-neighbor gaps of a face cloud come
-from its face lattice, those of other clouds from a KD-tree query; only the
-gaps are cached on the cloud.  A :class:`Partition` keeps the segmented
+settles only exact ties.  A face cloud comes with its nearest-neighbor
+gaps (built with the cloud by :func:`extract_boundary`); those of other
+clouds come from a KD-tree query.  A :class:`Partition` keeps the segmented
 form plus one column entry per cell (representative, rd, measure).
 ``CoverCell`` and ``Covering`` remain the explicit form for coverings built
 by hand.
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domains import BoundaryCloud, _centers_grid
+from .domains import BoundaryCloud
 from .errors import EmptyCloudError, InvalidArgumentError, ResolutionError
 
 __all__ = [
@@ -200,85 +200,20 @@ def _diameters(pts: np.ndarray) -> np.ndarray:
 
 
 def _cloud_nn(cloud: BoundaryCloud) -> np.ndarray:
-    """Per-point distance to the nearest other point (0 for one point), cached read-only.
+    """Per-point distance to the nearest other point (0 for one point), read-only.
 
-    A cloud from :func:`extract_boundary` reads its gaps off the face
-    lattice (:func:`_face_gaps`); other clouds take a KD-tree's k=2 query.
+    A cloud from :func:`extract_boundary` comes with its gaps; those of
+    other clouds come from a KD-tree's k=2 query, made once and kept on the
+    cloud.
     """
-    gaps = vars(cloud).get("_nn_gaps")
-    if gaps is None:
-        grid = vars(cloud).get("_grid")
-        if grid is not None:
-            gaps = _face_gaps(cloud, *grid)
-        elif len(cloud) >= 2:
+    if cloud.nn_gaps is None:
+        if len(cloud) >= 2:
             gaps = cKDTree(cloud.points).query(cloud.points, k=2)[0][:, 1].copy()
         else:
             gaps = np.zeros(len(cloud))
         gaps.setflags(write=False)
-        vars(cloud)["_nn_gaps"] = gaps
-    return gaps
-
-
-def _face_gaps(cloud: BoundaryCloud, origin: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor gaps of a face cloud of the domain (origin, mask), from its lattice.
-
-    In half-cell units the face (c, a, s) of interior cell c toward the
-    exterior cell c + s e_a sits at 2c + 1 + s e_a.  Its nearest other face
-    lies within one cell, at h/sqrt(2) across an edge or else at h, among
-    8 (2D) or 14 (3D) positions; every other face is at least 1.2 h away.
-    For each axis b != a and t = +-1 these are the face (c, b, t), present
-    when c + t e_b is exterior, the face (c + s e_a + t e_b, b, -t), present
-    when that cell is interior, and the coplanar face (c + t e_b, a, s),
-    present when c + t e_b is interior and c + t e_b + s e_a is not (the
-    same position owned by c + t e_b + s e_a has different bits, but then
-    the face (c, b, t) is nearer); along a they are the faces (c, a, -s)
-    and (c + 2s e_a, a, -s).  Presence is one mask gather per position over
-    all faces.  Each neighbor's coordinates follow :func:`extract_boundary`'s
-    formula from its owning cell, and at most two axes differ, so the
-    squared distances have the bits of the KD-tree's and the gaps are those
-    of its k=2 query.
-    """
-    n, h = cloud.dim, cloud.resolution
-    pts, cells, axes, signs = cloud.points, cloud.face_cells, cloud.face_axes, cloud.face_signs
-    rows = np.arange(len(pts))
-    shape = np.array(mask.shape)
-    strides = np.array([int(np.prod(mask.shape[x + 1:])) for x in range(n)])
-    present = mask.reshape(-1)
-    flat = np.ravel_multi_index(cells.T, mask.shape)
-    # the cell-centre coordinates of every axis, end to end
-    base = np.concatenate(([0], np.cumsum(shape)[:-1]))
-    centre = np.concatenate([x.ravel() for x in _centers_grid(origin, mask.shape, h)])
-    half = signs * h / 2.0
-    step = signs * strides[axes]  # flat offset of c + s e_a
-    # along a: each face's own coordinate and the neighbors' differences from it
-    own = pts[rows, axes]
-    ca = cells[rows, axes]
-    ia = base[axes] + ca
-    on_grid = (ca + 2 * signs >= 0) & (ca + 2 * signs < shape[axes])  # c + 2s e_a in the grid
-    inner = centre[ia] - own
-    outer = centre[ia + signs] - own
-    far = centre[np.where(on_grid, ia + 2 * signs, ia)] - half - own
-    back = centre[ia] - half - own
-    best = far * far
-    best[~(on_grid & present[np.where(on_grid, flat + 2 * step, flat)])] = np.inf
-    np.minimum(best, back * back, out=best, where=~present[flat - step])
-    inner *= inner
-    outer *= outer
-    for j in range(1, n):
-        b = (axes + j) % n
-        ib = base[b] + cells[rows, b]
-        other = pts[rows, b]
-        for t in (1, -1):
-            shift = flat + t * strides[b]
-            side = present[shift]  # c + t e_b interior
-            corner = present[shift + step]  # c + s e_a + t e_b interior
-            edge = other + t * h / 2.0 - other
-            np.minimum(best, inner + edge * edge, out=best, where=~side)
-            edge = centre[ib + t] - t * h / 2.0 - other
-            np.minimum(best, outer + edge * edge, out=best, where=corner)
-            edge = centre[ib + t] - other
-            np.minimum(best, edge * edge, out=best, where=side & ~corner)
-    return np.sqrt(best)
+        object.__setattr__(cloud, "nn_gaps", gaps)
+    return cloud.nn_gaps
 
 
 def _size_buckets(order: np.ndarray, bounds: np.ndarray):

@@ -566,6 +566,10 @@ def quotient_search(
         raise InvalidArgumentError("need iters >= 1 and step >= 0")
     if u0.trace is None or u0.cloud is None:
         raise InvalidArgumentError("quotient search needs a boundary trace")
+    if u0.cloud.faces is None:
+        raise NoTraceError("quotient search needs a boundary trace with face metadata")
+    if not (u0.domain.same_grid(domain) and np.array_equal(u0.domain.mask, domain.mask)):
+        raise InvalidArgumentError("quotient search needs a start function on the searched domain")
     mask = domain.mask
     if (u0.values[mask] < 0).any() or (u0.trace < 0).any():
         raise InvalidArgumentError("quotient search expects a nonnegative start")
@@ -592,11 +596,10 @@ def quotient_search(
     label = np.full(domain.shape, -1, dtype=np.intp)
     label[mask] = np.arange(n_cells)
     src = np.full((n_cells, 2 * n), -1, dtype=np.intp)
-    trace_owner = np.full(len(cloud), -1, dtype=np.intp)
-    faces = calc._face_table(cloud, domain.shape) if cloud.face_cells is not None else {}
-    for (a, sign), (rows, cells) in faces.items():
+    trace_owner = np.empty(len(cloud), dtype=np.intp)
+    for (a, sign), (rows, cells) in cloud.faces.blocks.items():
         trace_owner[rows] = owner = label.reshape(-1)[cells]
-        src[owner[owner >= 0], 2 * a + (sign < 0)] = n_cells + rows[owner >= 0]
+        src[owner, 2 * a + (sign < 0)] = n_cells + rows
     # neighbour labels; the grid's false margin keeps a roll from wrapping onto a cell
     fwd_cell, bwd_cell = (np.stack([np.roll(label, -k, axis=a)[mask] for a in range(n)], axis=1)
                           for k in (1, -1))
@@ -606,7 +609,7 @@ def quotient_search(
     # cells whose gradient a coordinate enters: a cell and its backward
     # neighbours, a trace point and the cell it sits on
     affected = [[i] + [j for j in row if j >= 0] for i, row in enumerate(bwd_cell.tolist())]
-    affected += [[o] if o >= 0 else [] for o in trace_owner.tolist()]
+    affected += [[o] for o in trace_owner.tolist()]
     x = u0.values[mask].tolist() + u0.trace.tolist()
 
     def grad_at(i) -> float:

@@ -521,6 +521,13 @@ class TestGridFunction:
         with pytest.raises(InvalidArgumentError):
             from_expression(square_128, "1", lipschitz=lips)
 
+    def test_cloud_of_another_grid_rejected(self):
+        # an r=1 disk's faces index cells past the grid of an r=0.5 disk
+        small, disk = make_ball((0.0, 0.0), 0.5, 1 / 16), make_ball((0.0, 0.0), 1.0, 1 / 16)
+        cloud = extract_boundary(disk)
+        with pytest.raises(InvalidArgumentError, match="is not the domain grid"):
+            GridFunction(small, np.zeros(small.shape), cloud, np.zeros(len(cloud)))
+
     def test_expression_trace_from_cloud_points(self, square_128):
         cloud = extract_boundary(square_128)
         u = from_expression(square_128, "x", cloud)

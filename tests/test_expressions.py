@@ -72,6 +72,21 @@ def test_malformed_rejected(bad):
         parse_expression(bad)
 
 
+@pytest.mark.parametrize("nest", [
+    lambda k: "(" * (k - 1) + "x" + ")" * (k - 1),
+    lambda k: "-" * (k - 1) + "x",
+    lambda k: "+" * (k - 1) + "x",
+    lambda k: "+".join(["x"] * k),
+    lambda k: "x^" * (k - 1) + "1",
+    lambda k: "abs(" * (k - 1) + "x" + ")" * (k - 1),
+], ids=["parentheses", "minus", "plus", "sum", "power", "call"])
+def test_depth_limit(nest):
+    # k levels: k - 1 nested constructs above the variable
+    assert np.isfinite(parse_expression(nest(100))(P)).all()
+    with pytest.raises(ExpressionError, match="deeper than 100 levels"):
+        parse_expression(nest(101))
+
+
 def test_parse_once_evaluate_many():
     expr = parse_expression("max(0, 1 - r*r)")
     a = expr(P)

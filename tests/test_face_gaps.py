@@ -1,13 +1,16 @@
-"""Nearest-neighbour gaps of face clouds, read off the face lattice.
+"""Face tables and nearest-neighbour gaps of face clouds, read off the face lattice.
 
-``_cloud_nn`` takes a face cloud's gaps from the domain's mask instead of a
-KD-tree over the cloud.  The tree's k=2 query is the oracle: every gap must
-equal its answer bit for bit, on random masks with non-dyadic spacings and
-origins, isolated cells and cells that meet only along an edge or at a
-corner, and on the benchmark's clouds.
+``extract_boundary`` builds a face cloud's gaps from the domain's mask
+instead of a KD-tree over the cloud, and ``_cloud_nn`` returns them.  The
+tree's k=2 query is the oracle: every gap must equal its answer bit for
+bit, on random masks with non-dyadic spacings and origins, isolated cells
+and cells that meet only along an edge or at a corner, and on the
+benchmark's clouds.  The face table that ``extract_boundary`` builds in the
+same pass must equal the one derived from the per-face arrays.
 """
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -18,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gmtlab.domains import GridDomain, extract_boundary, make_ball  # noqa: E402
-from gmtlab.hausdorff import _cloud_nn, _face_gaps  # noqa: E402
+from gmtlab.hausdorff import _cloud_nn  # noqa: E402
 
 _SPACINGS = [1 / 16, 0.1, 1 / 3, 0.07]
 _ORIGINS = [0.0, 0.37, -1.3, 12.345]
@@ -28,9 +31,31 @@ def _tree_gaps(cloud):
     return cKDTree(cloud.points).query(cloud.points, k=2)[0][:, 1]
 
 
+def _ref_face_table(cloud, shape):
+    """Per (axis, sign): the rows of those faces and the flat indices of their cells,
+    derived from the cloud's per-face arrays with one boolean pass each."""
+    flat = np.ravel_multi_index(tuple(cloud.face_cells.T), shape)
+    table = {}
+    for axis, sign in itertools.product(range(len(shape)), (1, -1)):
+        rows = np.flatnonzero((cloud.face_axes == axis) & (cloud.face_signs == sign))
+        table[axis, sign] = (rows, flat[rows])
+    return table
+
+
+def _check_face_table(dom):
+    cloud = extract_boundary(dom)
+    assert cloud.faces.shape == dom.shape
+    ref = _ref_face_table(cloud, dom.shape)
+    assert list(cloud.faces.blocks) == list(ref)
+    for key, arrays in cloud.faces.blocks.items():
+        for got, want in zip(arrays, ref[key]):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+
+
 def _lattice_gaps(cloud):
-    gaps = _face_gaps(cloud, *vars(cloud)["_grid"])
-    assert np.array_equal(gaps, _cloud_nn(cloud))
+    gaps = cloud.nn_gaps
+    assert _cloud_nn(cloud) is gaps and not gaps.flags.writeable
     return gaps
 
 
@@ -64,6 +89,7 @@ def face_domains(draw):
 def test_gaps_match_the_tree(dom):
     cloud = extract_boundary(dom)
     assert np.array_equal(_lattice_gaps(cloud), _tree_gaps(cloud))
+    _check_face_table(dom)
 
 
 @pytest.mark.parametrize("cells", [
@@ -90,8 +116,10 @@ def test_isolated_and_edge_contacts(cells):
     ((0.37, -0.11), 1 / 30),
 ])
 def test_benchmark_clouds(center, h):
-    cloud = extract_boundary(make_ball(center, 1.0, h))
+    dom = make_ball(center, 1.0, h)
+    cloud = extract_boundary(dom)
     assert np.array_equal(_lattice_gaps(cloud), _tree_gaps(cloud))
+    _check_face_table(dom)
 
 
 def test_cloud_does_not_keep_its_domain_alive():

@@ -13,11 +13,12 @@ from gmtlab.calculus import (
     mollify,
     restrict_to_domain,
 )
-from gmtlab.domains import extract_boundary, make_ball, make_box, GridDomain
+from gmtlab.domains import BoundaryCloud, extract_boundary, make_ball, make_box, GridDomain
 from gmtlab.errors import (
     DegenerateStartError,
     InvalidArgumentError,
     NoModulusError,
+    NoTraceError,
     NumericalError,
     SupportError,
 )
@@ -524,6 +525,22 @@ class TestQuotientSearch:
         cal, _ = _calibration(disk_128, best.cloud)
         den = grad_l1(best) + paper_boundary_factor(2) * boundary_integral(best, calibration=cal)
         assert q == pytest.approx(lq_norm(best, 2.0) / den, rel=1e-9)
+
+    def test_faceless_cloud_rejected(self):
+        # a synthetic copy of a face cloud has no face table to put the trace in the gradient
+        disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
+        faces = extract_boundary(disk)
+        cloud = BoundaryCloud(faces.dim, faces.resolution, faces.points, faces.weights)
+        u0 = GridFunction(disk, np.where(disk.mask, 1.0, 0.0), cloud, np.ones(len(cloud)))
+        with pytest.raises(NoTraceError):
+            quotient_search(disk, u0, iters=1, step=0.1)
+
+    def test_start_on_another_domain_rejected(self):
+        # the start's faces would index cells that the searched half disk lacks
+        disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
+        half = GridDomain(disk.spacing, disk.origin, disk.mask & (np.indices(disk.shape)[0] > 20))
+        with pytest.raises(InvalidArgumentError, match="searched domain"):
+            quotient_search(half, indicator_function(disk), iters=1, step=0.1)
 
     def test_degenerate_start_rejected(self, disk_128):
         cloud = extract_boundary(disk_128)

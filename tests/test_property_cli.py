@@ -5,7 +5,8 @@ a one-sweep ``search``, ``steiner`` and a one-entry ``verify`` return 0, 1
 or 2 (or stop in argparse with exit status 2); no other exception escapes
 ``cli.main``.  Grid spacings stay at h >= 1/32 and lengths at most 2, so
 every example is small.  Explicit examples pin the inputs that once escaped:
-huge dimensions and grids too large to allocate.
+huge dimensions, grids too large to allocate and expressions nested past
+Python's recursion limit.
 """
 
 import contextlib
@@ -150,3 +151,27 @@ def test_oversized_mollifier_is_a_chain_error(tmp_path):
         assert main(["verify", str(suite), "--out", str(report)]) == 0
     assert "0 errors -> PASS" in out.getvalue() and err.getvalue() == ""
     assert "exceeds the limit" in report.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command, expr, status", [
+    ("trace", "(" * 400 + "x" + ")" * 400, 2),
+    ("verify", "-" * 3000 + "x", 1),
+    ("search", "+".join(["x"] * 2000), 2),  # parses flat, but its tree is 2,000 levels deep
+], ids=["parentheses", "signs", "long_sum"])
+def test_deep_expression_is_a_typed_error(tmp_path, command, expr, status):
+    fn = {"expr": expr, "lipschitz": 1.0}
+    files = {"dom": _DISK, "fn": fn, "suite": {"name": "p", "entries": [
+        {"domain": _DISK, "function": fn, "checks": ["mazya"]}]}}
+    for key, data in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(data), encoding="utf-8")
+    argv = {"trace": ["trace", "dom", "fn", "--eps", "0.5"],
+            "search": ["search", "dom", "fn", "--iters", "1", "--step", "0.1"],
+            "verify": ["verify", "suite"]}[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main([str(tmp_path / f"{a}.json") if a in files else a for a in argv]) == status
+    if command == "verify":
+        assert "ExpressionError: expression nests deeper than 100 levels" in out.getvalue()
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue() == "error: expression nests deeper than 100 levels\n"
