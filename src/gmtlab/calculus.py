@@ -100,9 +100,8 @@ class GridFunction:
         values[~self.domain.mask] = 0.0
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        faces = None if self.cloud is None else self.cloud.faces
-        if faces is not None and faces.shape != self.domain.shape:
-            raise InvalidArgumentError(f"cloud grid {faces.shape} is not the domain grid {self.domain.shape}")
+        if self.cloud is not None and self.cloud.faces is not None:
+            self._check_cloud_faces(self.cloud.faces)
         if self.trace is not None:
             if self.cloud is None:
                 raise InvalidArgumentError("a trace requires its boundary cloud")
@@ -113,6 +112,21 @@ class GridFunction:
             object.__setattr__(self, "trace", trace)
             if self.lipschitz is not None and self.cloud.faces is not None:
                 self._check_trace_consistency()
+
+    def _check_cloud_faces(self, faces):
+        """Refuse a face cloud extracted from another domain.
+
+        Every face must sit on a cell of this mask and point to an exterior
+        cell: two gathers per (axis, sign) block, no pass over the grid.
+        """
+        mask = self.domain.mask
+        if faces.shape != mask.shape:
+            raise InvalidArgumentError(f"cloud grid {faces.shape} is not the domain grid {mask.shape}")
+        flat = mask.reshape(-1)
+        for (axis, sign), (_, cells) in faces.blocks.items():
+            outward = cells + sign * int(np.prod(mask.shape[axis + 1:]))
+            if not flat[cells].all() or flat[outward].any():
+                raise InvalidArgumentError("cloud faces are not the boundary faces of this domain")
 
     def _check_trace_consistency(self):
         bound = self.lipschitz * self.h * math.sqrt(self.domain.dim) + 1e-12
@@ -538,25 +552,37 @@ def build_mollifier(k: int, spacing: float, dim: int) -> Mollifier:
     return Mollifier(k=k, spacing=spacing, kernel=kernel)
 
 
-def fft_convolve(a: np.ndarray, b: np.ndarray, same: bool = False) -> np.ndarray:
-    """Linear convolution of two real arrays with the same number of axes.
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (of the form 2^a 3^b 5^c) at least n.
 
-    The full output has shape ``a.shape + b.shape - 1``; ``same=True`` crops it
-    to ``a.shape``, centred on ``a`` (the "full" and "same" modes of
-    ``scipy.signal.fftconvolve``).  Both arrays are zero-padded on every axis
-    to a fast real-FFT length of at least the full output, so the product of
-    their real FFTs is the linear convolution, not a circular one.
+    Real FFTs of such lengths factor into radix-2, -3 and -5 passes only
+    (Frigo and Johnson, Proc. IEEE 93 (2005)); gaps between them stay small
+    next to n, so the search by trial division is short.
     """
-    from scipy import fft  # first use only: not every command convolves
+    while True:
+        r = n
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
 
+
+def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays with the same number of axes.
+
+    The output has shape ``a.shape + b.shape - 1`` (the "full" mode of
+    ``scipy.signal.fftconvolve``).  Both arrays are zero-padded on every axis
+    to the 5-smooth length (:func:`_fast_len`) of at least that size, so the
+    product of their real FFTs (``numpy.fft``) is the linear convolution, not
+    a circular one.
+    """
     full = [n + m - 1 for n, m in zip(a.shape, b.shape)]
-    fshape = [fft.next_fast_len(n, real=True) for n in full]
+    fshape = [_fast_len(n) for n in full]
     axes = tuple(range(a.ndim))
-    spectrum = fft.rfftn(a, fshape, axes=axes) * fft.rfftn(b, fshape, axes=axes)
-    conv = fft.irfftn(spectrum, fshape, axes=axes)
-    shape = a.shape if same else full
-    start = [(n - s) // 2 for n, s in zip(full, shape)]
-    return conv[tuple(slice(i, i + s) for i, s in zip(start, shape))]
+    spectrum = np.fft.rfftn(a, fshape, axes=axes) * np.fft.rfftn(b, fshape, axes=axes)
+    return np.fft.irfftn(spectrum, fshape, axes=axes)[tuple(slice(0, n) for n in full)]
 
 
 def mollify(u: GridFunction, k: int) -> GridFunction:
@@ -564,19 +590,22 @@ def mollify(u: GridFunction, k: int) -> GridFunction:
 
     Mass is preserved exactly up to rounding, and the discrete total
     variation never increases (the kernel has unit mass and the grid box is
-    padded so the convolution is never clipped).  The convolution is one
+    padded so the convolution is never clipped).  The convolution is the
+    full one of the unpadded values with the (2m+1)^n kernel: its n + 2m
+    cells per axis hold the whole support, and two zero cells more on every
+    side give the grid box, m + 2 cells wider than the domain's.  It is one
     real FFT product, whose rounding leaves noise of order 1e-16 of the peak
     on cells the kernel never reaches; values below 1e-13 of the peak are
     scrubbed to zero so the support of the result stays sharp.  A padded
     grid above the domain grid limit is an InvalidArgumentError, raised
     before anything is allocated.
     """
-    pad = _kernel_cells(k, u.domain.spacing) + 2
+    m = _kernel_cells(k, u.domain.spacing)
+    pad = m + 2
     _grid_shape([n + 2 * pad for n in u.domain.shape])
     mol = build_mollifier(k, u.domain.spacing, u.domain.dim)
-    v = np.pad(u.values, pad)
     weights = mol.kernel * u.domain.spacing ** u.domain.dim  # discrete weights sum to 1
-    conv = fft_convolve(v, weights, same=True)
+    conv = np.pad(fft_convolve(u.values, weights), pad - m)
     tiny = 1e-13 * float(np.max(np.abs(conv), initial=0.0))
     conv[np.abs(conv) < tiny] = 0.0
     support = conv != 0.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.fft import next_fast_len
 
 from gmtlab.calculus import (
     GridFunction,
@@ -36,7 +37,7 @@ from gmtlab.calculus import (
 from gmtlab.constants import LATTICE_SLACK_COEFF
 import gmtlab.calculus as calc
 from gmtlab import domains
-from gmtlab.domains import extract_boundary, make_annulus, make_ball, make_box, rasterize_polygon, volume
+from gmtlab.domains import GridDomain, extract_boundary, make_annulus, make_ball, make_box, rasterize_polygon, volume
 from gmtlab.errors import (
     InvalidArgumentError,
     NoTraceError,
@@ -350,6 +351,12 @@ def _brute_full_convolve(a, b):
     return out
 
 
+def _same(full, a_shape, b_shape):
+    """Crop a full convolution to ``a_shape``, centred on a (the "same" mode)."""
+    start = [(m - 1) // 2 for m in b_shape]
+    return full[tuple(slice(s0, s0 + n) for s0, n in zip(start, a_shape))]
+
+
 class TestFftConvolve:
     SHAPES = [
         ((9, 12), (3, 5)),
@@ -368,11 +375,9 @@ class TestFftConvolve:
         got = fft_convolve(a, b)
         assert got.shape == full.shape
         assert np.abs(got - full).max() <= 1e-12 * peak
-        start = [(m - 1) // 2 for m in b_shape]
-        same = full[tuple(slice(s0, s0 + n) for s0, n in zip(start, a_shape))]
-        got = fft_convolve(a, b, same=True)
+        got = _same(fft_convolve(a, b), a_shape, b_shape)
         assert got.shape == a.shape
-        assert np.abs(got - same).max() <= 1e-12 * peak
+        assert np.abs(got - _same(full, a_shape, b_shape)).max() <= 1e-12 * peak
 
     @pytest.mark.parametrize("a_shape,b_shape", [
         ((9, 12), (3, 5)), ((10, 7), (5, 7)), ((6, 7, 8), (3, 3, 5)), ((5, 8, 6), (3, 5, 3)),
@@ -382,21 +387,37 @@ class TestFftConvolve:
         a = rng.normal(size=a_shape)
         b = rng.normal(size=b_shape)
         ref = ndimage.convolve(a, b, mode="constant", cval=0.0)
-        got = fft_convolve(a, b, same=True)
+        got = _same(fft_convolve(a, b), a_shape, b_shape)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_mollify_masks_match_the_direct_stencil(self, square_128):
+    def test_fast_len_is_scipys_real_fast_length(self):
+        # the 5-smooth lengths; scipy is the oracle here only
+        assert [calc._fast_len(n) for n in range(1, 5000)] == [
+            next_fast_len(n, real=True) for n in range(1, 5000)]
+
+    def test_mollify_masks_match_the_direct_stencil(self):
         # the direct convolution is exactly zero off the kernel's reach; the
-        # scrubbed FFT product must give the same support and values
-        u = from_expression(square_128, "1 + x*y")
-        for k in (8, 16):
-            mk = mollify(u, k)
-            mol = build_mollifier(k, square_128.spacing, 2)
-            pad = (mol.kernel.shape[0] - 1) // 2 + 2
-            ref = ndimage.convolve(np.pad(u.values, pad), mol.kernel * square_128.spacing ** 2,
-                                   mode="constant", cval=0.0)
-            assert np.array_equal(mk.domain.mask, (ref != 0.0) | np.pad(square_128.mask, pad))
-            assert np.abs(mk.values - ref).max() <= 1e-14 * np.abs(ref).max()
+        # scrubbed FFT product must give the same support and values; the
+        # suite's disk and annulus at h = 1/128, k = 4 on a coarser disk
+        cases = [
+            (make_box((0.0, 0.0), (1.0, 1.0), 1 / 128), "1 + x*y", (8, 16)),
+            (make_ball((0.0, 0.0), 1.0, 1 / 128), "indicator", (8, 16)),
+            (make_ball((0.0, 0.0), 1.0, 1 / 32), "indicator", (4,)),
+            (make_annulus((0.0, 0.0), 1.0, 0.5, 1 / 128), "x*x + y*y", (8, 16)),
+            (make_ball((0.0, 0.0, 0.0), 1.0, 1 / 32), "indicator", (8, 16)),
+        ]
+        for dom, expr, ks in cases:
+            u = indicator_function(dom) if expr == "indicator" else from_expression(dom, expr)
+            for k in ks:
+                mk = mollify(u, k)
+                mol = build_mollifier(k, dom.spacing, dom.dim)
+                pad = (mol.kernel.shape[0] - 1) // 2 + 2
+                ref = ndimage.convolve(np.pad(u.values, pad), mol.kernel * dom.spacing ** dom.dim,
+                                       mode="constant", cval=0.0)
+                assert np.array_equal(mk.domain.origin, dom.origin - pad * dom.spacing)
+                assert np.array_equal(mk.values != 0.0, ref != 0.0)
+                assert np.array_equal(mk.domain.mask, (ref != 0.0) | np.pad(dom.mask, pad))
+                assert np.abs(mk.values - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestMollify:
@@ -527,6 +548,19 @@ class TestGridFunction:
         cloud = extract_boundary(disk)
         with pytest.raises(InvalidArgumentError, match="is not the domain grid"):
             GridFunction(small, np.zeros(small.shape), cloud, np.zeros(len(cloud)))
+
+    def test_cloud_of_another_domain_on_the_grid_rejected(self):
+        # the full disk's faces on the half disk, and the half disk's on the
+        # full disk: the grid shape matches, the faces do not
+        disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
+        half = GridDomain(disk.spacing, disk.origin, disk.mask & (np.indices(disk.shape)[0] > 20))
+        for dom, other in ((half, disk), (disk, half)):
+            ones = np.where(dom.mask, 1.0, 0.0)
+            own = extract_boundary(dom)
+            assert grad_l1(GridFunction(dom, ones, own, np.zeros(len(own)))) > 0
+            cloud = extract_boundary(other)
+            with pytest.raises(InvalidArgumentError, match="not the boundary faces of this domain"):
+                GridFunction(dom, ones, cloud, np.zeros(len(cloud)))
 
     def test_expression_trace_from_cloud_points(self, square_128):
         cloud = extract_boundary(square_128)

@@ -906,7 +906,7 @@ for d, delta in [(1.0, float("nan")), (float("inf"), 0.5)]:
         except InvalidArgumentError as exc:
             print("raised", fn.__name__, "finite" in str(exc))
 from gmtlab.calculus import GridFunction
-from gmtlab.domains import extract_boundary, make_ball
+from gmtlab.domains import GridDomain, extract_boundary, make_ball
 from gmtlab.errors import ExpressionError, NoTraceError
 from gmtlab.expressions import Expression
 from gmtlab.inequalities import quotient_search
@@ -914,12 +914,15 @@ small, disk = make_ball((0.0, 0.0), 0.5, 1 / 16), make_ball((0.0, 0.0), 1.0, 1 /
 faces = extract_boundary(disk)
 synthetic = BoundaryCloud(2, faces.resolution, faces.points, faces.weights)
 ones = np.where(disk.mask, 1.0, 0.0)
+half = GridDomain(disk.spacing, disk.origin, disk.mask & (np.indices(disk.shape)[0] > 20))
 refusals = {
     "deep expression": (ExpressionError, lambda: Expression("-" * 3000 + "x")),
     "grid mismatch": (InvalidArgumentError,
                       lambda: GridFunction(small, np.zeros(small.shape), faces, np.zeros(len(faces)))),
     "faceless search": (NoTraceError, lambda: quotient_search(
         disk, GridFunction(disk, ones, synthetic, np.ones(len(synthetic))), 1, 0.1)),
+    "foreign cloud": (InvalidArgumentError,
+                      lambda: GridFunction(half, ones * half.mask, faces, np.zeros(len(faces)))),
 }
 for name, (error, call) in refusals.items():
     try:
@@ -937,4 +940,5 @@ def test_typed_checks_survive_python_O():
     assert out[:5] == ["raised no cells", "raised empty cell", "raised overlap", "raised cover",
                        "raised representative"]
     assert out[5:9] == ["raised estimate_hm_detail True", "raised build_partition True"] * 2
-    assert out[9:12] == ["raised deep expression", "raised grid mismatch", "raised faceless search"]
+    assert out[9:13] == ["raised deep expression", "raised grid mismatch", "raised faceless search",
+                         "raised foreign cloud"]

@@ -505,19 +505,39 @@ class TestCli:
         assert "must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_verify_never_imports_scipy_signal(self):
+    def test_no_command_imports_scipy_fft_ndimage_or_signal(self, tmp_path):
+        # one fresh process runs all six subcommands; the suite convolves
+        # through sobolev_extended (mollify) and brunn_minkowski (A + B)
+        box = {"kind": "box", "params": {"sides": [1, 1]}, "h": 0.0625}
+        suite = write_json(tmp_path / "s.json", {"name": "tiny", "entries": [
+            {"domain": {"kind": "ball", "params": {"r": 1}, "h": 0.03125},
+             "function": "indicator", "checks": ["sobolev_extended"]},
+            {"domain": box, "function": "indicator", "checks": ["brunn_minkowski"],
+             "parameters": {"domain_b": box}},
+        ]})
+        disk = self._domain_file(tmp_path, h=0.015625)
+        fn = write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2})
+        code = """
+import sys
+from gmtlab.cli import main
+suite, disk, fn = sys.argv[1:]
+for argv in (["verify", suite], ["estimate-hm", disk, "--d", "1", "--delta", "0.25"],
+             ["partition", disk, "--delta", "0.25"], ["trace", disk, fn, "--eps", "0.5"],
+             ["search", disk, fn, "--iters", "1", "--step", "0.1"],
+             ["steiner", disk, "--eps", "0.5,0.25,0.125"]):
+    assert main(argv) == 0, argv
+loaded = {"scipy.fft", "scipy.ndimage", "scipy.signal"} & set(sys.modules)
+assert not loaded, sorted(loaded)
+"""
         src = os.path.dirname(os.path.dirname(gmtlab.__file__))
-        code = ("import sys; from gmtlab.cli import main; "
-                "code = main(['verify', 'suites/standard.json']); "
-                "assert code == 0, code; assert 'scipy.signal' not in sys.modules")
         proc = subprocess.run(
-            [sys.executable, "-c", code], cwd=REPO,
+            [sys.executable, "-c", code, suite, disk, fn], cwd=REPO,
             capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_scipy_fft_and_ndimage_unloaded(self):
-        # both are imported on first use; a scipy-free command path needs that
+        # restrict_to_domain imports scipy.ndimage on first use; nothing imports scipy.fft
         src = os.path.dirname(os.path.dirname(gmtlab.__file__))
         code = ("import sys, gmtlab.cli; "
                 "assert not {'scipy.fft', 'scipy.ndimage'} & set(sys.modules)")
