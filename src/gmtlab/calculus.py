@@ -93,15 +93,16 @@ class GridFunction:
         values = np.asarray(self.values, dtype=float).copy()
         if values.shape != self.domain.shape:
             raise InvalidArgumentError("values must cover the full grid box")
-        if not np.isfinite(values[self.domain.mask]).all():
+        # exterior values are dropped first, so a non-finite one is never refused
+        np.copyto(values, 0.0, where=~self.domain.mask)
+        if not np.isfinite(values).all():
             raise InvalidArgumentError("values must be finite on every interior cell")
         if self.lipschitz is not None and not self.lipschitz >= 0:
             raise InvalidArgumentError("lipschitz must be nonnegative")
-        values[~self.domain.mask] = 0.0
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.cloud is not None and self.cloud.faces is not None:
-            self._check_cloud_faces(self.cloud.faces)
+            self._check_cloud_faces(self.cloud)
         if self.trace is not None:
             if self.cloud is None:
                 raise InvalidArgumentError("a trace requires its boundary cloud")
@@ -113,13 +114,17 @@ class GridFunction:
             if self.lipschitz is not None and self.cloud.faces is not None:
                 self._check_trace_consistency()
 
-    def _check_cloud_faces(self, faces):
-        """Refuse a face cloud extracted from another domain.
+    def _check_cloud_faces(self, cloud):
+        """Refuse a face cloud that is not all of this domain's boundary faces.
 
-        Every face must sit on a cell of this mask and point to an exterior
-        cell: two gathers per (axis, sign) block, no pass over the grid.
+        The cloud must be on this grid; each face must sit on a cell of this
+        mask and point to an exterior cell (two gathers per (axis, sign)
+        block); and the faces must be as many as in the domain's own, cached
+        cloud, which refuses the cloud of a sub-domain made of whole
+        components.  The gradient stencil needs every face.
         """
         mask = self.domain.mask
+        faces = cloud.faces
         if faces.shape != mask.shape:
             raise InvalidArgumentError(f"cloud grid {faces.shape} is not the domain grid {mask.shape}")
         flat = mask.reshape(-1)
@@ -127,6 +132,8 @@ class GridFunction:
             outward = cells + sign * int(np.prod(mask.shape[axis + 1:]))
             if not flat[cells].all() or flat[outward].any():
                 raise InvalidArgumentError("cloud faces are not the boundary faces of this domain")
+        if len(cloud) != len(extract_boundary(self.domain)):
+            raise InvalidArgumentError("cloud faces are not all the boundary faces of this domain")
 
     def _check_trace_consistency(self):
         bound = self.lipschitz * self.h * math.sqrt(self.domain.dim) + 1e-12
@@ -224,18 +231,31 @@ def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndar
     difference toward that trace as an extra component, so jumps against the
     boundary are never invisible to the scheme.  Per axis the component is
     squared and added before the extra one.
+
+    ``faces`` must hold every boundary face of ``mask`` (``GridFunction``
+    refuses any other face cloud): the differences are taken over the whole
+    grid, zeroed on exterior cells, and a difference into an exterior cell
+    is then overwritten by its +face.
     """
-    mag2 = np.zeros(mask.shape)
+    mag2 = np.empty(mask.shape)
     flat_mag2 = mag2.reshape(-1)
     flat_vals = values.reshape(-1)
+    comp = np.empty(mask.shape)
+    flat_comp = comp.reshape(-1)
+    exterior = ~mask
     for axis in range(mask.ndim):
-        head = (slice(None),) * axis + (slice(0, -1),)
-        tail = (slice(None),) * axis + (slice(1, None),)
-        comp = np.zeros(mask.shape)
-        np.divide(np.diff(values, axis=axis), h, out=comp[head], where=mask[head] & mask[tail])
+        # the forward neighbour is one stride on in the flat grid; past an
+        # axis's last slice the flat shift wraps, but that slice is exterior
+        stride = int(np.prod(mask.shape[axis + 1:]))
+        np.subtract(flat_vals[stride:], flat_vals[:-stride], out=flat_comp[:-stride])
+        flat_comp[:-stride] /= h
+        comp[exterior] = 0.0
         rows, cells = faces[axis, 1]
-        comp.reshape(-1)[cells] = (trace[rows] - flat_vals[cells]) / (h / 2.0)
-        mag2 += np.multiply(comp, comp, out=comp)
+        flat_comp[cells] = (trace[rows] - flat_vals[cells]) / (h / 2.0)
+        if axis == 0:
+            np.multiply(comp, comp, out=mag2)
+        else:
+            mag2 += np.multiply(comp, comp, out=comp)
         rows, cells = faces[axis, -1]
         extra = (flat_vals[cells] - trace[rows]) / (h / 2.0)
         flat_mag2[cells] += extra * extra
@@ -460,7 +480,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
         raise NoTraceError("truncate needs a boundary trace")
     dom = u.domain
     mask = dom.mask
-    if (u.values[mask] < 0).any() or (u.trace < 0).any():
+    if (u.values < 0).any() or (u.trace < 0).any():
         raise InvalidArgumentError("truncate expects a nonnegative function")
     if not 0 < s < part.delta / 2:
         raise InvalidArgumentError("need 0 < s < delta/2 for the partition's delta")
@@ -487,10 +507,9 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     cell = cell[near]
     trace_out = u.trace.copy()
     np.minimum.at(trace_out, rows[near], _ramp(pd[near], diams[cell], s, heights[cell]))
-    # discrete vanishing trace: zero out the collar next to the boundary
-    collar = mask & within_distance(~mask, 1.5 * dom.spacing, dom.spacing)
-    out[collar] = 0.0
-    out[~mask] = 0.0
+    # discrete vanishing trace: zero out the collar next to the boundary (the
+    # cells within 1.5h of an exterior cell) and the exterior with it
+    out[within_distance(~mask, 1.5 * dom.spacing, dom.spacing)] = 0.0
     result = GridFunction(dom, out, u.cloud, trace_out)
     result.metadata.update({"eps": eps, "s": s})
     return result
@@ -516,11 +535,17 @@ def _forward_tv(v: np.ndarray, h: float, widths: np.ndarray) -> np.ndarray:
     its own order, so every TV is the same as for that array alone.
     """
     n = v.ndim - 1
-    total = np.zeros_like(v)
-    for a in range(n):
-        d = np.diff(v, axis=a + 1)
-        total[(slice(None),) * (a + 1) + (slice(0, -1),)] += d * d
-    roots = np.sqrt(total)
+    flat_v = v.reshape(-1)
+    total = np.zeros(v.shape)
+    d = np.empty(v.shape)
+    for a in range(1, n + 1):
+        # the forward neighbour is one stride on in the flat stack, which wraps
+        # past the axis's last slice; that slice's difference is set to zero
+        stride = int(np.prod(v.shape[a + 1:]))
+        np.subtract(flat_v[stride:], flat_v[:-stride], out=d.reshape(-1)[:-stride])
+        d[(slice(None),) * a + (-1,)] = 0.0
+        total += np.multiply(d, d, out=d)
+    roots = np.sqrt(total, out=total)
     sums = [np.sum(np.ascontiguousarray(r[tuple(slice(0, k) for k in w)])) for r, w in zip(roots, widths)]
     # raw differences carry one factor of h less than the gradient
     return np.array(sums) * h ** (n - 1)

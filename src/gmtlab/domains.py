@@ -89,9 +89,16 @@ class GridDomain:
         return self.mask.shape
 
     def cell_centers(self) -> np.ndarray:
-        """Centers of all true cells, shape (N, n)."""
-        idx = np.argwhere(self.mask)
-        return self.origin + (idx + 0.5) * self.spacing
+        """Centers of all true cells in C order: shape (N, n), column-major.
+
+        Each column is gathered from the grid's centre lattice, which has the
+        bits of ``origin + (argwhere index + 0.5) * h``; column-major (as
+        ``argwhere`` gave) is the fast layout for an ``Expression``.
+        """
+        out = np.empty((self.dim, int(np.count_nonzero(self.mask))))
+        for row, x in zip(out, _centers_grid(self.origin, self.shape, self.spacing)):
+            row[...] = np.broadcast_to(x, self.shape)[self.mask]
+        return out.T
 
     def same_grid(self, other: "GridDomain") -> bool:
         return (
@@ -565,8 +572,17 @@ def _offset_distances(k: int, h: float, n: int) -> np.ndarray:
 
 def _within_unit(source: np.ndarray, cut: int) -> np.ndarray:
     """:func:`within_distance` for a cut K <= 4, where every offset shorter than
-    K lies in the unit cube: the source ORed with its shifts by those offsets."""
+    K lies in the unit cube: the source ORed with its shifts by those offsets.
+    An offset's squared length counts its nonzero entries, so a cut above the
+    dimension takes the whole cube: a separable 3^n box, one axis at a time."""
     out = source.copy()
+    if cut > source.ndim:
+        for axis in range(source.ndim):
+            lead = (slice(None),) * axis
+            # a ufunc reads an overlapping operand as it was before the call
+            out[lead + (slice(1, None),)] |= out[lead + (slice(0, -1),)]
+            out[lead + (slice(0, -1),)] |= out[lead + (slice(1, None),)]
+        return out
     for offset in itertools.product((-1, 0, 1), repeat=source.ndim):
         if 0 < sum(o * o for o in offset) < cut:
             dst = tuple(slice(max(-o, 0), s - max(o, 0)) for o, s in zip(offset, source.shape))

@@ -526,6 +526,26 @@ class TestGridFunction:
         with pytest.raises(InvalidArgumentError):
             GridFunction(square_128, vals)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_interior_value_rejected(self, square_128, bad):
+        vals = np.where(square_128.mask, 1.0, 0.0)
+        vals[tuple(np.argwhere(square_128.mask)[17])] = bad
+        with pytest.raises(InvalidArgumentError, match="^values must be finite on every interior cell$"):
+            GridFunction(square_128, vals)
+
+    def test_non_finite_exterior_values_zeroed(self, square_128):
+        vals = np.where(square_128.mask, 2.0, np.nan)
+        vals[0, 0], vals[-1, -1] = np.inf, -np.inf
+        fn = GridFunction(square_128, vals)
+        assert np.array_equal(fn.values, np.where(square_128.mask, 2.0, 0.0))
+        assert not np.signbit(fn.values).any()
+        assert np.isnan(vals[0, 1])  # the caller's array is left alone
+
+    def test_finiteness_refused_before_the_modulus(self, square_128):
+        vals = np.where(square_128.mask, np.inf, 0.0)
+        with pytest.raises(InvalidArgumentError, match="values must be finite"):
+            GridFunction(square_128, vals, lipschitz=-1.0)
+
     def test_trace_consistency_checked_with_modulus(self, square_128):
         cloud = extract_boundary(square_128)
         vals = np.where(square_128.mask, 0.0, 0.0)
@@ -561,6 +581,30 @@ class TestGridFunction:
             cloud = extract_boundary(other)
             with pytest.raises(InvalidArgumentError, match="not the boundary faces of this domain"):
                 GridFunction(dom, ones, cloud, np.zeros(len(cloud)))
+
+    def test_cloud_of_one_component_rejected(self):
+        # the disk cut into two pieces: every face of one piece is a boundary
+        # face of the cut disk, but the other piece's faces are missing, and
+        # with them half of the gradient (9.72 against 19.44)
+        disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
+        i, j = np.indices(disk.shape)
+        split = GridDomain(disk.spacing, disk.origin, disk.mask & (np.abs(i - j) > 3))
+        piece = GridDomain(disk.spacing, disk.origin, split.mask & (i > j))
+        ones = np.where(split.mask, 1.0, 0.0)
+        own = extract_boundary(split)
+        assert grad_l1(GridFunction(split, ones, own, np.zeros(len(own)))) == pytest.approx(19.435028842544405)
+        cloud = extract_boundary(piece)
+        assert 0 < len(cloud) < len(own)
+        with pytest.raises(InvalidArgumentError, match="not all the boundary faces of this domain"):
+            GridFunction(split, ones, cloud, np.zeros(len(cloud)))
+
+    def test_equal_domain_cloud_accepted(self):
+        # another domain object with the same mask: its cloud has every face
+        disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
+        twin = GridDomain(disk.spacing, disk.origin, disk.mask)
+        cloud = extract_boundary(twin)
+        fn = GridFunction(disk, np.where(disk.mask, 1.0, 0.0), cloud, np.ones(len(cloud)))
+        assert grad_l1(fn) == 0.0
 
     def test_expression_trace_from_cloud_points(self, square_128):
         cloud = extract_boundary(square_128)
@@ -820,6 +864,12 @@ class TestBitIdentityWithReferences:
             v = np.where(dom.mask, fn.values, 0.0)
             assert total_variation(fn) == _ref_padded_tv(v, dom.spacing)
 
+    def test_gradient_of_the_truncation(self, case):
+        # the trace proof's second gradient: a zero collar under a capped trace
+        dom, u, part, s_values = case
+        out = truncate(u, part, eps=0.05, s=s_values[-1])
+        assert np.array_equal(calc._gradient_mag_squared(out), _ref_gradient_mag_squared(out))
+
     def test_barrier_values_and_trace(self, case):
         dom, u, _, s_values = case
         x_c, diam, height, sentinel = u.cloud.points[7], 0.08, 0.9, 1.0e6
@@ -832,3 +882,19 @@ class TestBitIdentityWithReferences:
             pd = np.linalg.norm(u.cloud.points - x_c, axis=1)
             tramp = height * np.clip((pd - diam) / s, 0.0, 1.0)
             assert np.array_equal(psi.trace, np.where(pd <= diam + s, tramp, sentinel))
+
+
+@pytest.mark.parametrize("shapes", [
+    [(5, 7), (40, 300), (5, 7), (3, 2), (1, 9), (40, 300), (52, 61)],
+    [(4, 5, 6), (20, 30, 25), (2, 1, 3), (4, 5, 6), (20, 30, 25)],
+])
+def test_stacked_tv_of_mixed_widths(shapes):
+    # arrays of several shapes, some repeated and some past numpy's 8192-element
+    # summation blocks, padded with their edge values into one stack: each TV
+    # is the one of that array alone
+    rng = np.random.default_rng(11)
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    widest = np.max(shapes, axis=0)
+    stack = np.stack([np.pad(a, [(0, w - k) for w, k in zip(widest, a.shape)], mode="edge") for a in arrays])
+    tvs = calc._forward_tv(stack, 0.07, np.array(shapes))
+    assert tvs.tolist() == [_ref_padded_tv(a, 0.07) for a in arrays]

@@ -8,6 +8,7 @@ stated rule (a length is within when its shortest offset is) is checked
 against brute force.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gmtlab.calculus import from_expression, interior_region, minkowski_steiner  # noqa: E402
-from gmtlab.domains import GridDomain, dilate, make_ball, within_distance  # noqa: E402
+from gmtlab.domains import GridDomain, _within_unit, dilate, make_ball, within_distance  # noqa: E402
 from gmtlab.errors import InvalidArgumentError  # noqa: E402
 from gmtlab.inequalities import proof_trace  # noqa: E402
 
@@ -117,6 +118,25 @@ def test_thresholds_match_the_edt(dom, data):
         pad = int(np.ceil(eps / h)) + 2 if eps else 0
         assert np.array_equal(grown.mask, _edt(~np.pad(mask, pad), h) <= t)
         assert np.array_equal(grown.origin, dom.origin - pad * h)
+
+
+def _ref_within_unit(source, cut):
+    """The source ORed with its shifts by every unit-cube offset shorter than the cut."""
+    out = source.copy()
+    for offset in itertools.product((-1, 0, 1), repeat=source.ndim):
+        if 0 < sum(o * o for o in offset) < cut:
+            dst = tuple(slice(max(-o, 0), s - max(o, 0)) for o, s in zip(offset, source.shape))
+            src = tuple(slice(max(o, 0), s + min(o, 0)) for o, s in zip(offset, source.shape))
+            out[dst] |= source[src]
+    return out
+
+
+@settings(max_examples=40)
+@given(dom=small_domains(), cut=st.integers(1, 4))
+def test_unit_cuts_match_the_offset_loop(dom, cut):
+    # cuts above the dimension take the separable 3^n box
+    for source in (dom.mask, ~dom.mask):
+        assert np.array_equal(_within_unit(source, cut), _ref_within_unit(source, cut))
 
 
 def test_proof_disk_masks_match_the_edt():

@@ -23,6 +23,7 @@ from gmtlab.domains import (
     volume,
 )
 from gmtlab.errors import EmptyDomainError, InvalidArgumentError, SpecError
+from gmtlab.expressions import Expression
 
 from conftest import shoelace_area
 
@@ -378,6 +379,26 @@ class TestBitIdentityWithReferences:
         axes = [origin[a] + (np.arange(shape[a]) + 0.5) * h for a in range(3)]
         for got, ref in zip(_centers_grid(origin, shape, h), np.meshgrid(*axes, indexing="ij")):
             assert _same(np.broadcast_to(got, shape), ref)
+
+    @pytest.mark.parametrize("name", sorted(_CLOUD_CASES) + ["random2", "random3"])
+    def test_cell_centers(self, name):
+        # the lattice gather against argwhere's index arithmetic, bit for bit
+        # (as integers, so a signed zero counts), and so the expressions too
+        if name.startswith("random"):
+            n = int(name[-1])
+            shape = (23, 17) if n == 2 else (9, 11, 7)
+            mask = np.pad(np.random.default_rng(n).random(shape) < 0.6, 1)
+            dom = GridDomain(0.1 if n == 2 else 1 / 3, np.array([0.37, -1.3, -1 / 6][:n]), mask)
+        else:
+            dom = _CLOUD_CASES[name]()
+        got = dom.cell_centers()
+        ref = dom.origin + (np.argwhere(dom.mask) + 0.5) * dom.spacing
+        assert got.flags.f_contiguous and _same(got, ref)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        texts = ["x*x + y*y", "max(0, 1 - r*r)", "exp(x) - y / 3"] + (["x*y*z - r"] if dom.dim == 3 else [])
+        for text in texts:
+            expr = Expression(text)
+            assert np.array_equal(expr(got).view(np.int64), expr(ref).view(np.int64))
 
     @pytest.mark.parametrize("name", sorted(_CLOUD_CASES))
     def test_boundary_cloud(self, name):

@@ -915,6 +915,9 @@ faces = extract_boundary(disk)
 synthetic = BoundaryCloud(2, faces.resolution, faces.points, faces.weights)
 ones = np.where(disk.mask, 1.0, 0.0)
 half = GridDomain(disk.spacing, disk.origin, disk.mask & (np.indices(disk.shape)[0] > 20))
+i, j = np.indices(disk.shape)
+split = GridDomain(disk.spacing, disk.origin, disk.mask & (np.abs(i - j) > 3))
+piece = extract_boundary(GridDomain(disk.spacing, disk.origin, split.mask & (i > j)))
 refusals = {
     "deep expression": (ExpressionError, lambda: Expression("-" * 3000 + "x")),
     "grid mismatch": (InvalidArgumentError,
@@ -923,6 +926,8 @@ refusals = {
         disk, GridFunction(disk, ones, synthetic, np.ones(len(synthetic))), 1, 0.1)),
     "foreign cloud": (InvalidArgumentError,
                       lambda: GridFunction(half, ones * half.mask, faces, np.zeros(len(faces)))),
+    "partial cloud": (InvalidArgumentError,
+                      lambda: GridFunction(split, ones * split.mask, piece, np.zeros(len(piece)))),
 }
 for name, (error, call) in refusals.items():
     try:
@@ -940,5 +945,5 @@ def test_typed_checks_survive_python_O():
     assert out[:5] == ["raised no cells", "raised empty cell", "raised overlap", "raised cover",
                        "raised representative"]
     assert out[5:9] == ["raised estimate_hm_detail True", "raised build_partition True"] * 2
-    assert out[9:13] == ["raised deep expression", "raised grid mismatch", "raised faceless search",
-                         "raised foreign cloud"]
+    assert out[9:14] == ["raised deep expression", "raised grid mismatch", "raised faceless search",
+                         "raised foreign cloud", "raised partial cloud"]

@@ -353,6 +353,24 @@ class TestCli:
         for label in ("main4", "main5", "main6", "prelim_est", "hm_sum_estimate", "main3"):
             assert (tmp_path / f"steps_{label}.tsv").exists()
 
+    def test_trace_numbers_pinned(self, tmp_path, capsys):
+        # the whole trace chain (centres, partition, collar, truncation,
+        # gradient and TV stencils) on the h=1/128 disk: every number exact
+        out = tmp_path / "trace.json"
+        fn = write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2.0})
+        code = main(["trace", self._domain_file(tmp_path, h=1 / 128), fn, "--eps", "0.2", "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["parameters"]["partition_cells"] == 182
+        assert [(s["label"], s["lhs"], s["rhs"], s["holds"]) for s in data["steps"]] == [
+            ("main4", 4.2444220649272255, 13.900863998939577, True),
+            ("main5", 10.050862227371125, 9.709475618567106, True),
+            ("main6", 1.0229139474671205, 1.1973293586060998, True),
+            ("prelim_est", 0.9982144244117389, 3.4329438752931165, True),
+            ("hm_sum_estimate", 1.2697509961902322, 3.5660403510382177, True),
+            ("main3", 1.0233267059936713, 1.1998794520466343, True),
+        ]
+
     def test_search_command(self, tmp_path, capsys):
         plot = tmp_path / "q.tsv"
         code = main([
