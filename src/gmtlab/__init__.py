@@ -15,10 +15,8 @@ from .domains import (  # noqa: F401
     volume,
 )
 from .hausdorff import (  # noqa: F401
-    Covering,
     Partition,
     build_partition,
-    cover_sum,
     estimate_hm,
     estimate_hm_detail,
     partition_defect,
@@ -28,7 +26,6 @@ from .calculus import (  # noqa: F401
     GridFunction,
     Mollifier,
     abs_value,
-    barrier,
     boundary_integral,
     constant_function,
     from_expression,
@@ -36,20 +33,17 @@ from .calculus import (  # noqa: F401
     grad_l2_squared,
     indicator_function,
     interior_region,
-    l1_distance,
-    load_function,
     lq_norm,
     minkowski_steiner,
     mollify,
     pointwise_min,
     restrict_to_domain,
-    save_function,
     shell_mass,
     shell_mass_limit,
     total_variation,
     truncate,
 )
-from .expressions import Expression, evaluate_expression, parse_expression  # noqa: F401
+from .expressions import Expression  # noqa: F401
 from .inequalities import (  # noqa: F401
     Report,
     TraceReport,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,6 @@ from .domains import (
     check_eps,
     dilate,
     extract_boundary,
-    parse_domain_text,
-    serialize_domain,
     volume,
     within_distance,
 )
@@ -36,7 +33,6 @@ from .errors import (
     InvalidArgumentError,
     NoTraceError,
     ResolutionError,
-    SpecError,
 )
 from .expressions import Expression
 from .hausdorff import Partition, unit_ball_volume
@@ -55,20 +51,16 @@ __all__ = [
     "abs_value",
     "shell_mass",
     "shell_mass_limit",
-    "barrier",
     "shell_gradient_discrete",
     "truncate",
     "total_variation",
     "build_mollifier",
     "fft_convolve",
     "mollify",
-    "l1_distance",
     "minkowski_steiner",
     "SteinerResult",
     "interior_region",
     "restrict_to_domain",
-    "save_function",
-    "load_function",
 ]
 
 
@@ -368,66 +360,31 @@ def _index_box(domain: GridDomain, center: np.ndarray, radius):
     return lo, hi
 
 
-def _lattice_distance(domain: GridDomain, centers: np.ndarray, lo, hi) -> np.ndarray:
-    """Distance from each of B centres to the cell centres with indices in its [lo, hi).
-
-    ``centers``, ``lo`` and ``hi`` are (B, n); the result is (B, *width), with
-    every box padded to the widest one and ``inf`` on the padding (see
-    ``domains._lattice``).
-    """
-    total = 0
-    for a, x in enumerate(_lattice(domain.origin, domain.spacing, lo, hi)):
-        total = total + (x - centers[:, a].reshape((-1,) + (1,) * domain.dim)) ** 2
-    return np.sqrt(total)
-
-
 # lattice points per block of stacked windows: 2 MB per float array, in 3D too
 _BLOCK_POINTS = 1 << 18
 
 
 def _window_blocks(domain: GridDomain, centers: np.ndarray, lo, hi):
-    """Yield (slice of the centres, their window distances) in blocks of bounded size."""
+    """Yield (slice of the centres, their window distances) in blocks of bounded size.
+
+    ``centers``, ``lo`` and ``hi`` are (B, n); each block's distances are
+    (b, *width), from each centre to the cell centres with indices in its
+    [lo, hi), with every window padded to the widest one and ``inf`` on the
+    padding (see ``domains._lattice``).
+    """
     block = max(1, _BLOCK_POINTS // max(1, int(np.prod(np.max(hi - lo, axis=0, initial=0)))))
+    per_centre = (-1,) + (1,) * domain.dim
     for start in range(0, len(centers), block):
         b = slice(start, start + block)
-        yield b, _lattice_distance(domain, centers[b], lo[b], hi[b])
+        total = 0
+        for a, x in enumerate(_lattice(domain.origin, domain.spacing, lo[b], hi[b])):
+            total = total + (x - centers[b, a].reshape(per_centre)) ** 2
+        yield b, np.sqrt(total)
 
 
 def _ramp(dist, diam, s: float, height):
     """Barrier ramp of a distance: 0 up to ``diam``, linear up to ``height`` at ``diam + s``."""
     return height * np.clip((dist - diam) / s, 0.0, 1.0)
-
-
-def barrier(
-    x_c,
-    diam: float,
-    s: float,
-    height: float,
-    domain: GridDomain,
-    cloud: BoundaryCloud | None = None,
-    sentinel: float | None = None,
-) -> GridFunction:
-    """Linear ramp of rise ``height`` on the shell around B(x_c, diam).
-
-    Inside the ball the barrier vanishes; on the shell of width s it climbs
-    to ``height``; outside the closed shell it takes a large finite sentinel
-    standing in for an infinite value (recorded in metadata) so that a
-    pointwise minimum discards it.
-    """
-    if s <= 0 or diam < 0 or height < 0:
-        raise InvalidArgumentError("need s > 0, diam >= 0, height >= 0")
-    x_c = np.asarray(x_c, dtype=float)
-    if sentinel is None:
-        sentinel = max(1.0e6, 1.0e3 * (height + 1.0))
-    dist = _lattice_distance(domain, x_c[None], np.zeros((1, domain.dim), int), np.array([domain.shape]))[0]
-    values = np.where(dist <= diam + s, _ramp(dist, diam, s, height), sentinel)
-    trace = None
-    if cloud is not None:
-        pd = np.linalg.norm(cloud.points - x_c, axis=1)
-        trace = np.where(pd <= diam + s, _ramp(pd, diam, s, height), sentinel)
-    fn = GridFunction(domain, values, cloud if trace is not None else None, trace)
-    fn.metadata["sentinel"] = sentinel
-    return fn
 
 
 def shell_gradient_discrete(x_c, diam, s: float, height, domain: GridDomain):
@@ -641,27 +598,6 @@ def mollify(u: GridFunction, k: int) -> GridFunction:
     return fn
 
 
-def l1_distance(u: GridFunction, v: GridFunction) -> float:
-    """L1 distance of two zero-extended functions (grids must be aligned)."""
-    h = u.domain.spacing
-    if abs(v.domain.spacing - h) > 1e-12 * h:
-        raise InvalidArgumentError("functions live on different grid spacings")
-    lo_phys = np.minimum(u.domain.origin, v.domain.origin)
-    iu = np.rint((u.domain.origin - lo_phys) / h).astype(int)
-    iv = np.rint((v.domain.origin - lo_phys) / h).astype(int)
-    if not (
-        np.allclose(u.domain.origin, lo_phys + iu * h, atol=1e-9 * h)
-        and np.allclose(v.domain.origin, lo_phys + iv * h, atol=1e-9 * h)
-    ):
-        raise InvalidArgumentError("grids are not aligned")
-    dims = np.maximum(iu + np.array(u.domain.shape), iv + np.array(v.domain.shape))
-    a = np.zeros(tuple(dims))
-    b = np.zeros(tuple(dims))
-    a[tuple(slice(o, o + s) for o, s in zip(iu, u.domain.shape))] = u.values
-    b[tuple(slice(o, o + s) for o, s in zip(iv, v.domain.shape))] = v.values
-    return float(np.sum(np.abs(a - b))) * h ** u.domain.dim
-
-
 @dataclass(frozen=True)
 class SteinerResult:
     quotients: list  # (eps, quotient) pairs, eps descending
@@ -729,42 +665,3 @@ def restrict_to_domain(u: GridFunction, domain: GridDomain, cloud: BoundaryCloud
     fn = GridFunction(domain, values, cloud, trace)
     fn.metadata.update(u.metadata)
     return fn
-
-
-# ---------------------------------------------------------------------------
-# serialization: GMT-FUNC v1 (text header + embedded grid + little-endian data)
-
-
-def save_function(u: GridFunction, path) -> None:
-    grid_text = serialize_domain(u.domain).encode("utf-8")
-    cells = u.values[u.domain.mask]
-    ntrace = 0 if u.trace is None else len(u.trace)
-    header = f"GMT-FUNC v1 {cells.size} {ntrace}\n".encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(struct.pack("<I", len(grid_text)))
-        fh.write(grid_text)
-        fh.write(cells.astype("<f8").tobytes())
-        if ntrace:
-            fh.write(u.trace.astype("<f8").tobytes())
-
-
-def load_function(path, cloud: BoundaryCloud | None = None) -> GridFunction:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8").split()
-        if header[:2] != ["GMT-FUNC", "v1"]:
-            raise SpecError("not a GMT-FUNC v1 file")
-        ncells, ntrace = int(header[2]), int(header[3])
-        (glen,) = struct.unpack("<I", fh.read(4))
-        domain = parse_domain_text(fh.read(glen).decode("utf-8"))
-        cells = np.frombuffer(fh.read(8 * ncells), dtype="<f8")
-        trace = None
-        if ntrace:
-            trace = np.frombuffer(fh.read(8 * ntrace), dtype="<f8")
-    values = np.zeros(domain.shape)
-    values[domain.mask] = cells
-    if trace is not None and cloud is None:
-        cloud = extract_boundary(domain)
-        if len(cloud) != ntrace:
-            raise SpecError("trace length does not match the domain boundary")
-    return GridFunction(domain, values, cloud if trace is not None else None, trace)

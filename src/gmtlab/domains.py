@@ -34,8 +34,6 @@ __all__ = [
     "dilate",
     "volume",
     "domain_from_spec",
-    "serialize_domain",
-    "parse_domain_text",
 ]
 
 
@@ -618,52 +616,6 @@ def _min_plus(g: np.ndarray, axis: int, reach: int) -> None:
 def volume(domain: GridDomain) -> float:
     """Cell count times h^n."""
     return float(domain.mask.sum()) * domain.spacing ** domain.dim
-
-
-# ---------------------------------------------------------------------------
-# serialization: text format with a header line and run-length-encoded mask
-
-
-def serialize_domain(domain: GridDomain) -> str:
-    dims = " ".join(str(s) for s in domain.shape)
-    org = " ".join(repr(float(v)) for v in domain.origin)
-    header = f"GMT-GRID v1 {domain.dim} {domain.spacing!r} {org} {dims}"
-    flat = domain.mask.ravel()
-    if flat.size == 0:
-        runs = []
-    else:
-        changes = np.flatnonzero(np.diff(flat.view(np.int8))) + 1
-        bounds = np.concatenate([[0], changes, [flat.size]])
-        runs = list(np.diff(bounds))
-        if flat[0]:
-            runs = [0] + runs  # runs always start with a false run
-    tokens = [str(int(r)) for r in runs]
-    body_lines = [" ".join(tokens[i : i + 32]) for i in range(0, len(tokens), 32)]
-    return "\n".join([header] + body_lines) + "\n"
-
-
-def parse_domain_text(text: str) -> GridDomain:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("GMT-GRID v1 "):
-        raise SpecError("not a GMT-GRID v1 file")
-    fields = lines[0].split()
-    n = int(fields[2])
-    h = float(fields[3])
-    origin = np.array([float(v) for v in fields[4 : 4 + n]])
-    dims = tuple(int(v) for v in fields[4 + n : 4 + 2 * n])
-    runs = [int(v) for tok in lines[1:] for v in tok.split()]
-    total = int(np.prod(dims))
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    value = False
-    for r in runs:
-        if r:
-            flat[pos : pos + r] = value
-        pos += r
-        value = not value
-    if pos != total:
-        raise SpecError("run-length data does not match grid size")
-    return GridDomain(h, origin, flat.reshape(dims))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ExpressionError
 
-__all__ = ["parse_expression", "evaluate_expression", "Expression"]
+__all__ = ["Expression"]
 
 MAX_DEPTH = 100
 
@@ -192,11 +192,3 @@ class Expression:
         _, fn = _FUNCTIONS[node[1]]
         args = [self._eval(arg, env) for arg in node[2]]
         return fn(*args)
-
-
-def parse_expression(text: str) -> Expression:
-    return Expression(text)
-
-
-def evaluate_expression(text: str, points: np.ndarray):
-    return Expression(text)(points)

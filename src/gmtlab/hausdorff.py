@@ -27,8 +27,6 @@ settles only exact ties.  A face cloud comes with its nearest-neighbor
 gaps (built with the cloud by :func:`extract_boundary`); those of other
 clouds come from a KD-tree query.  A :class:`Partition` keeps the segmented
 form plus one column entry per cell (representative, rd, measure).
-``CoverCell`` and ``Covering`` remain the explicit form for coverings built
-by hand.
 """
 
 from __future__ import annotations
@@ -46,10 +44,7 @@ from .errors import EmptyCloudError, InvalidArgumentError, ResolutionError
 
 __all__ = [
     "unit_ball_volume",
-    "CoverCell",
-    "Covering",
     "Partition",
-    "cover_sum",
     "estimate_hm",
     "estimate_hm_detail",
     "HmEstimate",
@@ -75,37 +70,6 @@ def unit_ball_volume(d: float) -> float:
         return math.exp(d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0))
     except OverflowError:
         return 0.0
-
-
-@dataclass(frozen=True)
-class CoverCell:
-    center: np.ndarray
-    rd: float
-    members: np.ndarray  # indices into the cloud
-
-
-@dataclass(frozen=True)
-class Covering:
-    """A family of cells covering every point of a cloud."""
-
-    dim_d: float
-    cells: list
-    n_points: int
-
-    def __post_init__(self):
-        if self.dim_d < 0:
-            raise InvalidArgumentError("covering dimension must be nonnegative")
-        covered = np.zeros(self.n_points, dtype=bool)
-        for cell in self.cells:
-            if cell.rd < 0:
-                raise InvalidArgumentError("cell rd must be nonnegative")
-            covered[cell.members] = True
-        if self.n_points and not covered.all():
-            raise InvalidArgumentError("covering property violated: uncovered points")
-
-    @property
-    def rd(self) -> float:
-        return max((c.rd for c in self.cells), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -168,13 +132,6 @@ def _sum_rd(rds: np.ndarray, d: float) -> float:
     # float_power takes C pow per element, as ** on one float does; np.power
     # may take a vectorized pow with other last bits
     return unit_ball_volume(d) * float(np.sum(np.float_power(rds, d)))
-
-
-def cover_sum(cov: Covering) -> float:
-    """omega_d * sum(rd ** d); an empty covering sums to zero."""
-    if not cov.cells:
-        return 0.0
-    return _sum_rd(np.array([c.rd for c in cov.cells]), cov.dim_d)
 
 
 # pairwise differences held at once by the diameter kernel (2 MB per array)

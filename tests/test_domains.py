@@ -1,4 +1,4 @@
-"""Domain construction, boundary extraction, dilation, serialization."""
+"""Domain construction, boundary extraction, dilation, JSON specs."""
 
 import math
 import tracemalloc
@@ -17,9 +17,7 @@ from gmtlab.domains import (
     make_annulus,
     make_ball,
     make_box,
-    parse_domain_text,
     rasterize_polygon,
-    serialize_domain,
     volume,
 )
 from gmtlab.errors import EmptyDomainError, InvalidArgumentError, SpecError
@@ -223,24 +221,6 @@ class TestGridDomainInvariants:
         d = make_ball((0.0, 0.0), 0.5, 0.05)
         t = d.translated((0.05 * 3, -0.05 * 2))
         assert volume(t) == volume(d)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        d = rasterize_polygon([(0, 0), (1, 0), (0.2, 0.9)], 1 / 32)
-        back = parse_domain_text(serialize_domain(d))
-        assert back.spacing == d.spacing
-        assert np.array_equal(back.mask, d.mask)
-        assert np.allclose(back.origin, d.origin)
-
-    def test_header_format(self):
-        d = make_ball((0.0, 0.0), 0.5, 0.05)
-        text = serialize_domain(d)
-        assert text.startswith("GMT-GRID v1 2 ")
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(SpecError):
-            parse_domain_text("GMT-MESH v9 nonsense\n")
 
 
 class TestDomainSpecs:

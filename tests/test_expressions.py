@@ -8,59 +8,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmtlab.errors import ExpressionError
-from gmtlab.expressions import evaluate_expression, parse_expression
+from gmtlab.expressions import Expression
 
 P = np.array([[0.5, 0.25], [1.0, -2.0], [0.0, 0.0]])
 
 
 def test_arithmetic():
-    assert evaluate_expression("1 + 2*3 - 4/2", P) == pytest.approx(5.0)
+    assert Expression("1 + 2*3 - 4/2")(P) == pytest.approx(5.0)
 
 
 def test_variables():
-    out = evaluate_expression("x + 2*y", P)
+    out = Expression("x + 2*y")(P)
     assert out == pytest.approx([1.0, -3.0, 0.0])
 
 
 def test_radial_shorthand():
-    out = evaluate_expression("r", P)
+    out = Expression("r")(P)
     assert out == pytest.approx(np.linalg.norm(P, axis=1))
 
 
 def test_functions():
-    out = evaluate_expression("min(x, y) + max(x, y)", P)
+    out = Expression("min(x, y) + max(x, y)")(P)
     assert out == pytest.approx(P.sum(axis=1))
-    assert evaluate_expression("abs(0 - 3)", P) == pytest.approx(3.0)
-    assert evaluate_expression("exp(0)", P) == pytest.approx(1.0)
-    assert evaluate_expression("sqrt(4)", P) == pytest.approx(2.0)
+    assert Expression("abs(0 - 3)")(P) == pytest.approx(3.0)
+    assert Expression("exp(0)")(P) == pytest.approx(1.0)
+    assert Expression("sqrt(4)")(P) == pytest.approx(2.0)
 
 
 def test_power_and_unary_minus():
-    out = evaluate_expression("-x^2", P)
+    out = Expression("-x^2")(P)
     assert out == pytest.approx(-(P[:, 0] ** 2))
-    out2 = evaluate_expression("x**2", P)
+    out2 = Expression("x**2")(P)
     assert out2 == pytest.approx(P[:, 0] ** 2)
 
 
 def test_pi_constant():
-    assert evaluate_expression("2*pi", P) == pytest.approx(2 * math.pi)
+    assert Expression("2*pi")(P) == pytest.approx(2 * math.pi)
 
 
 def test_parentheses_and_precedence():
-    assert evaluate_expression("(1 + 2) * (3 - 1)", P) == pytest.approx(6.0)
-    assert evaluate_expression("2 - 3 - 4", P) == pytest.approx(-5.0)
-    assert evaluate_expression("2 / 4 / 2", P) == pytest.approx(0.25)
+    assert Expression("(1 + 2) * (3 - 1)")(P) == pytest.approx(6.0)
+    assert Expression("2 - 3 - 4")(P) == pytest.approx(-5.0)
+    assert Expression("2 / 4 / 2")(P) == pytest.approx(0.25)
 
 
 def test_three_dimensional_points():
     q = np.array([[1.0, 2.0, 2.0]])
-    assert evaluate_expression("z", q) == pytest.approx(2.0)
-    assert evaluate_expression("r", q) == pytest.approx(3.0)
+    assert Expression("z")(q) == pytest.approx(2.0)
+    assert Expression("r")(q) == pytest.approx(3.0)
 
 
 def test_z_unavailable_in_2d():
     with pytest.raises(ExpressionError):
-        evaluate_expression("z", P)
+        Expression("z")(P)
 
 
 @pytest.mark.parametrize(
@@ -69,7 +69,7 @@ def test_z_unavailable_in_2d():
 )
 def test_malformed_rejected(bad):
     with pytest.raises(ExpressionError):
-        parse_expression(bad)
+        Expression(bad)
 
 
 @pytest.mark.parametrize("nest", [
@@ -82,13 +82,13 @@ def test_malformed_rejected(bad):
 ], ids=["parentheses", "minus", "plus", "sum", "power", "call"])
 def test_depth_limit(nest):
     # k levels: k - 1 nested constructs above the variable
-    assert np.isfinite(parse_expression(nest(100))(P)).all()
+    assert np.isfinite(Expression(nest(100))(P)).all()
     with pytest.raises(ExpressionError, match="deeper than 100 levels"):
-        parse_expression(nest(101))
+        Expression(nest(101))
 
 
 def test_parse_once_evaluate_many():
-    expr = parse_expression("max(0, 1 - r*r)")
+    expr = Expression("max(0, 1 - r*r)")
     a = expr(P)
     b = expr(np.array([[0.0, 0.0]]))
     assert b == pytest.approx(1.0)
@@ -99,5 +99,5 @@ def test_parse_once_evaluate_many():
 @settings(max_examples=100)
 def test_matches_python_eval(x, y):
     pts = np.array([[x, y]])
-    got = evaluate_expression("x*x - 2*x*y + 3", pts)
+    got = Expression("x*x - 2*x*y + 3")(pts)
     assert got == pytest.approx(x * x - 2 * x * y + 3, rel=1e-12, abs=1e-12)

@@ -16,8 +16,6 @@ from gmtlab.calculus import from_expression
 from gmtlab.domains import BoundaryCloud, extract_boundary, make_annulus, make_ball, make_box
 from gmtlab.errors import EmptyCloudError, InvalidArgumentError, ResolutionError
 from gmtlab.hausdorff import (
-    CoverCell,
-    Covering,
     Partition,
     _ball_groups,
     _box_groups,
@@ -25,7 +23,6 @@ from gmtlab.hausdorff import (
     _diameters,
     _fps_centers,
     build_partition,
-    cover_sum,
     estimate_hm,
     estimate_hm_detail,
     partition_defect,
@@ -74,30 +71,18 @@ class TestUnitBallVolume:
 
 
 class TestCoverSum:
-    def _cell(self, rd, members):
-        return CoverCell(center=np.zeros(2), rd=rd, members=np.asarray(members))
-
     def test_two_unit_diameter_cells_d1(self):
-        cov = Covering(1.0, [self._cell(0.5, [0]), self._cell(0.5, [1])], 2)
-        assert cover_sum(cov) == pytest.approx(2.0)
+        assert hausdorff._sum_rd(np.array([0.5, 0.5]), 1.0) == pytest.approx(2.0)
 
     def test_d0_counts_cells(self):
-        cov = Covering(0.0, [self._cell(0.7, [0])], 1)
-        assert cover_sum(cov) == pytest.approx(1.0)
-        cov0 = Covering(0.0, [self._cell(0.0, [0])], 1)
-        assert cover_sum(cov0) == pytest.approx(1.0)  # 0^0 counts as 1
+        assert hausdorff._sum_rd(np.array([0.7]), 0.0) == pytest.approx(1.0)
+        assert hausdorff._sum_rd(np.array([0.0]), 0.0) == pytest.approx(1.0)  # 0^0 counts as 1
 
     def test_d2_single_cell(self):
-        cov = Covering(2.0, [self._cell(1.0, [0])], 1)
-        assert cover_sum(cov) == pytest.approx(math.pi)
+        assert hausdorff._sum_rd(np.array([1.0]), 2.0) == pytest.approx(math.pi)
 
     def test_empty_covering(self):
-        cov = Covering(1.0, [], 0)
-        assert cover_sum(cov) == 0.0
-
-    def test_uncovered_point_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Covering(1.0, [self._cell(0.5, [0])], 2)
+        assert hausdorff._sum_rd(np.array([]), 1.0) == 0.0
 
     @pytest.mark.parametrize("d", [1.0, 1.5, 2.0, 2.5])
     def test_each_power_is_c_pow(self, d):
@@ -108,12 +93,6 @@ class TestCoverSum:
             rds = np.zeros(16)
             rds[3] = r
             assert hausdorff._sum_rd(rds, d) == unit_ball_volume(d) * r ** d
-
-    def test_removing_redundant_cell_decreases_sum(self):
-        cells = [self._cell(0.5, [0, 1]), self._cell(0.4, [1])]
-        full = Covering(1.0, cells, 2)
-        reduced = Covering(1.0, cells[:1], 2)  # still covers both points
-        assert cover_sum(reduced) < cover_sum(full)
 
 
 def _fps_reference(points, threshold, limit=None):
@@ -170,8 +149,7 @@ def _box_groups_reference(points, side):
     idx = np.floor((points - anchor) / side).astype(np.int64)
     uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
     inverse = inverse.ravel()
-    groups = [np.flatnonzero(inverse == g) for g in range(len(uniq))]
-    return groups, anchor + (uniq + 0.5) * side
+    return [np.flatnonzero(inverse == g) for g in range(len(uniq))]
 
 
 def _segments(order, bounds):
@@ -186,7 +164,7 @@ class TestBoxGroups:
         cloud = fps_clouds[name]
         side = k * cloud.resolution
         groups = _segments(*_box_groups(cloud.points, side))
-        ref_groups, _ = _box_groups_reference(cloud.points, side)
+        ref_groups = _box_groups_reference(cloud.points, side)
         assert len(groups) == len(ref_groups) > 1
         for got, ref in zip(groups, ref_groups):
             np.testing.assert_array_equal(got, ref)
@@ -465,17 +443,26 @@ def _ref_sample_rd(pts, nn_gaps, resolution, scale):
     return min(0.5 * (diam + comp), scale)
 
 
+def _ref_cover_sum(cells, d, n_points):
+    """omega_d * sum(rd ** d) over (rd, members) cells that cover all n_points."""
+    covered = np.zeros(n_points, dtype=bool)
+    for rd, members in cells:
+        assert rd >= 0
+        covered[members] = True
+    assert covered.all(), "every point is covered"
+    return hausdorff._sum_rd(np.array([rd for rd, _ in cells], dtype=float), d)
+
+
 def _ref_estimate(cloud, d, delta):
-    """The per-cell estimator: one CoverCell per cell, one Covering per candidate."""
+    """The per-cell estimator: one (rd, members) pair per cell, one cell list per candidate."""
     pts = cloud.points
     nn_gaps = _cloud_nn(cloud)
     best = None
     scale = delta
     while True:
-        groups, centers = _box_groups_reference(pts, scale / math.sqrt(cloud.dim))
-        cells = [CoverCell(centers[g], _ref_sample_rd(pts[m], nn_gaps[m], cloud.resolution, scale), m)
-                 for g, m in enumerate(groups)]
-        coverings = [("boxes", Covering(d, cells, len(pts)))]
+        groups = _box_groups_reference(pts, scale / math.sqrt(cloud.dim))
+        cells = [(_ref_sample_rd(pts[m], nn_gaps[m], cloud.resolution, scale), m) for m in groups]
+        coverings = [("boxes", cells)]
         fps = _fps_reference(pts, scale, limit=hausdorff._MAX_FPS_CENTERS)
         if fps is not None:
             _, owner = cKDTree(pts[fps]).query(pts)
@@ -483,13 +470,12 @@ def _ref_estimate(cloud, d, delta):
             for ci in range(len(fps)):
                 m = np.flatnonzero(owner == ci)
                 if len(m):
-                    cells.append(CoverCell(pts[fps[ci]], _ref_sample_rd(
-                        pts[m], nn_gaps[m], cloud.resolution, scale), m))
-            coverings.append(("balls", Covering(d, cells, len(pts))))
-        for kind, cov in coverings:
-            value = cover_sum(cov)
+                    cells.append((_ref_sample_rd(pts[m], nn_gaps[m], cloud.resolution, scale), m))
+            coverings.append(("balls", cells))
+        for kind, cells in coverings:
+            value = _ref_cover_sum(cells, d, len(pts))
             if best is None or value < best[0]:
-                best = (value, f"{kind}@{scale:g}", len(cov.cells))
+                best = (value, f"{kind}@{scale:g}", len(cells))
         scale /= 2.0
         if scale < 8.0 * cloud.resolution:
             return best
@@ -660,10 +646,9 @@ class TestFpsCap:
         boxes = []
         for s in scales:
             order, bounds = _box_groups(cloud.points, s / math.sqrt(2))
-            boxes.append(cover_sum(Covering(1.0, [
-                CoverCell(np.zeros(2), _ref_sample_rd(cloud.points[m], _cloud_nn(cloud)[m],
-                                                      cloud.resolution, s), m)
-                for m in _segments(order, bounds)], len(cloud))))
+            boxes.append(_ref_cover_sum([
+                (_ref_sample_rd(cloud.points[m], _cloud_nn(cloud)[m], cloud.resolution, s), m)
+                for m in _segments(order, bounds)], 1.0, len(cloud)))
         assert est.value == min(boxes)
 
 

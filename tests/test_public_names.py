@@ -1,0 +1,63 @@
+"""Names that other code depends on: every ``__all__``, the package re-exports,
+and every gmtlab name that the benchmark harness under ``bench/`` imports."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import gmtlab
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MODULES = [importlib.import_module(f"gmtlab.{m.name}") for m in pkgutil.iter_modules(gmtlab.__path__)]
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
+def test_every_all_name_resolves(mod):
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_package_reexports_are_declared_public():
+    declared = {name for mod in MODULES for name in getattr(mod, "__all__", ())}
+    exported = {name for name, obj in vars(gmtlab).items()
+                if not name.startswith("_") and not isinstance(obj, ModuleType)}
+    assert exported and exported <= declared, sorted(exported - declared)
+
+
+def _bench_imports():
+    """(module, attribute) for each gmtlab name a bench script imports or reads
+    off an imported gmtlab module, found by parsing the scripts."""
+    found = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {}  # local name -> gmtlab module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gmtlab"):
+                found.update((node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Import):
+                aliases.update((a.asname, a.name) for a in node.names
+                               if a.asname and a.name.startswith("gmtlab"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in aliases:
+                found.add((aliases[owner.id], node.attr))
+            elif (isinstance(owner, ast.Call) and isinstance(owner.func, ast.Attribute)
+                  and owner.func.attr == "import_module" and owner.args
+                  and isinstance(owner.args[0], ast.Constant)
+                  and str(owner.args[0].value).startswith("gmtlab")):
+                found.add((owner.args[0].value, node.attr))
+    return found
+
+
+def test_bench_imports_resolve():
+    found = _bench_imports()
+    assert {("gmtlab.cli", "main"), ("gmtlab.domains", "domain_from_spec"),
+            ("gmtlab.domains", "extract_boundary"), ("gmtlab.domains", "load_domain_spec")} <= found
+    missing = [(m, a) for m, a in sorted(found) if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
