@@ -68,10 +68,12 @@ __all__ = [
 class GridFunction:
     """Cell values on a domain plus an optional boundary trace.
 
-    ``values`` is a full-grid array that is zero outside the mask; ``trace``
-    holds one value per cloud point.  ``lipschitz``, when given, declares a
-    modulus of continuity omega(t) = lipschitz * t which is checked against
-    the trace at construction and consumed by the proof tracer.
+    ``values`` is a full-grid array that is zero outside the mask; ``cloud``
+    must be a face cloud whose face table is of the domain's mask, and
+    ``trace`` holds one value per cloud point.  ``lipschitz``, when given,
+    declares a modulus of continuity omega(t) = lipschitz * t which is
+    checked against the trace at construction and consumed by the proof
+    tracer.
     """
 
     domain: GridDomain
@@ -93,8 +95,13 @@ class GridFunction:
             raise InvalidArgumentError("lipschitz must be nonnegative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.cloud is not None and self.cloud.faces is not None:
-            self._check_cloud_faces(self.cloud)
+        if self.cloud is not None:
+            # the stencil needs every boundary face of this mask, and a mask's faces
+            # determine it; a synthetic cloud has no face table, so no mask
+            mask = self.domain.mask
+            faces_mask = getattr(self.cloud.faces, "mask", None)
+            if not (faces_mask is mask or np.array_equal(faces_mask, mask)):
+                raise InvalidArgumentError("the cloud is not the boundary face cloud of this domain")
         if self.trace is not None:
             if self.cloud is None:
                 raise InvalidArgumentError("a trace requires its boundary cloud")
@@ -103,29 +110,8 @@ class GridFunction:
                 raise InvalidArgumentError("trace length must match the cloud")
             trace.setflags(write=False)
             object.__setattr__(self, "trace", trace)
-            if self.lipschitz is not None and self.cloud.faces is not None:
+            if self.lipschitz is not None:
                 self._check_trace_consistency()
-
-    def _check_cloud_faces(self, cloud):
-        """Refuse a face cloud that is not all of this domain's boundary faces.
-
-        The cloud must be on this grid; each face must sit on a cell of this
-        mask and point to an exterior cell (two gathers per (axis, sign)
-        block); and the faces must be as many as in the domain's own, cached
-        cloud, which refuses the cloud of a sub-domain made of whole
-        components.  The gradient stencil needs every face.
-        """
-        mask = self.domain.mask
-        faces = cloud.faces
-        if faces.shape != mask.shape:
-            raise InvalidArgumentError(f"cloud grid {faces.shape} is not the domain grid {mask.shape}")
-        flat = mask.reshape(-1)
-        for (axis, sign), (_, cells) in faces.blocks.items():
-            outward = cells + sign * int(np.prod(mask.shape[axis + 1:]))
-            if not flat[cells].all() or flat[outward].any():
-                raise InvalidArgumentError("cloud faces are not the boundary faces of this domain")
-        if len(cloud) != len(extract_boundary(self.domain)):
-            raise InvalidArgumentError("cloud faces are not all the boundary faces of this domain")
 
     def _check_trace_consistency(self):
         bound = self.lipschitz * self.h * math.sqrt(self.domain.dim) + 1e-12
@@ -225,7 +211,7 @@ def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndar
     squared and added before the extra one.
 
     ``faces`` must hold every boundary face of ``mask`` (``GridFunction``
-    refuses any other face cloud): the differences are taken over the whole
+    refuses any other cloud): the differences are taken over the whole
     grid, zeroed on exterior cells, and a difference into an exterior cell
     is then overwritten by its +face.
     """
@@ -263,19 +249,22 @@ def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
     cached = vars(u).get("_grad_mag2")
     if cached is not None:
         return cached
-    cloud = u.cloud
-    if cloud is None or u.trace is None or cloud.faces is None:
-        raise NoTraceError("operation needs a boundary trace with face metadata")
-    mag2 = _grad_stencil(u.domain.mask, u.h, u.values, u.trace, cloud.faces.blocks)
+    if u.trace is None:
+        raise NoTraceError("operation needs a boundary trace")
+    mag2 = _grad_stencil(u.domain.mask, u.h, u.values, u.trace, u.cloud.faces.blocks)
     mag2.setflags(write=False)
     object.__setattr__(u, "_grad_mag2", mag2)
     return mag2
 
 
 def grad_l1(u: GridFunction) -> float:
-    """Integral of the Euclidean gradient magnitude over the domain."""
-    mag2 = _gradient_mag_squared(u)
-    return float(np.sum(np.sqrt(mag2[u.domain.mask]))) * u.h ** u.domain.dim
+    """Integral of the Euclidean gradient magnitude over the domain (cached on u)."""
+    cached = vars(u).get("_grad_l1")
+    if cached is None:
+        mag2 = _gradient_mag_squared(u)
+        cached = float(np.sum(np.sqrt(mag2[u.domain.mask]))) * u.h ** u.domain.dim
+        object.__setattr__(u, "_grad_l1", cached)
+    return cached
 
 
 def grad_l2_squared(u: GridFunction) -> float:
@@ -312,10 +301,9 @@ def pointwise_min(u: GridFunction, v: GridFunction) -> GridFunction:
     if not u.domain.same_grid(v.domain) or not np.array_equal(u.domain.mask, v.domain.mask):
         raise InvalidArgumentError("pointwise operations need identical domains")
     values = np.minimum(u.values, v.values)
-    trace = None
-    if u.trace is not None and v.trace is not None and len(u.trace) == len(v.trace):
-        trace = np.minimum(u.trace, v.trace)
-    return GridFunction(u.domain, values, u.cloud if trace is not None else None, trace)
+    if u.trace is None or v.trace is None:
+        return GridFunction(u.domain, values)
+    return GridFunction(u.domain, values, u.cloud, np.minimum(u.trace, v.trace))
 
 
 def abs_value(u: GridFunction) -> GridFunction:
@@ -323,8 +311,7 @@ def abs_value(u: GridFunction) -> GridFunction:
     if not (u.values < 0).any() and (u.trace is None or not (u.trace < 0).any()):
         return u
     trace = None if u.trace is None else np.abs(u.trace)
-    return GridFunction(u.domain, np.abs(u.values), u.cloud if trace is not None else None,
-                        trace, u.lipschitz)
+    return GridFunction(u.domain, np.abs(u.values), u.cloud, trace, u.lipschitz)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ keeps at least a one-cell false margin on each face, so the represented set
 is strictly inside the grid box.
 
 Only this module knows the face lattice: :func:`extract_boundary` builds each
-face cloud with its :class:`FaceTable` and its nearest-neighbour gaps
-(:func:`_face_gaps`), which the other modules read.
+face cloud with its :class:`FaceTable`, the cloud's one face index, and
+:func:`_face_gaps` reads the cloud's nearest-neighbour gaps off that table
+the first time they are read (``hausdorff._cloud_nn``).
 """
 
 from __future__ import annotations
@@ -114,33 +115,38 @@ class GridDomain:
 class FaceTable:
     """Where the faces of a cloud from :func:`extract_boundary` sit on its grid.
 
-    ``blocks[axis, sign]`` holds, for the faces with outward direction
-    ``sign * e_axis``, their cloud rows and the flat index, in a grid of
-    ``shape``, of the interior cell each sits on (read-only arrays).  Every
-    (axis, sign) has a block, and the blocks follow each other in cloud order.
+    ``mask`` and ``origin`` are those of the domain the cloud was extracted
+    from (read-only arrays; the domain itself is not held, since it caches
+    its cloud).  ``blocks[axis, sign]`` holds, for the faces with outward
+    direction ``sign * e_axis``, their cloud rows and the flat index in the
+    grid of the interior cell each sits on (read-only arrays, ascending).
+    Every (axis, sign) has a block, and the blocks follow each other in
+    cloud order.
     """
 
-    shape: tuple
+    mask: np.ndarray
+    origin: np.ndarray
     blocks: dict
+
+    @property
+    def shape(self) -> tuple:
+        return self.mask.shape
 
 
 @dataclass(frozen=True)
 class BoundaryCloud:
     """Sampled boundary: points with per-point (n-1)-measure weights.
 
-    Clouds produced by :func:`extract_boundary` also carry, for each point,
-    the interior cell it sits on and the outward face direction, and are
-    given their ``faces`` table and nearest-neighbour gaps ``nn_gaps``;
-    synthetic clouds leave those fields as None.
+    Clouds produced by :func:`extract_boundary` are given their ``faces``
+    table, and every cloud its nearest-neighbour gaps ``nn_gaps`` the first
+    time they are read (``hausdorff._cloud_nn``); synthetic clouds have no
+    face table.
     """
 
     dim: int
     resolution: float
     points: np.ndarray
     weights: np.ndarray
-    face_cells: np.ndarray | None = None
-    face_axes: np.ndarray | None = None
-    face_signs: np.ndarray | None = None
     faces: FaceTable | None = field(default=None, init=False, repr=False, compare=False)
     nn_gaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -334,9 +340,10 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     boundary of curved sets; quantitative boundary-measure values come from
     the covering estimator, not from these raw weights.
 
-    The cloud is built with its face table and its nearest-neighbour gaps.
-    Domains and clouds are immutable, so the cloud is built once per domain,
-    cached on it, and shared by every caller.
+    The cloud is built with its face table, one pass over the mask per face
+    direction; its nearest-neighbour gaps are left to their first read
+    (:func:`_face_gaps`).  Domains and clouds are immutable, so the cloud is
+    built once per domain, cached on it, and shared by every caller.
     """
     cached = vars(domain).get("_boundary")
     if cached is not None:
@@ -345,59 +352,35 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     if not mask.any():
         raise EmptyDomainError("cannot extract the boundary of an empty mask")
     h = domain.spacing
-    n = domain.dim
-    # cells with an exterior neighbour, from shifted slices: the false margin
-    # keeps every true cell off the grid faces, so the slices never leave the grid
-    inner = (slice(1, -1),) * n
-    edge = mask.copy()
-    for axis in range(n):
+    flat = mask.reshape(-1)
+    blocks, points, start = {}, [], 0
+    for axis in range(domain.dim):
+        stride = int(np.prod(mask.shape[axis + 1:]))
         for sign in (1, -1):
-            shifted = list(inner)
-            shifted[axis] = slice(1 + sign, mask.shape[axis] - 1 + sign)
-            edge[inner] &= mask[tuple(shifted)]
-    edge ^= mask  # true cells minus those with all 2n neighbours true
-    flat = np.flatnonzero(edge)
-    flat_mask = mask.reshape(-1)
-    strides = [int(np.prod(mask.shape[a + 1:])) for a in range(n)]
-    # faces in C order within each (axis, sign) block, as argwhere gives them;
-    # a nonempty mask has faces in every direction
-    sels = {(axis, sign): flat[~flat_mask[flat + sign * strides[axis]]]
-            for axis in range(n) for sign in (1, -1)}
-    sizes = [len(sel) for sel in sels.values()]
-    face_flat = np.concatenate(list(sels.values()))
-    rows = np.arange(len(face_flat))
-    axes_arr = np.repeat([axis for axis, _ in sels], sizes)
-    signs_arr = np.repeat([sign for _, sign in sels], sizes)
-    cells = np.stack(np.unravel_index(face_flat, mask.shape), axis=1)
-    points = domain.origin + (cells + 0.5) * h
-    points[rows, axes_arr] += signs_arr * h / 2.0
-    for arr in (rows, face_flat, cells, axes_arr, signs_arr):
-        arr.setflags(write=False)
-    split = np.cumsum(sizes)[:-1]
-    blocks = dict(zip(sels, zip(np.split(rows, split), np.split(face_flat, split))))
-    cloud = BoundaryCloud(
-        dim=n,
-        resolution=h,
-        points=points,
-        weights=np.full(len(rows), h ** (n - 1)),
-        face_cells=cells,
-        face_axes=axes_arr,
-        face_signs=signs_arr,
-    )
-    # the gap pass is where extraction peaks in memory; the cloud has its own copy of the points
-    del edge, flat, sels, points
-    gaps = _face_gaps(cloud, domain.origin, mask, face_flat)
-    gaps.setflags(write=False)
-    object.__setattr__(cloud, "faces", FaceTable(mask.shape, blocks))
-    object.__setattr__(cloud, "nn_gaps", gaps)
+            # true cells, in C order, whose neighbour one stride on (back, for sign -1)
+            # is false (on booleans a > b is "a and not b"); the false margin keeps every
+            # neighbour of a true cell in the grid, and a nonempty mask has faces each way
+            if sign == 1:
+                cells = np.flatnonzero(flat[:-stride] > flat[stride:])
+            else:
+                cells = np.flatnonzero(flat[stride:] > flat[:-stride]) + stride
+            pts = domain.origin + (np.stack(np.unravel_index(cells, mask.shape), axis=1) + 0.5) * h
+            pts[:, axis] += sign * h / 2.0
+            points.append(pts)
+            rows = np.arange(start, start + len(cells))
+            start += len(cells)
+            rows.setflags(write=False)
+            cells.setflags(write=False)
+            blocks[axis, sign] = (rows, cells)
+    cloud = BoundaryCloud(domain.dim, h, np.concatenate(points), np.full(start, h ** (domain.dim - 1)))
+    object.__setattr__(cloud, "faces", FaceTable(mask, domain.origin, blocks))
     object.__setattr__(domain, "_boundary", cloud)
     return cloud
 
 
-def _face_gaps(cloud: BoundaryCloud, origin: np.ndarray, mask: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor gaps of a face cloud of the domain (origin, mask), from its lattice.
+def _face_gaps(cloud: BoundaryCloud) -> np.ndarray:
+    """Nearest-neighbor gaps of a cloud from :func:`extract_boundary`, from its face table.
 
-    ``flat`` is the flat index of each face's interior cell, in cloud order.
     In half-cell units the face (c, a, s) of interior cell c toward the
     exterior cell c + s e_a sits at 2c + 1 + s e_a.  Its nearest other face
     lies within one cell, at h/sqrt(2) across an edge or else at h, among
@@ -414,15 +397,21 @@ def _face_gaps(cloud: BoundaryCloud, origin: np.ndarray, mask: np.ndarray, flat:
     squared distances have the bits of a KD-tree's and the gaps are those
     of its k=2 query.
     """
-    n, h = cloud.dim, cloud.resolution
-    pts, cells, axes, signs = cloud.points, cloud.face_cells, cloud.face_axes, cloud.face_signs
+    faces, n, h = cloud.faces, cloud.dim, cloud.resolution
+    mask = faces.mask
+    # per face, in cloud order: the flat and grid index of its cell, its axis and sign
+    sizes = [len(rows) for rows, _ in faces.blocks.values()]
+    flat = np.concatenate([cells for _, cells in faces.blocks.values()])
+    cells = np.stack(np.unravel_index(flat, mask.shape), axis=1)
+    axes, signs = np.repeat(np.array(list(faces.blocks)).T, sizes, axis=1)
+    pts = cloud.points
     rows = np.arange(len(pts))
     shape = np.array(mask.shape)
     strides = np.array([int(np.prod(mask.shape[x + 1:])) for x in range(n)])
     present = mask.reshape(-1)
     # the cell-centre coordinates of every axis, end to end
     base = np.concatenate(([0], np.cumsum(shape)[:-1]))
-    centre = np.concatenate([x.ravel() for x in _centers_grid(origin, mask.shape, h)])
+    centre = np.concatenate([x.ravel() for x in _centers_grid(faces.origin, mask.shape, h)])
     half = signs * h / 2.0
     step = signs * strides[axes]  # flat offset of c + s e_a
     # along a: each face's own coordinate and the neighbors' differences from it

@@ -23,10 +23,11 @@ farthest-point order, whose distance updates read a contiguous slab of a
 copy of the cloud sorted along its widest axis, compare it in place against
 the distances kept in that order, write back only the points that change,
 and also carry each point's nearest center; a KD-tree over the centers
-settles only exact ties.  A face cloud comes with its nearest-neighbor
-gaps (built with the cloud by :func:`extract_boundary`); those of other
-clouds come from a KD-tree query.  A :class:`Partition` keeps the segmented
-form plus one column entry per cell (representative, rd, measure).
+settles only exact ties.  A cloud's nearest-neighbor gaps are built the
+first time they are read (:func:`_cloud_nn`), from the face table of a
+cloud from :func:`extract_boundary` and from a KD-tree query for any other
+cloud.  A :class:`Partition` keeps the segmented form plus one column entry
+per cell (representative, rd, measure).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domains import BoundaryCloud
+from .domains import BoundaryCloud, _face_gaps
 from .errors import EmptyCloudError, InvalidArgumentError, ResolutionError
 
 __all__ = [
@@ -159,12 +160,14 @@ def _diameters(pts: np.ndarray) -> np.ndarray:
 def _cloud_nn(cloud: BoundaryCloud) -> np.ndarray:
     """Per-point distance to the nearest other point (0 for one point), read-only.
 
-    A cloud from :func:`extract_boundary` comes with its gaps; those of
-    other clouds come from a KD-tree's k=2 query, made once and kept on the
-    cloud.
+    Built on first read and kept on the cloud: from the face table of a
+    cloud from :func:`extract_boundary` (:func:`_face_gaps`, the bits of a
+    KD-tree's k=2 query), else from that query.
     """
     if cloud.nn_gaps is None:
-        if len(cloud) >= 2:
+        if cloud.faces is not None:
+            gaps = _face_gaps(cloud)
+        elif len(cloud) >= 2:
             gaps = cKDTree(cloud.points).query(cloud.points, k=2)[0][:, 1].copy()
         else:
             gaps = np.zeros(len(cloud))

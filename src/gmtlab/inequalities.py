@@ -566,8 +566,6 @@ def quotient_search(
         raise InvalidArgumentError("need iters >= 1 and step >= 0")
     if u0.trace is None or u0.cloud is None:
         raise InvalidArgumentError("quotient search needs a boundary trace")
-    if u0.cloud.faces is None:
-        raise NoTraceError("quotient search needs a boundary trace with face metadata")
     if not (u0.domain.same_grid(domain) and np.array_equal(u0.domain.mask, domain.mask)):
         raise InvalidArgumentError("quotient search needs a start function on the searched domain")
     mask = domain.mask
@@ -620,6 +618,15 @@ def quotient_search(
             acc += d * d
         return math.sqrt(acc)
 
+    def as_function():
+        values = np.zeros(domain.shape)
+        values[mask] = x[:n_cells]
+        return calc.GridFunction(domain, values, cloud, x[n_cells:])
+
+    def full_grad():
+        # every cell's gradient magnitude at once: the stencil sums grad_at's terms in its order
+        return np.sqrt(calc._gradient_mag_squared(as_function())[mask]).tolist()
+
     def full_sums():
         arr = np.array(x)
         g = float(np.sum(grad_mag)) * hn
@@ -633,7 +640,7 @@ def quotient_search(
             return math.inf if num > 0 else 0.0
         return num ** (1.0 / q) / den
 
-    grad_mag = [grad_at(i) for i in range(n_cells)]
+    grad_mag = full_grad()
     g_sum, b_sum, num_sum = full_sums()
     q_cur = q_of(g_sum, b_sum, num_sum)
     history = [q_cur]
@@ -668,7 +675,7 @@ def quotient_search(
         norm = num_sum ** (1.0 / q)
         if norm > 0:
             x = (np.array(x) / norm).tolist()
-        grad_mag = [grad_at(i) for i in range(n_cells)]
+        grad_mag = full_grad()
         g_sum, b_sum, num_sum = full_sums()
         q_new = q_of(g_sum, b_sum, num_sum)
         if q_new < q_cur * (1.0 - 1e-9):
@@ -680,8 +687,6 @@ def quotient_search(
             )
         history.append(q_cur)
 
-    out_values = np.zeros(domain.shape)
-    out_values[mask] = x[:n_cells]
-    best = calc.GridFunction(domain, out_values, cloud, x[n_cells:])
+    best = as_function()
     best.metadata.update({"sweep_history": history, "calibration_factor": cal})
     return best, q_cur

@@ -33,7 +33,8 @@ from gmtlab.calculus import (
 from gmtlab.constants import LATTICE_SLACK_COEFF
 import gmtlab.calculus as calc
 from gmtlab import domains
-from gmtlab.domains import GridDomain, extract_boundary, make_annulus, make_ball, make_box, rasterize_polygon, volume
+from gmtlab.domains import (BoundaryCloud, GridDomain, extract_boundary, make_annulus, make_ball, make_box,
+                            rasterize_polygon, volume)
 from gmtlab.errors import (
     InvalidArgumentError,
     NoTraceError,
@@ -548,7 +549,7 @@ class TestGridFunction:
         # an r=1 disk's faces index cells past the grid of an r=0.5 disk
         small, disk = make_ball((0.0, 0.0), 0.5, 1 / 16), make_ball((0.0, 0.0), 1.0, 1 / 16)
         cloud = extract_boundary(disk)
-        with pytest.raises(InvalidArgumentError, match="is not the domain grid"):
+        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
             GridFunction(small, np.zeros(small.shape), cloud, np.zeros(len(cloud)))
 
     def test_cloud_of_another_domain_on_the_grid_rejected(self):
@@ -561,7 +562,7 @@ class TestGridFunction:
             own = extract_boundary(dom)
             assert grad_l1(GridFunction(dom, ones, own, np.zeros(len(own)))) > 0
             cloud = extract_boundary(other)
-            with pytest.raises(InvalidArgumentError, match="not the boundary faces of this domain"):
+            with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
                 GridFunction(dom, ones, cloud, np.zeros(len(cloud)))
 
     def test_cloud_of_one_component_rejected(self):
@@ -577,7 +578,7 @@ class TestGridFunction:
         assert grad_l1(GridFunction(split, ones, own, np.zeros(len(own)))) == pytest.approx(19.435028842544405)
         cloud = extract_boundary(piece)
         assert 0 < len(cloud) < len(own)
-        with pytest.raises(InvalidArgumentError, match="not all the boundary faces of this domain"):
+        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
             GridFunction(split, ones, cloud, np.zeros(len(cloud)))
 
     def test_equal_domain_cloud_accepted(self):
@@ -585,8 +586,21 @@ class TestGridFunction:
         disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
         twin = GridDomain(disk.spacing, disk.origin, disk.mask)
         cloud = extract_boundary(twin)
+        assert cloud.faces.mask is not disk.mask
         fn = GridFunction(disk, np.where(disk.mask, 1.0, 0.0), cloud, np.ones(len(cloud)))
         assert grad_l1(fn) == 0.0
+
+    def test_synthetic_copy_of_face_cloud_rejected(self):
+        # the same points and weights without the face table: refused at
+        # construction, with a trace or without one
+        disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
+        ones = np.where(disk.mask, 1.0, 0.0)
+        faces = extract_boundary(disk)
+        synthetic = BoundaryCloud(faces.dim, faces.resolution, faces.points, faces.weights)
+        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
+            GridFunction(disk, ones, synthetic, np.ones(len(synthetic)))
+        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
+            GridFunction(disk, ones, synthetic)
 
     def test_expression_trace_from_cloud_points(self, square_128):
         cloud = extract_boundary(square_128)
@@ -677,16 +691,21 @@ def _ref_truncate(u, part, eps, s):
 
 
 def _ref_trace_maps(u, sign):
-    cloud = u.cloud
-    maps = []
+    """Per axis, the trace on the faces toward sign * e_axis as a full-grid map,
+    and where it is set, from rolled copies of the mask: a face cloud lists its
+    faces by (axis, sign), each direction's in C order of their cells."""
+    mask = u.domain.mask
+    maps, start = [], 0
     for axis in range(u.domain.dim):
-        sel = (cloud.face_axes == axis) & (cloud.face_signs == sign)
-        tmap = np.zeros(u.domain.shape)
-        has = np.zeros(u.domain.shape, dtype=bool)
-        cells = cloud.face_cells[sel]
-        tmap[tuple(cells.T)] = u.trace[sel]
-        has[tuple(cells.T)] = True
-        maps.append((tmap, has))
+        for s in (1, -1):
+            has = mask & ~np.roll(mask, -s, axis=axis)
+            count = int(np.count_nonzero(has))
+            if s == sign:
+                tmap = np.zeros(u.domain.shape)
+                tmap[has] = u.trace[start:start + count]
+                maps.append((tmap, has))
+            start += count
+    assert start == len(u.cloud)
     return maps
 
 

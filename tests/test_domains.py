@@ -288,22 +288,20 @@ def _ref_annulus(center, r_outer, r_inner, h):
 
 
 def _ref_boundary(domain):
-    """(points, face_cells, face_axes, face_signs) from rolled copies of the mask."""
+    """(points, {(axis, sign): (rows, flat cell indices)}) from rolled copies of the mask."""
     h = domain.spacing
-    points, cells, axes, signs = [], [], [], []
+    points, blocks, start = [], {}, 0
     for axis in range(domain.dim):
         for sign in (1, -1):
             faces = domain.mask & ~np.roll(domain.mask, -sign, axis=axis)
             idx = np.argwhere(faces)
-            if len(idx) == 0:
-                continue
             pts = domain.origin + (idx + 0.5) * h
             pts[:, axis] += sign * h / 2.0
             points.append(pts)
-            cells.append(idx)
-            axes.append(np.full(len(idx), axis, dtype=np.int64))
-            signs.append(np.full(len(idx), sign, dtype=np.int64))
-    return tuple(np.concatenate(parts) for parts in (points, cells, axes, signs))
+            blocks[axis, sign] = (np.arange(start, start + len(idx)),
+                                  np.ravel_multi_index(tuple(idx.T), domain.shape))
+            start += len(idx)
+    return np.concatenate(points), blocks
 
 
 # name -> (builder, its reference, arguments)
@@ -384,11 +382,13 @@ class TestBitIdentityWithReferences:
     def test_boundary_cloud(self, name):
         dom = _CLOUD_CASES[name]()
         cloud = extract_boundary(dom)
-        points, cells, axes, signs = _ref_boundary(dom)
+        points, blocks = _ref_boundary(dom)
         assert _same(cloud.points, points)
-        assert _same(cloud.face_cells, cells)
-        assert _same(cloud.face_axes, axes)
-        assert _same(cloud.face_signs, signs)
+        assert list(cloud.faces.blocks) == list(blocks)
+        for key, arrays in cloud.faces.blocks.items():
+            for got, want in zip(arrays, blocks[key]):
+                assert _same(got, want) and not got.flags.writeable
+        assert cloud.faces.mask is dom.mask and cloud.faces.origin is dom.origin
 
 
 def _build_and_extract_peak(build, *args):

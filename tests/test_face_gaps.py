@@ -1,12 +1,12 @@
 """Face tables and nearest-neighbour gaps of face clouds, read off the face lattice.
 
-``extract_boundary`` builds a face cloud's gaps from the domain's mask
-instead of a KD-tree over the cloud, and ``_cloud_nn`` returns them.  The
-tree's k=2 query is the oracle: every gap must equal its answer bit for
-bit, on random masks with non-dyadic spacings and origins, isolated cells
-and cells that meet only along an edge or at a corner, and on the
-benchmark's clouds.  The face table that ``extract_boundary`` builds in the
-same pass must equal the one derived from the per-face arrays.
+``_cloud_nn`` builds a face cloud's gaps on first read from its face table
+and the domain's mask, instead of a KD-tree over the cloud.  The tree's k=2
+query is the oracle: every gap must equal its answer bit for bit, on random
+masks with non-dyadic spacings and origins, isolated cells and cells that
+meet only along an edge or at a corner, and on the benchmark's clouds.  The
+face table that ``extract_boundary`` builds must equal the one derived from
+rolled copies of the mask.
 """
 
 import gc
@@ -31,31 +31,32 @@ def _tree_gaps(cloud):
     return cKDTree(cloud.points).query(cloud.points, k=2)[0][:, 1]
 
 
-def _ref_face_table(cloud, shape):
-    """Per (axis, sign): the rows of those faces and the flat indices of their cells,
-    derived from the cloud's per-face arrays with one boolean pass each."""
-    flat = np.ravel_multi_index(tuple(cloud.face_cells.T), shape)
-    table = {}
-    for axis, sign in itertools.product(range(len(shape)), (1, -1)):
-        rows = np.flatnonzero((cloud.face_axes == axis) & (cloud.face_signs == sign))
-        table[axis, sign] = (rows, flat[rows])
+def _ref_face_table(dom):
+    """Per (axis, sign), in cloud order: the rows of those faces and the flat
+    indices of their cells, from rolled copies of the mask."""
+    table, start = {}, 0
+    for axis, sign in itertools.product(range(dom.dim), (1, -1)):
+        flat = np.flatnonzero(dom.mask & ~np.roll(dom.mask, -sign, axis=axis))
+        table[axis, sign] = (np.arange(start, start + len(flat)), flat)
+        start += len(flat)
     return table
 
 
 def _check_face_table(dom):
     cloud = extract_boundary(dom)
-    assert cloud.faces.shape == dom.shape
-    ref = _ref_face_table(cloud, dom.shape)
+    assert cloud.faces.shape == dom.shape and cloud.faces.mask is dom.mask
+    ref = _ref_face_table(dom)
     assert list(cloud.faces.blocks) == list(ref)
     for key, arrays in cloud.faces.blocks.items():
         for got, want in zip(arrays, ref[key]):
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert not got.flags.writeable
+    assert sum(len(rows) for rows, _ in ref.values()) == len(cloud)
 
 
 def _lattice_gaps(cloud):
-    gaps = cloud.nn_gaps
-    assert _cloud_nn(cloud) is gaps and not gaps.flags.writeable
+    gaps = _cloud_nn(cloud)
+    assert cloud.nn_gaps is gaps and _cloud_nn(cloud) is gaps and not gaps.flags.writeable
     return gaps
 
 

@@ -892,7 +892,7 @@ for d, delta in [(1.0, float("nan")), (float("inf"), 0.5)]:
             print("raised", fn.__name__, "finite" in str(exc))
 from gmtlab.calculus import GridFunction
 from gmtlab.domains import GridDomain, extract_boundary, make_ball
-from gmtlab.errors import ExpressionError, NoTraceError
+from gmtlab.errors import ExpressionError
 from gmtlab.expressions import Expression
 from gmtlab.inequalities import quotient_search
 small, disk = make_ball((0.0, 0.0), 0.5, 1 / 16), make_ball((0.0, 0.0), 1.0, 1 / 16)
@@ -907,7 +907,7 @@ refusals = {
     "deep expression": (ExpressionError, lambda: Expression("-" * 3000 + "x")),
     "grid mismatch": (InvalidArgumentError,
                       lambda: GridFunction(small, np.zeros(small.shape), faces, np.zeros(len(faces)))),
-    "faceless search": (NoTraceError, lambda: quotient_search(
+    "faceless search": (InvalidArgumentError, lambda: quotient_search(
         disk, GridFunction(disk, ones, synthetic, np.ones(len(synthetic))), 1, 0.1)),
     "foreign cloud": (InvalidArgumentError,
                       lambda: GridFunction(half, ones * half.mask, faces, np.zeros(len(faces)))),

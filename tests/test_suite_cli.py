@@ -194,6 +194,36 @@ class TestRunSuite:
                    for r in record["reports"]]
             assert got == fresh
 
+    def test_standard_suite_builds_gaps_only_where_read(self, monkeypatch):
+        # the gaps of a face cloud are built on its first calibration, once;
+        # the brunn_minkowski box calibrates nothing, so its cloud has none
+        import gmtlab.calculus as calc
+        import gmtlab.hausdorff as hausdorff
+
+        clouds, built = [], []
+        extract, face_gaps = calc.extract_boundary, hausdorff._face_gaps
+
+        def recording(domain):
+            cloud = extract(domain)
+            if all(cloud is not c for c in clouds):
+                clouds.append(cloud)
+            return cloud
+
+        def counting(cloud):
+            built.append(cloud)
+            return face_gaps(cloud)
+
+        monkeypatch.setattr(calc, "extract_boundary", recording)
+        monkeypatch.setattr(hausdorff, "_face_gaps", counting)
+        spec = parse_suite(os.path.join(REPO, "suites", "standard.json"))
+        run_suite(spec)
+        assert [e.checks for e in spec.entries][-1] == ["brunn_minkowski"]
+        assert len(clouds) == len(spec.entries) == 5
+        *calibrated, box = clouds
+        assert box.nn_gaps is None and all(c is not box for c in built)
+        assert [sum(c is b for b in built) for c in calibrated] == [1, 1, 1, 1]
+        assert all(c.nn_gaps is not None for c in calibrated)
+
 
 class TestEmission:
     def _manifest(self):
