@@ -24,7 +24,6 @@ from .hausdorff import (  # noqa: F401
 )
 from .calculus import (  # noqa: F401
     GridFunction,
-    Mollifier,
     abs_value,
     boundary_integral,
     constant_function,

@@ -11,12 +11,10 @@ bitwise reproducible for a fixed shape.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domains import (
     BoundaryCloud,
@@ -39,7 +37,6 @@ from .hausdorff import Partition, unit_ball_volume
 
 __all__ = [
     "GridFunction",
-    "Mollifier",
     "from_expression",
     "constant_function",
     "indicator_function",
@@ -97,10 +94,12 @@ class GridFunction:
         object.__setattr__(self, "values", values)
         if self.cloud is not None:
             # the stencil needs every boundary face of this mask, and a mask's faces
-            # determine it; a synthetic cloud has no face table, so no mask
-            mask = self.domain.mask
-            faces_mask = getattr(self.cloud.faces, "mask", None)
-            if not (faces_mask is mask or np.array_equal(faces_mask, mask)):
+            # determine it; the points need this grid's origin and spacing too.  A
+            # synthetic cloud has no face table, so no mask
+            mask, faces = self.domain.mask, self.cloud.faces
+            if not (faces is not None and (faces.mask is mask or np.array_equal(faces.mask, mask))
+                    and np.array_equal(faces.origin, self.domain.origin)
+                    and self.cloud.resolution == self.domain.spacing):
                 raise InvalidArgumentError("the cloud is not the boundary face cloud of this domain")
         if self.trace is not None:
             if self.cloud is None:
@@ -134,25 +133,6 @@ class GridFunction:
         return m
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    """Nonnegative radial kernel of support radius 1/k and unit mass."""
-
-    k: int
-    spacing: float
-    kernel: np.ndarray
-
-    def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=float).copy()
-        if (kernel < 0).any():
-            raise InvalidArgumentError("mollifier kernel must be nonnegative")
-        mass = float(np.sum(kernel)) * self.spacing ** kernel.ndim
-        if not math.isclose(mass, 1.0, rel_tol=1e-12):
-            raise InvalidArgumentError("mollifier kernel must have unit mass")
-        kernel.setflags(write=False)
-        object.__setattr__(self, "kernel", kernel)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -175,9 +155,7 @@ def from_expression(
     values = np.zeros(domain.shape)
     values[domain.mask] = expr(domain.cell_centers())
     trace = np.broadcast_to(np.asarray(expr(cloud.points), dtype=float), len(cloud))
-    fn = GridFunction(domain, values, cloud, trace, lipschitz)
-    fn.metadata["expr"] = expr.text
-    return fn
+    return GridFunction(domain, values, cloud, trace, lipschitz)
 
 
 def constant_function(domain: GridDomain, value: float, cloud: BoundaryCloud | None = None) -> GridFunction:
@@ -185,15 +163,11 @@ def constant_function(domain: GridDomain, value: float, cloud: BoundaryCloud | N
         cloud = extract_boundary(domain)
     values = np.where(domain.mask, float(value), 0.0)
     trace = np.full(len(cloud), float(value))
-    fn = GridFunction(domain, values, cloud, trace, lipschitz=0.0)
-    fn.metadata["expr"] = repr(float(value))
-    return fn
+    return GridFunction(domain, values, cloud, trace, lipschitz=0.0)
 
 
 def indicator_function(domain: GridDomain, cloud: BoundaryCloud | None = None) -> GridFunction:
-    fn = constant_function(domain, 1.0, cloud)
-    fn.metadata["expr"] = "indicator"
-    return fn
+    return constant_function(domain, 1.0, cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +393,16 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     All barriers are evaluated in one pass: their windows (clipped to the
     grid box) are stacked in blocks of bounded size, and the closed shells
     are folded in with an unbuffered minimum, which is exact in any order.
+
+    The result's trace is zero.  Each trace point lies in its own cell C,
+    within 2 * rd(C) of x_C (a :class:`Partition` invariant), where C's
+    barrier ramp is 0; so min(trace, barriers) vanishes on the whole cloud.
+    The partition must be of ``u.cloud`` itself.
     """
     if u.trace is None or u.cloud is None:
         raise NoTraceError("truncate needs a boundary trace")
+    if part.cloud is not u.cloud:
+        raise InvalidArgumentError("the partition is not of the function's boundary cloud")
     dom = u.domain
     mask = dom.mask
     if (u.values < 0).any() or (u.trace < 0).any():
@@ -440,23 +421,10 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
         cell = b.start + which
         flat = np.ravel_multi_index(tuple(lo[cell, a] + offsets[a] for a in range(dom.dim)), dom.shape)
         np.minimum.at(out.reshape(-1), flat, _ramp(dist[inside], diams[cell], s, heights[cell]))
-
-    # candidate trace points per cell; the slack absorbs the tree's own rounding
-    pts = u.cloud.points
-    candidates = cKDTree(pts).query_ball_point(centers, reach * (1.0 + 1e-9), return_sorted=False)
-    rows = np.fromiter(itertools.chain.from_iterable(candidates), dtype=np.intp)
-    cell = np.repeat(np.arange(len(centers)), [len(c) for c in candidates])
-    pd = np.linalg.norm(pts[rows] - centers[cell], axis=1)
-    near = pd <= reach[cell]
-    cell = cell[near]
-    trace_out = u.trace.copy()
-    np.minimum.at(trace_out, rows[near], _ramp(pd[near], diams[cell], s, heights[cell]))
     # discrete vanishing trace: zero out the collar next to the boundary (the
     # cells within 1.5h of an exterior cell) and the exterior with it
     out[within_distance(~mask, 1.5 * dom.spacing, dom.spacing)] = 0.0
-    result = GridFunction(dom, out, u.cloud, trace_out)
-    result.metadata.update({"eps": eps, "s": s})
-    return result
+    return GridFunction(dom, out, u.cloud, np.zeros(len(u.cloud)))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +473,7 @@ def _kernel_cells(k: int, spacing: float) -> int:
     return int(math.floor(radius / spacing))
 
 
-def build_mollifier(k: int, spacing: float, dim: int) -> Mollifier:
+def build_mollifier(k: int, spacing: float, dim: int) -> np.ndarray:
     """Radial tent kernel of support radius 1/k, renormalized to unit mass.
 
     A kernel grid above the domain grid limit is an InvalidArgumentError,
@@ -518,7 +486,7 @@ def build_mollifier(k: int, spacing: float, dim: int) -> Mollifier:
     dist = np.sqrt(sum(g * g for g in grids))
     kernel = np.clip(1.0 - k * dist, 0.0, None)
     kernel /= np.sum(kernel) * spacing ** dim
-    return Mollifier(k=k, spacing=spacing, kernel=kernel)
+    return kernel
 
 
 def _fast_len(n: int) -> int:
@@ -572,17 +540,15 @@ def mollify(u: GridFunction, k: int) -> GridFunction:
     m = _kernel_cells(k, u.domain.spacing)
     pad = m + 2
     _grid_shape([n + 2 * pad for n in u.domain.shape])
-    mol = build_mollifier(k, u.domain.spacing, u.domain.dim)
-    weights = mol.kernel * u.domain.spacing ** u.domain.dim  # discrete weights sum to 1
+    kernel = build_mollifier(k, u.domain.spacing, u.domain.dim)
+    weights = kernel * u.domain.spacing ** u.domain.dim  # discrete weights sum to 1
     conv = np.pad(fft_convolve(u.values, weights), pad - m)
     tiny = 1e-13 * float(np.max(np.abs(conv), initial=0.0))
     conv[np.abs(conv) < tiny] = 0.0
     support = conv != 0.0
     mask = support | np.pad(u.domain.mask, pad)
     new_dom = GridDomain(u.domain.spacing, u.domain.origin - pad * u.domain.spacing, mask)
-    fn = GridFunction(new_dom, conv)
-    fn.metadata["mollifier_k"] = k
-    return fn
+    return GridFunction(new_dom, conv)
 
 
 @dataclass(frozen=True)
@@ -649,6 +615,4 @@ def restrict_to_domain(u: GridFunction, domain: GridDomain, cloud: BoundaryCloud
     values = np.zeros(domain.shape)
     values[domain.mask] = sample(domain.cell_centers())
     trace = sample(cloud.points)
-    fn = GridFunction(domain, values, cloud, trace)
-    fn.metadata.update(u.metadata)
-    return fn
+    return GridFunction(domain, values, cloud, trace)

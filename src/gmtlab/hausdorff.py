@@ -80,6 +80,7 @@ class Partition:
     Cell g owns the cloud points ``order[bounds[g]:bounds[g + 1]]`` (integer
     arrays); its representative is point ``x_index[g]``, its half-diameter
     ``rd[g]`` and its measure ``hm_est[g]`` (one array entry per cell).
+    Every member lies within ``2 * rd[g]`` of its representative.
     """
 
     order: np.ndarray
@@ -108,13 +109,20 @@ class Partition:
         if not (self.rd <= self.delta).all():
             raise InvalidArgumentError("partition cell rd exceeds delta")
         # order is now a permutation of the cloud; owner[i] is the cell of point i
+        cell = np.repeat(np.arange(len(sizes)), sizes)
         owner = np.empty(len(self.order), dtype=np.intp)
-        owner[self.order] = np.repeat(np.arange(len(sizes)), sizes)
+        owner[self.order] = cell
         x_index = np.asarray(self.x_index)
         if not (np.issubdtype(x_index.dtype, np.integer)
                 and ((0 <= x_index) & (x_index < len(owner))).all()
                 and np.array_equal(owner[x_index], np.arange(len(sizes)))):
             raise InvalidArgumentError("partition representative is not a member of its cell")
+        # each cell lies in its barrier's flat ball B(x_C, 2 rd(C)), by the
+        # barrier rule's own distance: truncate's zero trace rests on it
+        points = self.cloud.points
+        reach = np.linalg.norm(points[self.order] - points[x_index][cell], axis=1)
+        if not (reach <= 2.0 * self.rd[cell]).all():
+            raise InvalidArgumentError("partition member lies beyond 2 rd of its representative")
 
     @property
     def x_c(self) -> np.ndarray:
@@ -452,6 +460,13 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
     :func:`_cell_rds` (each row reduced as its cell alone would be), and one
     lexsort over (cell, distance to centroid, coordinates) picks every
     representative.
+
+    Every member lies within 2 * rd of its representative, as
+    :class:`Partition` requires: that distance, taken by the same formula,
+    is one of the pair distances whose maximum is the cell's diameter (the
+    candidate pruning keeps that maximum exactly), so it is at most diam;
+    and 2 * rd is diam + comp >= diam, or 2 * delta when capped, while a
+    box of side delta/sqrt(n) has diagonal delta.
     """
     _check_finite(d, delta)
     if len(cloud) == 0:

@@ -688,5 +688,5 @@ def quotient_search(
         history.append(q_cur)
 
     best = as_function()
-    best.metadata.update({"sweep_history": history, "calibration_factor": cal})
+    best.metadata["sweep_history"] = history
     return best, q_cur

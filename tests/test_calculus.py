@@ -381,9 +381,9 @@ class TestFftConvolve:
             u = indicator_function(dom) if expr == "indicator" else from_expression(dom, expr)
             for k in ks:
                 mk = mollify(u, k)
-                mol = build_mollifier(k, dom.spacing, dom.dim)
-                pad = (mol.kernel.shape[0] - 1) // 2 + 2
-                ref = ndimage.convolve(np.pad(u.values, pad), mol.kernel * dom.spacing ** dom.dim,
+                kernel = build_mollifier(k, dom.spacing, dom.dim)
+                pad = (kernel.shape[0] - 1) // 2 + 2
+                ref = ndimage.convolve(np.pad(u.values, pad), kernel * dom.spacing ** dom.dim,
                                        mode="constant", cval=0.0)
                 assert np.array_equal(mk.domain.origin, dom.origin - pad * dom.spacing)
                 assert np.array_equal(mk.values != 0.0, ref != 0.0)
@@ -405,9 +405,9 @@ def _l1_to_padded(wide, u):
 
 class TestMollify:
     def test_kernel_mass_exact(self):
-        mol = build_mollifier(4, 1 / 64, 2)
-        assert float(np.sum(mol.kernel)) * (1 / 64) ** 2 == pytest.approx(1.0, rel=1e-12)
-        assert (mol.kernel >= 0).all()
+        kernel = build_mollifier(4, 1 / 64, 2)
+        assert float(np.sum(kernel)) * (1 / 64) ** 2 == pytest.approx(1.0, rel=1e-12)
+        assert (kernel >= 0).all()
 
     def test_oversized_kernel_refused_before_allocation(self):
         # 199,999^2 cells (298 GiB as floats): numpy would fail to allocate
@@ -417,9 +417,9 @@ class TestMollify:
     def test_oversized_padded_grid_refused(self, monkeypatch, square_128):
         # the kernel fits the limit and the padded grid does not
         u = indicator_function(square_128)
-        kernel = build_mollifier(8, square_128.spacing, 2).kernel
+        kernel = build_mollifier(8, square_128.spacing, 2)
         monkeypatch.setattr(domains, "_MAX_GRID_CELLS", kernel.size)
-        assert build_mollifier(8, square_128.spacing, 2).kernel.shape == kernel.shape
+        assert build_mollifier(8, square_128.spacing, 2).shape == kernel.shape
         with pytest.raises(InvalidArgumentError, match="exceeds the limit"):
             mollify(u, 8)
 
@@ -590,6 +590,17 @@ class TestGridFunction:
         fn = GridFunction(disk, np.where(disk.mask, 1.0, 0.0), cloud, np.ones(len(cloud)))
         assert grad_l1(fn) == 0.0
 
+    @pytest.mark.parametrize("twin", ["translated", "rescaled"])
+    def test_cloud_of_a_twin_grid_rejected(self, twin):
+        # the same mask on a moved or rescaled grid: the faces match, the
+        # points do not (the translated twin's gave grad_l1 69.1 against 3.16)
+        disk = make_ball((0.0, 0.0), 1.0, 1 / 64)
+        other = (disk.translated((5.0, 0.0)) if twin == "translated"
+                 else GridDomain(2 * disk.spacing, disk.origin, disk.mask))
+        assert np.array_equal(extract_boundary(other).faces.mask, disk.mask)
+        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
+            from_expression(disk, "1 + x", extract_boundary(other))
+
     def test_synthetic_copy_of_face_cloud_rejected(self):
         # the same points and weights without the face table: refused at
         # construction, with a trace or without one
@@ -629,7 +640,7 @@ class TestGridFunction:
 # ---------------------------------------------------------------------------
 # Reference implementations: the dense-lattice, padded-difference and
 # full-cloud versions of the shell, TV and truncation code.  The library's
-# sparse lattices, sliced TV sums and KD-tree trace queries must reproduce
+# sparse lattices, sliced TV sums and zero truncated trace must reproduce
 # them bit for bit (exact ==, not approx).
 
 
@@ -805,23 +816,48 @@ class TestBitIdentityWithReferences:
         assert np.array_equal(out.values, ref_values)
         assert np.array_equal(out.trace, ref_trace)
 
-    def test_trace_point_on_the_outer_shell_edge(self):
-        # one cell whose closed shell ends exactly on a trace point: the
-        # KD-tree query must still return it, so its trace is capped
+    def test_member_beyond_the_barrier_ball_refused(self):
+        # one cell over the whole disk: its farthest member on the edge of
+        # the ball B(x_C, 2 rd) is accepted, and its trace truncates to zero
+        # as the reference's does; one ulp less rd and the member is outside
         dom = make_ball((0.0, 0.0), 1.0, 1 / 64)
         u = from_expression(dom, "x + 2")
         pts, i = u.cloud.points, int(np.argmin(u.cloud.points[:, 0]))
-        pd = np.linalg.norm(pts - pts[i], axis=1)
-        s, eps = 0.1, 0.01
-        edge = [j for j in np.argsort(pd) if pd[j] > 0.3 and 2.0 * ((pd[j] - s) / 2.0) + s == pd[j]]
-        j = edge[0]
-        part = Partition(np.arange(len(pts)), np.array([0, len(pts)]), np.array([i]),
-                     np.array([(pd[j] - s) / 2.0]), np.zeros(1), 1.0, u.cloud)
-        out = truncate(u, part, eps=eps, s=s)
-        ref_values, ref_trace = _ref_truncate(u, part, eps, s)
-        assert out.trace[j] < u.trace[j]
-        assert np.array_equal(out.trace, ref_trace)
+        far = float(np.max(np.linalg.norm(pts - pts[i], axis=1)))
+
+        def one_cell(rd):
+            return Partition(np.arange(len(pts)), np.array([0, len(pts)]), np.array([i]),
+                             np.array([rd]), np.zeros(1), 2.0, u.cloud)
+
+        part = one_cell(far / 2.0)
+        out = truncate(u, part, eps=0.01, s=0.1)
+        ref_values, ref_trace = _ref_truncate(u, part, 0.01, 0.1)
+        assert not out.trace.any() and np.array_equal(out.trace, ref_trace)
         assert np.array_equal(out.values, ref_values)
+        with pytest.raises(InvalidArgumentError, match="beyond 2 rd"):
+            one_cell(np.nextafter(far / 2.0, 0.0))
+
+    @pytest.mark.parametrize("name", sorted(_BIT_CASES))
+    def test_truncated_trace_is_zero(self, name):
+        # every trace point lies in its own cell's barrier ball, where the
+        # ramp is 0: at the floor delta (4 resolutions) and at delta 0.3
+        make, expr, _, _ = _BIT_CASES[name]
+        u = from_expression(make(), expr)
+        for delta in (4 * u.cloud.resolution, 0.3):
+            part = build_partition(u.cloud, u.domain.dim - 1, delta)
+            out = truncate(u, part, eps=0.05, s=delta / 4)
+            assert not out.trace.any()
+            assert np.array_equal(_ref_truncate(u, part, 0.05, delta / 4)[1], out.trace)
+
+    def test_partition_of_another_cloud_refused(self):
+        # a finer disk's partition indexes past this cloud; a shifted disk's
+        # has this cloud's length; both are refused before any barrier
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 128)
+        u = from_expression(dom, "2 + x")
+        for other in (make_ball((0.0, 0.0), 1.0, 1 / 256), dom.translated((0.3, 0.0))):
+            part = build_partition(extract_boundary(other), 1, 0.1)
+            with pytest.raises(InvalidArgumentError, match="not of the function's boundary cloud"):
+                truncate(u, part, eps=0.1, s=0.02)
 
     def test_shell_gradient_on_partition_cells(self, case):
         dom, u, part, s_values = case

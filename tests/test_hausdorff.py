@@ -335,14 +335,15 @@ class TestPartitionInvariants:
         """A partition of the given member lists, its columns of ``n_column`` entries.
 
         Each cell's representative is its first member (0 for an empty cell
-        and for entries past the last cell).
+        and for entries past the last cell); the default rd of 0.2 puts every
+        cell of the 1/4-spaced segment in its ball B(x_C, 2 rd).
         """
         n_column = len(cells) if n_column is None else n_column
         order = np.array([m for cell in cells for m in cell], dtype=np.intp)
         bounds = np.cumsum([0] + [len(cell) for cell in cells])
         firsts = [cell[0] if cell else 0 for cell in cells[:n_column]]
         x_index = np.array(firsts + [0] * (n_column - len(firsts)), dtype=np.intp)
-        rds = np.full(n_column, 0.01) if rds is None else np.asarray(rds)
+        rds = np.full(n_column, 0.2) if rds is None else np.asarray(rds)
         return Partition(order, bounds, x_index, rds, np.zeros(n_column), 0.5, cloud)
 
     @pytest.fixture
@@ -376,6 +377,12 @@ class TestPartitionInvariants:
     def test_rd_above_delta_rejected(self, cloud):
         with pytest.raises(InvalidArgumentError, match="rd exceeds delta"):
             self._partition([[0, 1], [2, 3]], cloud, rds=[0.01, 0.6])
+
+    def test_member_beyond_2_rd_rejected(self, cloud):
+        # point 3 sits 0.25 from the second cell's representative, point 2
+        with pytest.raises(InvalidArgumentError, match="beyond 2 rd"):
+            self._partition([[0, 1], [2, 3]], cloud, rds=[0.2, 0.12])
+        assert len(self._partition([[0, 1], [2, 3]], cloud, rds=[0.2, 0.125])) == 2
 
     @pytest.mark.parametrize("n_column", [1, 3])
     def test_column_length_mismatch_rejected(self, cloud, n_column):
@@ -782,36 +789,30 @@ class TestPrunedDiameters:
 class TestOneTreePerCloud:
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Sizes of the KD-trees built in calculus and in hausdorff, and of
-        the k=2 queries, for every tree either module makes."""
-        builds = {"calculus": [], "hausdorff": []}
-        gap_queries = []
+        """Sizes of the KD-trees built in hausdorff, and of the k=2 queries."""
+        builds, gap_queries = [], []
 
-        def counting_tree(module):
-            class CountingTree(cKDTree):
-                def __init__(self, data, *args, **kwargs):
-                    builds[module].append(len(data))
-                    super().__init__(data, *args, **kwargs)
+        class CountingTree(cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                builds.append(len(data))
+                super().__init__(data, *args, **kwargs)
 
-                def query(self, x, k=1, *args, **kwargs):
-                    if k == 2:
-                        gap_queries.append(len(x))
-                    return super().query(x, k, *args, **kwargs)
+            def query(self, x, k=1, *args, **kwargs):
+                if k == 2:
+                    gap_queries.append(len(x))
+                return super().query(x, k, *args, **kwargs)
 
-            return CountingTree
-
-        monkeypatch.setattr(calculus, "cKDTree", counting_tree("calculus"))
-        monkeypatch.setattr(hausdorff, "cKDTree", counting_tree("hausdorff"))
+        monkeypatch.setattr(hausdorff, "cKDTree", CountingTree)
         return builds, gap_queries
 
-    def test_trace_builds_one_tree_and_one_gap_array(self, counted):
+    def test_trace_builds_no_tree_over_the_cloud(self, counted):
         builds, gap_queries = counted
         dom = make_ball((0.0, 0.0), 1.0, 1 / 128)
         cloud = extract_boundary(dom)
         u = from_expression(dom, "max(0, 1 - r*r)", cloud, lipschitz=2.0)
         inequalities.proof_trace(dom, u, eps=0.2)
-        assert builds["calculus"] == [len(cloud)]  # truncate's ball queries
-        assert len(cloud) not in builds["hausdorff"]  # its trees are over greedy centers
+        assert not hasattr(calculus, "cKDTree")  # the truncated trace is zero: no ball query
+        assert len(cloud) not in builds  # hausdorff's trees are over greedy centers
         assert gap_queries == []  # the face lattice gives the gaps
         assert _cloud_nn(cloud) is _cloud_nn(cloud)
         assert not _cloud_nn(cloud).flags.writeable
@@ -820,10 +821,10 @@ class TestOneTreePerCloud:
         builds, gap_queries = counted
         cloud = _doubled_cloud()  # every sample twice: all gaps are 0
         gaps = _cloud_nn(cloud)
-        assert builds["hausdorff"] == gap_queries == [len(cloud)]
+        assert builds == gap_queries == [len(cloud)]
         assert not gaps.any() and not gaps.flags.writeable
         assert _cloud_nn(cloud) is gaps
-        assert builds["hausdorff"] == [len(cloud)]  # cached: no second tree
+        assert builds == [len(cloud)]  # cached: no second tree
 
 
 def _cascade(cloud, delta):
@@ -875,6 +876,7 @@ bad = {
     "overlap": ([0, 1, 2, 2, 3], [0, 3, 5], [0, 2]),
     "cover": ([0, 1, 3], [0, 2, 3], [0, 3]),
     "representative": ([0, 1, 2, 3], [0, 2, 4], [0, 0]),
+    "beyond 2 rd": ([0, 1, 2, 3], [0, 2, 4], [0, 2]),
 }
 for name, (order, bounds, x_index) in bad.items():
     k = len(bounds) - 1
@@ -890,7 +892,7 @@ for d, delta in [(1.0, float("nan")), (float("inf"), 0.5)]:
             fn(cloud, d, delta)
         except InvalidArgumentError as exc:
             print("raised", fn.__name__, "finite" in str(exc))
-from gmtlab.calculus import GridFunction
+from gmtlab.calculus import GridFunction, constant_function, truncate
 from gmtlab.domains import GridDomain, extract_boundary, make_ball
 from gmtlab.errors import ExpressionError
 from gmtlab.expressions import Expression
@@ -913,6 +915,10 @@ refusals = {
                       lambda: GridFunction(half, ones * half.mask, faces, np.zeros(len(faces)))),
     "partial cloud": (InvalidArgumentError,
                       lambda: GridFunction(split, ones * split.mask, piece, np.zeros(len(piece)))),
+    "foreign partition": (InvalidArgumentError, lambda: truncate(
+        constant_function(disk, 1.0), build_partition(extract_boundary(small), 1, 0.25), 0.1, 0.02)),
+    "twin grid": (InvalidArgumentError, lambda: GridFunction(
+        disk, ones, extract_boundary(disk.translated((5.0, 0.0))), np.zeros(len(faces)))),
 }
 for name, (error, call) in refusals.items():
     try:
@@ -927,8 +933,9 @@ def test_typed_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-O", "-c", _O_SCRIPT], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout.split("\n")
-    assert out[:5] == ["raised no cells", "raised empty cell", "raised overlap", "raised cover",
-                       "raised representative"]
-    assert out[5:9] == ["raised estimate_hm_detail True", "raised build_partition True"] * 2
-    assert out[9:14] == ["raised deep expression", "raised grid mismatch", "raised faceless search",
-                         "raised foreign cloud", "raised partial cloud"]
+    assert out[:6] == ["raised no cells", "raised empty cell", "raised overlap", "raised cover",
+                       "raised representative", "raised beyond 2 rd"]
+    assert out[6:10] == ["raised estimate_hm_detail True", "raised build_partition True"] * 2
+    assert out[10:17] == ["raised deep expression", "raised grid mismatch", "raised faceless search",
+                          "raised foreign cloud", "raised partial cloud", "raised foreign partition",
+                          "raised twin grid"]

@@ -1,5 +1,6 @@
 """Suite parsing, execution, emission, and the command-line surface."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -594,6 +595,24 @@ assert not loaded, sorted(loaded)
             capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("module", ["calculus", "domains"])
+    def test_module_imports_no_scipy_at_module_level(self, module):
+        # imports inside a function run on first use only (restrict_to_domain's ndimage)
+        path = os.path.join(REPO, "src", "gmtlab", f"{module}.py")
+        with open(path, encoding="utf-8") as fh:
+            nodes = list(ast.parse(fh.read(), filename=path).body)
+        imported = []
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.append(node.module)
+            nodes.extend(ast.iter_child_nodes(node))
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
     def test_bundled_smoke_suite(self, capsys):
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
