@@ -61,21 +61,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Cell values on a domain plus an optional boundary trace.
 
-    ``values`` is a full-grid array that is zero outside the mask; ``cloud``
-    must be a face cloud whose face table is of the domain's mask, and
-    ``trace`` holds one value per cloud point.  ``lipschitz``, when given,
-    declares a modulus of continuity omega(t) = lipschitz * t which is
-    checked against the trace at construction and consumed by the proof
-    tracer.
+    ``values`` is a full-grid array that is zero outside the mask, and
+    ``trace`` holds one value per point of the domain's boundary face cloud
+    (:attr:`cloud`).  ``lipschitz``, when given, declares a modulus of
+    continuity omega(t) = lipschitz * t which is checked against the trace
+    at construction and consumed by the proof tracer.  Functions are equal
+    only to themselves.
     """
 
     domain: GridDomain
     values: np.ndarray
-    cloud: BoundaryCloud | None = None
     trace: np.ndarray | None = None
     lipschitz: float | None = None
     metadata: dict = field(default_factory=dict)
@@ -92,18 +91,7 @@ class GridFunction:
             raise InvalidArgumentError("lipschitz must be nonnegative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.cloud is not None:
-            # the stencil needs every boundary face of this mask, and a mask's faces
-            # determine it; the points need this grid's origin and spacing too.  A
-            # synthetic cloud has no face table, so no mask
-            mask, faces = self.domain.mask, self.cloud.faces
-            if not (faces is not None and (faces.mask is mask or np.array_equal(faces.mask, mask))
-                    and np.array_equal(faces.origin, self.domain.origin)
-                    and self.cloud.resolution == self.domain.spacing):
-                raise InvalidArgumentError("the cloud is not the boundary face cloud of this domain")
         if self.trace is not None:
-            if self.cloud is None:
-                raise InvalidArgumentError("a trace requires its boundary cloud")
             trace = np.asarray(self.trace, dtype=float).copy()
             if trace.shape != (len(self.cloud),):
                 raise InvalidArgumentError("trace length must match the cloud")
@@ -111,6 +99,11 @@ class GridFunction:
             object.__setattr__(self, "trace", trace)
             if self.lipschitz is not None:
                 self._check_trace_consistency()
+
+    @property
+    def cloud(self) -> BoundaryCloud:
+        """The domain's boundary face cloud (``extract_boundary``), where the trace lives."""
+        return extract_boundary(self.domain)
 
     def _check_trace_consistency(self):
         bound = self.lipschitz * self.h * math.sqrt(self.domain.dim) + 1e-12
@@ -137,6 +130,14 @@ class GridFunction:
 # constructors
 
 
+def _domain_cloud(domain: GridDomain, cloud: BoundaryCloud | None) -> BoundaryCloud:
+    """The domain's boundary cloud; a ``cloud`` passed in must be that very object."""
+    own = extract_boundary(domain)
+    if cloud is not None and cloud is not own:
+        raise InvalidArgumentError("the cloud is not the boundary face cloud of this domain")
+    return own
+
+
 def from_expression(
     domain: GridDomain,
     expr: str | Expression,
@@ -150,20 +151,18 @@ def from_expression(
     """
     if isinstance(expr, str):
         expr = Expression(expr)
-    if cloud is None:
-        cloud = extract_boundary(domain)
+    cloud = _domain_cloud(domain, cloud)
     values = np.zeros(domain.shape)
     values[domain.mask] = expr(domain.cell_centers())
     trace = np.broadcast_to(np.asarray(expr(cloud.points), dtype=float), len(cloud))
-    return GridFunction(domain, values, cloud, trace, lipschitz)
+    return GridFunction(domain, values, trace, lipschitz)
 
 
 def constant_function(domain: GridDomain, value: float, cloud: BoundaryCloud | None = None) -> GridFunction:
-    if cloud is None:
-        cloud = extract_boundary(domain)
+    cloud = _domain_cloud(domain, cloud)
     values = np.where(domain.mask, float(value), 0.0)
     trace = np.full(len(cloud), float(value))
-    return GridFunction(domain, values, cloud, trace, lipschitz=0.0)
+    return GridFunction(domain, values, trace, lipschitz=0.0)
 
 
 def indicator_function(domain: GridDomain, cloud: BoundaryCloud | None = None) -> GridFunction:
@@ -184,8 +183,8 @@ def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndar
     boundary are never invisible to the scheme.  Per axis the component is
     squared and added before the extra one.
 
-    ``faces`` must hold every boundary face of ``mask`` (``GridFunction``
-    refuses any other cloud): the differences are taken over the whole
+    ``faces`` must hold every boundary face of ``mask`` (a function's
+    cloud is its domain's): the differences are taken over the whole
     grid, zeroed on exterior cells, and a difference into an exterior cell
     is then overwritten by its +face.
     """
@@ -261,7 +260,7 @@ def boundary_integral(u: GridFunction, calibration: float | None = None) -> floa
     ``calibration`` rescales the raw face weights so their total matches an
     externally estimated boundary measure; the caller records the factor.
     """
-    if u.trace is None or u.cloud is None:
+    if u.trace is None:
         raise NoTraceError("boundary integral needs a trace")
     factor = 1.0 if calibration is None else float(calibration)
     return float(np.sum(np.abs(u.trace) * u.cloud.weights)) * factor
@@ -272,12 +271,12 @@ def boundary_integral(u: GridFunction, calibration: float | None = None) -> floa
 
 
 def pointwise_min(u: GridFunction, v: GridFunction) -> GridFunction:
-    if not u.domain.same_grid(v.domain) or not np.array_equal(u.domain.mask, v.domain.mask):
+    if u.domain is not v.domain:
         raise InvalidArgumentError("pointwise operations need identical domains")
     values = np.minimum(u.values, v.values)
     if u.trace is None or v.trace is None:
         return GridFunction(u.domain, values)
-    return GridFunction(u.domain, values, u.cloud, np.minimum(u.trace, v.trace))
+    return GridFunction(u.domain, values, np.minimum(u.trace, v.trace))
 
 
 def abs_value(u: GridFunction) -> GridFunction:
@@ -285,7 +284,7 @@ def abs_value(u: GridFunction) -> GridFunction:
     if not (u.values < 0).any() and (u.trace is None or not (u.trace < 0).any()):
         return u
     trace = None if u.trace is None else np.abs(u.trace)
-    return GridFunction(u.domain, np.abs(u.values), u.cloud, trace, u.lipschitz)
+    return GridFunction(u.domain, np.abs(u.values), trace, u.lipschitz)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +398,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     barrier ramp is 0; so min(trace, barriers) vanishes on the whole cloud.
     The partition must be of ``u.cloud`` itself.
     """
-    if u.trace is None or u.cloud is None:
+    if u.trace is None:
         raise NoTraceError("truncate needs a boundary trace")
     if part.cloud is not u.cloud:
         raise InvalidArgumentError("the partition is not of the function's boundary cloud")
@@ -424,7 +423,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     # discrete vanishing trace: zero out the collar next to the boundary (the
     # cells within 1.5h of an exterior cell) and the exterior with it
     out[within_distance(~mask, 1.5 * dom.spacing, dom.spacing)] = 0.0
-    return GridFunction(dom, out, u.cloud, np.zeros(len(u.cloud)))
+    return GridFunction(dom, out, np.zeros(len(u.cloud)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +601,7 @@ def restrict_to_domain(u: GridFunction, domain: GridDomain, cloud: BoundaryCloud
     h = domain.spacing
     if abs(u.domain.spacing - h) > 1e-12 * h:
         raise InvalidArgumentError("restriction requires matching spacings")
-    if cloud is None:
-        cloud = extract_boundary(domain)
+    cloud = _domain_cloud(domain, cloud)
     src = u.values
 
     from scipy import ndimage  # first use only: the one caller of scipy.ndimage
@@ -615,4 +613,4 @@ def restrict_to_domain(u: GridFunction, domain: GridDomain, cloud: BoundaryCloud
     values = np.zeros(domain.shape)
     values[domain.mask] = sample(domain.cell_centers())
     trace = sample(cloud.points)
-    return GridFunction(domain, values, cloud, trace)
+    return GridFunction(domain, values, trace)

@@ -38,9 +38,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDomain:
     """A bounded open set stored as a boolean cell mask.
+
+    A domain is equal only to itself; functions tie to it by identity.
 
     Attributes
     ----------
@@ -99,19 +101,11 @@ class GridDomain:
             row[...] = np.broadcast_to(x, self.shape)[self.mask]
         return out.T
 
-    def same_grid(self, other: "GridDomain") -> bool:
-        return (
-            self.dim == other.dim
-            and self.shape == other.shape
-            and abs(self.spacing - other.spacing) <= 1e-12 * self.spacing
-            and np.allclose(self.origin, other.origin, rtol=0, atol=1e-12)
-        )
-
     def translated(self, shift: Sequence[float]) -> "GridDomain":
         return GridDomain(self.spacing, self.origin + np.asarray(shift, float), self.mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceTable:
     """Where the faces of a cloud from :func:`extract_boundary` sit on its grid.
 
@@ -133,7 +127,7 @@ class FaceTable:
         return self.mask.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCloud:
     """Sampled boundary: points with per-point (n-1)-measure weights.
 
@@ -147,8 +141,8 @@ class BoundaryCloud:
     resolution: float
     points: np.ndarray
     weights: np.ndarray
-    faces: FaceTable | None = field(default=None, init=False, repr=False, compare=False)
-    nn_gaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    faces: FaceTable | None = field(default=None, init=False, repr=False)
+    nn_gaps: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float).reshape(-1, self.dim).copy()

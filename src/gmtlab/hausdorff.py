@@ -73,7 +73,7 @@ def unit_ball_volume(d: float) -> float:
         return 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Disjoint cells covering a cloud, with representatives and measures.
 
@@ -377,7 +377,6 @@ class HmEstimate:
     delta: float
     method: str
     n_cells: int
-    upper_bound: bool = True
     # cascade scales whose greedy-ball candidate was skipped for needing
     # more than _MAX_FPS_CENTERS centers (the box candidate still ran)
     fps_skipped: tuple = ()

@@ -18,13 +18,12 @@ import numpy as np
 
 from . import calculus as calc
 from .constants import TRACE_STEP_TOLERANCES, holds_tolerance
-from .domains import BoundaryCloud, GridDomain, extract_boundary, volume
+from .domains import GridDomain, extract_boundary, volume
 from .errors import (
     DegenerateStartError,
     GmtLabError,
     InvalidArgumentError,
     NoModulusError,
-    NoTraceError,
     NumericalError,
     ResolutionError,
     SpecError,
@@ -163,19 +162,18 @@ def paper_boundary_factor(n: int) -> float:
 _MIN_RESOLVED_POINTS_FACTOR = 4
 
 
-def _boundary_measure(domain: GridDomain, cloud: BoundaryCloud | None) -> tuple[float, dict]:
-    """Covering estimate of the boundary measure at scale 8h, with its provenance.
+def _boundary_measure(domain: GridDomain) -> tuple[float, dict]:
+    """Covering estimate of the domain's boundary measure at scale 8h, with its provenance.
 
-    The estimate is a pure function of the immutable cloud, so it is computed
-    once per cloud and scale and cached on the cloud; every caller gets its
-    own copy of the metadata.
+    The estimate is a pure function of the domain's immutable cloud, so it is
+    computed once and memoised on the cloud; every caller gets its own copy
+    of the metadata.
     """
-    if cloud is None:
-        raise NoTraceError("the boundary term needs a function with a boundary trace")
-    n = domain.dim
-    delta = 8.0 * domain.spacing
-    cache = vars(cloud).setdefault("_boundary_measures", {})
-    if (n, delta) not in cache:
+    cloud = extract_boundary(domain)
+    cached = vars(cloud).get("_boundary_measure")
+    if cached is None:
+        n = domain.dim
+        delta = 8.0 * domain.spacing
         meta = {"delta_auto": delta}
         if len(cloud) <= _MIN_RESOLVED_POINTS_FACTOR * n * 2:
             meta["method"] = "face-count fallback (cloud too small to cover)"
@@ -183,20 +181,26 @@ def _boundary_measure(domain: GridDomain, cloud: BoundaryCloud | None) -> tuple[
             measure = cloud.total_weight
         else:
             est = estimate_hm_detail(cloud, n - 1, delta)
-            meta.update({"method": est.method, "upper_bound": est.upper_bound,
-                         "n_cells": est.n_cells})
+            meta.update({"method": est.method, "upper_bound": True, "n_cells": est.n_cells})
             measure = est.value
-        cache[(n, delta)] = (measure, meta)
-    measure, meta = cache[(n, delta)]
+        cached = (measure, meta)
+        object.__setattr__(cloud, "_boundary_measure", cached)
+    measure, meta = cached
     return measure, dict(meta)
 
 
-def _calibration(domain: GridDomain, cloud: BoundaryCloud) -> tuple[float, dict]:
-    measure, meta = _boundary_measure(domain, cloud)
-    raw = cloud.total_weight
+def _calibration(domain: GridDomain) -> tuple[float, dict]:
+    measure, meta = _boundary_measure(domain)
+    raw = extract_boundary(domain).total_weight
     factor = measure / raw if raw > 0 else 1.0
     meta.update({"boundary_measure": measure, "raw_weight": raw, "calibration_factor": factor})
     return factor, meta
+
+
+def _own_function(domain: GridDomain, u: calc.GridFunction) -> None:
+    """Refuse a function that does not live on ``domain`` itself."""
+    if u.domain is not domain:
+        raise InvalidArgumentError("the function is not on the checked domain")
 
 
 def _tol(inequality_id: str, h: float, tol: float | None) -> float:
@@ -213,7 +217,7 @@ def check_isoperimetric(domain: GridDomain, tol: float | None = None) -> Report:
     vol = volume(domain)
     if vol == 0:
         raise InvalidArgumentError("isoperimetric check needs a nonempty domain")
-    measure, meta = _boundary_measure(domain, extract_boundary(domain))
+    measure, meta = _boundary_measure(domain)
     c = iso_constant(n)
     lhs = vol ** ((n - 1) / n)
     rhs = c * measure
@@ -249,13 +253,14 @@ def check_mazya(
     tol: float | None = None,
 ) -> Report:
     """L_q norm against gradient mass plus (factored) boundary-trace mass."""
+    _own_function(domain, u)
     if mode not in ("optimal", "paper_factor"):
         raise InvalidArgumentError(f"unknown constant mode {mode!r}")
     n = domain.dim
     q = n / (n - 1)
     c = iso_constant(n)
     factor = 1.0 if mode == "optimal" else paper_boundary_factor(n)
-    cal, meta = _calibration(domain, u.cloud)
+    cal, meta = _calibration(domain)
     lhs = calc.lq_norm(u, q)
     rhs = c * (calc.grad_l1(u) + factor * calc.boundary_integral(u, calibration=cal))
     meta.update({"h": domain.spacing, "q": q, "boundary_factor": factor})
@@ -265,27 +270,29 @@ def check_mazya(
 _AUTO_C1_EXPRS = ("1", "x", "y", "x*y", "x*x+y*y")
 
 
-def _auto_c1(domain: GridDomain, cloud: BoundaryCloud, cal: float) -> float:
+def _auto_c1(domain: GridDomain) -> float:
     """Calibrate the L1 bound constant on a fixed small function family.
 
-    ``cloud`` is the boundary of ``domain``, so the result depends only on
-    the immutable cloud and the calibration; it is cached on the cloud per
-    calibration, as the boundary measure is.
+    The result depends only on the domain's immutable cloud, so it is
+    computed once and memoised on the cloud, as the boundary measure is.
     """
-    cache = vars(cloud).setdefault("_auto_c1", {})
-    if cal not in cache:
+    cloud = extract_boundary(domain)
+    cached = vars(cloud).get("_auto_c1")
+    if cached is None:
+        cal, _ = _calibration(domain)
         worst = 0.0
         for expr in _AUTO_C1_EXPRS:
             try:
-                f = calc.from_expression(domain, expr, cloud)
+                f = calc.from_expression(domain, expr)
             except GmtLabError:
                 continue
             lhs = calc.lq_norm(f, 1.0)
             rhs = calc.grad_l1(f) + calc.boundary_integral(f, calibration=cal)
             if rhs > 0:
                 worst = max(worst, lhs / rhs)
-        cache[cal] = max(worst, 1e-6)
-    return cache[cal]
+        cached = max(worst, 1e-6)
+        object.__setattr__(cloud, "_auto_c1", cached)
+    return cached
 
 
 def check_mazya_l2(
@@ -295,22 +302,22 @@ def check_mazya_l2(
     tol: float | None = None,
 ) -> Report:
     """Squared L2 norm against 2 c1 (2 c1 |grad u|_2^2 + squared trace mass)."""
+    _own_function(domain, u)
     if u.trace is None:
         raise InvalidArgumentError("the squared-trace term needs a boundary trace")
-    cloud = u.cloud
-    cal, meta = _calibration(domain, cloud)
+    cal, meta = _calibration(domain)
     auto = isinstance(c1, str)
     if auto:
         if c1 != "auto":
             raise InvalidArgumentError("c1 must be a positive number or 'auto'")
-        c1_val = _auto_c1(domain, cloud, cal)
+        c1_val = _auto_c1(domain)
     else:
         c1_val = float(c1)
     if c1_val <= 0:
         raise InvalidArgumentError("c1 must be positive")
     lhs = calc.lq_norm(u, 2.0) ** 2
     grad_sq = calc.grad_l2_squared(u)
-    trace_sq = float(np.sum(u.trace ** 2 * cloud.weights)) * cal
+    trace_sq = float(np.sum(u.trace ** 2 * u.cloud.weights)) * cal
     rhs = 2.0 * c1_val * (2.0 * c1_val * grad_sq + trace_sq)
     # intermediate bound: int |u| |grad u| <= ||u||_2 * (int |grad u|^2)^(1/2)
     absu = calc.abs_value(u)
@@ -334,9 +341,10 @@ def check_mazya_l2(
 
 def check_bv_bound(domain: GridDomain, u: calc.GridFunction, tol: float | None = None) -> Report:
     """Total variation of the zero extension against interior plus boundary mass."""
+    _own_function(domain, u)
     n = domain.dim
     factor = paper_boundary_factor(n)
-    cal, meta = _calibration(domain, u.cloud)
+    cal, meta = _calibration(domain)
     lhs = calc.total_variation(u)
     rhs = calc.grad_l1(u) + factor * calc.boundary_integral(u, calibration=cal)
     meta.update({"h": domain.spacing, "boundary_factor": factor})
@@ -447,7 +455,8 @@ def proof_trace(
     sides of each labeled step.  The final step reuses the exact code path
     of :func:`check_mazya` in paper-factor mode.
     """
-    if u.trace is None or u.cloud is None:
+    _own_function(domain, u)
+    if u.trace is None:
         raise InvalidArgumentError("proof trace needs a function with a boundary trace")
     if (u.values[domain.mask] < 0).any() or (u.trace < 0).any():
         raise InvalidArgumentError("proof trace expects a nonnegative function")
@@ -564,9 +573,9 @@ def quotient_search(
     """
     if iters < 1 or step < 0:
         raise InvalidArgumentError("need iters >= 1 and step >= 0")
-    if u0.trace is None or u0.cloud is None:
+    if u0.trace is None:
         raise InvalidArgumentError("quotient search needs a boundary trace")
-    if not (u0.domain.same_grid(domain) and np.array_equal(u0.domain.mask, domain.mask)):
+    if u0.domain is not domain:
         raise InvalidArgumentError("quotient search needs a start function on the searched domain")
     mask = domain.mask
     if (u0.values[mask] < 0).any() or (u0.trace < 0).any():
@@ -578,7 +587,7 @@ def quotient_search(
     h = domain.spacing
     q = n / (n - 1)
     factor = paper_boundary_factor(n)
-    cal, _ = _calibration(domain, u0.cloud)
+    cal, _ = _calibration(domain)
     c_bound = iso_constant(n) * 1.05
 
     cloud = u0.cloud
@@ -602,7 +611,6 @@ def quotient_search(
     fwd_cell, bwd_cell = (np.stack([np.roll(label, -k, axis=a)[mask] for a in range(n)], axis=1)
                           for k in (1, -1))
     src[:, 0::2] = np.where(fwd_cell >= 0, fwd_cell, src[:, 0::2])
-    src[:, 1::2] = np.where(bwd_cell >= 0, -1, src[:, 1::2])
     terms = [[(k, h if k < n_cells else h / 2.0) for k in ks if k >= 0] for ks in src.tolist()]
     # cells whose gradient a coordinate enters: a cell and its backward
     # neighbours, a trace point and the cell it sits on
@@ -621,7 +629,7 @@ def quotient_search(
     def as_function():
         values = np.zeros(domain.shape)
         values[mask] = x[:n_cells]
-        return calc.GridFunction(domain, values, cloud, x[n_cells:])
+        return calc.GridFunction(domain, values, x[n_cells:])
 
     def full_grad():
         # every cell's gradient magnitude at once: the stencil sums grad_at's terms in its order

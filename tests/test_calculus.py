@@ -49,7 +49,7 @@ def random_function(domain, cloud, rng, sigma=3.0):
     vals = np.where(domain.mask, field, 0.0)
     coords = (cloud.points - domain.origin) / domain.spacing - 0.5
     tr = ndimage.map_coordinates(field, coords.T, order=1, mode="nearest")
-    return GridFunction(domain, vals, cloud, tr)
+    return GridFunction(domain, vals, tr)
 
 
 class TestGradL1:
@@ -100,8 +100,7 @@ class TestBoundaryIntegral:
 
     def test_zero_trace(self, square_128):
         cloud = extract_boundary(square_128)
-        u = GridFunction(square_128, np.where(square_128.mask, 1.0, 0.0),
-                         cloud, np.zeros(len(cloud)))
+        u = GridFunction(square_128, np.where(square_128.mask, 1.0, 0.0), np.zeros(len(cloud)))
         assert boundary_integral(u) == 0.0
 
     def test_calibrated_disk_circumference(self, disk_512):
@@ -162,7 +161,7 @@ class TestPointwiseOps:
 
     def test_abs_is_even(self, disk_128):
         u = from_expression(disk_128, "x - 0.2")
-        neg = GridFunction(u.domain, -u.values, u.cloud, -u.trace)
+        neg = GridFunction(u.domain, -u.values, -u.trace)
         assert np.array_equal(abs_value(u).values, abs_value(neg).values)
 
     def test_abs_kink_keeps_gradient_mass(self, square_128):
@@ -534,14 +533,13 @@ class TestGridFunction:
         vals = np.where(square_128.mask, 0.0, 0.0)
         bad_trace = np.full(len(cloud), 10.0)
         with pytest.raises(InvalidArgumentError):
-            GridFunction(square_128, vals, cloud, bad_trace, lipschitz=1.0)
+            GridFunction(square_128, vals, bad_trace, lipschitz=1.0)
 
     @pytest.mark.parametrize("lips", [-1.0, -1e-300, float("nan")])
     def test_negative_or_nan_modulus_rejected(self, square_128, lips):
         cloud = extract_boundary(square_128)
         with pytest.raises(InvalidArgumentError, match="lipschitz must be nonnegative"):
-            GridFunction(square_128, np.zeros(square_128.shape), cloud,
-                         np.zeros(len(cloud)), lipschitz=lips)
+            GridFunction(square_128, np.zeros(square_128.shape), np.zeros(len(cloud)), lipschitz=lips)
         with pytest.raises(InvalidArgumentError):
             from_expression(square_128, "1", lipschitz=lips)
 
@@ -550,7 +548,7 @@ class TestGridFunction:
         small, disk = make_ball((0.0, 0.0), 0.5, 1 / 16), make_ball((0.0, 0.0), 1.0, 1 / 16)
         cloud = extract_boundary(disk)
         with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            GridFunction(small, np.zeros(small.shape), cloud, np.zeros(len(cloud)))
+            constant_function(small, 0.0, cloud)
 
     def test_cloud_of_another_domain_on_the_grid_rejected(self):
         # the full disk's faces on the half disk, and the half disk's on the
@@ -560,10 +558,10 @@ class TestGridFunction:
         for dom, other in ((half, disk), (disk, half)):
             ones = np.where(dom.mask, 1.0, 0.0)
             own = extract_boundary(dom)
-            assert grad_l1(GridFunction(dom, ones, own, np.zeros(len(own)))) > 0
+            assert grad_l1(GridFunction(dom, ones, np.zeros(len(own)))) > 0
             cloud = extract_boundary(other)
             with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-                GridFunction(dom, ones, cloud, np.zeros(len(cloud)))
+                constant_function(dom, 0.0, cloud)
 
     def test_cloud_of_one_component_rejected(self):
         # the disk cut into two pieces: every face of one piece is a boundary
@@ -575,20 +573,26 @@ class TestGridFunction:
         piece = GridDomain(disk.spacing, disk.origin, split.mask & (i > j))
         ones = np.where(split.mask, 1.0, 0.0)
         own = extract_boundary(split)
-        assert grad_l1(GridFunction(split, ones, own, np.zeros(len(own)))) == pytest.approx(19.435028842544405)
+        assert grad_l1(GridFunction(split, ones, np.zeros(len(own)))) == pytest.approx(19.435028842544405)
         cloud = extract_boundary(piece)
         assert 0 < len(cloud) < len(own)
         with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            GridFunction(split, ones, cloud, np.zeros(len(cloud)))
+            constant_function(split, 0.0, cloud)
 
-    def test_equal_domain_cloud_accepted(self):
-        # another domain object with the same mask: its cloud has every face
+    def test_equal_domain_cloud_refused(self):
+        # another domain object with the same mask: a function's cloud is its
+        # own domain's, so the twin's equal cloud is refused too
         disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
         twin = GridDomain(disk.spacing, disk.origin, disk.mask)
         cloud = extract_boundary(twin)
-        assert cloud.faces.mask is not disk.mask
-        fn = GridFunction(disk, np.where(disk.mask, 1.0, 0.0), cloud, np.ones(len(cloud)))
-        assert grad_l1(fn) == 0.0
+        assert np.array_equal(cloud.points, extract_boundary(disk).points)
+        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
+            constant_function(disk, 1.0, cloud)
+
+    def test_cloud_is_the_domains(self, disk_128):
+        u = from_expression(disk_128, "x", extract_boundary(disk_128))
+        assert u.cloud is extract_boundary(disk_128)
+        assert GridFunction(disk_128, u.values).cloud is u.cloud
 
     @pytest.mark.parametrize("twin", ["translated", "rescaled"])
     def test_cloud_of_a_twin_grid_rejected(self, twin):
@@ -602,16 +606,17 @@ class TestGridFunction:
             from_expression(disk, "1 + x", extract_boundary(other))
 
     def test_synthetic_copy_of_face_cloud_rejected(self):
-        # the same points and weights without the face table: refused at
-        # construction, with a trace or without one
+        # the same points and weights without the face table: refused by
+        # every constructor that takes a cloud
         disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
-        ones = np.where(disk.mask, 1.0, 0.0)
         faces = extract_boundary(disk)
         synthetic = BoundaryCloud(faces.dim, faces.resolution, faces.points, faces.weights)
         with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            GridFunction(disk, ones, synthetic, np.ones(len(synthetic)))
+            from_expression(disk, "1", synthetic)
         with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            GridFunction(disk, ones, synthetic)
+            indicator_function(disk, synthetic)
+        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
+            restrict_to_domain(constant_function(disk, 1.0), disk, synthetic)
 
     def test_expression_trace_from_cloud_points(self, square_128):
         cloud = extract_boundary(square_128)
@@ -621,7 +626,7 @@ class TestGridFunction:
     def test_scale_homogeneity(self, disk_128):
         u = from_expression(disk_128, "1 + x*y")
         lam = 3.7
-        scaled = GridFunction(u.domain, lam * u.values, u.cloud, lam * u.trace)
+        scaled = GridFunction(u.domain, lam * u.values, lam * u.trace)
         assert grad_l1(scaled) == pytest.approx(lam * grad_l1(u), rel=1e-12)
         assert lq_norm(scaled, 2.0) == pytest.approx(lam * lq_norm(u, 2.0), rel=1e-12)
         assert grad_l2_squared(scaled) == pytest.approx(
@@ -635,6 +640,26 @@ class TestGridFunction:
         # deep inside, the mollified indicator is exactly one
         inner = interior_region(disk_128, 0.3) & disk_128.mask
         assert np.allclose(u.values[inner], 1.0, atol=1e-9)
+
+
+# two objects of each kind, built from equal specs
+_EQUAL_SPEC_PAIRS = {
+    "GridDomain": lambda: make_ball((0.0, 0.0), 1.0, 1 / 16),
+    "FaceTable": lambda: extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 16)).faces,
+    "BoundaryCloud": lambda: extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 16)),
+    "GridFunction": lambda: constant_function(make_ball((0.0, 0.0), 1.0, 1 / 16), 1.0),
+    "Partition": lambda: build_partition(extract_boundary(make_ball((0.0, 0.0), 1.0, 1 / 16)), 1, 0.25),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EQUAL_SPEC_PAIRS))
+def test_equality_is_identity(kind):
+    # array fields compare elementwise, so a generated == would raise; each
+    # object is equal only to itself, and hashes by identity
+    a, b = _EQUAL_SPEC_PAIRS[kind](), _EQUAL_SPEC_PAIRS[kind]()
+    assert type(a).__name__ == kind
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
 
 
 # ---------------------------------------------------------------------------

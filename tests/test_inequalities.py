@@ -11,6 +11,7 @@ from gmtlab.calculus import (
     from_expression,
     indicator_function,
     mollify,
+    pointwise_min,
     restrict_to_domain,
 )
 from gmtlab.domains import BoundaryCloud, extract_boundary, make_ball, make_box, GridDomain
@@ -120,8 +121,7 @@ class TestIsoperimetric:
 class TestSobolev:
     def test_zero_function(self, square_128):
         cloud = extract_boundary(square_128)
-        u = GridFunction(square_128, np.zeros(square_128.shape), cloud,
-                         np.zeros(len(cloud)))
+        u = GridFunction(square_128, np.zeros(square_128.shape), np.zeros(len(cloud)))
         rep = check_sobolev(u)
         assert rep.holds and rep.lhs == 0.0
 
@@ -157,7 +157,6 @@ class TestSobolev:
         bad = object.__new__(GridFunction)
         object.__setattr__(bad, "domain", square_128)
         object.__setattr__(bad, "values", bad_vals)
-        object.__setattr__(bad, "cloud", None)
         object.__setattr__(bad, "trace", None)
         object.__setattr__(bad, "lipschitz", None)
         object.__setattr__(bad, "metadata", {})
@@ -175,8 +174,8 @@ class TestSobolev:
                 index[axis] = end
                 vals[tuple(index)] = -0.5
                 bad = object.__new__(GridFunction)
-                for name, value in (("domain", dom), ("values", vals), ("cloud", None),
-                                    ("trace", None), ("lipschitz", None), ("metadata", {})):
+                for name, value in (("domain", dom), ("values", vals), ("trace", None),
+                                    ("lipschitz", None), ("metadata", {})):
                     object.__setattr__(bad, name, value)
                 with pytest.raises(SupportError):
                     check_sobolev(bad)
@@ -222,7 +221,7 @@ class TestMazya:
     def test_scale_invariance_of_verdict(self, disk_128):
         u = from_expression(disk_128, "1 + x*y")
         lam = 3.7
-        scaled = GridFunction(u.domain, lam * u.values, u.cloud, lam * u.trace)
+        scaled = GridFunction(u.domain, lam * u.values, lam * u.trace)
         r1 = check_mazya(disk_128, u, "paper_factor")
         r2 = check_mazya(disk_128, scaled, "paper_factor")
         assert r2.ratio == pytest.approx(r1.ratio, rel=1e-9)
@@ -233,8 +232,7 @@ class TestMazya:
         a = make_ball((0.0, 0.0), 1.0, h)
         b = a.translated((5 * h, -3 * h))
         ua = from_expression(a, "1 + x - x")  # constant built through the parser
-        cloud_b = extract_boundary(b)
-        ub = GridFunction(b, ua.values, cloud_b, ua.trace)
+        ub = GridFunction(b, ua.values, ua.trace)
         ra = check_mazya(a, ua, "paper_factor")
         rb = check_mazya(b, ub, "paper_factor")
         assert rb.lhs == pytest.approx(ra.lhs, rel=1e-12)
@@ -244,8 +242,7 @@ class TestMazya:
 class TestMazyaL2:
     def test_zero_function(self, square_128):
         cloud = extract_boundary(square_128)
-        u = GridFunction(square_128, np.zeros(square_128.shape), cloud,
-                         np.zeros(len(cloud)))
+        u = GridFunction(square_128, np.zeros(square_128.shape), np.zeros(len(cloud)))
         rep = check_mazya_l2(square_128, u, 1.0)
         assert rep.holds and rep.lhs == 0.0
 
@@ -298,7 +295,7 @@ class TestMazyaL2:
     def test_two_homogeneous_verdict(self, square_128):
         u = from_expression(square_128, "x + 1")
         lam = 2.5
-        scaled = GridFunction(u.domain, lam * u.values, u.cloud, lam * u.trace)
+        scaled = GridFunction(u.domain, lam * u.values, lam * u.trace)
         r1 = check_mazya_l2(square_128, u, 1.0)
         r2 = check_mazya_l2(square_128, scaled, 1.0)
         assert r2.lhs == pytest.approx(lam ** 2 * r1.lhs, rel=1e-9)
@@ -315,8 +312,7 @@ class TestBvBound:
 
     def test_zero(self, square_128):
         cloud = extract_boundary(square_128)
-        u = GridFunction(square_128, np.zeros(square_128.shape), cloud,
-                         np.zeros(len(cloud)))
+        u = GridFunction(square_128, np.zeros(square_128.shape), np.zeros(len(cloud)))
         rep = check_bv_bound(square_128, u)
         assert rep.holds and rep.lhs == 0.0
 
@@ -404,8 +400,7 @@ class TestExtendedSobolev:
 
     def test_zero(self, square_128):
         cloud = extract_boundary(square_128)
-        u = GridFunction(square_128, np.zeros(square_128.shape), cloud,
-                         np.zeros(len(cloud)))
+        u = GridFunction(square_128, np.zeros(square_128.shape), np.zeros(len(cloud)))
         rep = check_extended_sobolev(u, k_list=(4,))
         assert rep.holds and rep.lhs == 0.0
 
@@ -473,8 +468,7 @@ class TestProofTrace:
 
     def test_modulus_required(self, disk_128):
         cloud = extract_boundary(disk_128)
-        u = GridFunction(disk_128, np.where(disk_128.mask, 1.0, 0.0), cloud,
-                         np.ones(len(cloud)))
+        u = GridFunction(disk_128, np.where(disk_128.mask, 1.0, 0.0), np.ones(len(cloud)))
         with pytest.raises(NoModulusError):
             proof_trace(disk_128, u, eps=0.2)
 
@@ -521,7 +515,7 @@ class TestQuotientSearch:
 
         u0 = indicator_function(disk_128)
         best, q = quotient_search(disk_128, u0, iters=5, step=0.1)
-        cal, _ = _calibration(disk_128, best.cloud)
+        cal, _ = _calibration(disk_128)
         den = grad_l1(best) + paper_boundary_factor(2) * boundary_integral(best, calibration=cal)
         assert q == pytest.approx(lq_norm(best, 2.0) / den, rel=1e-9)
 
@@ -532,7 +526,7 @@ class TestQuotientSearch:
         faces = extract_boundary(disk)
         cloud = BoundaryCloud(faces.dim, faces.resolution, faces.points, faces.weights)
         with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            GridFunction(disk, np.where(disk.mask, 1.0, 0.0), cloud, np.ones(len(cloud)))
+            constant_function(disk, 1.0, cloud)
 
     def test_start_on_another_domain_rejected(self):
         # the start's faces would index cells that the searched half disk lacks
@@ -543,8 +537,7 @@ class TestQuotientSearch:
 
     def test_degenerate_start_rejected(self, disk_128):
         cloud = extract_boundary(disk_128)
-        u0 = GridFunction(disk_128, np.zeros(disk_128.shape), cloud,
-                          np.zeros(len(cloud)))
+        u0 = GridFunction(disk_128, np.zeros(disk_128.shape), np.zeros(len(cloud)))
         with pytest.raises(DegenerateStartError):
             quotient_search(disk_128, u0, iters=1, step=0.1)
 
@@ -575,11 +568,33 @@ class TestQuotientSearch:
         assert q >= hist[0]
 
 
+# each call gets (domain, function on an equal but distinct domain object)
+_FOREIGN_FUNCTION_CALLS = {
+    "mazya": lambda d, u: check_mazya(d, u),
+    "mazya_l2": lambda d, u: check_mazya_l2(d, u, "auto"),
+    "bv_bound": lambda d, u: check_bv_bound(d, u),
+    "proof_trace": lambda d, u: proof_trace(d, u, eps=0.3),
+    "pointwise_min": lambda d, u: pointwise_min(constant_function(d, 1.0), u),
+    "quotient_search": lambda d, u: quotient_search(d, u, iters=1, step=0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOREIGN_FUNCTION_CALLS))
+def test_function_on_an_equal_domain_refused(name):
+    # a function ties to its domain by identity: the same mask on another
+    # domain object is another domain, with its own cloud and calibration
+    disk = make_ball((0.0, 0.0), 1.0, 1 / 64)
+    twin = GridDomain(disk.spacing, disk.origin, disk.mask)
+    u = from_expression(twin, "max(0, 1 - r)", lipschitz=1.0)
+    with pytest.raises(InvalidArgumentError):
+        _FOREIGN_FUNCTION_CALLS[name](disk, u)
+
+
 class TestVerdictHomogeneity:
     def test_one_homogeneous_checks(self, square_128):
         u = from_expression(square_128, "1 + x*y")
         lam = 2.3
-        scaled = GridFunction(u.domain, lam * u.values, u.cloud, lam * u.trace)
+        scaled = GridFunction(u.domain, lam * u.values, lam * u.trace)
         for check in (check_sobolev, check_extended_sobolev):
             r1, r2 = check(u), check(scaled)
             assert r2.ratio == pytest.approx(r1.ratio, rel=1e-9)
