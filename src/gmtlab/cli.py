@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from . import calculus as calc
 from . import inequalities as ineq
-from .domains import domain_from_spec, extract_boundary, load_json, spec_number
+from .domains import domain_from_spec, extract_boundary, load_json
 from .errors import GmtLabError, SpecError
 from .hausdorff import build_partition, estimate_hm_detail, partition_defect, partition_to_json
 from .suite import build_function, emit, hash_file, parse_function_spec, parse_suite, run_suite
@@ -29,6 +29,14 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+def _finite_floats(text: str, flag: str) -> list:
+    """The finite floats of a comma-list flag, else SpecError."""
+    try:
+        return [_finite_float(item) for item in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise SpecError(f"{flag}: {exc}") from None
 
 
 def _load_domain(path):
@@ -98,7 +106,7 @@ def cmd_estimate_hm(args) -> int:
 def cmd_partition(args) -> int:
     domain = _load_domain(args.domain)
     cloud = extract_boundary(domain)
-    deltas = spec_number(args.delta.split(","), "--delta", scalar=False).tolist()
+    deltas = _finite_floats(args.delta, "--delta")
     rows = []
     last = None
     for delta in deltas:
@@ -152,7 +160,7 @@ def cmd_search(args) -> int:
 
 def cmd_steiner(args) -> int:
     domain = _load_domain(args.domain)
-    eps_list = spec_number(args.eps.split(","), "--eps", scalar=False).tolist()
+    eps_list = _finite_floats(args.eps, "--eps")
     result = calc.minkowski_steiner(domain, eps_list)
     for e, qv in result.quotients:
         print(f"eps={e}: quotient={qv!r}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -615,15 +616,18 @@ _PARAM_KEYS = {
 _SCALAR_PARAMS = {"r", "r_outer", "r_inner"}
 
 
-def spec_number(value, what: str, scalar: bool = True):
-    """A finite float (a float array unless ``scalar``) from an input value, else SpecError."""
-    try:
-        out = float(value) if scalar else np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{what} must be numeric, got {value!r}") from exc
-    if not np.isfinite(out).all():
-        raise SpecError(f"{what} must be finite, got {value!r}")
-    return out
+def is_json_number(value) -> bool:
+    """The number rule of every spec file: an int or a float, not a bool, and finite as a float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _spec_numbers(value, what: str, scalar: bool):
+    """A float (unless ``scalar`` a float array of evenly nested lists) of JSON numbers, else SpecError."""
+    # a ragged list keeps lists among the leaves of its object array
+    leaves = [value] if scalar else np.asarray(value, dtype=object).ravel()
+    if not all(map(is_json_number, leaves)):
+        raise SpecError(f"{what} must be {'a number' if scalar else 'an array of numbers'}, got {value!r}")
+    return float(value) if scalar else np.asarray(value, dtype=float)
 
 
 def domain_from_spec(spec: dict, h_override: float | None = None) -> GridDomain:
@@ -649,8 +653,8 @@ def domain_from_spec(spec: dict, h_override: float | None = None) -> GridDomain:
     missing = required - set(params)
     if missing:
         raise SpecError(f"kind '{kind}' is missing parameters {sorted(missing)}")
-    h = spec_number(h_override if h_override is not None else spec["h"], "h")
-    p = {k: spec_number(v, k, scalar=k in _SCALAR_PARAMS) for k, v in params.items()}
+    h = _spec_numbers(spec["h"], "h", scalar=True) if h_override is None else float(h_override)
+    p = {k: _spec_numbers(v, k, scalar=k in _SCALAR_PARAMS) for k, v in params.items()}
     if kind == "ball":
         return make_ball(p.get("center", [0.0, 0.0]), p["r"], h)
     if kind == "box":
@@ -677,6 +681,8 @@ def load_json(path):
         raise SpecError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise SpecError(f"JSON in {path} nests too deeply") from exc
 
 
 load_domain_spec = load_json

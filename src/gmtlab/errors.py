@@ -29,10 +29,6 @@ class NoModulusError(GmtLabError):
     """The grid function declares no modulus of continuity."""
 
 
-class SupportError(GmtLabError):
-    """The function support violates a vanishing-boundary requirement."""
-
-
 class DegenerateStartError(GmtLabError):
     """Quotient search started from an all-zero function."""
 

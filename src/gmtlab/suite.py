@@ -9,19 +9,27 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 from . import __version__
 from . import calculus as calc
 from . import inequalities as ineq
-from .domains import describe_spec, domain_from_spec, load_json
+from .domains import describe_spec, domain_from_spec, is_json_number, load_json
 from .errors import GmtLabError, SpecError
 
 __all__ = ["SuiteSpec", "SuiteEntry", "RunManifest", "parse_suite", "run_suite", "emit"]
 
 _ENTRY_KEYS = {"domain", "function", "checks", "modes", "parameters"}
-_PARAM_KEYS = {"h", "eps", "s", "delta", "k_list", "c1", "domain_b", "eps_list", "iters", "step"}
+# parameter -> (the JSON shape its value must have, the test of that shape)
+_PARAMS = {
+    "h": ("a number", is_json_number),
+    "c1": ("'auto' or a number", lambda v: v == "auto" or is_json_number(v)),
+    "k_list": ("a list of positive integers",
+               lambda v: isinstance(v, list) and all(type(k) is int and k >= 1 for k in v)),
+    "eps_list": ("a nonempty list of numbers",
+                 lambda v: isinstance(v, list) and v != [] and all(map(is_json_number, v))),
+    "domain_b": ("an object", lambda v: isinstance(v, dict)),
+}
 _FUNCTION_KEYS = {"expr", "lipschitz"}
 _SUITE_KEYS = {"name", "entries"}
 
@@ -114,7 +122,7 @@ def parse_function_spec(fn) -> dict | str:
     if not isinstance(fn.get("expr"), str):
         raise SpecError("function spec needs a string 'expr'")
     lips = fn.get("lipschitz", 0.0)
-    if isinstance(lips, bool) or not isinstance(lips, (int, float)) or not math.isfinite(lips):
+    if not is_json_number(lips):
         raise SpecError(f"'lipschitz' must be a finite number, got {lips!r}")
     if lips < 0:
         raise SpecError(f"'lipschitz' must be nonnegative, got {lips!r}")
@@ -156,21 +164,20 @@ def parse_suite_dict(data: dict) -> SuiteSpec:
         if not isinstance(checks, list) or not checks:
             raise SpecError(f"entry {pos}: 'checks' must be a nonempty list")
         for cid in checks:
-            if cid not in KNOWN_CHECKS:
-                raise SpecError(f"entry {pos}: unknown inequality id '{cid}'")
-        modes = raw.get("modes", ["optimal", "paper_factor"])
-        for mode in modes:
-            if mode not in ("optimal", "paper_factor"):
-                raise SpecError(f"entry {pos}: unknown mode '{mode}'")
+            if not isinstance(cid, str) or cid not in KNOWN_CHECKS:
+                raise SpecError(f"entry {pos}: 'checks' holds an unknown inequality id {cid!r}")
+        modes = raw.get("modes", list(ineq.MAZYA_MODES))
+        if not (isinstance(modes, list) and modes and all(m in ineq.MAZYA_MODES for m in modes)):
+            raise SpecError(f"entry {pos}: 'modes' must list some of {ineq.MAZYA_MODES}, got {modes!r}")
         parameters = raw.get("parameters", {})
         if not isinstance(parameters, dict):
             raise SpecError(f"entry {pos}: 'parameters' must be an object")
-        unknown = set(parameters) - _PARAM_KEYS
-        if unknown:
-            raise SpecError(f"entry {pos}: unknown parameters {sorted(unknown)}")
-        k_list = parameters.get("k_list", [])
-        if not (isinstance(k_list, list) and all(type(k) is int and k >= 1 for k in k_list)):
-            raise SpecError(f"entry {pos}: 'k_list' must be a list of positive integers")
+        for key, value in parameters.items():
+            if key not in _PARAMS:
+                raise SpecError(f"entry {pos}: unknown parameter '{key}'")
+            shape, is_shape = _PARAMS[key]
+            if not is_shape(value):
+                raise SpecError(f"entry {pos}: parameter '{key}' must be {shape}, got {value!r}")
         # validate domain spec eagerly for parse-time diagnostics
         if not isinstance(raw["domain"], dict):
             raise SpecError(f"entry {pos}: 'domain' must be an object")

@@ -1,12 +1,13 @@
 """Property test of the exit contract on random, often malformed, inputs.
 
 For any domain and function JSON, ``trace``, ``estimate-hm``, ``partition``,
-a one-sweep ``search``, ``steiner`` and a one-entry ``verify`` return 0, 1
-or 2 (or stop in argparse with exit status 2); no other exception escapes
-``cli.main``.  Grid spacings stay at h >= 1/32 and lengths at most 2, so
-every example is small.  Explicit examples pin the inputs that once escaped:
-huge dimensions, grids too large to allocate and expressions nested past
-Python's recursion limit.
+a one-sweep ``search``, ``steiner`` and a one-entry ``verify`` (with random
+check ids, modes and suite parameters) return 0, 1 or 2 (or stop in argparse
+with exit status 2); no other exception escapes ``cli.main``.  Grid spacings
+stay at h >= 1/32 and lengths at most 2, so every example is small.
+Explicit examples pin the inputs that once escaped: huge dimensions, grids
+too large to allocate, expressions nested past Python's recursion limit and
+suite values of the wrong JSON shape.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import tempfile
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 from gmtlab.cli import main  # noqa: E402
 from gmtlab.suite import KNOWN_CHECKS  # noqa: E402
@@ -68,6 +69,28 @@ _FUNCTIONS = st.one_of(
     st.sampled_from([[], "x", 1, None, {}]),
 )
 _ARGS = st.sampled_from(["0.05", "0.5", "1", "2", "0", "-1", "abc", "nan"])
+_CHECK_IDS = st.lists(st.sampled_from(sorted(KNOWN_CHECKS) + [["mazya"]]), min_size=1, max_size=2)
+_MODES = st.one_of(st.none(), st.lists(st.sampled_from(["optimal", "paper_factor", "bogus"]), max_size=2),
+                   st.sampled_from(_SPECIAL))
+# good values of each suite parameter; "delta" stands for a key that no check reads
+_GOOD_PARAMETERS = {
+    "h": st.sampled_from([1 / 32, 1 / 16]),
+    "c1": st.sampled_from(["auto", 0.5, 2]),
+    "k_list": st.lists(st.integers(1, 16), max_size=2),
+    "eps_list": st.just([0.5, 0.25]),
+    "domain_b": domain_specs(),
+    "delta": st.just(0.1),
+}
+
+
+@st.composite
+def suite_parameters(draw):
+    """No parameters, or up to two keys, each with a good or a special value."""
+    keys = draw(st.one_of(st.none(), st.lists(st.sampled_from(sorted(_GOOD_PARAMETERS)),
+                                              unique=True, max_size=2)))
+    if keys is None:
+        return None
+    return {k: draw(st.one_of(_GOOD_PARAMETERS[k], st.sampled_from(_SPECIAL))) for k in keys}
 
 
 def _run(argv):
@@ -80,16 +103,28 @@ def _run(argv):
             return 2
 
 
+_BOX = {"kind": "box", "params": {"sides": [1, 1]}, "h": 1 / 32}
+
+
 @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
 @given(domain=domain_specs(), function=_FUNCTIONS, eps=_ARGS, d=_ARGS, delta=_ARGS,
-       checks=st.lists(st.sampled_from(sorted(KNOWN_CHECKS)), min_size=1, max_size=2))
-def test_exit_contract_on_random_specs(domain, function, eps, d, delta, checks):
+       checks=_CHECK_IDS, modes=_MODES, parameters=suite_parameters())
+# suite values that once ended in a TypeError traceback
+@example(_BOX, "indicator", "0.5", "1", "0.5", ["mazya_l2"], None, {"c1": [1]})
+@example(_BOX, "indicator", "0.5", "1", "0.5", ["perimeter_iso"], None, {"eps_list": 5})
+@example(_BOX, "indicator", "0.5", "1", "0.5", ["perimeter_iso"], None, {"eps_list": [[1]]})
+@example(_BOX, "indicator", "0.5", "1", "0.5", ["mazya"], 5, None)
+@example(_BOX, "indicator", "0.5", "1", "0.5", [["mazya"]], None, None)
+def test_exit_contract_on_random_specs(domain, function, eps, d, delta, checks, modes, parameters):
+    entry = {"domain": domain, "function": function, "checks": checks}
+    for key, value in (("modes", modes), ("parameters", parameters)):
+        if value is not None:
+            entry[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         dom = os.path.join(tmp, "domain.json")
         fn = os.path.join(tmp, "function.json")
         suite = os.path.join(tmp, "suite.json")
-        for path, data in ((dom, domain), (fn, function), (suite, {"name": "p", "entries": [
-                {"domain": domain, "function": function, "checks": checks}]})):
+        for path, data in ((dom, domain), (fn, function), (suite, {"name": "p", "entries": [entry]})):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(data, fh)
         for argv in (["trace", dom, fn, "--eps", eps],

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -88,6 +89,13 @@ class TestParseSuite:
         bad["entries"][0]["parameters"] = {"epsilon": 0.1}
         with pytest.raises(SpecError, match="epsilon"):
             parse_suite(write_json(tmp_path / "s.json", bad))
+
+    def test_readme_names_every_parameter_and_check(self):
+        with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+            section = fh.read().split("### Suite files")[1].split("\n## ")[0]
+        assert sorted(re.findall(r"^\| `(\w+)` \|", section, re.M)) == sorted(suite_mod._PARAMS)
+        known = section.split("Known check ids:")[1].split("\n\n")[0]
+        assert set(re.findall(r"`(\w+)`", known)) == suite_mod.KNOWN_CHECKS
 
     def test_round_trip(self, tmp_path):
         spec = parse_suite(write_json(tmp_path / "s.json", SMOKE))
@@ -341,6 +349,7 @@ class TestCli:
     @pytest.mark.parametrize("domain", [
         {"kind": "ball", "params": {}, "h": 0.01},
         {"kind": "ball", "params": {"r": 1}, "h": "abc"},
+        {"kind": "ball", "params": {"r": 10 ** 400}, "h": 0.01},  # past the float range
     ])
     def test_estimate_hm_malformed_domain_exits_two(self, tmp_path, capsys, domain):
         path = write_json(tmp_path / "bad.json", domain)
@@ -490,6 +499,44 @@ class TestCli:
         dom = write_json(tmp_path / "d.json", domain)
         assert main(["estimate-hm", dom, "--d", "1", "--delta", "0.5"]) == 2
         assert capsys.readouterr().err.startswith(("spec error:", "error:"))
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("parameters", "c1", [1]), ("parameters", "c1", math.inf), ("parameters", "c1", math.nan),
+        ("parameters", "c1", True), ("parameters", "eps_list", 5), ("parameters", "eps_list", [[1]]),
+        ("parameters", "eps_list", ["0.25"]), ("entry", "modes", 5), ("entry", "modes", []),
+        ("entry", "checks", [["mazya"]]),
+        *[("parameters", key, 0.1) for key in ("eps", "s", "delta", "iters", "step")],
+        ("domain", "h", "0.03125"), ("params", "sides", [1, True]),
+    ])
+    def test_malformed_value_is_a_spec_error(self, tmp_path, capsys, where, key, value):
+        entry = {"domain": {"kind": "box", "params": {"sides": [1, 1]}, "h": 1 / 32},
+                 "function": "indicator", "checks": ["mazya", "mazya_l2", "perimeter_iso"],
+                 "parameters": {}}
+        targets = {"entry": entry, "parameters": entry["parameters"], "domain": entry["domain"],
+                   "params": entry["domain"]["params"]}
+        targets[where][key] = value
+        suite = write_json(tmp_path / "s.json", {"name": "m", "entries": [entry]})
+        if where in ("domain", "params"):
+            # a domain file is refused where it is read; in a suite it is an entry error
+            dom = write_json(tmp_path / "d.json", entry["domain"])
+            assert main(["estimate-hm", dom, "--d", "1", "--delta", "0.5"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"spec error: {key} must be ") and err.count("\n") == 1
+            assert main(["verify", suite]) == 1
+            assert f"): SpecError: {key} must be " in capsys.readouterr().out
+            return
+        assert main(["verify", suite]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: entry 0: ") and f"'{key}'" in err
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_json_is_a_spec_error(self, tmp_path, capsys):
+        # json.load stops at the recursion limit, which used to end in a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        for argv in (["estimate-hm", str(path), "--d", "1", "--delta", "0.5"], ["verify", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"spec error: JSON in {path} nests too deeply\n"
 
     def test_constant_division_by_zero_exits_two(self, tmp_path, capsys):
         # 1/0 between constants used to raise ZeroDivisionError
