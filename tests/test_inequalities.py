@@ -148,6 +148,37 @@ class TestSobolev:
         assert ratios == sorted(ratios)
         assert 0.9 <= ratios[-1] <= 1.0 + rep.tol
 
+    def test_nonvanishing_outer_layer_rejected(self, square_128):
+        # a set reaching the outer layer is refused by its domain, and values
+        # there never reach check_sobolev: the function drops them
+        touching = square_128.mask.copy()
+        touching[0, :] = True
+        with pytest.raises(InvalidArgumentError):
+            GridDomain(square_128.spacing, square_128.origin, touching)
+        bad = GridFunction(square_128, np.ones(square_128.shape))
+        good = GridFunction(square_128, np.where(square_128.mask, 1.0, 0.0))
+        assert np.array_equal(bad.values, good.values)
+        assert check_sobolev(bad).lhs == check_sobolev(good).lhs
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_outer_face_is_checked(self, dim):
+        # one nonzero value on a single outer face, away from every other face
+        dom = make_box((0.0,) * dim, (1.0,) * dim, 1 / 8)
+        for axis in range(dim):
+            for end in (0, -1):
+                index = [2] * dim
+                index[axis] = end
+                vals = np.zeros(dom.shape)
+                vals[tuple(index)] = -0.5
+                u = GridFunction(dom, vals)
+                assert not u.values.any()
+                rep = check_sobolev(u)
+                assert rep.holds and rep.lhs == 0.0
+                mask = dom.mask.copy()
+                mask[tuple(index)] = True
+                with pytest.raises(InvalidArgumentError):
+                    GridDomain(dom.spacing, dom.origin, mask)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_outer_grid_layer_is_zero(self, dim):
         # check_sobolev's zero extension rests on this: a grid function is zero
