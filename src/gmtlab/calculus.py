@@ -27,11 +27,7 @@ from .domains import (
     volume,
     within_distance,
 )
-from .errors import (
-    InvalidArgumentError,
-    NoTraceError,
-    ResolutionError,
-)
+from .errors import InvalidArgumentError, ResolutionError
 from .expressions import Expression
 from .hausdorff import Partition, unit_ball_volume
 
@@ -63,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Cell values on a domain plus an optional boundary trace.
+    """Cell values on a domain plus their boundary trace.
 
     ``values`` is a full-grid array that is zero outside the mask, and
     ``trace`` holds one value per point of the domain's boundary face cloud
@@ -75,7 +71,7 @@ class GridFunction:
 
     domain: GridDomain
     values: np.ndarray
-    trace: np.ndarray | None = None
+    trace: np.ndarray
     lipschitz: float | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -91,14 +87,13 @@ class GridFunction:
             raise InvalidArgumentError("lipschitz must be nonnegative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.trace is not None:
-            trace = np.asarray(self.trace, dtype=float).copy()
-            if trace.shape != (len(self.cloud),):
-                raise InvalidArgumentError("trace length must match the cloud")
-            trace.setflags(write=False)
-            object.__setattr__(self, "trace", trace)
-            if self.lipschitz is not None:
-                self._check_trace_consistency()
+        trace = np.asarray(self.trace, dtype=float).copy()
+        if trace.shape != (len(self.cloud),):
+            raise InvalidArgumentError("trace length must match the cloud")
+        trace.setflags(write=False)
+        object.__setattr__(self, "trace", trace)
+        if self.lipschitz is not None:
+            self._check_trace_consistency()
 
     @property
     def cloud(self) -> BoundaryCloud:
@@ -118,12 +113,6 @@ class GridFunction:
     @property
     def h(self) -> float:
         return self.domain.spacing
-
-    def max_abs(self) -> float:
-        m = float(np.max(np.abs(self.values[self.domain.mask]), initial=0.0))
-        if self.trace is not None and len(self.trace):
-            m = max(m, float(np.max(np.abs(self.trace))))
-        return m
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +211,6 @@ def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
     cached = vars(u).get("_grad_mag2")
     if cached is not None:
         return cached
-    if u.trace is None:
-        raise NoTraceError("operation needs a boundary trace")
     mag2 = _grad_stencil(u.domain.mask, u.h, u.values, u.trace, u.cloud.faces.blocks)
     mag2.setflags(write=False)
     object.__setattr__(u, "_grad_mag2", mag2)
@@ -260,8 +247,6 @@ def boundary_integral(u: GridFunction, calibration: float | None = None) -> floa
     ``calibration`` rescales the raw face weights so their total matches an
     externally estimated boundary measure; the caller records the factor.
     """
-    if u.trace is None:
-        raise NoTraceError("boundary integral needs a trace")
     factor = 1.0 if calibration is None else float(calibration)
     return float(np.sum(np.abs(u.trace) * u.cloud.weights)) * factor
 
@@ -273,18 +258,14 @@ def boundary_integral(u: GridFunction, calibration: float | None = None) -> floa
 def pointwise_min(u: GridFunction, v: GridFunction) -> GridFunction:
     if u.domain is not v.domain:
         raise InvalidArgumentError("pointwise operations need identical domains")
-    values = np.minimum(u.values, v.values)
-    if u.trace is None or v.trace is None:
-        return GridFunction(u.domain, values)
-    return GridFunction(u.domain, values, np.minimum(u.trace, v.trace))
+    return GridFunction(u.domain, np.minimum(u.values, v.values), np.minimum(u.trace, v.trace))
 
 
 def abs_value(u: GridFunction) -> GridFunction:
     """|u|; a function with no negative value or trace is returned as it is."""
-    if not (u.values < 0).any() and (u.trace is None or not (u.trace < 0).any()):
+    if not ((u.values < 0).any() or (u.trace < 0).any()):
         return u
-    trace = None if u.trace is None else np.abs(u.trace)
-    return GridFunction(u.domain, np.abs(u.values), trace, u.lipschitz)
+    return GridFunction(u.domain, np.abs(u.values), np.abs(u.trace), u.lipschitz)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +379,6 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     barrier ramp is 0; so min(trace, barriers) vanishes on the whole cloud.
     The partition must be of ``u.cloud`` itself.
     """
-    if u.trace is None:
-        raise NoTraceError("truncate needs a boundary trace")
     if part.cloud is not u.cloud:
         raise InvalidArgumentError("the partition is not of the function's boundary cloud")
     dom = u.domain
@@ -532,9 +511,11 @@ def mollify(u: GridFunction, k: int) -> GridFunction:
     side give the grid box, m + 2 cells wider than the domain's.  It is one
     real FFT product, whose rounding leaves noise of order 1e-16 of the peak
     on cells the kernel never reaches; values below 1e-13 of the peak are
-    scrubbed to zero so the support of the result stays sharp.  A padded
-    grid above the domain grid limit is an InvalidArgumentError, raised
-    before anything is allocated.
+    scrubbed to zero so the support of the result stays sharp.  The
+    enlarged domain's mask is that support plus the input's mask, so every
+    cell outside it holds an exact zero and the result's trace is zero.  A
+    padded grid above the domain grid limit is an InvalidArgumentError,
+    raised before anything is allocated.
     """
     m = _kernel_cells(k, u.domain.spacing)
     pad = m + 2
@@ -547,7 +528,7 @@ def mollify(u: GridFunction, k: int) -> GridFunction:
     support = conv != 0.0
     mask = support | np.pad(u.domain.mask, pad)
     new_dom = GridDomain(u.domain.spacing, u.domain.origin - pad * u.domain.spacing, mask)
-    return GridFunction(new_dom, conv)
+    return GridFunction(new_dom, conv, np.zeros(len(extract_boundary(new_dom))))
 
 
 @dataclass(frozen=True)

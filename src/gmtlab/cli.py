@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -37,6 +38,14 @@ def _finite_floats(text: str, flag: str) -> list:
         return [_finite_float(item) for item in text.split(",")]
     except argparse.ArgumentTypeError as exc:
         raise SpecError(f"{flag}: {exc}") from None
+
+
+def _env_seed() -> int:
+    """The search seed from ``GMT_SEED`` (default 0), else SpecError."""
+    raw = os.environ.get("GMT_SEED", "0")
+    if not (raw.isascii() and raw.isdigit()):
+        raise SpecError(f"GMT_SEED must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _load_domain(path):
@@ -148,7 +157,7 @@ def cmd_trace(args) -> int:
 def cmd_search(args) -> int:
     domain = _load_domain(args.domain)
     u0 = _load_function(args.function, domain)
-    best, q_best = ineq.quotient_search(domain, u0, iters=args.iters, step=args.step)
+    best, q_best = ineq.quotient_search(domain, u0, iters=args.iters, step=args.step, seed=_env_seed())
     history = best.metadata["sweep_history"]
     bound = ineq.iso_constant(domain.dim)
     print(f"best quotient {q_best!r} after {args.iters} sweeps (sharp constant {bound!r})")

@@ -21,10 +21,6 @@ class ResolutionError(GmtLabError):
     """The requested scale cannot be resolved at the current grid spacing."""
 
 
-class NoTraceError(GmtLabError):
-    """The grid function carries no boundary trace."""
-
-
 class NoModulusError(GmtLabError):
     """The grid function declares no modulus of continuity."""
 

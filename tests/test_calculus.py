@@ -35,11 +35,7 @@ import gmtlab.calculus as calc
 from gmtlab import domains
 from gmtlab.domains import (BoundaryCloud, GridDomain, extract_boundary, make_annulus, make_ball, make_box,
                             rasterize_polygon, volume)
-from gmtlab.errors import (
-    InvalidArgumentError,
-    NoTraceError,
-    ResolutionError,
-)
+from gmtlab.errors import InvalidArgumentError, ResolutionError
 from gmtlab.hausdorff import Partition, build_partition, estimate_hm, unit_ball_volume
 
 
@@ -65,12 +61,6 @@ class TestGradL1:
         # closed form: |grad(x + 2y)| = sqrt(5) on the unit square
         u = from_expression(square_128, "x + 2*y")
         assert grad_l1(u) == pytest.approx(math.sqrt(5.0), rel=0.02)
-
-    def test_needs_trace(self, square_128):
-        vals = np.where(square_128.mask, 1.0, 0.0)
-        u = GridFunction(square_128, vals)
-        with pytest.raises(NoTraceError):
-            grad_l1(u)
 
 
 class TestLqNorm:
@@ -109,11 +99,6 @@ class TestBoundaryIntegral:
         est = estimate_hm(cloud, 1.0, 8 / 512)
         cal = est / cloud.total_weight
         assert boundary_integral(u, calibration=cal) == pytest.approx(2 * math.pi, rel=0.03)
-
-    def test_missing_trace_rejected(self, square_128):
-        u = GridFunction(square_128, np.where(square_128.mask, 1.0, 0.0))
-        with pytest.raises(NoTraceError):
-            boundary_integral(u)
 
 
 class TestPointwiseOps:
@@ -422,6 +407,10 @@ class TestMollify:
         with pytest.raises(InvalidArgumentError, match="exceeds the limit"):
             mollify(u, 8)
 
+    def test_zero_trace(self, square_128):
+        # the enlarged mask holds the support, so the trace is exactly zero
+        assert boundary_integral(mollify(indicator_function(square_128), 4)) == 0.0
+
     def test_mass_preserved(self, square_128):
         u = indicator_function(square_128)
         h = square_128.spacing
@@ -503,22 +492,26 @@ class TestMinkowskiSteiner:
 
 
 class TestGridFunction:
+    def test_trace_is_required(self, square_128):
+        with pytest.raises(TypeError):
+            GridFunction(square_128, np.zeros(square_128.shape))
+
     def test_nan_rejected(self, square_128):
         vals = np.where(square_128.mask, np.nan, 0.0)
         with pytest.raises(InvalidArgumentError):
-            GridFunction(square_128, vals)
+            GridFunction(square_128, vals, np.zeros(len(extract_boundary(square_128))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_one_non_finite_interior_value_rejected(self, square_128, bad):
         vals = np.where(square_128.mask, 1.0, 0.0)
         vals[tuple(np.argwhere(square_128.mask)[17])] = bad
         with pytest.raises(InvalidArgumentError, match="^values must be finite on every interior cell$"):
-            GridFunction(square_128, vals)
+            GridFunction(square_128, vals, np.zeros(len(extract_boundary(square_128))))
 
     def test_non_finite_exterior_values_zeroed(self, square_128):
         vals = np.where(square_128.mask, 2.0, np.nan)
         vals[0, 0], vals[-1, -1] = np.inf, -np.inf
-        fn = GridFunction(square_128, vals)
+        fn = GridFunction(square_128, vals, np.zeros(len(extract_boundary(square_128))))
         assert np.array_equal(fn.values, np.where(square_128.mask, 2.0, 0.0))
         assert not np.signbit(fn.values).any()
         assert np.isnan(vals[0, 1])  # the caller's array is left alone
@@ -526,7 +519,7 @@ class TestGridFunction:
     def test_finiteness_refused_before_the_modulus(self, square_128):
         vals = np.where(square_128.mask, np.inf, 0.0)
         with pytest.raises(InvalidArgumentError, match="values must be finite"):
-            GridFunction(square_128, vals, lipschitz=-1.0)
+            GridFunction(square_128, vals, np.zeros(len(extract_boundary(square_128))), lipschitz=-1.0)
 
     def test_trace_consistency_checked_with_modulus(self, square_128):
         cloud = extract_boundary(square_128)
@@ -592,7 +585,7 @@ class TestGridFunction:
     def test_cloud_is_the_domains(self, disk_128):
         u = from_expression(disk_128, "x", extract_boundary(disk_128))
         assert u.cloud is extract_boundary(disk_128)
-        assert GridFunction(disk_128, u.values).cloud is u.cloud
+        assert GridFunction(disk_128, u.values, u.trace).cloud is u.cloud
 
     @pytest.mark.parametrize("twin", ["translated", "rescaled"])
     def test_cloud_of_a_twin_grid_rejected(self, twin):

@@ -155,8 +155,9 @@ class TestSobolev:
         touching[0, :] = True
         with pytest.raises(InvalidArgumentError):
             GridDomain(square_128.spacing, square_128.origin, touching)
-        bad = GridFunction(square_128, np.ones(square_128.shape))
-        good = GridFunction(square_128, np.where(square_128.mask, 1.0, 0.0))
+        trace = np.zeros(len(extract_boundary(square_128)))
+        bad = GridFunction(square_128, np.ones(square_128.shape), trace)
+        good = GridFunction(square_128, np.where(square_128.mask, 1.0, 0.0), trace)
         assert np.array_equal(bad.values, good.values)
         assert check_sobolev(bad).lhs == check_sobolev(good).lhs
 
@@ -170,7 +171,7 @@ class TestSobolev:
                 index[axis] = end
                 vals = np.zeros(dom.shape)
                 vals[tuple(index)] = -0.5
-                u = GridFunction(dom, vals)
+                u = GridFunction(dom, vals, np.zeros(len(extract_boundary(dom))))
                 assert not u.values.any()
                 rep = check_sobolev(u)
                 assert rep.holds and rep.lhs == 0.0
@@ -195,9 +196,10 @@ class TestSobolev:
             truncate(u, part, eps=0.2, s=0.05),
             pointwise_min(u, constant_function(dom, 1.5)),
             abs_value(from_expression(dom, "x - 0.5")),
-            GridFunction(dom, np.ones(dom.shape)),  # nonzero on the whole box
+            GridFunction(dom, np.ones(dom.shape), np.ones(len(extract_boundary(dom)))),  # nonzero on the whole box
         ]
         for f in results:
+            assert f.trace.shape == (len(f.cloud),)
             for axis in range(dim):
                 for end in (0, -1):
                     assert not np.take(f.values, end, axis=axis).any()
@@ -569,8 +571,10 @@ class TestQuotientSearch:
         _, q2 = quotient_search(disk_128, u0, iters=3, step=0.1, seed=42)
         assert q1 == q2
 
+    SEED_0_HISTORY = [0.04496061775946892, 0.048326716529142305, 0.053103480056366406, 0.05875106891395357]
+
     @pytest.mark.parametrize("seed, history", [
-        (0, [0.04496061775946892, 0.048326716529142305, 0.053103480056366406, 0.05875106891395357]),
+        (0, SEED_0_HISTORY),
         (42, [0.04496061775946892, 0.048315948307925176, 0.05308809928416411, 0.05872647181673761]),
     ])
     def test_history_pinned(self, disk_128, seed, history):
@@ -579,6 +583,12 @@ class TestQuotientSearch:
         best, q = quotient_search(disk_128, indicator_function(disk_128), iters=3, step=0.1, seed=seed)
         assert best.metadata["sweep_history"] == history
         assert q == history[-1]
+
+    def test_environment_seed_not_read(self, disk_128, monkeypatch):
+        # GMT_SEED is the search command's; a library call's seed defaults to 0
+        monkeypatch.setenv("GMT_SEED", "42")
+        best, _ = quotient_search(disk_128, indicator_function(disk_128), iters=1, step=0.1)
+        assert best.metadata["sweep_history"] == self.SEED_0_HISTORY[:2]
 
     def test_mollified_start_improves_monotonically(self, disk_128):
         cloud = extract_boundary(disk_128)

@@ -1,5 +1,6 @@
 """Names that other code depends on: every ``__all__``, the package re-exports,
-and every gmtlab name that the benchmark harness under ``bench/`` imports."""
+and every gmtlab name that the benchmark harness under ``bench/`` imports; and
+every error type, which some ``raise`` in the package must name."""
 
 import ast
 import importlib
@@ -61,3 +62,25 @@ def test_bench_imports_resolve():
             ("gmtlab.domains", "extract_boundary"), ("gmtlab.domains", "load_domain_spec")} <= found
     missing = [(m, a) for m, a in sorted(found) if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+def _raised_names():
+    """The names of the exceptions that a ``raise`` in ``src/gmtlab`` names."""
+    names = set()
+    for path in sorted(Path(gmtlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_every_error_type_is_raised():
+    errors = importlib.import_module("gmtlab.errors")
+    types = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert "GmtLabError" in types
+    assert sorted(types - {"GmtLabError"} - _raised_names()) == []

@@ -205,12 +205,14 @@ class TestRunSuite:
 
     def test_standard_suite_builds_gaps_only_where_read(self, monkeypatch):
         # the gaps of a face cloud are built on its first calibration, once;
-        # the brunn_minkowski box calibrates nothing, so its cloud has none
+        # the brunn_minkowski box calibrates nothing, so its cloud has none,
+        # and neither have the clouds of the mollified functions, whose zero
+        # traces no check calibrates
         import gmtlab.calculus as calc
         import gmtlab.hausdorff as hausdorff
 
-        clouds, built = [], []
-        extract, face_gaps = calc.extract_boundary, hausdorff._face_gaps
+        clouds, built, mollified = [], [], []
+        extract, face_gaps, mollify = calc.extract_boundary, hausdorff._face_gaps, calc.mollify
 
         def recording(domain):
             cloud = extract(domain)
@@ -222,13 +224,23 @@ class TestRunSuite:
             built.append(cloud)
             return face_gaps(cloud)
 
+        def mollifying(u, k):
+            out = mollify(u, k)
+            mollified.append(out.cloud)
+            return out
+
         monkeypatch.setattr(calc, "extract_boundary", recording)
         monkeypatch.setattr(hausdorff, "_face_gaps", counting)
+        monkeypatch.setattr(calc, "mollify", mollifying)
         spec = parse_suite(os.path.join(REPO, "suites", "standard.json"))
         run_suite(spec)
         assert [e.checks for e in spec.entries][-1] == ["brunn_minkowski"]
-        assert len(clouds) == len(spec.entries) == 5
-        *calibrated, box = clouds
+        # 3 mollifier indices for each of the 2 sobolev_extended entries
+        assert len(mollified) == 6 and all(any(m is c for c in clouds) for m in mollified)
+        assert all(m.nn_gaps is None and all(m is not b for b in built) for m in mollified)
+        entry_clouds = [c for c in clouds if all(c is not m for m in mollified)]
+        assert len(clouds) == len(spec.entries) + 6 and len(entry_clouds) == len(spec.entries) == 5
+        *calibrated, box = entry_clouds
         assert box.nn_gaps is None and all(c is not box for c in built)
         assert [sum(c is b for b in built) for c in calibrated] == [1, 1, 1, 1]
         assert all(c.nn_gaps is not None for c in calibrated)
@@ -319,6 +331,18 @@ class TestCli:
         data = json.loads(out.read_text())
         h = data["entries"][0]["reports"][0]["metadata"]["h"]
         assert h == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("route", ["flag", "parameter"])
+    def test_overridden_domain_h_is_still_checked(self, tmp_path, capsys, route):
+        bad = json.loads(json.dumps(SMOKE))
+        bad["entries"][0]["domain"]["h"] = "abc"
+        argv = ["--h", "0.05"]
+        if route == "parameter":
+            bad["entries"][0]["parameters"] = {"h": 0.05}
+            argv = []
+        assert main(["verify", write_json(tmp_path / "s.json", bad)] + argv) == 1
+        out = capsys.readouterr().out
+        assert "[ERROR] entry 0" in out and "h must be a number" in out
 
     def test_verify_tol_override(self, tmp_path):
         suite = write_json(tmp_path / "s.json", SMOKE)
