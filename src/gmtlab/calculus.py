@@ -294,11 +294,16 @@ def shell_mass_limit(r, height, n: int):
 
 
 def _index_box(domain: GridDomain, center: np.ndarray, radius):
-    """Cell index bounds [lo, hi) per axis covering B(center, radius), unclipped; broadcasts."""
+    """Cell index bounds [lo, hi) per axis covering B(center, radius), unclipped; broadcasts.
+
+    A window above the domain grid limit (the widest box, unclipped) is an
+    InvalidArgumentError, raised before any bound is cast to an integer.
+    """
     h = domain.spacing
-    lo = np.floor((center - radius - domain.origin) / h - 1).astype(int)
-    hi = np.ceil((center + radius - domain.origin) / h + 1).astype(int)
-    return lo, hi
+    lo = np.floor((center - radius - domain.origin) / h - 1)
+    hi = np.ceil((center + radius - domain.origin) / h + 1)
+    _grid_shape(np.max(np.reshape(hi - lo, (-1, domain.dim)), axis=0, initial=0))
+    return lo.astype(int), hi.astype(int)
 
 
 # lattice points per block of stacked windows: 2 MB per float array, in 3D too

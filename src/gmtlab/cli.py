@@ -69,12 +69,7 @@ def write_series(series, path) -> None:
 
 def cmd_verify(args) -> int:
     spec = parse_suite(args.suite)
-    manifest = run_suite(
-        spec,
-        h_override=args.h,
-        tol_override=args.tol,
-        input_hash=hash_file(args.suite),
-    )
+    manifest = run_suite(spec, input_hash=hash_file(args.suite))
     if args.out:
         fmt = "csv" if args.out.endswith(".csv") else "json"
         emit(manifest, fmt, args.out)
@@ -135,7 +130,7 @@ def cmd_partition(args) -> int:
 def cmd_trace(args) -> int:
     domain = _load_domain(args.domain)
     u = _load_function(args.function, domain)
-    trace = ineq.proof_trace(domain, u, eps=args.eps, s=args.s)
+    trace = ineq.proof_trace(domain, u, eps=args.eps)
     for step in trace.steps:
         mark = "ok" if step.holds else "VIOLATED"
         print(f"[{mark}] {step.label}: lhs={step.lhs:.6g} rhs={step.rhs:.6g}")
@@ -181,55 +176,53 @@ def cmd_steiner(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags match whole: a prefix such as ``--h`` would otherwise be read as ``--help``
     parser = argparse.ArgumentParser(
         prog="gmtlab",
         description="Verify isoperimetric and trace-type inequalities on rasterized domains.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"gmtlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run a suite of inequality checks")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("verify", cmd_verify, "run a suite of inequality checks")
     p.add_argument("suite")
     p.add_argument("--out", help="write the manifest (.json or .csv)")
-    p.add_argument("--h", type=_finite_float, default=None, help="override every domain spacing")
-    p.add_argument("--tol", type=_finite_float, default=None, help="override the verdict tolerance")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("estimate-hm", help="estimate a boundary measure by coverings")
+    p = command("estimate-hm", cmd_estimate_hm, "estimate a boundary measure by coverings")
     p.add_argument("domain")
     p.add_argument("--d", type=_finite_float, required=True)
     p.add_argument("--delta", type=_finite_float, required=True)
-    p.set_defaults(func=cmd_estimate_hm)
 
-    p = sub.add_parser("partition", help="build a measured boundary partition")
+    p = command("partition", cmd_partition, "build a measured boundary partition")
     p.add_argument("domain")
     p.add_argument("--delta", required=True, help="scale, or comma list for a defect sweep")
     p.add_argument("--out", help="write the cells as JSON")
     p.add_argument("--plot", help="write (delta, defect) TSV series")
-    p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("trace", help="trace the truncation proof step by step")
+    p = command("trace", cmd_trace, "trace the truncation proof step by step")
     p.add_argument("domain")
     p.add_argument("function")
     p.add_argument("--eps", type=_finite_float, required=True)
-    p.add_argument("--s", type=_finite_float, default=None)
     p.add_argument("--out", help="write the trace report as JSON")
     p.add_argument("--plot", help="write one TSV series per step")
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("search", help="coordinate-ascent search on the trace quotient")
+    p = command("search", cmd_search, "coordinate-ascent search on the trace quotient")
     p.add_argument("domain")
     p.add_argument("function")
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--step", type=_finite_float, required=True)
     p.add_argument("--plot", help="write the (sweep, Q) TSV series")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("steiner", help="volume-growth perimeter quotients")
+    p = command("steiner", cmd_steiner, "volume-growth perimeter quotients")
     p.add_argument("domain")
     p.add_argument("--eps", required=True, help="comma-separated list, descending")
     p.add_argument("--plot", help="write the (eps, quotient) TSV series")
-    p.set_defaults(func=cmd_steiner)
     return parser
 
 

@@ -630,11 +630,8 @@ def _spec_numbers(value, what: str, scalar: bool):
     return float(value) if scalar else np.asarray(value, dtype=float)
 
 
-def domain_from_spec(spec: dict, h_override: float | None = None) -> GridDomain:
-    """Build a domain from its JSON description (strict: unknown keys rejected).
-
-    The spec's own ``h`` is checked even where ``h_override`` replaces it.
-    """
+def domain_from_spec(spec: dict) -> GridDomain:
+    """Build a domain from its JSON description (strict: unknown keys rejected)."""
     if not isinstance(spec, dict):
         raise SpecError("domain spec must be an object")
     unknown = set(spec) - _SPEC_KEYS
@@ -657,8 +654,6 @@ def domain_from_spec(spec: dict, h_override: float | None = None) -> GridDomain:
     if missing:
         raise SpecError(f"kind '{kind}' is missing parameters {sorted(missing)}")
     h = _spec_numbers(spec["h"], "h", scalar=True)
-    if h_override is not None:
-        h = float(h_override)
     p = {k: _spec_numbers(v, k, scalar=k in _SCALAR_PARAMS) for k, v in params.items()}
     if kind == "ball":
         return make_ball(p.get("center", [0.0, 0.0]), p["r"], h)

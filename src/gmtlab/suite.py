@@ -22,7 +22,6 @@ __all__ = ["SuiteSpec", "SuiteEntry", "RunManifest", "parse_suite", "run_suite",
 _ENTRY_KEYS = {"domain", "function", "checks", "modes", "parameters"}
 # parameter -> (the JSON shape its value must have, the test of that shape)
 _PARAMS = {
-    "h": ("a number", is_json_number),
     "c1": ("'auto' or a number", lambda v: v == "auto" or is_json_number(v)),
     "k_list": ("a list of positive integers",
                lambda v: isinstance(v, list) and all(type(k) is int and k >= 1 for k in v)),
@@ -34,32 +33,30 @@ _FUNCTION_KEYS = {"expr", "lipschitz"}
 _SUITE_KEYS = {"name", "entries"}
 
 
-def _swap_test(domain, tol):
+def _swap_test(domain):
     """Deliberately violated fixture: the isoperimetric sides swapped."""
-    base = ineq.check_isoperimetric(domain, tol=tol)
+    base = ineq.check_isoperimetric(domain)
     return ineq.Report(
         "swap_test", base.rhs, base.lhs, base.constant_mode,
         base.constant_value, base.tol, metadata={"swap_test": True, "h": domain.spacing},
     )
 
 
-# check id -> reports of that check for (entry, domain, function, h, tol); the
-# rows look ``ineq.check_*`` up at call time so wrappers installed on the
-# module see every call
+# check id -> reports of that check for (entry, domain, function); the rows
+# look ``ineq.check_*`` up at call time so wrappers installed on the module
+# see every call
 _CHECKS = {
-    "mazya": lambda e, d, u, h, tol: [ineq.check_mazya(d, u, mode=m, tol=tol) for m in e.modes],
-    "mazya_l2": lambda e, d, u, h, tol: [
-        ineq.check_mazya_l2(d, u, e.parameters.get("c1", "auto"), tol=tol)],
-    "isoperimetric": lambda e, d, u, h, tol: [ineq.check_isoperimetric(d, tol=tol)],
-    "sobolev": lambda e, d, u, h, tol: [ineq.check_sobolev(u, tol=tol)],
-    "sobolev_extended": lambda e, d, u, h, tol: [
-        ineq.check_extended_sobolev(u, e.parameters.get("k_list", (4, 8, 16)), tol=tol)],
-    "bv_bound": lambda e, d, u, h, tol: [ineq.check_bv_bound(d, u, tol=tol)],
-    "brunn_minkowski": lambda e, d, u, h, tol: [ineq.check_brunn_minkowski(
-        d, domain_from_spec(e.parameters.get("domain_b", e.domain_spec), h_override=h), tol=tol)],
-    "perimeter_iso": lambda e, d, u, h, tol: [
-        ineq.check_perimeter_iso(d, e.parameters.get("eps_list"), tol=tol)],
-    "swap_test": lambda e, d, u, h, tol: [_swap_test(d, tol)],
+    "mazya": lambda e, d, u: [ineq.check_mazya(d, u, mode=m) for m in e.modes],
+    "mazya_l2": lambda e, d, u: [ineq.check_mazya_l2(d, u, e.parameters.get("c1", "auto"))],
+    "isoperimetric": lambda e, d, u: [ineq.check_isoperimetric(d)],
+    "sobolev": lambda e, d, u: [ineq.check_sobolev(u)],
+    "sobolev_extended": lambda e, d, u: [
+        ineq.check_extended_sobolev(u, e.parameters.get("k_list", (4, 8, 16)))],
+    "bv_bound": lambda e, d, u: [ineq.check_bv_bound(d, u)],
+    "brunn_minkowski": lambda e, d, u: [ineq.check_brunn_minkowski(
+        d, domain_from_spec(e.parameters.get("domain_b", e.domain_spec)))],
+    "perimeter_iso": lambda e, d, u: [ineq.check_perimeter_iso(d, e.parameters.get("eps_list"))],
+    "swap_test": lambda e, d, u: [_swap_test(d)],
 }
 KNOWN_CHECKS = set(_CHECKS)
 
@@ -178,7 +175,7 @@ def parse_suite_dict(data: dict) -> SuiteSpec:
             shape, is_shape = _PARAMS[key]
             if not is_shape(value):
                 raise SpecError(f"entry {pos}: parameter '{key}' must be {shape}, got {value!r}")
-        # validate domain spec eagerly for parse-time diagnostics
+        # only the domain's shape: its spec is checked when the entry runs
         if not isinstance(raw["domain"], dict):
             raise SpecError(f"entry {pos}: 'domain' must be an object")
         entries.append(
@@ -213,24 +210,17 @@ def suite_to_dict(spec: SuiteSpec) -> dict:
     }
 
 
-def _run_entry(entry: SuiteEntry, h_override, tol_override) -> list:
-    h = h_override if h_override is not None else entry.parameters.get("h")
-    domain = domain_from_spec(entry.domain_spec, h_override=h)
+def _run_entry(entry: SuiteEntry) -> list:
+    domain = domain_from_spec(entry.domain_spec)
     u = build_function(entry.function_spec, domain)
-    reports = [rep for cid in entry.checks
-               for rep in _CHECKS[cid](entry, domain, u, h, tol_override)]
+    reports = [rep for cid in entry.checks for rep in _CHECKS[cid](entry, domain, u)]
     for rep in reports:
         rep.metadata["domain"] = entry.domain_label
         rep.metadata["function"] = entry.function_label
     return reports
 
 
-def run_suite(
-    spec: SuiteSpec,
-    h_override: float | None = None,
-    tol_override: float | None = None,
-    input_hash: str = "",
-) -> RunManifest:
+def run_suite(spec: SuiteSpec, input_hash: str = "") -> RunManifest:
     """Execute all entries sequentially and collect reports.
 
     Per-entry errors are recorded without aborting the suite; the manifest
@@ -248,7 +238,7 @@ def run_suite(
         }
         try:
             record["domain"] = entry.domain_label
-            reports = _run_entry(entry, h_override, tol_override)
+            reports = _run_entry(entry)
             record["reports"] = [r.to_dict() for r in reports]
             if not all(r.holds for r in reports):
                 all_hold = False

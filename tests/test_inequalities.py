@@ -14,6 +14,8 @@ from gmtlab.calculus import (
     mollify,
     pointwise_min,
     restrict_to_domain,
+    shell_gradient_discrete,
+    shell_mass,
     truncate,
 )
 from gmtlab.domains import BoundaryCloud, extract_boundary, make_ball, make_box, GridDomain
@@ -25,6 +27,7 @@ from gmtlab.errors import (
 )
 from gmtlab.hausdorff import build_partition
 from gmtlab.inequalities import (
+    _SHELL_BIAS,
     Report,
     _minkowski_sum,
     check_brunn_minkowski,
@@ -501,10 +504,25 @@ class TestProofTrace:
         with pytest.raises(InvalidArgumentError):
             proof_trace(disk_128, u, eps=0.2)
 
-    def test_s_range_enforced(self, disk_128):
+    def test_shell_width_is_not_an_argument(self, disk_128):
+        # the shells are always delta/4 wide; no caller picks their width
         u = constant_function(disk_128, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            proof_trace(disk_128, u, eps=0.2, s=0.2)
+        with pytest.raises(TypeError):
+            proof_trace(disk_128, u, eps=0.2, s=0.01)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shell_bias_table_bounds_the_stencil(self, n):
+        # the summed discrete shell masses exceed shell_mass by kappa_n h / s,
+        # with kappa_n at every width just under the table proof_trace refuses by
+        h = 1 / 48
+        dom = make_ball((0.0,) * n, 0.5, h)
+        centers = np.random.default_rng(0).uniform(-0.3, 0.3, size=(10, n))
+        diams, heights = np.full(10, 8 * h), np.ones(10)
+        for ratio in (1.0, 2.0, 4.0):
+            discrete = shell_gradient_discrete(centers, diams, ratio * h, heights, dom).sum()
+            exact = shell_mass(diams, ratio * h, heights, n).sum()
+            kappa = (discrete / exact - 1.0) * ratio
+            assert 0.9 * _SHELL_BIAS[n] <= kappa <= _SHELL_BIAS[n]
 
     def test_unresolvable_continuity_scale_rejected(self, disk_128):
         from gmtlab.errors import ResolutionError

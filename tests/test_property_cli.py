@@ -72,13 +72,13 @@ _ARGS = st.sampled_from(["0.05", "0.5", "1", "2", "0", "-1", "abc", "nan"])
 _CHECK_IDS = st.lists(st.sampled_from(sorted(KNOWN_CHECKS) + [["mazya"]]), min_size=1, max_size=2)
 _MODES = st.one_of(st.none(), st.lists(st.sampled_from(["optimal", "paper_factor", "bogus"]), max_size=2),
                    st.sampled_from(_SPECIAL))
-# good values of each suite parameter; "delta" stands for a key that no check reads
+# good values of each suite parameter; "h" and "delta" stand for keys that no check reads
 _GOOD_PARAMETERS = {
-    "h": st.sampled_from([1 / 32, 1 / 16]),
     "c1": st.sampled_from(["auto", 0.5, 2]),
     "k_list": st.lists(st.integers(1, 16), max_size=2),
     "eps_list": st.just([0.5, 0.25]),
     "domain_b": domain_specs(),
+    "h": st.just(1 / 32),
     "delta": st.just(0.1),
 }
 

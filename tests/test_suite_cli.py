@@ -1,5 +1,6 @@
 """Suite parsing, execution, emission, and the command-line surface."""
 
+import argparse
 import ast
 import dataclasses
 import json
@@ -15,7 +16,7 @@ import pytest
 import gmtlab
 import gmtlab.inequalities as ineq
 from gmtlab import suite as suite_mod
-from gmtlab.cli import main
+from gmtlab.cli import build_parser, main
 from gmtlab.domains import domain_from_spec
 from gmtlab.errors import SpecError
 from gmtlab.suite import (
@@ -92,10 +93,22 @@ class TestParseSuite:
 
     def test_readme_names_every_parameter_and_check(self):
         with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
-            section = fh.read().split("### Suite files")[1].split("\n## ")[0]
+            readme = fh.read()
+        section = readme.split("### Suite files")[1].split("\n## ")[0]
         assert sorted(re.findall(r"^\| `(\w+)` \|", section, re.M)) == sorted(suite_mod._PARAMS)
         known = section.split("Known check ids:")[1].split("\n\n")[0]
         assert set(re.findall(r"`(\w+)`", known)) == suite_mod.KNOWN_CHECKS
+        # the "Command line" section names every flag of every command, and no other flag
+        parser = build_parser()
+        [commands] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: {o for a in p._actions if not isinstance(a, argparse._HelpAction)
+                        for o in a.option_strings} for name, p in commands.items()}
+        known_flags = set().union(*flags.values(), *(a.option_strings for a in parser._actions))
+        cli = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", cli))
+        assert named <= known_flags, named - known_flags
+        for name, options in flags.items():
+            assert options <= named, (name, options - named)
 
     def test_round_trip(self, tmp_path):
         spec = parse_suite(write_json(tmp_path / "s.json", SMOKE))
@@ -196,7 +209,7 @@ class TestRunSuite:
                     domain = domain_from_spec(entry.domain_spec)
                     u = build_function(entry.function_spec, domain)
                     one = dataclasses.replace(entry, modes=[mode])
-                    [rep] = suite_mod._CHECKS[cid](one, domain, u, None, None)
+                    [rep] = suite_mod._CHECKS[cid](one, domain, u)
                     fresh.append(rep.to_dict())
             got = [dict(r, metadata={k: v for k, v in r["metadata"].items()
                                      if k not in ("domain", "function")})
@@ -324,32 +337,22 @@ class TestCli:
         assert main(["verify", suite, "--out", str(out2)]) == 0
         assert out1.read_text().splitlines()[1:] == out2.read_text().splitlines()[1:]
 
-    def test_verify_h_override(self, tmp_path):
-        suite = write_json(tmp_path / "s.json", SMOKE)
-        out = tmp_path / "r.json"
-        assert main(["verify", suite, "--h", "0.02", "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        h = data["entries"][0]["reports"][0]["metadata"]["h"]
-        assert h == pytest.approx(0.02)
-
-    @pytest.mark.parametrize("route", ["flag", "parameter"])
-    def test_overridden_domain_h_is_still_checked(self, tmp_path, capsys, route):
-        bad = json.loads(json.dumps(SMOKE))
-        bad["entries"][0]["domain"]["h"] = "abc"
-        argv = ["--h", "0.05"]
-        if route == "parameter":
-            bad["entries"][0]["parameters"] = {"h": 0.05}
-            argv = []
-        assert main(["verify", write_json(tmp_path / "s.json", bad)] + argv) == 1
-        out = capsys.readouterr().out
-        assert "[ERROR] entry 0" in out and "h must be a number" in out
-
-    def test_verify_tol_override(self, tmp_path):
-        suite = write_json(tmp_path / "s.json", SMOKE)
-        out = tmp_path / "r.json"
-        assert main(["verify", suite, "--tol", "0.5", "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert data["entries"][0]["reports"][0]["tol"] == 0.5
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{suite}", "--h", "0.02"],
+        ["verify", "{suite}", "--tol", "0.5"],
+        ["trace", "{dom}", "{fn}", "--eps", "0.5", "--s", "0.01"],
+    ], ids=["verify_h", "verify_tol", "trace_s"])
+    def test_verdict_override_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        # spacing, tolerance and shell width come from the domain file and the
+        # frozen tables only; a tolerance flag could turn this swap_test suite to PASS
+        paths = {"suite": write_json(tmp_path / "s.json", {"name": "neg", "entries": [
+                     {"domain": {"kind": "box", "params": {"sides": [1, 1]}, "h": 0.01},
+                      "function": "indicator", "checks": ["swap_test"]}]}),
+                 "dom": self._domain_file(tmp_path, h=1 / 32), "fn": self._function_file(tmp_path)}
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**paths) for a in argv])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_estimate_hm_command(self, tmp_path, capsys):
         code = main(["estimate-hm", self._domain_file(tmp_path), "--d", "1", "--delta", "0.08"])
@@ -531,6 +534,7 @@ class TestCli:
         ("entry", "checks", [["mazya"]]),
         *[("parameters", key, 0.1) for key in ("eps", "s", "delta", "iters", "step")],
         ("domain", "h", "0.03125"), ("params", "sides", [1, True]),
+        ("parameters", "h", 0.05),  # spacing comes from the domain spec alone
     ])
     def test_malformed_value_is_a_spec_error(self, tmp_path, capsys, where, key, value):
         entry = {"domain": {"kind": "box", "params": {"sides": [1, 1]}, "h": 1 / 32},
@@ -596,12 +600,9 @@ class TestCli:
         assert "[ok] isoperimetric (optimal) on ball(r=1)" in out
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "s.json", "--h"],
-        ["verify", "s.json", "--tol"],
         ["estimate-hm", "d.json", "--delta", "0.1", "--d"],
         ["estimate-hm", "d.json", "--d", "1", "--delta"],
         ["trace", "d.json", "f.json", "--eps"],
-        ["trace", "d.json", "f.json", "--eps", "0.1", "--s"],
         ["search", "d.json", "f.json", "--iters", "1", "--step"],
     ])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -624,6 +625,31 @@ class TestCli:
         assert proc.returncode == 2
         assert "must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "{disk}", "{fn}", "--eps", "1e6"], "exceeds the limit"),
+        (["trace", "{disk}", "{fn}", "--eps", "1e300"], "exceeds the limit"),
+        (["search", "{disk}", "{fn}", "--iters", "1", "--step", "1e300"], "by step 1e+300 overflow"),
+        (["trace", "{ball}", "{fn}", "--eps", "0.5"], "delta/4 is 1.8 grid spacings"),
+    ], ids=["trace_eps_1e6", "trace_eps_1e300", "search_step_1e300", "trace_3d_thin_shells"])
+    def test_unworkable_scale_exits_two_under_python_O(self, tmp_path, argv, message):
+        # shell windows past the grid limit (at eps 1e6 they exhausted memory,
+        # at 1e300 their index bounds overflowed), a step whose powers leave
+        # the float range, and 3D shells 1.8 spacings wide, whose stencil bias
+        # (+5.7 %) was once reported as a main5 violation
+        ball = {"kind": "ball", "params": {"r": 1.0, "center": [0, 0, 0]}, "h": 1 / 48}
+        paths = {"disk": self._domain_file(tmp_path, h=1 / 32),
+                 "ball": write_json(tmp_path / "ball.json", ball),
+                 "fn": write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2})}
+        src = os.path.dirname(os.path.dirname(gmtlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "gmtlab.cli", *[a.format(**paths) for a in argv]],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
 
     def test_no_command_imports_scipy_fft_ndimage_or_signal(self, tmp_path):
         # one fresh process runs all six subcommands; the suite convolves

@@ -13,6 +13,7 @@ from gmtlab.calculus import (
     total_variation,
 )
 from gmtlab.domains import extract_boundary, make_ball, make_box, volume
+from gmtlab.errors import ResolutionError
 from gmtlab.hausdorff import estimate_hm_detail
 from gmtlab.inequalities import (
     check_bv_bound,
@@ -77,3 +78,11 @@ def test_proof_trace_runs(ball_48, ball_cloud):
     u = constant_function(ball_48, 1.0, ball_cloud)
     tr = proof_trace(ball_48, u, eps=0.35)
     assert tr.all_hold
+
+
+def test_proof_trace_refuses_shells_the_stencil_cannot_resolve(ball_48, ball_cloud):
+    # delta = 0.15 clears six spacings, but shells of delta/4 = 1.8 h carry a
+    # 3D stencil bias of about 0.11 h / s = 6 %, above main5's 5 % tolerance
+    u = from_expression(ball_48, "max(0, 1 - r*r)", ball_cloud, lipschitz=2.0)
+    with pytest.raises(ResolutionError, match="delta/4 is 1.8 grid spacings"):
+        proof_trace(ball_48, u, eps=0.5)
