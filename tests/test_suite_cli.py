@@ -599,19 +599,23 @@ class TestCli:
         assert "[ERROR] entry 0 (?): SpecError:" in out
         assert "[ok] isoperimetric (optimal) on ball(r=1)" in out
 
-    @pytest.mark.parametrize("argv", [
-        ["estimate-hm", "d.json", "--delta", "0.1", "--d"],
-        ["estimate-hm", "d.json", "--d", "1", "--delta"],
-        ["trace", "d.json", "f.json", "--eps"],
-        ["search", "d.json", "f.json", "--iters", "1", "--step"],
-    ])
+    @pytest.mark.parametrize("argv, error", [
+        (["verify", "s.json", "--h"], "unrecognized arguments"),
+        (["verify", "s.json", "--tol"], "unrecognized arguments"),
+        (["estimate-hm", "d.json", "--delta", "0.1", "--d"], "must be finite"),
+        (["estimate-hm", "d.json", "--d", "1", "--delta"], "must be finite"),
+        (["trace", "d.json", "f.json", "--eps"], "must be finite"),
+        (["trace", "d.json", "f.json", "--eps", "0.1", "--s"], "unrecognized arguments"),
+        (["search", "d.json", "f.json", "--iters", "1", "--step"], "must be finite"),
+    ], ids=[f"argv{i}" for i in range(7)])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_scalar_flag_is_a_usage_error(self, capsys, argv, value):
-        # parsing fails before any file is read, so the paths need not exist
+    def test_non_finite_scalar_flag_is_a_usage_error(self, capsys, argv, error, value):
+        # parsing fails before any file is read, so the paths need not exist;
+        # the verdict-override flags (--h, --tol, --s) are gone, so they fail as unknown
         with pytest.raises(SystemExit) as exc:
             main([*argv[:-1], f"{argv[-1]}={value}"])
         assert exc.value.code == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_step_exits_two_without_traceback(self, tmp_path, value):
