@@ -19,6 +19,7 @@ import numpy as np
 from .domains import (
     BoundaryCloud,
     GridDomain,
+    _centers_grid,
     _grid_shape,
     _lattice,
     check_eps,
@@ -61,11 +62,13 @@ __all__ = [
 class GridFunction:
     """Cell values on a domain plus their boundary trace.
 
-    ``values`` is a full-grid array that is zero outside the mask, and
-    ``trace`` holds one value per point of the domain's boundary face cloud
-    (:attr:`cloud`).  ``lipschitz``, when given, declares a modulus of
-    continuity omega(t) = lipschitz * t which is checked against the trace
-    at construction and consumed by the proof tracer.  Functions are equal
+    ``values`` is a full-grid array that is zero outside the mask (the
+    constructor keeps the given values on the mask only, so exterior ones,
+    even non-finite ones, are ignored), and ``trace`` holds one value per
+    point of the domain's boundary face cloud (:attr:`cloud`).
+    ``lipschitz``, when given, declares a modulus of continuity
+    omega(t) = lipschitz * t which is checked against the trace at
+    construction and consumed by the proof tracer.  Functions are equal
     only to themselves.
     """
 
@@ -76,11 +79,11 @@ class GridFunction:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
+        values = np.asarray(self.values, dtype=float)
         if values.shape != self.domain.shape:
             raise InvalidArgumentError("values must cover the full grid box")
         # exterior values are dropped first, so a non-finite one is never refused
-        np.copyto(values, 0.0, where=~self.domain.mask)
+        values = np.where(self.domain.mask, values, 0.0)
         if not np.isfinite(values).all():
             raise InvalidArgumentError("values must be finite on every interior cell")
         if self.lipschitz is not None and not self.lipschitz >= 0:
@@ -133,23 +136,26 @@ def from_expression(
     cloud: BoundaryCloud | None = None,
     lipschitz: float | None = None,
 ) -> GridFunction:
-    """Evaluate an expression at cell centers and at boundary cloud points.
+    """Evaluate an expression at the cell centres and at the boundary cloud points.
 
-    Trace values come from the defining expression evaluated at the cloud
-    points, never from interior extrapolation.
+    The values are evaluated on the whole grid box, on its sparse centre
+    lattice (the bits of ``cell_centers()``), and kept on the mask only, so
+    a non-finite value off it is ignored.  Trace values come from the
+    defining expression evaluated at the cloud points, never from interior
+    extrapolation.
     """
     if isinstance(expr, str):
         expr = Expression(expr)
     cloud = _domain_cloud(domain, cloud)
-    values = np.zeros(domain.shape)
-    values[domain.mask] = expr(domain.cell_centers())
-    trace = np.broadcast_to(np.asarray(expr(cloud.points), dtype=float), len(cloud))
+    lattice = _centers_grid(domain.origin, domain.shape, domain.spacing)
+    values = np.broadcast_to(expr(lattice), domain.shape)
+    trace = np.broadcast_to(expr(cloud.points.T), len(cloud))
     return GridFunction(domain, values, trace, lipschitz)
 
 
 def constant_function(domain: GridDomain, value: float, cloud: BoundaryCloud | None = None) -> GridFunction:
     cloud = _domain_cloud(domain, cloud)
-    values = np.where(domain.mask, float(value), 0.0)
+    values = np.broadcast_to(float(value), domain.shape)
     trace = np.full(len(cloud), float(value))
     return GridFunction(domain, values, trace, lipschitz=0.0)
 
@@ -233,12 +239,20 @@ def grad_l2_squared(u: GridFunction) -> float:
     return float(np.sum(mag2[u.domain.mask])) * u.h ** u.domain.dim
 
 
+def _lq(values: np.ndarray, mask: np.ndarray, q: float, cell: float) -> float:
+    """(sum |values|^q cell)^(1/q) over the cells of ``mask``, each of measure ``cell``."""
+    vals = np.abs(values[mask])
+    return float(np.sum(vals ** q) * cell) ** (1.0 / q)
+
+
 def lq_norm(u: GridFunction, q: float) -> float:
-    """(sum |u|^q h^n)^(1/q) over the interior cells."""
+    """(sum |u|^q h^n)^(1/q) over the interior cells, in C order (cached on u per q)."""
     if q < 1:
         raise InvalidArgumentError("q must be at least 1")
-    vals = np.abs(u.values[u.domain.mask])
-    return float(np.sum(vals ** q) * u.h ** u.domain.dim) ** (1.0 / q)
+    norms = vars(u).setdefault("_lq_norms", {})
+    if q not in norms:
+        norms[q] = _lq(u.values, u.domain.mask, q, u.h ** u.domain.dim)
+    return norms[q]
 
 
 def boundary_integral(u: GridFunction, calibration: float | None = None) -> float:
@@ -293,16 +307,21 @@ def shell_mass_limit(r, height, n: int):
     return height * n * unit_ball_volume(n) * np.float_power(r, n - 1)
 
 
+# most cells of one barrier window: its temporaries (lattice distances, ramp
+# and stencil arrays) take about 33 bytes per cell, so 2 GiB at this limit
+_MAX_WINDOW_CELLS = 1 << 26
+
+
 def _index_box(domain: GridDomain, center: np.ndarray, radius):
     """Cell index bounds [lo, hi) per axis covering B(center, radius), unclipped; broadcasts.
 
-    A window above the domain grid limit (the widest box, unclipped) is an
+    A window above ``_MAX_WINDOW_CELLS`` (the widest box, unclipped) is an
     InvalidArgumentError, raised before any bound is cast to an integer.
     """
     h = domain.spacing
     lo = np.floor((center - radius - domain.origin) / h - 1)
     hi = np.ceil((center + radius - domain.origin) / h + 1)
-    _grid_shape(np.max(np.reshape(hi - lo, (-1, domain.dim)), axis=0, initial=0))
+    _grid_shape(np.max(np.reshape(hi - lo, (-1, domain.dim)), axis=0, initial=0), _MAX_WINDOW_CELLS)
     return lo.astype(int), hi.astype(int)
 
 
@@ -505,35 +524,43 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(spectrum, fshape, axes=axes)[tuple(slice(0, n) for n in full)]
 
 
+def _convolved(u: GridFunction, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index-k mollification's values on the box of its support, and its mask.
+
+    The convolution is the full one of u's values with the (2m+1)^n kernel
+    weights: its n + 2m cells per axis hold the whole support.  It is one
+    real FFT product, whose rounding leaves noise of order 1e-16 of the peak
+    on cells the kernel never reaches; values below 1e-13 of the peak are
+    scrubbed to zero so the support stays sharp.  The mask is that support
+    plus u's mask, so every cell outside it holds an exact zero.  A grid
+    two cells wider on every side (:func:`mollify`'s) above the domain grid
+    limit is an InvalidArgumentError, raised before anything is allocated.
+    """
+    h, n = u.domain.spacing, u.domain.dim
+    m = _kernel_cells(k, h)
+    _grid_shape([s + 2 * (m + 2) for s in u.domain.shape])
+    weights = build_mollifier(k, h, n) * h ** n  # discrete weights sum to 1
+    conv = fft_convolve(u.values, weights)
+    tiny = 1e-13 * float(np.max(np.abs(conv), initial=0.0))
+    conv[np.abs(conv) < tiny] = 0.0
+    return conv, (conv != 0.0) | np.pad(u.domain.mask, m)
+
+
 def mollify(u: GridFunction, k: int) -> GridFunction:
     """Convolution with the index-k mollifier on an enlarged grid box.
 
     Mass is preserved exactly up to rounding, and the discrete total
     variation never increases (the kernel has unit mass and the grid box is
-    padded so the convolution is never clipped).  The convolution is the
-    full one of the unpadded values with the (2m+1)^n kernel: its n + 2m
-    cells per axis hold the whole support, and two zero cells more on every
-    side give the grid box, m + 2 cells wider than the domain's.  It is one
-    real FFT product, whose rounding leaves noise of order 1e-16 of the peak
-    on cells the kernel never reaches; values below 1e-13 of the peak are
-    scrubbed to zero so the support of the result stays sharp.  The
-    enlarged domain's mask is that support plus the input's mask, so every
-    cell outside it holds an exact zero and the result's trace is zero.  A
-    padded grid above the domain grid limit is an InvalidArgumentError,
-    raised before anything is allocated.
+    padded so the convolution is never clipped).  The values and the mask
+    of the enlarged domain are those of :func:`_convolved` with two zero
+    cells more on every side, so the grid box is m + 2 cells wider than the
+    domain's and the result's trace is zero.  ``check_extended_sobolev``
+    reads its norms off :func:`_convolved` and builds no such function.
     """
-    m = _kernel_cells(k, u.domain.spacing)
-    pad = m + 2
-    _grid_shape([n + 2 * pad for n in u.domain.shape])
-    kernel = build_mollifier(k, u.domain.spacing, u.domain.dim)
-    weights = kernel * u.domain.spacing ** u.domain.dim  # discrete weights sum to 1
-    conv = np.pad(fft_convolve(u.values, weights), pad - m)
-    tiny = 1e-13 * float(np.max(np.abs(conv), initial=0.0))
-    conv[np.abs(conv) < tiny] = 0.0
-    support = conv != 0.0
-    mask = support | np.pad(u.domain.mask, pad)
-    new_dom = GridDomain(u.domain.spacing, u.domain.origin - pad * u.domain.spacing, mask)
-    return GridFunction(new_dom, conv, np.zeros(len(extract_boundary(new_dom))))
+    conv, mask = _convolved(u, k)
+    pad = _kernel_cells(k, u.domain.spacing) + 2
+    new_dom = GridDomain(u.domain.spacing, u.domain.origin - pad * u.domain.spacing, np.pad(mask, 2))
+    return GridFunction(new_dom, np.pad(conv, 2), np.zeros(len(extract_boundary(new_dom))))
 
 
 @dataclass(frozen=True)

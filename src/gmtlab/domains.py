@@ -174,13 +174,15 @@ _RADIAL_BLOCK = 1 << 18
 _MAX_GRID_CELLS = 1 << 28
 
 
-def _grid_shape(extent) -> tuple:
+def _grid_shape(extent, limit: int | None = None) -> tuple:
     """The integer shape of the per-axis cell counts ``extent`` (floats), or an
     InvalidArgumentError before anything is allocated when the grid would
-    have more than ``_MAX_GRID_CELLS`` cells (or a count is not finite)."""
+    have more than ``limit`` cells (``_MAX_GRID_CELLS`` by default) or a
+    count is not finite."""
+    limit = _MAX_GRID_CELLS if limit is None else limit
     cells = math.prod(float(e) for e in extent)
-    if not cells <= _MAX_GRID_CELLS:
-        raise InvalidArgumentError(f"grid of {cells:.3g} cells exceeds the limit of {_MAX_GRID_CELLS}")
+    if not cells <= limit:
+        raise InvalidArgumentError(f"grid of {cells:.3g} cells exceeds the limit of {limit}")
     return tuple(int(e) for e in extent)
 
 

@@ -2,10 +2,12 @@
 
 Supports +, -, *, /, ^ (power), parentheses, the functions min, max, abs,
 exp, sqrt, the variables x, y, z, the radial shorthand r = |x|, and the
-constant pi.  Expressions are evaluated pointwise on numpy arrays.  An
-expression nests at most ``MAX_DEPTH`` levels deep: each binary operator,
-sign, function call and pair of parentheses is one level above its operands,
-so parsing and evaluation stay far inside Python's recursion limit.
+constant pi.  Expressions are evaluated pointwise on per-axis coordinate
+arrays that broadcast together, such as a grid's sparse centre lattice or
+the columns of a point cloud.  An expression nests at most ``MAX_DEPTH``
+levels deep: each binary operator, sign, function call and pair of
+parentheses is one level above its operands, so parsing and evaluation stay
+far inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -57,13 +59,14 @@ def _tokenize(text: str):
 
 
 class Expression:
-    """Parsed expression; call with an environment of coordinate arrays."""
+    """Parsed expression; call it with per-axis coordinate arrays."""
 
     def __init__(self, text: str):
         self.text = text
         self._tokens = _tokenize(text)
         self._pos = 0
         self._open = 0  # _parse_unary calls in progress
+        self._names = set()  # variables read
         self._ast, _ = self._parse_sum()
         if self._peek() != ("end", None):
             raise ExpressionError(f"trailing input in expression: {text!r}")
@@ -148,6 +151,7 @@ class Expression:
             if val == "pi":
                 return ("const", math.pi), 1
             if val in ("x", "y", "z", "r"):
+                self._names.add(val)
                 return ("var", val), 1
             raise ExpressionError(f"unknown identifier {val!r}")
         if kind == "op" and val == "(":
@@ -157,14 +161,22 @@ class Expression:
         raise ExpressionError(f"unexpected token in expression {self.text!r}")
 
     # -- evaluation --------------------------------------------------------
-    def __call__(self, points: np.ndarray):
-        """Evaluate at points of shape (N, n) with n in {2, 3}; returns (N,)."""
-        points = np.asarray(points, dtype=float)
-        env = {"x": points[..., 0], "y": points[..., 1]}
-        if points.shape[-1] > 2:
-            env["z"] = points[..., 2]
-        env["r"] = np.sqrt(np.sum(points * points, axis=-1))
-        return self._eval(self._ast, env)
+    def __call__(self, coords):
+        """Evaluate at the points whose coordinates along each of the n axes
+        (n in {2, 3}) are the arrays ``coords``, which broadcast together.
+
+        ``r`` is summed axis by axis, ((x*x + y*y) + z*z), which gives the
+        bits of ``np.sum(points * points, axis=-1)`` on stacked points.
+        Floating-point errors are not reported: an overflow or an invalid
+        operation leaves inf or nan, which callers refuse where it matters.
+        """
+        coords = [np.asarray(c, dtype=float) for c in coords]
+        env = dict(zip("xyz", coords))
+        with np.errstate(all="ignore"):
+            if "r" in self._names:
+                r2 = np.asarray(sum((c * c for c in coords[1:]), coords[0] * coords[0]))
+                env["r"] = np.sqrt(r2, out=r2)
+            return self._eval(self._ast, env)
 
     def _eval(self, node, env):
         tag = node[0]
@@ -186,8 +198,7 @@ class Expression:
             if tag == "mul":
                 return a * b
             if tag == "div":
-                with np.errstate(divide="ignore", invalid="ignore"):  # callers refuse inf and nan
-                    return np.true_divide(a, b)
+                return np.true_divide(a, b)
             return np.power(a, b)
         _, fn = _FUNCTIONS[node[1]]
         args = [self._eval(arg, env) for arg in node[2]]

@@ -52,7 +52,11 @@ MAZYA_MODES = ("optimal", "paper_factor")  # check_mazya's boundary factors: 1, 
 
 @dataclass
 class Report:
-    """Two sides of one inequality with a tolerance-aware verdict."""
+    """Two sides of one inequality with a tolerance-aware verdict.
+
+    A side that is not a finite number (an overflowed sum, say) gives no
+    verdict: it is a NumericalError naming the check and the side.
+    """
 
     inequality_id: str
     lhs: float
@@ -66,6 +70,9 @@ class Report:
     flipped: bool = False  # true when the verdict checks rhs >= lhs * (1 - tol)
 
     def __post_init__(self):
+        for side, value in (("lhs", self.lhs), ("rhs", self.rhs)):
+            if not math.isfinite(value):
+                raise NumericalError(f"{self.inequality_id}: the {side} is {value!r}, not a finite number")
         if self.flipped:
             self.holds = self.rhs >= self.lhs * (1.0 - self.tol)
         else:
@@ -357,7 +364,9 @@ def check_extended_sobolev(u: calc.GridFunction, k_list=(4, 8, 16)) -> Report:
 
     For each mollifier index k the report records that the smoothed function
     still satisfies the same bound with the unsmoothed right side, realizing
-    the smoothing-limit argument numerically.
+    the smoothing-limit argument numerically.  Each chain norm is read off
+    the scrubbed convolution and its mask, as ``lq_norm(mollify(u, k), q)``
+    would read it.
     """
     n = u.domain.dim
     q = n / (n - 1)
@@ -369,11 +378,11 @@ def check_extended_sobolev(u: calc.GridFunction, k_list=(4, 8, 16)) -> Report:
     chain = []
     for k in k_list:
         try:
-            mk = calc.mollify(u, k)
+            conv, mask = calc._convolved(u, k)
         except GmtLabError as exc:  # e.g. a kernel narrower than two cells
             chain.append({"k": int(k), "error": str(exc)})
             continue
-        lq_k = calc.lq_norm(mk, q)
+        lq_k = calc._lq(conv, mask, q, u.h ** n)
         chain.append(
             {
                 "k": int(k),
@@ -431,7 +440,7 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
     mode.
     """
     _own_function(domain, u)
-    if (u.values[domain.mask] < 0).any() or (u.trace < 0).any():
+    if (u.values < 0).any() or not (u.trace >= 0).all():  # a nan trace value is refused too
         raise InvalidArgumentError("proof trace expects a nonnegative function")
     if u.lipschitz is None:
         raise NoModulusError("proof trace needs a declared modulus of continuity")
@@ -546,7 +555,7 @@ def quotient_search(
     if u0.domain is not domain:
         raise InvalidArgumentError("quotient search needs a start function on the searched domain")
     mask = domain.mask
-    if (u0.values[mask] < 0).any() or (u0.trace < 0).any():
+    if (u0.values < 0).any() or not (u0.trace >= 0).all():  # a nan trace value is refused too
         raise InvalidArgumentError("quotient search expects a nonnegative start")
     if not (u0.values.any() or u0.trace.any()):
         raise DegenerateStartError("all-zero start function")
@@ -619,15 +628,20 @@ def quotient_search(
             return math.inf if num > 0 else 0.0
         return num ** (1.0 / q) / den
 
+    def sweep_scale() -> float:
+        scale = max(max(x), 1e-12)
+        if not (1.0 + step) * scale < cap:
+            raise InvalidArgumentError(f"values up to {scale!r} moved by step {step!r} overflow the quotient")
+        return scale
+
+    sweep_scale()  # a start that would overflow is refused before its sums
     grad_mag = full_grad()
     g_sum, b_sum, num_sum = full_sums()
     q_cur = q_of(g_sum, b_sum, num_sum)
     history = [q_cur]
 
     for sweep in range(iters):
-        scale = max(max(x), 1e-12)
-        if not (1.0 + step) * scale < cap:
-            raise InvalidArgumentError(f"values up to {scale!r} moved by step {step!r} overflow the quotient")
+        scale = sweep_scale()
         for coord in rng.permutation(len(x)).tolist():
             old_val = x[coord]
             touched = affected[coord]

@@ -82,6 +82,15 @@ class TestLqNorm:
         with pytest.raises(InvalidArgumentError):
             lq_norm(constant_function(square_128, 1.0), 0.5)
 
+    def test_cached_per_function_and_q(self, disk_128, monkeypatch):
+        # the interior gather and its sum run once per (function, q)
+        u, v = from_expression(disk_128, "1 + x*y"), from_expression(disk_128, "1 + x*y")
+        calls, lq = [], calc._lq
+        monkeypatch.setattr(calc, "_lq", lambda *args: calls.append(args[2]) or lq(*args))
+        first = [lq_norm(w, q) for w in (u, v) for q in (2.0, 1.5)]
+        assert [lq_norm(w, q) for w in (u, v) for q in (2.0, 1.5)] == first
+        assert calls == [2.0, 1.5, 2.0, 1.5] and first[0] == first[2] and first[0] != first[1]
+
 
 class TestBoundaryIntegral:
     def test_square_perimeter(self, square_128):
@@ -233,6 +242,20 @@ class TestBarrier:
         dom = make_ball((0.0, 0.0), 0.45, 1 / 512)
         g = shell_gradient_discrete((0.45, 0.0), 0.05, 0.02, 1.0, dom)
         assert g == pytest.approx(shell_mass(0.05, 0.02, 1.0, 2), rel=0.05)
+
+    def test_window_limit_is_inclusive_and_below_the_grid_limit(self, monkeypatch):
+        # a window's temporaries take about 33 bytes per cell, so its limit
+        # (2^26 cells, 2 GiB) lies 4x below the grid limit; the box is known
+        # before anything is allocated
+        assert calc._MAX_WINDOW_CELLS == domains._MAX_GRID_CELLS // 4 == 1 << 26
+        dom = make_ball((0.0, 0.0), 0.45, 1 / 64)
+        lo, hi = calc._index_box(dom, np.zeros(2), 0.2 + 0.05 + 3 * dom.spacing)  # the shell's window
+        cells = int(np.prod(hi - lo))
+        monkeypatch.setattr(calc, "_MAX_WINDOW_CELLS", cells)
+        assert shell_gradient_discrete((0.0, 0.0), 0.2, 0.05, 1.0, dom) > 0
+        monkeypatch.setattr(calc, "_MAX_WINDOW_CELLS", cells - 1)
+        with pytest.raises(InvalidArgumentError, match=f"cells exceeds the limit of {cells - 1}$"):
+            shell_gradient_discrete((0.0, 0.0), 0.2, 0.05, 1.0, dom)
 
 
 class TestTruncate:
@@ -410,6 +433,17 @@ class TestMollify:
     def test_zero_trace(self, square_128):
         # the enlarged mask holds the support, so the trace is exactly zero
         assert boundary_integral(mollify(indicator_function(square_128), 4)) == 0.0
+
+    def test_convolution_is_the_mollified_grid_without_its_margin(self, disk_128):
+        # mollify pads the support box of _convolved by two zero cells per side
+        u = from_expression(disk_128, "max(0, 1 - r*r)")
+        for k in (4, 8):
+            conv, mask = calc._convolved(u, k)
+            mk = mollify(u, k)
+            inner = (slice(2, -2),) * 2
+            assert np.array_equal(mk.values[inner], conv) and np.array_equal(mk.domain.mask[inner], mask)
+            assert not mk.values[~np.pad(np.ones(conv.shape, bool), 2)].any()
+            assert not mk.domain.mask[~np.pad(np.ones(conv.shape, bool), 2)].any()
 
     def test_mass_preserved(self, square_128):
         u = indicator_function(square_128)

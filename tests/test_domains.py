@@ -376,7 +376,7 @@ class TestBitIdentityWithReferences:
         texts = ["x*x + y*y", "max(0, 1 - r*r)", "exp(x) - y / 3"] + (["x*y*z - r"] if dom.dim == 3 else [])
         for text in texts:
             expr = Expression(text)
-            assert np.array_equal(expr(got).view(np.int64), expr(ref).view(np.int64))
+            assert np.array_equal(expr(got.T).view(np.int64), expr(ref.T).view(np.int64))
 
     @pytest.mark.parametrize("name", sorted(_CLOUD_CASES))
     def test_boundary_cloud(self, name):

@@ -93,6 +93,15 @@ class TestReport:
         rep = Report("sobolev", 0.0, 0.0, "optimal", 0.28, 0.02)
         assert rep.holds and rep.ratio == 0.0
 
+    @pytest.mark.parametrize("flipped", [False, True])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_non_finite_side_refused(self, side, bad, flipped):
+        # inf <= inf held, and nan gave a verdict either way
+        sides = {"lhs": 1.0, "rhs": 1.0, side: bad}
+        with pytest.raises(NumericalError, match=f"^mazya: the {side} is {bad!r}, not a finite number$"):
+            Report("mazya", sides["lhs"], sides["rhs"], "optimal", 0.28, 0.02, flipped=flipped)
+
 
 class TestIsoperimetric:
     def test_disk_near_equality(self, disk_512):
@@ -504,6 +513,22 @@ class TestProofTrace:
         with pytest.raises(InvalidArgumentError):
             proof_trace(disk_128, u, eps=0.2)
 
+    def test_nan_trace_rejected(self):
+        # sqrt(1 - r*r) is nan on the faces outside the unit circle; the nan
+        # barrier heights made truncate warn and then refuse its own result
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 32)
+        u = from_expression(dom, "sqrt(1 - r*r)", lipschitz=2.0)
+        assert np.isnan(u.trace).any() and np.isfinite(u.values).all()
+        with pytest.raises(InvalidArgumentError, match="^proof trace expects a nonnegative function$"):
+            proof_trace(dom, u, eps=1.0)
+
+    def test_overflowing_mazya_side_refused(self):
+        # the sums overflowed to inf and the replay reported FAIL on inf sides
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 32)
+        u = from_expression(dom, "1e300*max(0, 1 - r*r)", lipschitz=3e300)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="^mazya: the lhs is inf, "):
+            proof_trace(dom, u, eps=1.5e300)
+
     def test_shell_width_is_not_an_argument(self, disk_128):
         # the shells are always delta/4 wide; no caller picks their width
         u = constant_function(disk_128, 1.0)
@@ -576,6 +601,13 @@ class TestQuotientSearch:
         half = GridDomain(disk.spacing, disk.origin, disk.mask & (np.indices(disk.shape)[0] > 20))
         with pytest.raises(InvalidArgumentError, match="searched domain"):
             quotient_search(half, indicator_function(disk), iters=1, step=0.1)
+
+    def test_nan_trace_start_rejected(self):
+        # the search ran on a nan trace and reported the quotient nan
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 32)
+        u0 = from_expression(dom, "sqrt(1 - r*r)")
+        with pytest.raises(InvalidArgumentError, match="^quotient search expects a nonnegative start$"):
+            quotient_search(dom, u0, iters=1, step=0.1)
 
     def test_degenerate_start_rejected(self, disk_128):
         cloud = extract_boundary(disk_128)

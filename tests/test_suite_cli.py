@@ -218,14 +218,14 @@ class TestRunSuite:
 
     def test_standard_suite_builds_gaps_only_where_read(self, monkeypatch):
         # the gaps of a face cloud are built on its first calibration, once;
-        # the brunn_minkowski box calibrates nothing, so its cloud has none,
-        # and neither have the clouds of the mollified functions, whose zero
-        # traces no check calibrates
+        # the brunn_minkowski box calibrates nothing, so its cloud has none;
+        # the mollified chain reads its norms off the convolution, so no
+        # mollified function, domain or cloud is built at all
         import gmtlab.calculus as calc
         import gmtlab.hausdorff as hausdorff
 
         clouds, built, mollified = [], [], []
-        extract, face_gaps, mollify = calc.extract_boundary, hausdorff._face_gaps, calc.mollify
+        extract, face_gaps = calc.extract_boundary, hausdorff._face_gaps
 
         def recording(domain):
             cloud = extract(domain)
@@ -237,23 +237,17 @@ class TestRunSuite:
             built.append(cloud)
             return face_gaps(cloud)
 
-        def mollifying(u, k):
-            out = mollify(u, k)
-            mollified.append(out.cloud)
-            return out
-
         monkeypatch.setattr(calc, "extract_boundary", recording)
         monkeypatch.setattr(hausdorff, "_face_gaps", counting)
-        monkeypatch.setattr(calc, "mollify", mollifying)
+        monkeypatch.setattr(calc, "mollify", lambda u, k: mollified.append(k))
         spec = parse_suite(os.path.join(REPO, "suites", "standard.json"))
-        run_suite(spec)
+        manifest = run_suite(spec)
+        assert manifest.passed
         assert [e.checks for e in spec.entries][-1] == ["brunn_minkowski"]
-        # 3 mollifier indices for each of the 2 sobolev_extended entries
-        assert len(mollified) == 6 and all(any(m is c for c in clouds) for m in mollified)
-        assert all(m.nn_gaps is None and all(m is not b for b in built) for m in mollified)
-        entry_clouds = [c for c in clouds if all(c is not m for m in mollified)]
-        assert len(clouds) == len(spec.entries) + 6 and len(entry_clouds) == len(spec.entries) == 5
-        *calibrated, box = entry_clouds
+        assert sum(e.checks.count("sobolev_extended") for e in spec.entries) == 2
+        assert mollified == []
+        assert len(clouds) == len(spec.entries) == 5
+        *calibrated, box = clouds
         assert box.nn_gaps is None and all(c is not box for c in built)
         assert [sum(c is b for b in built) for c in calibrated] == [1, 1, 1, 1]
         assert all(c.nn_gaps is not None for c in calibrated)
@@ -635,16 +629,26 @@ class TestCli:
         (["trace", "{disk}", "{fn}", "--eps", "1e300"], "exceeds the limit"),
         (["search", "{disk}", "{fn}", "--iters", "1", "--step", "1e300"], "by step 1e+300 overflow"),
         (["trace", "{ball}", "{fn}", "--eps", "0.5"], "delta/4 is 1.8 grid spacings"),
-    ], ids=["trace_eps_1e6", "trace_eps_1e300", "search_step_1e300", "trace_3d_thin_shells"])
+        (["trace", "{disk}", "{fn}", "--eps", "2000"], "cells exceeds the limit of 67108864"),
+        (["search", "{disk}", "{huge}", "--iters", "1", "--step", "0.1"], "up to 1e+200 moved by step 0.1 overflow"),
+        (["trace", "{disk}", "{hole}", "--eps", "1"], "values must be finite on every interior cell"),
+    ], ids=["trace_eps_1e6", "trace_eps_1e300", "search_step_1e300", "trace_3d_thin_shells",
+            "trace_window_past_its_limit", "search_start_overflows", "trace_interior_nan"])
     def test_unworkable_scale_exits_two_under_python_O(self, tmp_path, argv, message):
         # shell windows past the grid limit (at eps 1e6 they exhausted memory,
-        # at 1e300 their index bounds overflowed), a step whose powers leave
-        # the float range, and 3D shells 1.8 spacings wide, whose stencil bias
-        # (+5.7 %) was once reported as a main5 violation
+        # at 1e300 their index bounds overflowed) or past the window limit (a
+        # 9,728^2 window at eps 2000, about 3 GB of temporaries), a step or a
+        # start whose powers leave the float range (the start's first sums
+        # warned of the overflow before the refusal), 3D shells 1.8 spacings
+        # wide, whose stencil bias (+5.7 %) was once reported as a main5
+        # violation, and a function undefined on interior cells, refused
+        # without a warning from the evaluation
         ball = {"kind": "ball", "params": {"r": 1.0, "center": [0, 0, 0]}, "h": 1 / 48}
         paths = {"disk": self._domain_file(tmp_path, h=1 / 32),
                  "ball": write_json(tmp_path / "ball.json", ball),
-                 "fn": write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2})}
+                 "fn": write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2}),
+                 "huge": write_json(tmp_path / "huge.json", {"expr": "1e200", "lipschitz": 0}),
+                 "hole": write_json(tmp_path / "hole.json", {"expr": "sqrt(0.5 - r*r)", "lipschitz": 2})}
         src = os.path.dirname(os.path.dirname(gmtlab.__file__))
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "gmtlab.cli", *[a.format(**paths) for a in argv]],
@@ -654,6 +658,56 @@ class TestCli:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert message in proc.stderr
+
+    def test_window_under_its_limit_runs(self, tmp_path):
+        # eps 373: one window of about 3.7M cells (210 MB peak), well under the limit
+        paths = [self._domain_file(tmp_path, h=1 / 32),
+                 write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2})]
+        src = os.path.dirname(os.path.dirname(gmtlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmtlab.cli", "trace", *paths, "--eps", "373"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.endswith("trace: PASS (1 cells)\n")
+
+    def _verify_quietly(self, tmp_path, entry):
+        """(exit code, stdout) of a fresh ``verify`` of one entry; its stderr must be empty."""
+        suite = write_json(tmp_path / "s.json", {"name": "one", "entries": [entry]})
+        src = os.path.dirname(os.path.dirname(gmtlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmtlab.cli", "verify", suite],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stderr == ""
+        return proc.returncode, proc.stdout
+
+    def test_overflowing_sides_are_entry_errors(self, tmp_path):
+        # the sums overflowed to inf, each with a numpy warning, and every
+        # check held with lhs=inf rhs=inf ratio=nan
+        disk = {"kind": "ball", "params": {"r": 1}, "h": 1 / 32}
+        entry = {"domain": disk, "function": {"expr": "1e200*(1+x*x)"},
+                 "checks": ["mazya", "sobolev", "bv_bound", "mazya_l2"]}
+        code, out = self._verify_quietly(tmp_path, entry)
+        assert code == 1
+        assert "[ERROR] entry 0 (ball(r=1)): NumericalError: mazya: the lhs is inf, not a finite number" in out
+        assert out.endswith("0 checks, 0 violations, 1 errors -> FAIL\n")
+        for cid in entry["checks"][1:] + ["sobolev_extended"]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                manifest = run_suite(parse_suite_dict({"name": cid, "entries": [dict(entry, checks=[cid])]}))
+            assert not manifest.passed
+            assert manifest.entries[0]["error"] == f"NumericalError: {cid}: the lhs is inf, not a finite number"
+
+    def test_function_undefined_off_the_domain_builds_silently(self, tmp_path):
+        # sqrt(1 - r*r) is nan on exterior cells, which are dropped, and on
+        # some boundary faces, so a check that reads the trace has no verdict
+        disk = {"kind": "ball", "params": {"r": 1}, "h": 1 / 32}
+        entry = {"domain": disk, "function": {"expr": "sqrt(1 - r*r)"}, "checks": ["sobolev"]}
+        code, out = self._verify_quietly(tmp_path, entry)
+        assert code == 0 and "[ok] sobolev" in out
+        code, out = self._verify_quietly(tmp_path, dict(entry, checks=["mazya"]))
+        assert code == 1 and "NumericalError: mazya: the rhs is nan, not a finite number" in out
 
     def test_no_command_imports_scipy_fft_ndimage_or_signal(self, tmp_path):
         # one fresh process runs all six subcommands; the suite convolves
