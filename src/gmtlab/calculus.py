@@ -227,8 +227,8 @@ def grad_l1(u: GridFunction) -> float:
     """Integral of the Euclidean gradient magnitude over the domain (cached on u)."""
     cached = vars(u).get("_grad_l1")
     if cached is None:
-        mag2 = _gradient_mag_squared(u)
-        cached = float(np.sum(np.sqrt(mag2[u.domain.mask]))) * u.h ** u.domain.dim
+        mags = _gradient_mag_squared(u)[u.domain.mask]
+        cached = float(np.sum(np.sqrt(mags, out=mags))) * u.h ** u.domain.dim
         object.__setattr__(u, "_grad_l1", cached)
     return cached
 
@@ -240,9 +240,12 @@ def grad_l2_squared(u: GridFunction) -> float:
 
 
 def _lq(values: np.ndarray, mask: np.ndarray, q: float, cell: float) -> float:
-    """(sum |values|^q cell)^(1/q) over the cells of ``mask``, each of measure ``cell``."""
-    vals = np.abs(values[mask])
-    return float(np.sum(vals ** q) * cell) ** (1.0 / q)
+    """(sum |values|^q cell)^(1/q) over the cells of ``mask``, each of measure ``cell``.
+    The abs and the power (``**=``, the same power as ``**``) act in place on one gather."""
+    vals = values[mask]
+    np.abs(vals, out=vals)
+    vals **= q
+    return float(np.sum(vals) * cell) ** (1.0 / q)
 
 
 def lq_norm(u: GridFunction, q: float) -> float:

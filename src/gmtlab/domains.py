@@ -170,7 +170,8 @@ _PAD_CELLS = 2
 # cells per block of the radial rasterizer's distances (2 MB per float array)
 _RADIAL_BLOCK = 1 << 18
 # most cells a domain or dilation grid may have: about 64x the largest suite,
-# bench and test grid (the 2,052 x 2,052 disk); a float array of it is 2 GiB
+# bench and test grid (the 2,052 x 2,052 disk); a float array of it is 2 GiB.
+# It must stay below 2^31: within_distance indexes the flat grid in int32
 _MAX_GRID_CELLS = 1 << 28
 
 
@@ -487,8 +488,11 @@ def within_distance(source: np.ndarray, t: float, h: float, strict: bool = False
     :func:`_squared_cut`.  Axis 0 takes the distance to the nearest source
     of each column from two running extrema, middle axes take capped
     min-plus passes, and along the contiguous last axis each cell with
-    G < K stamps the interval of cells it brings within the cut into a
-    difference array that is summed once.
+    G < K stamps the interval of cells it brings within the cut, clamped to
+    its row.  The union of these flat intervals [start, end) is taken in
+    int32: each start keeps the largest end stamped there
+    (``np.maximum.at``), a running maximum carries the ends forward, and a
+    cell is covered when the running maximum passes its own index.
     """
     shape = source.shape
     # past the grid's diagonal every cell is within t of every source
@@ -521,10 +525,12 @@ def within_distance(source: np.ndarray, t: float, h: float, strict: bool = False
     # half-widths floor(sqrt(K - 1 - G)): float sqrt is exact below 2^52
     half = np.sqrt(cut - 1 - g.reshape(-1)[flat]).astype(np.int64)
     col = flat % shape[-1]
-    ends = np.concatenate([flat - np.minimum(half, col), flat + np.minimum(half, shape[-1] - 1 - col) + 1])
-    steps = np.repeat([1.0, -1.0], len(flat))
-    cover = np.cumsum(np.bincount(ends, steps, minlength=source.size + 1)[:-1])
-    return (cover > 0).reshape(shape) | zero
+    reach_to = np.zeros(source.size, dtype=np.int32)  # no grid has 2^31 cells (_MAX_GRID_CELLS)
+    np.maximum.at(reach_to, flat - np.minimum(half, col),
+                  (flat + np.minimum(half, shape[-1] - 1 - col) + 1).astype(np.int32))
+    np.maximum.accumulate(reach_to, out=reach_to)
+    cover = reach_to > np.arange(source.size, dtype=np.int32)
+    return cover.reshape(shape) | zero
 
 
 def _squared_cut(t: float, h: float, n: int, strict: bool) -> int:

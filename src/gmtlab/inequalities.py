@@ -50,6 +50,13 @@ __all__ = [
 MAZYA_MODES = ("optimal", "paper_factor")  # check_mazya's boundary factors: 1, or the paper's
 
 
+def _check_sides(name: str, lhs: float, rhs: float) -> None:
+    """A NumericalError naming ``name`` and the side when a side is not a finite number."""
+    for side, value in (("lhs", lhs), ("rhs", rhs)):
+        if not math.isfinite(value):
+            raise NumericalError(f"{name}: the {side} is {value!r}, not a finite number")
+
+
 @dataclass
 class Report:
     """Two sides of one inequality with a tolerance-aware verdict.
@@ -70,9 +77,7 @@ class Report:
     flipped: bool = False  # true when the verdict checks rhs >= lhs * (1 - tol)
 
     def __post_init__(self):
-        for side, value in (("lhs", self.lhs), ("rhs", self.rhs)):
-            if not math.isfinite(value):
-                raise NumericalError(f"{self.inequality_id}: the {side} is {value!r}, not a finite number")
+        _check_sides(self.inequality_id, self.lhs, self.rhs)
         if self.flipped:
             self.holds = self.rhs >= self.lhs * (1.0 - self.tol)
         else:
@@ -98,10 +103,16 @@ class Report:
 
 @dataclass
 class TraceStep:
+    """One labeled step of the proof replay; like a :class:`Report`, it
+    refuses a side that is not a finite number with a NumericalError."""
+
     label: str
     lhs: float
     rhs: float
     holds: bool
+
+    def __post_init__(self):
+        _check_sides(self.label, self.lhs, self.rhs)
 
 
 _TRACE_ORDER = tuple(TRACE_STEP_TOLERANCES)
@@ -438,6 +449,14 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
     width delta/4, and records both sides of each labeled step.  The final
     step reuses the exact code path of :func:`check_mazya` in paper-factor
     mode.
+
+    Each full grid lives only until its last read, so the replay holds
+    about three float grids beyond ``u`` at its peak: the truncation and
+    its cached stencil are dropped once its TV, q-norm and gradient mass
+    are read, and the interior mask and the restricted u^q once the
+    preliminary estimate is summed; only then is u's own stencil formed
+    (and cached on u).  A side that is not a finite number is a
+    NumericalError.
     """
     _own_function(domain, u)
     if (u.values < 0).any() or not (u.trace >= 0).all():  # a nan trace value is refused too
@@ -469,7 +488,19 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
             f"bias of about {_SHELL_BIAS[n]} h/s would exceed the main5 tolerance"
         )
     part = build_partition(u.cloud, n - 1, delta)
+
+    # everything read from the truncation, before it and its cached stencil are dropped
     u_t = calc.truncate(u, part, eps, s)
+    main6_rhs = iso_constant(n) * calc.total_variation(u_t)
+    main6_lhs = calc.lq_norm(u_t, q)
+    main4_lhs = calc.grad_l1(u_t)
+    del u_t
+
+    # u^q on the cells whose eps-ball fits inside the domain (u >= 0, and 0 off the mask)
+    restricted = np.where(calc.interior_region(domain, eps), u.values, 0.0)
+    restricted **= q
+    prelim_lhs = float(np.sum(restricted) * h ** n) ** (1.0 / q)
+    del restricted
 
     centers, diams, heights = calc._barriers(u, part, eps)
 
@@ -478,17 +509,10 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
     main5_rhs = float(np.sum(calc.shell_mass(diams, s, heights, n)))
 
     grad_u = calc.grad_l1(u)
-    main4_lhs = calc.grad_l1(u_t)
     main4_rhs = grad_u + main5_rhs
-
-    main6_lhs = calc.lq_norm(u_t, q)
-    main6_rhs = iso_constant(n) * calc.total_variation(u_t)
 
     # zero-width limit of the shells
     limit_sum = float(np.sum(calc.shell_mass_limit(diams, heights, n)))
-    inner = calc.interior_region(domain, eps)
-    restricted = np.where(inner & domain.mask, u.values, 0.0)
-    prelim_lhs = float(np.sum(np.abs(restricted) ** q) * h ** n) ** (1.0 / q)
     prelim_rhs = iso_constant(n) * (grad_u + limit_sum)
 
     # partition certificate bounding the shell sum by boundary mass
@@ -635,8 +659,12 @@ def quotient_search(
         return scale
 
     sweep_scale()  # a start that would overflow is refused before its sums
-    grad_mag = full_grad()
-    g_sum, b_sum, num_sum = full_sums()
+    # cap bounds the q-th powers only; the stencil's squared differences may still overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_mag = full_grad()
+        g_sum, b_sum, num_sum = full_sums()
+    if not math.isfinite(g_sum):
+        raise InvalidArgumentError(f"the start's gradient mass is {g_sum!r}, which overflows the quotient")
     q_cur = q_of(g_sum, b_sum, num_sum)
     history = [q_cur]
 

@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gmtlab.calculus import from_expression, interior_region, minkowski_steiner  # noqa: E402
-from gmtlab.domains import GridDomain, _within_unit, dilate, make_ball, within_distance  # noqa: E402
+from gmtlab.domains import _MAX_GRID_CELLS, GridDomain, _within_unit, dilate, make_ball, within_distance  # noqa: E402
 from gmtlab.errors import InvalidArgumentError  # noqa: E402
 from gmtlab.inequalities import proof_trace  # noqa: E402
 
@@ -147,6 +147,32 @@ def test_proof_disk_masks_match_the_edt():
     for eps in (0.05, 0.1, 0.35):
         assert np.array_equal(interior_region(dom, eps), dist >= eps + 0.5 * h)
     assert np.array_equal(dom.mask & within_distance(~dom.mask, 1.5 * h, h), dom.mask & (dist <= 1.5 * h))
+
+
+@pytest.mark.parametrize("shape, sources", [
+    ((14, 5), [(2, 0), (11, 4)]),
+    ((5, 6, 4), [(2, 2, 0), (2, 1, 3)]),
+    ((11, 12), [(5, 0), (5, 1), (5, 2), (8, 0)]),
+], ids=["row_ends_2d", "row_ends_3d", "shared_starts"])
+def test_clamped_stamps_match_the_edt(shape, sources):
+    """Sources on the first and last cells of short rows: at the larger
+    thresholds a stamp reaches past both ends of its row, and no interval may
+    spill into the next one.  A run of sources at a row's start and the cells
+    beside it: several stamps clamped to one start with different ends, of
+    which the union keeps the farthest (``np.maximum.at``)."""
+    h = 1 / 8  # dyadic: no squared length straddles a threshold
+    source = np.zeros(shape, dtype=bool)
+    source[tuple(np.transpose(sources))] = True
+    dist = _edt(~source, h)
+    for t in (2.5 * h, 3.0 * h, 4.2 * h, 6.5 * h, 9.0 * h):
+        for strict in (False, True):
+            assert np.array_equal(within_distance(source, t, h, strict), dist < t if strict else dist <= t)
+
+
+def test_flat_indices_fit_in_int32():
+    # within_distance unions its intervals in int32 flat indices, whose ends
+    # reach the cell count itself
+    assert _MAX_GRID_CELLS < 2 ** 31
 
 
 def test_empty_source_reaches_nothing():

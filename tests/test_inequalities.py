@@ -1,6 +1,7 @@
 """Inequality reports, the proof trace, and the quotient search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gmtlab.hausdorff import build_partition
 from gmtlab.inequalities import (
     _SHELL_BIAS,
     Report,
+    TraceStep,
     _minkowski_sum,
     check_brunn_minkowski,
     check_bv_bound,
@@ -529,6 +531,28 @@ class TestProofTrace:
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="^mazya: the lhs is inf, "):
             proof_trace(dom, u, eps=1.5e300)
 
+    @pytest.mark.parametrize("lhs, rhs", [(math.inf, 1.0), (1.0, math.nan), (-math.inf, 0.0)])
+    def test_step_refuses_non_finite_side(self, lhs, rhs):
+        side, value = ("lhs", lhs) if not math.isfinite(lhs) else ("rhs", rhs)
+        with pytest.raises(NumericalError, match=f"^main4: the {side} is {value!r}, not a finite number$"):
+            TraceStep("main4", lhs, rhs, True)
+
+    def test_peak_memory_stays_under_four_grids(self):
+        # the bench proof input; the replay once held the truncation, its
+        # stencil, u's stencil and interior_region's float difference array
+        # and cumsum at once: 6.89 float grids above its start, now about 3.1
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 512)  # fresh: nothing cached on it yet
+        u = from_expression(dom, "max(0, 1 - r*r)", lipschitz=2.0)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert proof_trace(dom, u, eps=0.05).all_hold
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 4 * dom.mask.size * 8
+
     def test_shell_width_is_not_an_argument(self, disk_128):
         # the shells are always delta/4 wide; no caller picks their width
         u = constant_function(disk_128, 1.0)
@@ -607,6 +631,14 @@ class TestQuotientSearch:
         dom = make_ball((0.0, 0.0), 1.0, 1 / 32)
         u0 = from_expression(dom, "sqrt(1 - r*r)")
         with pytest.raises(InvalidArgumentError, match="^quotient search expects a nonnegative start$"):
+            quotient_search(dom, u0, iters=1, step=0.1)
+
+    def test_overflowing_start_gradient_rejected(self):
+        # the values pass the cap on their q-th powers, but the stencil's
+        # squared differences overflow: the inf gradient mass gave quotient 0.0
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 32)
+        u0 = from_expression(dom, "5e153*min(1, max(0, 1e6*x))", lipschitz=0.0)
+        with pytest.raises(InvalidArgumentError, match="^the start's gradient mass is inf, "):
             quotient_search(dom, u0, iters=1, step=0.1)
 
     def test_degenerate_start_rejected(self, disk_128):

@@ -632,8 +632,11 @@ class TestCli:
         (["trace", "{disk}", "{fn}", "--eps", "2000"], "cells exceeds the limit of 67108864"),
         (["search", "{disk}", "{huge}", "--iters", "1", "--step", "0.1"], "up to 1e+200 moved by step 0.1 overflow"),
         (["trace", "{disk}", "{hole}", "--eps", "1"], "values must be finite on every interior cell"),
+        (["search", "{disk}", "{steep}", "--iters", "1", "--step", "0.1"], "gradient mass is inf"),
+        (["trace", "{disk}", "{tall}", "--eps", "1.5e300"], "mazya: the lhs is inf, not a finite number"),
     ], ids=["trace_eps_1e6", "trace_eps_1e300", "search_step_1e300", "trace_3d_thin_shells",
-            "trace_window_past_its_limit", "search_start_overflows", "trace_interior_nan"])
+            "trace_window_past_its_limit", "search_start_overflows", "trace_interior_nan",
+            "search_start_gradient_overflows", "trace_sides_overflow"])
     def test_unworkable_scale_exits_two_under_python_O(self, tmp_path, argv, message):
         # shell windows past the grid limit (at eps 1e6 they exhausted memory,
         # at 1e300 their index bounds overflowed) or past the window limit (a
@@ -642,13 +645,20 @@ class TestCli:
         # warned of the overflow before the refusal), 3D shells 1.8 spacings
         # wide, whose stencil bias (+5.7 %) was once reported as a main5
         # violation, and a function undefined on interior cells, refused
-        # without a warning from the evaluation
+        # without a warning from the evaluation.  A start whose values pass
+        # the cap but whose gradient overflows reported quotient 0.0 and
+        # exited 0; a trace whose sums overflow printed numpy's warnings
+        # before its refusal
         ball = {"kind": "ball", "params": {"r": 1.0, "center": [0, 0, 0]}, "h": 1 / 48}
         paths = {"disk": self._domain_file(tmp_path, h=1 / 32),
                  "ball": write_json(tmp_path / "ball.json", ball),
                  "fn": write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2}),
                  "huge": write_json(tmp_path / "huge.json", {"expr": "1e200", "lipschitz": 0}),
-                 "hole": write_json(tmp_path / "hole.json", {"expr": "sqrt(0.5 - r*r)", "lipschitz": 2})}
+                 "hole": write_json(tmp_path / "hole.json", {"expr": "sqrt(0.5 - r*r)", "lipschitz": 2}),
+                 "steep": write_json(tmp_path / "steep.json",
+                                     {"expr": "5e153*min(1, max(0, 1e6*x))", "lipschitz": 0}),
+                 "tall": write_json(tmp_path / "tall.json",
+                                    {"expr": "1e300*max(0, 1 - r*r)", "lipschitz": 3e300})}
         src = os.path.dirname(os.path.dirname(gmtlab.__file__))
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "gmtlab.cli", *[a.format(**paths) for a in argv]],
