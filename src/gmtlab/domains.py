@@ -389,58 +389,57 @@ def _face_gaps(cloud: BoundaryCloud) -> np.ndarray:
     present when c + t e_b is interior and c + t e_b + s e_a is not (the
     same position owned by c + t e_b + s e_a has different bits, but then
     the face (c, b, t) is nearer); along a they are the faces (c, a, -s)
-    and (c + 2s e_a, a, -s).  Presence is one mask gather per position over
-    all faces.  Each neighbor's coordinates follow :func:`extract_boundary`'s
-    formula from its owning cell, and at most two axes differ, so the
-    squared distances have the bits of a KD-tree's and the gaps are those
-    of its k=2 query.
+    and (c + 2s e_a, a, -s).  The faces are taken one (axis, sign) block of
+    the face table at a time, so a and s are scalars, every temporary is
+    one block in size, and each block writes its own run of rows.  Presence
+    is one mask gather per position over the block.  Each neighbor's
+    coordinates follow :func:`extract_boundary`'s formula from its owning
+    cell, and at most two axes differ, so the squared distances have the
+    bits of a KD-tree's and the gaps are those of its k=2 query.
     """
     faces, n, h = cloud.faces, cloud.dim, cloud.resolution
-    mask = faces.mask
-    # per face, in cloud order: the flat and grid index of its cell, its axis and sign
-    sizes = [len(rows) for rows, _ in faces.blocks.values()]
-    flat = np.concatenate([cells for _, cells in faces.blocks.values()])
-    cells = np.stack(np.unravel_index(flat, mask.shape), axis=1)
-    axes, signs = np.repeat(np.array(list(faces.blocks)).T, sizes, axis=1)
-    pts = cloud.points
-    rows = np.arange(len(pts))
-    shape = np.array(mask.shape)
-    strides = np.array([int(np.prod(mask.shape[x + 1:])) for x in range(n)])
-    present = mask.reshape(-1)
-    # the cell-centre coordinates of every axis, end to end
-    base = np.concatenate(([0], np.cumsum(shape)[:-1]))
-    centre = np.concatenate([x.ravel() for x in _centers_grid(faces.origin, mask.shape, h)])
-    half = signs * h / 2.0
-    step = signs * strides[axes]  # flat offset of c + s e_a
-    # along a: each face's own coordinate and the neighbors' differences from it
-    own = pts[rows, axes]
-    ca = cells[rows, axes]
-    ia = base[axes] + ca
-    on_grid = (ca + 2 * signs >= 0) & (ca + 2 * signs < shape[axes])  # c + 2s e_a in the grid
-    inner = centre[ia] - own
-    outer = centre[ia + signs] - own
-    far = centre[np.where(on_grid, ia + 2 * signs, ia)] - half - own
-    back = centre[ia] - half - own
-    best = far * far
-    best[~(on_grid & present[np.where(on_grid, flat + 2 * step, flat)])] = np.inf
-    np.minimum(best, back * back, out=best, where=~present[flat - step])
-    inner *= inner
-    outer *= outer
-    for j in range(1, n):
-        b = (axes + j) % n
-        ib = base[b] + cells[rows, b]
-        other = pts[rows, b]
-        for t in (1, -1):
-            shift = flat + t * strides[b]
-            side = present[shift]  # c + t e_b interior
-            corner = present[shift + step]  # c + s e_a + t e_b interior
-            edge = other + t * h / 2.0 - other
-            np.minimum(best, inner + edge * edge, out=best, where=~side)
-            edge = centre[ib + t] - t * h / 2.0 - other
-            np.minimum(best, outer + edge * edge, out=best, where=corner)
-            edge = centre[ib + t] - other
-            np.minimum(best, edge * edge, out=best, where=side & ~corner)
-    return np.sqrt(best)
+    present = faces.mask.reshape(-1)
+    shape = faces.shape
+    strides = [math.prod(shape[x + 1:]) for x in range(n)]
+    centre = [x.ravel() for x in _centers_grid(faces.origin, shape, h)]
+    gaps = np.empty(len(cloud))
+    for (a, s), (rows, flat) in faces.blocks.items():
+        # one block of faces, all with outward direction s e_a, and their cells
+        cells = np.unravel_index(flat, shape)
+        run = slice(rows[0], rows[-1] + 1)  # the block's rows follow each other
+        pts = cloud.points[run]
+        half = s * h / 2.0
+        step = s * strides[a]  # flat offset of c + s e_a
+        # along a: each face's own coordinate and the neighbors' differences from it
+        own = pts[:, a]
+        ca = cells[a]
+        ca2 = ca + 2 * s
+        on_grid = (ca2 >= 0) & (ca2 < shape[a])  # c + 2s e_a in the grid
+        inner = centre[a][ca] - own
+        outer = centre[a][ca + s] - own
+        far = centre[a][np.where(on_grid, ca2, ca)] - half - own
+        back = centre[a][ca] - half - own
+        best = far * far
+        best[~(on_grid & present[np.where(on_grid, flat + 2 * step, flat)])] = np.inf
+        np.minimum(best, back * back, out=best, where=~present[flat - step])
+        inner *= inner
+        outer *= outer
+        for j in range(1, n):
+            b = (a + j) % n
+            other = pts[:, b]
+            for t in (1, -1):
+                shift = flat + t * strides[b]
+                side = present[shift]  # c + t e_b interior
+                corner = present[shift + step]  # c + s e_a + t e_b interior
+                beside = centre[b][cells[b] + t]  # the centre coordinate of c + t e_b
+                edge = other + t * h / 2.0 - other
+                np.minimum(best, inner + edge * edge, out=best, where=~side)
+                edge = beside - t * h / 2.0 - other
+                np.minimum(best, outer + edge * edge, out=best, where=corner)
+                edge = beside - other
+                np.minimum(best, edge * edge, out=best, where=side & ~corner)
+        np.sqrt(best, out=gaps[run])
+    return gaps
 
 
 def dilate(domain: GridDomain, eps: float) -> GridDomain:
@@ -509,6 +508,7 @@ def within_distance(source: np.ndarray, t: float, h: float, strict: bool = False
     np.subtract(row, before, out=before)
     np.subtract(after, row, out=after)
     g = np.minimum(before, after, out=before)
+    del after  # its last read: interior_region's peak falls by one int32 grid
     np.minimum(g, reach + 1, out=g)  # (reach + 1)^2 >= K: a capped cell stays outside
     g *= g
     for axis in range(1, source.ndim - 1):

@@ -19,15 +19,18 @@ Coverings and partitions are held as segmented index arrays (cell g owns
 its cell were computed alone; diameters are taken only over the members
 that the triangle inequality lets end one, all by one broadcast kernel.
 The greedy-ball coverings of every cascade scale are prefixes of one greedy
-farthest-point order, whose distance updates read a contiguous slab of a
-copy of the cloud sorted along its widest axis, compare it in place against
-the distances kept in that order, write back only the points that change,
-and also carry each point's nearest center; a KD-tree over the centers
-settles only exact ties.  A cloud's nearest-neighbor gaps are built the
-first time they are read (:func:`_cloud_nn`), from the face table of a
-cloud from :func:`extract_boundary` and from a KD-tree query for any other
-cloud.  A :class:`Partition` keeps the segmented form plus one column entry
-per cell (representative, rd, measure).
+farthest-point order.  Its distance updates read a contiguous slab of a
+per-axis copy of the cloud sorted along its widest axis, form only squared
+distances there, and take a square root and the exact compare only where a
+square can reach the point's kept bound; they also carry each point's
+nearest center, and a KD-tree over the centers settles only exact ties.
+Every Euclidean norm over cloud points is summed axis by axis on per-axis
+rows (:func:`_column_norms`), with the bits of a row-wise norm.  A cloud's
+nearest-neighbor gaps are built the first time they are read
+(:func:`_cloud_nn`), from the face table of a cloud from
+:func:`extract_boundary` and from a KD-tree query for any other cloud.  A
+:class:`Partition` keeps the segmented form plus one column entry per cell
+(representative, rd, measure).
 """
 
 from __future__ import annotations
@@ -119,8 +122,8 @@ class Partition:
             raise InvalidArgumentError("partition representative is not a member of its cell")
         # each cell lies in its barrier's flat ball B(x_C, 2 rd(C)), by the
         # barrier rule's own distance: truncate's zero trace rests on it
-        points = self.cloud.points
-        reach = np.linalg.norm(points[self.order] - points[x_index][cell], axis=1)
+        coords = self.cloud.points.T
+        reach = _column_norms(np.take(coords, self.order, axis=1), np.take(coords, x_index[cell], axis=1))
         if not (reach <= 2.0 * self.rd[cell]).all():
             raise InvalidArgumentError("partition member lies beyond 2 rd of its representative")
 
@@ -202,17 +205,22 @@ def _diameter_candidates(points: np.ndarray, order: np.ndarray, bounds: np.ndarr
     satisfy r_p >= D - R >= L - R by the triangle inequality.  Members below
     that bound, less a slack of 1e-9 R for rounding, are dropped; every cell
     keeps at least the pair that gives L.  Cells must be nonempty.
+
+    The members are gathered once, as per-axis rows, and the centroids are
+    summed along them with one ``reduceat``; r and the distances behind L
+    come from :func:`_column_norms`, so every value has the bits of the
+    row-major gather, centroid and np.linalg.norm.
     """
     sizes = np.diff(bounds)
     starts = bounds[:-1]
     cell = np.repeat(np.arange(len(sizes)), sizes)
-    pts = points[order]
-    centroid = np.add.reduceat(pts, starts, axis=0) / sizes[:, None]
-    r = np.linalg.norm(pts - centroid[cell], axis=1)
+    cols = np.take(points.T, order, axis=1)
+    centroid = np.add.reduceat(cols, starts, axis=1) / sizes
+    r = _column_norms(cols, centroid[:, cell])
     big_r = np.maximum.reduceat(r, starts)
     at_max = np.flatnonzero(r == big_r[cell])
     first = at_max[np.flatnonzero(np.diff(cell[at_max], prepend=-1))]
-    ell = np.maximum.reduceat(np.linalg.norm(pts - pts[first][cell], axis=1), starts)
+    ell = np.maximum.reduceat(_column_norms(cols, cols[:, first[cell]]), starts)
     keep = r >= (ell - big_r - 1e-9 * big_r)[cell]
     kept = np.add.reduceat(keep.astype(np.intp), starts)
     return order[keep], np.concatenate(([0], np.cumsum(kept)))
@@ -268,20 +276,40 @@ def _box_groups(points: np.ndarray, side: float):
     return _group_by_label(np.ravel_multi_index(idx.T, tuple(idx.max(axis=0) + 1)))
 
 
-def _column_norms(cols: np.ndarray, c: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the columns of ``cols - c[:, None]`` (one row per axis).
+def _squared_norms(cols: np.ndarray, c: np.ndarray, out=None, work=None) -> np.ndarray:
+    """Squared Euclidean norms of the columns of ``cols - c`` (one row per axis).
 
-    The norms go into ``out`` and the differences into ``work``, which has
-    the shape of ``cols``, so a caller's buffers serve every call.  The
-    squares are summed axis by axis, as np.linalg.norm(rows, axis=1) sums
-    each row, so the norms have the same bits.
+    ``c`` broadcasts against ``cols``: one point as an (n, 1) column, or one
+    point per column.  The squares are summed axis by axis, ``(dx*dx +
+    dy*dy) (+ dz*dz)``, the order in which np.linalg.norm(rows, axis=1)
+    sums each row.  The sums go into ``out`` and the differences into
+    ``work`` (the shape of ``cols``) when these are given, so a caller's
+    buffers serve every call.
     """
-    np.subtract(cols, c[:, None], out=work)
+    work = np.subtract(cols, c, out=work)
     np.multiply(work, work, out=work)
     total = work[0]
     for a in range(1, len(work)):
-        total = np.add(total, work[a], out=out)
-    return np.sqrt(total, out=out)
+        total = out = np.add(total, work[a], out=out)
+    return total
+
+
+def _column_norms(cols: np.ndarray, c: np.ndarray, out=None, work=None) -> np.ndarray:
+    """Euclidean norms of the columns of ``cols - c``: the square roots of
+    :func:`_squared_norms`, with the bits of np.linalg.norm(rows, axis=1).
+
+    Every norm over cloud points in this module, but the pair distances of
+    :func:`_diameters`, is taken here, on per-axis rows such as
+    ``np.take(points.T, index, axis=1)``, so no (N, n) gather or difference
+    array is built.
+    """
+    return np.sqrt(_squared_norms(cols, c, out, work), out=out)
+
+
+# a squared distance s has a square root that rounds to at most d only if
+# s <= max(d*d * (1 + _SQUARE_SLACK), smallest normal) (see _fps_centers)
+_SQUARE_SLACK = 1e-12
+_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
 
 
 def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
@@ -294,64 +322,82 @@ def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
     serves every threshold.  A new center c at distance ``far`` can only
     lower (or tie) the distance of points within ``far`` of it.  They all
     lie in the slab ``|x_a - c_a| <= far`` along the cloud's widest axis a
-    (the slack absorbs rounding), which is one run of rows of a copy of the
-    cloud sorted along that axis.  Only those rows are updated, with
-    distances of the bits of np.linalg.norm and the ``np.argmax`` tie-break
-    of full-array updates, so the centers are the same.
+    (the slack absorbs rounding), which is one run of rows of a per-axis
+    copy of the cloud sorted along that axis.  Only those rows are updated,
+    with distances of the bits of np.linalg.norm and the ``np.argmax``
+    tie-break of full-array updates, so the centers are the same.
 
-    The distances are kept twice: ``dist`` in cloud order for the argmax,
-    and ``sdist`` in slab order, so a slab compares against a view.  A slab's
-    distances and masks go into work buffers made once per run, and only
-    the rows that a new center wins or ties are written back.
+    A slab's squared distances s go into work buffers made once per run.
+    Each point keeps a bound, in slab order, ``max(d*d * (1 + 1e-12),
+    smallest normal)`` with d its distance, and only rows with s at most
+    their bound take a square root and the exact ``<`` / ``==`` against d.
+    No row that the new center wins or ties is skipped: sqrt is correctly
+    rounded, so ``fl(sqrt(s)) <= d`` gives ``s <= d*d * (1 + 2^-51)``,
+    while ``fl(d*d)`` and its product with ``1 + 1e-12`` each lose at most
+    a factor ``1 - 2^-53``, which leaves the bound above that.  Where d*d
+    falls below the smallest normal these relative bounds fail, but there
+    ``d < 2^-511``, and every s whose root rounds to at most d is below the
+    smallest normal too.  Each candidate's bound is then remade from its
+    own s: for a row the center won or tied, ``fl(sqrt(s))`` is its new d
+    and the same argument holds with s for d*d; for any other candidate
+    ``fl(sqrt(s)) > d``, so every square whose root rounds to at most d is
+    below s.
 
     The updates also carry each point's owner, the position in ``centers``
-    of the first center at its least distance, and whether a later center
+    of the first center at its least distance, and the last center that
     tied that distance.  ``owners[j]`` is the snapshot (owner, tied) at cut
-    j, with ``tied`` the ascending indices of the tied points, or None where
-    ``counts[j]`` is.  The distances are the square roots of a KD-tree's
-    squared distances, so an untied owner is the tree's nearest center and
-    every tie in the tree's distances is among ``tied``.
+    j, with ``tied`` the ascending indices of the points tied after their
+    owner, or None where ``counts[j]`` is.  The distances are the square
+    roots of a KD-tree's squared distances, so an untied owner is the
+    tree's nearest center and every tie in the tree's distances is among
+    ``tied``.
     """
     start = int(np.lexsort(points.T[::-1])[0])  # deterministic start: smallest coordinates
     centers = [start]
     counts, owners = [], []
-    dist = np.linalg.norm(points - points[start], axis=1)
+    dist = _column_norms(points.T, points[start, :, None])
     owner = np.zeros(len(points), dtype=np.intp)
-    tied = np.zeros(len(points), dtype=bool)
+    tied_at = np.full(len(points), -1, dtype=np.intp)  # -1: tied by no center
     axis = int(np.argmax(np.ptp(points, axis=0)))
     by_axis = np.argsort(points[:, axis], kind="stable")
-    cols = points[by_axis].T.copy()  # one contiguous row of coordinates per axis
-    sdist = dist[by_axis]
-    diff, new = np.empty_like(cols), np.empty(len(points))
-    closer, equal = np.empty(len(points), dtype=bool), np.empty(len(points), dtype=bool)
+    cols = np.take(points.T, by_axis, axis=1)  # one contiguous row of coordinates per axis
+    key = cols[axis]
+    bound = np.maximum(np.square(dist[by_axis]) * (1.0 + _SQUARE_SLACK), _SMALLEST_NORMAL)
+    sq, work = np.empty(len(points)), np.empty_like(cols)
+    near = np.empty(len(points), dtype=bool)
     while True:
-        nxt = int(np.argmax(dist))
-        far = dist[nxt]
+        nxt = int(dist.argmax())  # methods, not np.* wrappers: about 1 us less per center
+        far = float(dist[nxt])
         while not far > thresholds[len(counts)]:
             counts.append(len(centers))
-            owners.append((owner.copy(), np.flatnonzero(tied)))
+            owners.append((owner.copy(), np.flatnonzero(tied_at > owner)))
             if len(counts) == len(thresholds):
                 return np.asarray(centers, dtype=np.int64), counts, owners
         if limit is not None and len(centers) >= limit:
             missing = [None] * (len(thresholds) - len(counts))
             return np.asarray(centers, dtype=np.int64), counts + missing, owners + missing
-        c = points[nxt]
+        c = points[nxt, :, None]
         reach = far * (1.0 + 1e-9)
-        lo = np.searchsorted(cols[axis], c[axis] - reach, side="left")
-        hi = np.searchsorted(cols[axis], c[axis] + reach, side="right")
+        # the rows with c_a - reach <= x_a <= c_a + reach
+        ca = float(points[nxt, axis])
+        lo, hi = key.searchsorted((ca - reach, math.nextafter(ca + reach, math.inf))).tolist()
         m = hi - lo
-        d = _column_norms(cols[:, lo:hi], c, new[:m], diff[:, :m])
-        old = sdist[lo:hi]  # a view: writes to it land in sdist
-        won = np.less(d, old, out=closer[:m]).nonzero()[0]
-        tie = np.equal(d, old, out=equal[:m]).nonzero()[0]
-        gain = d[won]
-        old[won] = gain
-        won_pts = by_axis[lo + won]
-        dist[won_pts] = gain
-        owner[won_pts] = len(centers)
-        tied[won_pts] = False
-        if len(tie):
-            tied[by_axis[lo + tie]] = True
+        s = _squared_norms(cols[:, lo:hi], c, sq[:m], work[:, :m])
+        slab_bound = bound[lo:hi]  # a view: writes to it land in bound
+        cand = np.less_equal(s, slab_bound, out=near[:m]).nonzero()[0]
+        s = s[cand]
+        pts = by_axis[lo:hi][cand]
+        d = np.sqrt(s)
+        old = dist[pts]
+        won = d < old
+        gained = pts[won]
+        dist[gained] = d[won]
+        owner[gained] = len(centers)
+        tie = d == old
+        if np.count_nonzero(tie):
+            tied_at[pts[tie]] = len(centers)
+        s *= 1.0 + _SQUARE_SLACK
+        slab_bound[cand] = np.maximum(s, _SMALLEST_NORMAL, out=s)
         centers.append(nxt)
 
 
@@ -484,8 +530,9 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
         centroid[cells] = pts[members].mean(axis=1)
         hm_est[cells] = cloud.weights[members].sum(axis=1)
     cell = np.repeat(np.arange(len(rds)), np.diff(bounds))
-    dist = np.linalg.norm(pts[order] - centroid[cell], axis=1)
-    first = np.lexsort((*pts[order].T[::-1], dist, cell))[bounds[:-1]]
+    cols = np.take(pts.T, order, axis=1)
+    dist = _column_norms(cols, np.take(centroid.T, cell, axis=1))
+    first = np.lexsort((*cols[::-1], dist, cell))[bounds[:-1]]
     return Partition(order, bounds, order[first], rds, hm_est, delta, cloud)
 
 

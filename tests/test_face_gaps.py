@@ -11,6 +11,7 @@ rolled copies of the mask.
 
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.spatial import cKDTree
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from gmtlab.domains import GridDomain, extract_boundary, make_ball  # noqa: E402
+from gmtlab.domains import GridDomain, _face_gaps, extract_boundary, make_ball  # noqa: E402
 from gmtlab.hausdorff import _cloud_nn  # noqa: E402
 
 _SPACINGS = [1 / 16, 0.1, 1 / 3, 0.07]
@@ -136,3 +137,16 @@ def test_cloud_does_not_keep_its_domain_alive():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_gaps_are_built_one_face_block_at_a_time():
+    # temporaries of one (axis, sign) block, not of the whole cloud: on the
+    # covering workload's sphere the peak stays under two copies of the points
+    cloud = extract_boundary(make_ball((0.0, 0.0, 0.0), 1.0, 1 / 64))
+    tracemalloc.start()
+    try:
+        _face_gaps(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cloud.points.nbytes

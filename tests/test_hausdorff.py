@@ -712,7 +712,7 @@ class TestOneGreedyRun:
 def _norms_into_buffers(pts, c):
     """``_column_norms`` of the rows of ``pts`` about c, in buffers holding stale values."""
     out, work = np.full(len(pts), np.nan), np.full(pts.T.shape, -7.0)
-    norms = hausdorff._column_norms(pts.T.copy(), c, out, work)
+    norms = hausdorff._column_norms(pts.T.copy(), c[:, None], out, work)
     assert norms is out
     return norms
 
@@ -730,6 +730,14 @@ class TestColumnNorms:
         pts = fps_clouds[name].points
         for c in pts[:: max(1, len(pts) // 50)]:
             assert np.array_equal(_norms_into_buffers(pts, c), np.linalg.norm(pts - c, axis=1))
+
+    @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
+    def test_one_point_per_column(self, fps_clouds, name):
+        pts = fps_clouds[name].points
+        others = pts[np.random.default_rng(1).permutation(len(pts))]
+        got = hausdorff._column_norms(pts.T, others.T)
+        assert np.array_equal(got, np.linalg.norm(pts - others, axis=1))
+        assert np.array_equal(hausdorff._squared_norms(pts.T, others.T), np.sum((pts - others) ** 2, axis=1))
 
 
 def _cells_from_lists(cells):
