@@ -149,7 +149,7 @@ def from_expression(
     cloud = _domain_cloud(domain, cloud)
     lattice = _centers_grid(domain.origin, domain.shape, domain.spacing)
     values = np.broadcast_to(expr(lattice), domain.shape)
-    trace = np.broadcast_to(expr(cloud.points.T), len(cloud))
+    trace = np.broadcast_to(expr(cloud.coords), len(cloud))
     return GridFunction(domain, values, trace, lipschitz)
 
 
@@ -622,11 +622,12 @@ def restrict_to_domain(u: GridFunction, domain: GridDomain, cloud: BoundaryCloud
 
     from scipy import ndimage  # first use only: the one caller of scipy.ndimage
 
-    def sample(points):
-        coords = (points - u.domain.origin) / h - 0.5
-        return ndimage.map_coordinates(src, coords.T, order=1, mode="constant", cval=0.0)
+    def sample(cols):
+        # per-axis rows of points, as grid coordinates of the source's cell centres
+        coords = (cols - u.domain.origin[:, None]) / h - 0.5
+        return ndimage.map_coordinates(src, coords, order=1, mode="constant", cval=0.0)
 
     values = np.zeros(domain.shape)
-    values[domain.mask] = sample(domain.cell_centers())
-    trace = sample(cloud.points)
+    values[domain.mask] = sample(domain.cell_centers().T)
+    trace = sample(cloud.coords)
     return GridFunction(domain, values, trace)

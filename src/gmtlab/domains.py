@@ -132,6 +132,16 @@ class FaceTable:
 class BoundaryCloud:
     """Sampled boundary: points with per-point (n-1)-measure weights.
 
+    The coordinates are held once, axis by axis: ``coords`` is a read-only
+    C-contiguous (n, N) array, one row per axis, and ``points`` is its
+    transposed (N, n) view, so a pass along one axis of the cloud reads one
+    contiguous row.  The constructor takes ``points`` of shape (N, n), any
+    layout, and copies it; it refuses a shape other than (N, dim) (an empty
+    cloud may be given as any empty array), non-finite coordinates,
+    weights that are not finite and nonnegative or not one per point,
+    ragged or non-numeric input, and a resolution that is not finite and
+    positive.
+
     Clouds produced by :func:`extract_boundary` are given their ``faces``
     table, and every cloud its nearest-neighbour gaps ``nn_gaps`` the first
     time they are read (``hausdorff._cloud_nn``); synthetic clouds have no
@@ -142,23 +152,39 @@ class BoundaryCloud:
     resolution: float
     points: np.ndarray
     weights: np.ndarray
+    coords: np.ndarray = field(init=False, repr=False)
     faces: FaceTable | None = field(default=None, init=False, repr=False)
     nn_gaps: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float).reshape(-1, self.dim).copy()
-        weights = np.asarray(self.weights, dtype=float).reshape(-1).copy()
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
+            raise InvalidArgumentError(f"dimension must be a positive integer, got {self.dim!r}")
+        try:
+            points = np.asarray(self.points, dtype=float)
+            weights = np.asarray(self.weights, dtype=float).reshape(-1).copy()
+        except (TypeError, ValueError) as err:  # ragged or non-numeric input
+            raise InvalidArgumentError(f"points and weights must be numeric arrays: {err}") from None
+        if points.size == 0:
+            points = points.reshape(0, self.dim)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise InvalidArgumentError(f"points must have shape (N, {self.dim}), got {points.shape}")
+        if not np.isfinite(points).all():
+            raise InvalidArgumentError("points must be finite")
         if len(points) != len(weights):
             raise InvalidArgumentError("points and weights must have equal length")
-        if (weights < 0).any():
-            raise InvalidArgumentError("weights must be nonnegative")
-        points.setflags(write=False)
+        if not (np.isfinite(weights) & (weights >= 0)).all():
+            raise InvalidArgumentError("weights must be finite and nonnegative")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise InvalidArgumentError(f"resolution must be finite and positive, got {self.resolution}")
+        coords = np.array(points.T, order="C")
+        coords.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "points", coords.T)
         object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.coords.shape[1]
 
     @property
     def total_weight(self) -> float:
@@ -351,7 +377,7 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
         raise EmptyDomainError("cannot extract the boundary of an empty mask")
     h = domain.spacing
     flat = mask.reshape(-1)
-    blocks, points, start = {}, [], 0
+    blocks, start = {}, 0
     for axis in range(domain.dim):
         stride = int(np.prod(mask.shape[axis + 1:]))
         for sign in (1, -1):
@@ -362,15 +388,20 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
                 cells = np.flatnonzero(flat[:-stride] > flat[stride:])
             else:
                 cells = np.flatnonzero(flat[stride:] > flat[:-stride]) + stride
-            pts = domain.origin + (np.stack(np.unravel_index(cells, mask.shape), axis=1) + 0.5) * h
-            pts[:, axis] += sign * h / 2.0
-            points.append(pts)
             rows = np.arange(start, start + len(cells))
             start += len(cells)
             rows.setflags(write=False)
             cells.setflags(write=False)
             blocks[axis, sign] = (rows, cells)
-    cloud = BoundaryCloud(domain.dim, h, np.concatenate(points), np.full(start, h ** (domain.dim - 1)))
+    # one row per axis: the cell centre origin + (index + 0.5) * h, moved half a cell
+    # along each face's own axis
+    coords = np.empty((domain.dim, start))
+    index = np.unravel_index(np.concatenate([cells for _, cells in blocks.values()]), mask.shape)
+    for row, x, idx in zip(coords, domain.origin, index):
+        row[...] = x + (idx + 0.5) * h
+    for (axis, sign), (rows, _) in blocks.items():
+        coords[axis, rows[0] : rows[-1] + 1] += sign * h / 2.0
+    cloud = BoundaryCloud(domain.dim, h, coords.T, np.full(start, h ** (domain.dim - 1)))
     object.__setattr__(cloud, "faces", FaceTable(mask, domain.origin, blocks))
     object.__setattr__(domain, "_boundary", cloud)
     return cloud
@@ -391,11 +422,13 @@ def _face_gaps(cloud: BoundaryCloud) -> np.ndarray:
     the face (c, b, t) is nearer); along a they are the faces (c, a, -s)
     and (c + 2s e_a, a, -s).  The faces are taken one (axis, sign) block of
     the face table at a time, so a and s are scalars, every temporary is
-    one block in size, and each block writes its own run of rows.  Presence
-    is one mask gather per position over the block.  Each neighbor's
-    coordinates follow :func:`extract_boundary`'s formula from its owning
-    cell, and at most two axes differ, so the squared distances have the
-    bits of a KD-tree's and the gaps are those of its k=2 query.
+    one block in size, and each block writes its own run of rows.  The
+    block's coordinates are read in place, as that run of the cloud's
+    per-axis rows (``coords[a, run]``).  Presence is one mask gather per
+    position over the block.  Each neighbor's coordinates follow
+    :func:`extract_boundary`'s formula from its owning cell, and at most
+    two axes differ, so the squared distances have the bits of a KD-tree's
+    and the gaps are those of its k=2 query.
     """
     faces, n, h = cloud.faces, cloud.dim, cloud.resolution
     present = faces.mask.reshape(-1)
@@ -407,11 +440,10 @@ def _face_gaps(cloud: BoundaryCloud) -> np.ndarray:
         # one block of faces, all with outward direction s e_a, and their cells
         cells = np.unravel_index(flat, shape)
         run = slice(rows[0], rows[-1] + 1)  # the block's rows follow each other
-        pts = cloud.points[run]
         half = s * h / 2.0
         step = s * strides[a]  # flat offset of c + s e_a
         # along a: each face's own coordinate and the neighbors' differences from it
-        own = pts[:, a]
+        own = cloud.coords[a, run]
         ca = cells[a]
         ca2 = ca + 2 * s
         on_grid = (ca2 >= 0) & (ca2 < shape[a])  # c + 2s e_a in the grid
@@ -426,7 +458,7 @@ def _face_gaps(cloud: BoundaryCloud) -> np.ndarray:
         outer *= outer
         for j in range(1, n):
             b = (a + j) % n
-            other = pts[:, b]
+            other = cloud.coords[b, run]
             for t in (1, -1):
                 shift = flat + t * strides[b]
                 side = present[shift]  # c + t e_b interior

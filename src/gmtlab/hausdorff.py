@@ -18,15 +18,19 @@ Coverings and partitions are held as segmented index arrays (cell g owns
 :func:`_cell_rds`, gives every cell's half-diameter, each bit for bit as if
 its cell were computed alone; diameters are taken only over the members
 that the triangle inequality lets end one, all by one broadcast kernel.
+A cloud holds its coordinates axis by axis (``BoundaryCloud.coords``, one
+contiguous row per axis, with ``points`` its transposed view), and the
+kernels here read a cloud through ``points.T``, so each reduction,
+comparison and gather along one axis runs over one contiguous row.
 The greedy-ball coverings of every cascade scale are prefixes of one greedy
-farthest-point order.  Its distance updates read a contiguous slab of a
-per-axis copy of the cloud sorted along its widest axis, form only squared
-distances there, and take a square root and the exact compare only where a
-square can reach the point's kept bound; they also carry each point's
-nearest center, and a KD-tree over the centers settles only exact ties.
-Every Euclidean norm over cloud points is summed axis by axis on per-axis
-rows (:func:`_column_norms`), with the bits of a row-wise norm.  A cloud's
-nearest-neighbor gaps are built the first time they are read
+farthest-point order.  Its distance updates read a contiguous slab of the
+cloud's rows gathered once in order along its widest axis, form only
+squared distances there, and take a square root and the exact compare only
+where a square can reach the point's kept bound; they also carry each
+point's nearest center, and a KD-tree over the centers settles only exact
+ties.  Every Euclidean norm over cloud points is summed axis by axis on
+per-axis rows (:func:`_column_norms`), with the bits of a row-wise norm.
+A cloud's nearest-neighbor gaps are built the first time they are read
 (:func:`_cloud_nn`), from the face table of a cloud from
 :func:`extract_boundary` and from a KD-tree query for any other cloud.  A
 :class:`Partition` keeps the segmented form plus one column entry per cell
@@ -122,7 +126,7 @@ class Partition:
             raise InvalidArgumentError("partition representative is not a member of its cell")
         # each cell lies in its barrier's flat ball B(x_C, 2 rd(C)), by the
         # barrier rule's own distance: truncate's zero trace rests on it
-        coords = self.cloud.points.T
+        coords = self.cloud.coords
         reach = _column_norms(np.take(coords, self.order, axis=1), np.take(coords, x_index[cell], axis=1))
         if not (reach <= 2.0 * self.rd[cell]).all():
             raise InvalidArgumentError("partition member lies beyond 2 rd of its representative")
@@ -268,12 +272,15 @@ def _box_groups(points: np.ndarray, side: float):
 
     Returns (order, bounds): box g holds ``order[bounds[g]:bounds[g + 1]]``;
     boxes come in lexicographic order of their integer coordinates and none
-    is empty.
+    is empty.  The anchor (the least coordinate on each axis), the box
+    indices and their extents are taken along the per-axis rows
+    ``points.T``, which for a cloud's points are its contiguous ``coords``.
     """
-    anchor = points.min(axis=0)
-    idx = np.floor((points - anchor) / side).astype(np.int64)
+    coords = points.T
+    anchor = coords.min(axis=1)
+    idx = np.floor((coords - anchor[:, None]) / side).astype(np.int64)
     # C-order linear keys of the nonnegative box indices sort like the index rows
-    return _group_by_label(np.ravel_multi_index(idx.T, tuple(idx.max(axis=0) + 1)))
+    return _group_by_label(np.ravel_multi_index(idx, tuple(idx.max(axis=1) + 1)))
 
 
 def _squared_norms(cols: np.ndarray, c: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -319,13 +326,18 @@ def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
     every point within ``thresholds[j]``, or ``counts[j]`` is None when that
     takes more than ``limit`` centers.  The greedy choice does not depend on
     where it stops (Gonzalez, Theor. Comput. Sci. 38 (1985)), so one run
-    serves every threshold.  A new center c at distance ``far`` can only
-    lower (or tie) the distance of points within ``far`` of it.  They all
-    lie in the slab ``|x_a - c_a| <= far`` along the cloud's widest axis a
-    (the slack absorbs rounding), which is one run of rows of a per-axis
-    copy of the cloud sorted along that axis.  Only those rows are updated,
-    with distances of the bits of np.linalg.norm and the ``np.argmax``
-    tie-break of full-array updates, so the centers are the same.
+    serves every threshold.  The run starts at the lexicographically
+    smallest point, the lowest index among equal ones (the first index of
+    ``np.lexsort(points.T[::-1])``), found by filtering one axis at a time.
+    Every pass reads the per-axis rows ``points.T``, which for a cloud's
+    points are its contiguous ``coords``.  A new center c at distance
+    ``far`` can only lower (or tie) the distance of points within ``far`` of
+    it.  They all lie in the slab ``|x_a - c_a| <= far`` along the cloud's
+    widest axis a (the slack absorbs rounding), which is one run of columns
+    of the rows gathered once in order along that axis.  Only those
+    columns are updated, with distances of the bits of np.linalg.norm and
+    the ``np.argmax`` tie-break of full-array updates, so the centers are
+    the same.
 
     A slab's squared distances s go into work buffers made once per run.
     Each point keeps a bound, in slab order, ``max(d*d * (1 + 1e-12),
@@ -352,15 +364,21 @@ def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
     tree's nearest center and every tie in the tree's distances is among
     ``tied``.
     """
-    start = int(np.lexsort(points.T[::-1])[0])  # deterministic start: smallest coordinates
+    coords = points.T
+    # deterministic start: the lexicographically smallest point, lowest index among equals
+    first = np.flatnonzero(coords[0] == coords[0].min())
+    for row in coords[1:]:
+        x = row[first]
+        first = first[x == x.min()]
+    start = int(first[0])
     centers = [start]
     counts, owners = [], []
-    dist = _column_norms(points.T, points[start, :, None])
+    dist = _column_norms(coords, coords[:, start, None])
     owner = np.zeros(len(points), dtype=np.intp)
     tied_at = np.full(len(points), -1, dtype=np.intp)  # -1: tied by no center
-    axis = int(np.argmax(np.ptp(points, axis=0)))
-    by_axis = np.argsort(points[:, axis], kind="stable")
-    cols = np.take(points.T, by_axis, axis=1)  # one contiguous row of coordinates per axis
+    axis = int(np.argmax(np.ptp(coords, axis=1)))
+    by_axis = np.argsort(coords[axis], kind="stable")
+    cols = np.take(coords, by_axis, axis=1)  # the rows, in order along the axis
     key = cols[axis]
     bound = np.maximum(np.square(dist[by_axis]) * (1.0 + _SQUARE_SLACK), _SMALLEST_NORMAL)
     sq, work = np.empty(len(points)), np.empty_like(cols)
@@ -376,10 +394,10 @@ def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
         if limit is not None and len(centers) >= limit:
             missing = [None] * (len(thresholds) - len(counts))
             return np.asarray(centers, dtype=np.int64), counts + missing, owners + missing
-        c = points[nxt, :, None]
+        c = coords[:, nxt, None]
         reach = far * (1.0 + 1e-9)
         # the rows with c_a - reach <= x_a <= c_a + reach
-        ca = float(points[nxt, axis])
+        ca = float(coords[axis, nxt])
         lo, hi = key.searchsorted((ca - reach, math.nextafter(ca + reach, math.inf))).tolist()
         m = hi - lo
         s = _squared_norms(cols[:, lo:hi], c, sq[:m], work[:, :m])
@@ -530,7 +548,7 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
         centroid[cells] = pts[members].mean(axis=1)
         hm_est[cells] = cloud.weights[members].sum(axis=1)
     cell = np.repeat(np.arange(len(rds)), np.diff(bounds))
-    cols = np.take(pts.T, order, axis=1)
+    cols = np.take(cloud.coords, order, axis=1)
     dist = _column_norms(cols, np.take(centroid.T, cell, axis=1))
     first = np.lexsort((*cols[::-1], dist, cell))[bounds[:-1]]
     return Partition(order, bounds, order[first], rds, hm_est, delta, cloud)

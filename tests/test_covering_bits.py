@@ -11,6 +11,8 @@ on grid clouds with non-dyadic spacings and origins, on lattice clouds with
 duplicate points and coincident centers, on heavy clusters whose cells have
 L - R much smaller than R, on clouds whose squared distances differ by an
 ulp where their square roots tie, and on clouds whose squares are subnormal.
+Grid clouds are given both as the cloud's own ``points`` (the transposed
+view of its per-axis ``coords``) and as a C-ordered copy.
 """
 
 import numpy as np
@@ -159,7 +161,8 @@ def grid_clouds(draw):
 @settings(max_examples=40)
 @given(cloud=grid_clouds(), k=st.sampled_from([2.0, 4.0, 8.0]), limit=st.sampled_from([None, 5]))
 def test_grid_clouds(cloud, k, limit):
-    _check_cloud(cloud.points, k * cloud.resolution, limit=limit)
+    for points in (cloud.points, np.ascontiguousarray(cloud.points)):
+        _check_cloud(points, k * cloud.resolution, limit=limit)
 
 
 def _lattice(rng, n, dim, levels, dups):
@@ -252,4 +255,5 @@ def test_subnormal_squares():
 ])
 def test_benchmark_clouds(center, h, delta):
     points = extract_boundary(make_ball(center, 1.0, h)).points
-    _check_cloud(points, delta, 2)
+    for pts in (points, np.ascontiguousarray(points)):
+        _check_cloud(pts, delta, 2)

@@ -8,6 +8,7 @@ import pytest
 
 from gmtlab import domains
 from gmtlab.domains import (
+    BoundaryCloud,
     GridDomain,
     _centers_grid,
     _empty_grid,
@@ -116,6 +117,63 @@ class TestExtractBoundary:
         d = GridDomain(0.1, np.zeros(2), mask)
         with pytest.raises(EmptyDomainError):
             extract_boundary(d)
+
+    @pytest.mark.parametrize("build, args", [
+        (make_ball, ((0.013, -0.21), 0.77, 1 / 200)),
+        (make_annulus, ((0.1, -0.2), 1.0, 0.45, 1 / 100)),
+        (make_ball, ((0.1, 0.02, -0.3), 0.6, 1 / 40)),
+        (make_box, ((0.1, 0.0, -0.2), (1.0, 0.5, 0.7), 1 / 32)),
+    ])
+    def test_coordinates_are_held_axis_by_axis(self, build, args):
+        # one C-contiguous read-only row per axis, with the bits (as
+        # integers, so a signed zero counts) of the row-major face-centre
+        # formula, and points its transposed view
+        dom = build(*args)
+        dom = dom.translated([0.37, -1.3, 12.345][:dom.dim])
+        cloud = extract_boundary(dom)
+        coords = cloud.coords
+        assert coords.shape == (dom.dim, len(cloud))
+        assert coords.flags.c_contiguous and not coords.flags.writeable
+        assert np.shares_memory(coords, cloud.points) and cloud.points.shape == (len(cloud), dom.dim)
+        assert not cloud.points.flags.writeable
+        ref = _ref_boundary(dom)[0]
+        assert np.array_equal(coords.T.view(np.int64), ref.view(np.int64))
+
+
+class TestBoundaryCloud:
+    @pytest.mark.parametrize("dim, resolution, points, weights", [
+        pytest.param(2, 0.1, np.zeros((4, 3)), np.ones(6), id="12_numbers_as_six_2d_points"),
+        pytest.param(2, 0.1, [[0.1, 0.2, 0.3]], [1.0], id="3d_point_in_2d"),
+        pytest.param(2, 0.1, [0.1, 0.2], [1.0], id="flat_points"),
+        pytest.param(2, 0.1, [[0.1, 0.2], [0.3]], [1.0, 1.0], id="ragged_points"),
+        pytest.param(2, 0.1, [[0.1, 0.2]], ["a"], id="non_numeric_weight"),
+        pytest.param(2, 0.1, [[0.1, np.nan]], [1.0], id="nan_coordinate"),
+        pytest.param(2, 0.1, [[np.inf, 0.2]], [1.0], id="inf_coordinate"),
+        pytest.param(2, 0.1, [[0.1, 0.2]], [np.nan], id="nan_weight"),
+        pytest.param(2, 0.1, [[0.1, 0.2]], [np.inf], id="inf_weight"),
+        pytest.param(2, 0.1, [[0.1, 0.2]], [-1.0], id="negative_weight"),
+        pytest.param(2, 0.1, [[0.1, 0.2]], [1.0, 1.0], id="extra_weight"),
+        pytest.param(2, 0.0, [[0.1, 0.2]], [1.0], id="zero_resolution"),  # hung the covering cascade
+        pytest.param(2, -0.1, [[0.1, 0.2]], [1.0], id="negative_resolution"),
+        pytest.param(2, np.nan, [[0.1, 0.2]], [1.0], id="nan_resolution"),
+        pytest.param(2, np.inf, [[0.1, 0.2]], [1.0], id="inf_resolution"),
+        pytest.param(0, 0.1, np.zeros((0, 0)), np.zeros(0), id="zero_dimension"),
+    ])
+    def test_malformed_cloud_refused(self, dim, resolution, points, weights):
+        with pytest.raises(InvalidArgumentError):
+            BoundaryCloud(dim, resolution, points, weights)
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), []])
+    def test_empty_cloud_accepted(self, points):
+        cloud = BoundaryCloud(2, 0.1, points, [])
+        assert len(cloud) == 0 and cloud.coords.shape == (2, 0) and cloud.points.shape == (0, 2)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_is_copied(self, order):
+        pts = np.array([[0.1, 0.2], [0.3, 0.4]], order=order)
+        cloud = BoundaryCloud(2, 0.1, pts, [1.0, 1.0])
+        pts[0, 0] = 9.0
+        assert cloud.points[0, 0] == 0.1 and not np.shares_memory(cloud.coords, pts)
 
 
 class TestDilate:

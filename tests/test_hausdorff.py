@@ -119,17 +119,24 @@ def fps_clouds():
     }
 
 
+def _layouts(cloud):
+    """The cloud's points as its own view of the per-axis ``coords`` and as
+    a C-ordered (N, n) copy: the kernels must give the same bits on both."""
+    return cloud.points, np.ascontiguousarray(cloud.points)
+
+
 class TestFpsCenters:
     @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
     @pytest.mark.parametrize("k", [2.0, 8.0, 20.0, 64.0])
     def test_matches_full_update_reference(self, fps_clouds, name, k):
         cloud = fps_clouds[name]
         threshold = k * cloud.resolution
-        expected = _fps_reference(cloud.points, threshold)
-        got, counts, _ = _fps_centers(cloud.points, [threshold])
-        assert counts == [len(expected)]
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
+        expected = _fps_reference(np.ascontiguousarray(cloud.points), threshold)
+        for points in _layouts(cloud):
+            got, counts, _ = _fps_centers(points, [threshold])
+            assert counts == [len(expected)]
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
 
     def test_limit_returns_none(self, fps_clouds):
         cloud = fps_clouds["disk"]
@@ -163,11 +170,12 @@ class TestBoxGroups:
     def test_matches_row_sorted_grouping(self, fps_clouds, name, k):
         cloud = fps_clouds[name]
         side = k * cloud.resolution
-        groups = _segments(*_box_groups(cloud.points, side))
-        ref_groups = _box_groups_reference(cloud.points, side)
-        assert len(groups) == len(ref_groups) > 1
-        for got, ref in zip(groups, ref_groups):
-            np.testing.assert_array_equal(got, ref)
+        ref_groups = _box_groups_reference(np.ascontiguousarray(cloud.points), side)
+        for points in _layouts(cloud):
+            groups = _segments(*_box_groups(points, side))
+            assert len(groups) == len(ref_groups) > 1
+            for got, ref in zip(groups, ref_groups):
+                np.testing.assert_array_equal(got, ref)
 
 
 class TestBallCovering:
