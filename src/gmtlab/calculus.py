@@ -310,8 +310,8 @@ def shell_mass_limit(r, height, n: int):
     return height * n * unit_ball_volume(n) * np.float_power(r, n - 1)
 
 
-# most cells of one barrier window: its temporaries (lattice distances, ramp
-# and stencil arrays) take about 33 bytes per cell, so 2 GiB at this limit
+# most cells of one barrier window: a block's temporaries (distances, ramps, the
+# TV's two arrays, one bool mask) take about 33 bytes per cell, so 2 GiB here
 _MAX_WINDOW_CELLS = 1 << 26
 
 
@@ -332,27 +332,27 @@ def _index_box(domain: GridDomain, center: np.ndarray, radius):
 _BLOCK_POINTS = 1 << 18
 
 
-def _window_blocks(domain: GridDomain, centers: np.ndarray, lo, hi):
-    """Yield (slice of the centres, their window distances) in blocks of bounded size.
+def _barrier_windows(domain: GridDomain, centers: np.ndarray, diams: np.ndarray, s: float, heights: np.ndarray):
+    """Yield (slice of the barriers, lo, hi, dist, ramps) in blocks of bounded size.
 
-    ``centers``, ``lo`` and ``hi`` are (B, n); each block's distances are
-    (b, *width), from each centre to the cell centres with indices in its
-    [lo, hi), with every window padded to the widest one and ``inf`` on the
-    padding (see ``domains._lattice``).
+    ``centers`` is (B, n), ``diams`` and ``heights`` are (B,).  A barrier's
+    window is the unclipped index box [lo, hi) of its shell B(x_C, diam + s
+    + 3h).  A block's ``dist`` (b, *width) holds each centre's distances to
+    its window's cell centres, padded to the widest window with ``inf``
+    (``domains._lattice``), and ``ramps`` their barrier ramps: 0 up to
+    ``diam``, linear up to ``height`` at ``diam + s``, the cap on the padding.
     """
+    lo, hi = _index_box(domain, centers, (diams + s + 3 * domain.spacing).reshape(-1, 1))
     block = max(1, _BLOCK_POINTS // max(1, int(np.prod(np.max(hi - lo, axis=0, initial=0)))))
     per_centre = (-1,) + (1,) * domain.dim
     for start in range(0, len(centers), block):
         b = slice(start, start + block)
-        total = 0
+        dist = 0
         for a, x in enumerate(_lattice(domain.origin, domain.spacing, lo[b], hi[b])):
-            total = total + (x - centers[b, a].reshape(per_centre)) ** 2
-        yield b, np.sqrt(total)
-
-
-def _ramp(dist, diam, s: float, height):
-    """Barrier ramp of a distance: 0 up to ``diam``, linear up to ``height`` at ``diam + s``."""
-    return height * np.clip((dist - diam) / s, 0.0, 1.0)
+            dist = dist + (x - centers[b, a].reshape(per_centre)) ** 2
+        np.sqrt(dist, out=dist)
+        ramps = heights[b].reshape(per_centre) * np.clip((dist - diams[b].reshape(per_centre)) / s, 0.0, 1.0)
+        yield b, lo[b], hi[b], dist, ramps
 
 
 def shell_gradient_discrete(x_c, diam, s: float, height, domain: GridDomain):
@@ -361,18 +361,15 @@ def shell_gradient_discrete(x_c, diam, s: float, height, domain: GridDomain):
     Computed on an unclipped virtual lattice aligned with the domain grid
     (the shell may extend beyond both the domain and its grid box),
     matching the analytic ``shell_mass`` of the same parameters.  Given a
-    stack of B centres (B, n) with B diameters and heights, it evaluates the
-    shells on stacked windows and returns their B masses, each the same as
-    for that shell alone.
+    stack of B centres (B, n) with B diameters and heights, it takes the TV
+    of each block of :func:`_barrier_windows` and returns the B masses,
+    each the same as for that shell alone.
     """
     x_c = np.asarray(x_c, dtype=float)
     centers = x_c.reshape(-1, domain.dim)
-    per_shell = (-1,) + (1,) * domain.dim
-    diams, heights = (np.broadcast_to(np.asarray(v, dtype=float), len(centers)).reshape(per_shell)
-                      for v in (diam, height))
-    lo, hi = _index_box(domain, centers, (diams + s + 3 * domain.spacing).reshape(-1, 1))
-    masses = np.concatenate([_forward_tv(_ramp(dist, diams[b], s, heights[b]), domain.spacing, hi[b] - lo[b])
-                             for b, dist in _window_blocks(domain, centers, lo, hi)])
+    diams, heights = (np.broadcast_to(np.asarray(v, dtype=float), len(centers)) for v in (diam, height))
+    masses = np.concatenate([_forward_tv(ramps, domain.spacing, hi - lo)
+                             for _, lo, hi, _, ramps in _barrier_windows(domain, centers, diams, s, heights)])
     return masses if x_c.ndim == 2 else float(masses[0])
 
 
@@ -397,9 +394,12 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     inside the domain, and vanishes on all cells within one spacing of the
     boundary (discrete vanishing trace).
 
-    All barriers are evaluated in one pass: their windows (clipped to the
-    grid box) are stacked in blocks of bounded size, and the closed shells
-    are folded in with an unbuffered minimum, which is exact in any order.
+    One pass over :func:`_barrier_windows`: each block's shell masses (the
+    bits of :func:`shell_gradient_discrete`) are taken first and kept,
+    read-only, in ``metadata["shell_masses"]``.  Then each window, ``inf``
+    off the closed ball B(x_C, diam + s), is folded into its part of the
+    grid box (never empty: it holds x_C, a cloud point) with a minimum on a
+    slice, which is exact in any order.
 
     The result's trace is zero.  Each trace point lies in its own cell C,
     within 2 * rd(C) of x_C (a :class:`Partition` invariant), where C's
@@ -409,27 +409,26 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     if part.cloud is not u.cloud:
         raise InvalidArgumentError("the partition is not of the function's boundary cloud")
     dom = u.domain
-    mask = dom.mask
     if (u.values < 0).any() or (u.trace < 0).any():
         raise InvalidArgumentError("truncate expects a nonnegative function")
     if not 0 < s < part.delta / 2:
         raise InvalidArgumentError("need 0 < s < delta/2 for the partition's delta")
     centers, diams, heights = _barriers(u, part, eps)
-    reach = diams + s
 
     out = u.values.copy()
-    lo, hi = _index_box(dom, centers, reach[:, None])
-    lo, hi = np.maximum(lo, 0), np.minimum(hi, dom.shape)
-    for b, dist in _window_blocks(dom, centers, lo, hi):
-        inside = dist <= reach[b].reshape((-1,) + (1,) * dom.dim)
-        which, *offsets = np.nonzero(inside)
-        cell = b.start + which
-        flat = np.ravel_multi_index(tuple(lo[cell, a] + offsets[a] for a in range(dom.dim)), dom.shape)
-        np.minimum.at(out.reshape(-1), flat, _ramp(dist[inside], diams[cell], s, heights[cell]))
+    masses = []
+    for b, lo, hi, dist, ramps in _barrier_windows(dom, centers, diams, s, heights):
+        masses.append(_forward_tv(ramps, dom.spacing, hi - lo))
+        ramps[dist > (diams[b] + s).reshape((-1,) + (1,) * dom.dim)] = np.inf
+        for ramp, start, stop, first in zip(ramps, np.maximum(lo, 0), np.minimum(hi, dom.shape), lo):
+            view = out[tuple(map(slice, start, stop))]
+            np.minimum(view, ramp[tuple(map(slice, start - first, stop - first))], out=view)
     # discrete vanishing trace: zero out the collar next to the boundary (the
     # cells within 1.5h of an exterior cell) and the exterior with it
-    out[within_distance(~mask, 1.5 * dom.spacing, dom.spacing)] = 0.0
-    return GridFunction(dom, out, np.zeros(len(u.cloud)))
+    out[within_distance(~dom.mask, 1.5 * dom.spacing, dom.spacing)] = 0.0
+    masses = np.concatenate(masses)
+    masses.setflags(write=False)
+    return GridFunction(dom, out, np.zeros(len(u.cloud)), metadata={"shell_masses": masses})
 
 
 # ---------------------------------------------------------------------------

@@ -446,17 +446,17 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
 
     Builds the boundary partition at scale derived from the declared
     modulus of continuity, forms the barrier truncation with shells of
-    width delta/4, and records both sides of each labeled step.  The final
-    step reuses the exact code path of :func:`check_mazya` in paper-factor
-    mode.
+    width delta/4 (step ``main5`` reads the truncation's own shell masses),
+    and records both sides of each labeled step.  The final step reuses the
+    exact code path of :func:`check_mazya` in paper-factor mode.
 
     Each full grid lives only until its last read, so the replay holds
-    about three float grids beyond ``u`` at its peak: the truncation and
-    its cached stencil are dropped once its TV, q-norm and gradient mass
-    are read, and the interior mask and the restricted u^q once the
-    preliminary estimate is summed; only then is u's own stencil formed
-    (and cached on u).  A side that is not a finite number is a
-    NumericalError.
+    about three float grids beyond ``u`` at its peak in 2D, and about 4.5
+    in 3D: the truncation and its cached stencil are dropped once its TV,
+    q-norm, gradient mass and shell masses are read, and the interior mask
+    and the restricted u^q once the preliminary estimate is summed; only
+    then is u's own stencil formed (and cached on u).  A side that is not a
+    finite number is a NumericalError.
     """
     _own_function(domain, u)
     if (u.values < 0).any() or not (u.trace >= 0).all():  # a nan trace value is refused too
@@ -494,6 +494,7 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
     main6_rhs = iso_constant(n) * calc.total_variation(u_t)
     main6_lhs = calc.lq_norm(u_t, q)
     main4_lhs = calc.grad_l1(u_t)
+    main5_lhs = float(np.sum(u_t.metadata["shell_masses"]))
     del u_t
 
     # u^q on the cells whose eps-ball fits inside the domain (u >= 0, and 0 off the mask)
@@ -502,10 +503,9 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
     prelim_lhs = float(np.sum(restricted) * h ** n) ** (1.0 / q)
     del restricted
 
-    centers, diams, heights = calc._barriers(u, part, eps)
+    _, diams, heights = calc._barriers(u, part, eps)
 
-    # shell masses: discrete on the grid versus the closed formula
-    main5_lhs = float(np.sum(calc.shell_gradient_discrete(centers, diams, s, heights, domain)))
+    # shell masses: discrete on the grid (the truncation's own) versus the closed formula
     main5_rhs = float(np.sum(calc.shell_mass(diams, s, heights, n)))
 
     grad_u = calc.grad_l1(u)

@@ -246,16 +246,27 @@ class TestBarrier:
     def test_window_limit_is_inclusive_and_below_the_grid_limit(self, monkeypatch):
         # a window's temporaries take about 33 bytes per cell, so its limit
         # (2^26 cells, 2 GiB) lies 4x below the grid limit; the box is known
-        # before anything is allocated
+        # before anything is allocated.  truncate refuses at the widest of its
+        # barriers' shell windows, unclipped, as the shell masses do
         assert calc._MAX_WINDOW_CELLS == domains._MAX_GRID_CELLS // 4 == 1 << 26
         dom = make_ball((0.0, 0.0), 0.45, 1 / 64)
-        lo, hi = calc._index_box(dom, np.zeros(2), 0.2 + 0.05 + 3 * dom.spacing)  # the shell's window
-        cells = int(np.prod(hi - lo))
-        monkeypatch.setattr(calc, "_MAX_WINDOW_CELLS", cells)
-        assert shell_gradient_discrete((0.0, 0.0), 0.2, 0.05, 1.0, dom) > 0
-        monkeypatch.setattr(calc, "_MAX_WINDOW_CELLS", cells - 1)
-        with pytest.raises(InvalidArgumentError, match=f"cells exceeds the limit of {cells - 1}$"):
-            shell_gradient_discrete((0.0, 0.0), 0.2, 0.05, 1.0, dom)
+        u = from_expression(dom, "1 + x*x")
+        part = build_partition(u.cloud, 1, 0.1)
+        centers, diams, _ = calc._barriers(u, part, 0.1)
+        inputs = [
+            (np.zeros((1, 2)), np.array([0.2]), 0.05,
+             lambda: shell_gradient_discrete((0.0, 0.0), 0.2, 0.05, 1.0, dom) > 0),
+            (centers, diams, 0.02,
+             lambda: len(truncate(u, part, eps=0.1, s=0.02).metadata["shell_masses"]) == len(part)),
+        ]
+        for x_c, diam, s, run in inputs:
+            lo, hi = calc._index_box(dom, x_c, (diam + s + 3 * dom.spacing)[:, None])  # the shells' windows
+            cells = int(np.prod(np.max(hi - lo, axis=0)))
+            monkeypatch.setattr(calc, "_MAX_WINDOW_CELLS", cells)
+            assert run()
+            monkeypatch.setattr(calc, "_MAX_WINDOW_CELLS", cells - 1)
+            with pytest.raises(InvalidArgumentError, match=f"cells exceeds the limit of {cells - 1}$"):
+                run()
 
 
 class TestTruncate:
@@ -753,6 +764,15 @@ def _ref_truncate(u, part, eps, s):
     return out, trace_out
 
 
+def _assert_shell_masses(out, u, part, eps, s):
+    # read-only, and one dense shell per barrier in the partition's cell order
+    masses = out.metadata["shell_masses"]
+    assert not masses.flags.writeable
+    pts = u.cloud.points
+    assert masses.tolist() == [_ref_shell_gradient(pts[i], 2.0 * rd, s, u.trace[i] + eps, u.domain)
+                               for i, rd in zip(part.x_index.tolist(), part.rd.tolist())]
+
+
 def _ref_trace_maps(u, sign):
     """Per axis, the trace on the faces toward sign * e_axis as a full-grid map,
     and where it is set, from rolled copies of the mask: a face cloud lists its
@@ -853,6 +873,7 @@ class TestBitIdentityWithReferences:
                 ref_values, ref_trace = _ref_truncate(u, part, eps, s)
                 assert np.array_equal(out.values, ref_values)
                 assert np.array_equal(out.trace, ref_trace)
+                _assert_shell_masses(out, u, part, eps, s)
 
     @pytest.mark.parametrize("block_points", [1, 5000])
     def test_truncate_in_many_blocks(self, case, monkeypatch, block_points):
@@ -867,6 +888,7 @@ class TestBitIdentityWithReferences:
         ref_values, ref_trace = _ref_truncate(u, part, 0.05, s_values[-1])
         assert np.array_equal(out.values, ref_values)
         assert np.array_equal(out.trace, ref_trace)
+        _assert_shell_masses(out, u, part, 0.05, s_values[-1])
 
     def test_member_beyond_the_barrier_ball_refused(self):
         # one cell over the whole disk: its farthest member on the edge of

@@ -537,21 +537,24 @@ class TestProofTrace:
         with pytest.raises(NumericalError, match=f"^main4: the {side} is {value!r}, not a finite number$"):
             TraceStep("main4", lhs, rhs, True)
 
-    def test_peak_memory_stays_under_four_grids(self):
+    @pytest.mark.parametrize("dim, h, eps, grids", [(2, 1 / 512, 0.05, 4), (3, 1 / 48, 1.0, 5)],
+                             ids=["disk", "ball3d"])
+    def test_peak_memory_stays_under_four_grids(self, dim, h, eps, grids):
         # the bench proof input; the replay once held the truncation, its
         # stencil, u's stencil and interior_region's float difference array
-        # and cumsum at once: 6.89 float grids above its start, now about 3.1
-        dom = make_ball((0.0, 0.0), 1.0, 1 / 512)  # fresh: nothing cached on it yet
+        # and cumsum at once: 6.89 float grids above its start, now about 3.2.
+        # The unit ball at h=1/48 (a million cells) reads about 4.5 grids
+        dom = make_ball((0.0,) * dim, 1.0, h)  # fresh: nothing cached on it yet
         u = from_expression(dom, "max(0, 1 - r*r)", lipschitz=2.0)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            assert proof_trace(dom, u, eps=0.05).all_hold
+            assert proof_trace(dom, u, eps=eps).all_hold
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start <= 4 * dom.mask.size * 8
+        assert peak - start <= grids * dom.mask.size * 8
 
     def test_shell_width_is_not_an_argument(self, disk_128):
         # the shells are always delta/4 wide; no caller picks their width

@@ -432,6 +432,25 @@ class TestCli:
             ("main3", 1.0233267059936713, 1.1998794520466343, True),
         ]
 
+    def test_trace_numbers_pinned_3d(self, tmp_path, capsys):
+        # the same chain on the h=1/48 unit ball, where the shells' windows
+        # leave the grid box and the blocks hold few windows: every number exact
+        out = tmp_path / "trace.json"
+        dom = write_json(tmp_path / "ball.json",
+                         {"kind": "ball", "params": {"r": 1, "center": [0, 0, 0]}, "h": 1 / 48})
+        fn = write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2.0})
+        assert main(["trace", dom, fn, "--eps", "1.0", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["parameters"]["partition_cells"] == 599
+        assert [(s["label"], s["lhs"], s["rhs"], s["holds"]) for s in data["steps"]] == [
+            ("main4", 5.401624298463177, 458.225736988015, True),
+            ("main5", 465.19033676444207, 451.9264065569491, True),
+            ("main6", 0.9607929170280356, 1.1169667617352534, True),
+            ("prelim_est", 0.0, 68.96383660232816, True),
+            ("hm_sum_estimate", 20.450507420757035, 40.72413458746445, True),
+            ("main3", 1.150287846022429, 1.4985746364995214, True),
+        ]
+
     def test_search_command(self, tmp_path, capsys):
         plot = tmp_path / "q.tsv"
         code = main([
