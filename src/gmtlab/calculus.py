@@ -169,7 +169,7 @@ def indicator_function(domain: GridDomain, cloud: BoundaryCloud | None = None) -
 
 
 def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndarray, faces: dict) -> np.ndarray:
-    """Squared forward-difference gradient magnitude per cell (uncached).
+    """Squared forward-difference gradient magnitude on the cells of ``mask``, in C order (uncached).
 
     Along each axis, cells whose forward neighbour is interior take the
     difference from a shifted slice; cells on a +face difference toward the
@@ -195,7 +195,7 @@ def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndar
         stride = int(np.prod(mask.shape[axis + 1:]))
         np.subtract(flat_vals[stride:], flat_vals[:-stride], out=flat_comp[:-stride])
         flat_comp[:-stride] /= h
-        comp[exterior] = 0.0
+        comp[exterior] = 0.0  # no difference into the exterior reaches a square
         rows, cells = faces[axis, 1]
         flat_comp[cells] = (trace[rows] - flat_vals[cells]) / (h / 2.0)
         if axis == 0:
@@ -205,14 +205,15 @@ def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndar
         rows, cells = faces[axis, -1]
         extra = (flat_vals[cells] - trace[rows]) / (h / 2.0)
         flat_mag2[cells] += extra * extra
-    return mag2
+    del comp, flat_comp  # before the gather: the pass peaks at two float grids
+    return mag2[mask]
 
 
 def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
-    """Squared gradient magnitude per cell (see :func:`_grad_stencil`).
+    """Squared gradient magnitude on the domain's cells (see :func:`_grad_stencil`).
 
     Functions are immutable, so the result is computed once per function and
-    cached on it read-only.
+    cached on it, read-only, with one entry per cell of the domain.
     """
     cached = vars(u).get("_grad_mag2")
     if cached is not None:
@@ -227,16 +228,14 @@ def grad_l1(u: GridFunction) -> float:
     """Integral of the Euclidean gradient magnitude over the domain (cached on u)."""
     cached = vars(u).get("_grad_l1")
     if cached is None:
-        mags = _gradient_mag_squared(u)[u.domain.mask]
-        cached = float(np.sum(np.sqrt(mags, out=mags))) * u.h ** u.domain.dim
+        cached = float(np.sum(np.sqrt(_gradient_mag_squared(u)))) * u.h ** u.domain.dim
         object.__setattr__(u, "_grad_l1", cached)
     return cached
 
 
 def grad_l2_squared(u: GridFunction) -> float:
     """Integral of |grad u|^2 over the domain."""
-    mag2 = _gradient_mag_squared(u)
-    return float(np.sum(mag2[u.domain.mask])) * u.h ** u.domain.dim
+    return float(np.sum(_gradient_mag_squared(u))) * u.h ** u.domain.dim
 
 
 def _lq(values: np.ndarray, mask: np.ndarray, q: float, cell: float) -> float:
@@ -310,8 +309,8 @@ def shell_mass_limit(r, height, n: int):
     return height * n * unit_ball_volume(n) * np.float_power(r, n - 1)
 
 
-# most cells of one barrier window: a block's temporaries (distances, ramps, the
-# TV's two arrays, one bool mask) take about 33 bytes per cell, so 2 GiB here
+# most cells of one barrier window: the one block a consumer holds (distances, ramps,
+# the TV's two arrays, one bool mask) takes about 33 bytes a cell, so 2 GiB here
 _MAX_WINDOW_CELLS = 1 << 26
 
 
@@ -362,15 +361,17 @@ def shell_gradient_discrete(x_c, diam, s: float, height, domain: GridDomain):
     (the shell may extend beyond both the domain and its grid box),
     matching the analytic ``shell_mass`` of the same parameters.  Given a
     stack of B centres (B, n) with B diameters and heights, it takes the TV
-    of each block of :func:`_barrier_windows` and returns the B masses,
-    each the same as for that shell alone.
+    of each block of :func:`_barrier_windows`, one block at a time, and
+    returns the B masses, each the same as for that shell alone.
     """
     x_c = np.asarray(x_c, dtype=float)
     centers = x_c.reshape(-1, domain.dim)
     diams, heights = (np.broadcast_to(np.asarray(v, dtype=float), len(centers)) for v in (diam, height))
-    masses = np.concatenate([_forward_tv(ramps, domain.spacing, hi - lo)
-                             for _, lo, hi, _, ramps in _barrier_windows(domain, centers, diams, s, heights)])
-    return masses if x_c.ndim == 2 else float(masses[0])
+    masses = []
+    for _, lo, hi, dist, ramps in _barrier_windows(domain, centers, diams, s, heights):
+        masses.append(_forward_tv(ramps, domain.spacing, hi - lo))
+        del dist, ramps  # before the next block is built
+    return np.concatenate(masses) if x_c.ndim == 2 else float(masses[0][0])
 
 
 def interior_region(domain: GridDomain, eps: float) -> np.ndarray:
@@ -399,7 +400,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     read-only, in ``metadata["shell_masses"]``.  Then each window, ``inf``
     off the closed ball B(x_C, diam + s), is folded into its part of the
     grid box (never empty: it holds x_C, a cloud point) with a minimum on a
-    slice, which is exact in any order.
+    slice, which is exact in any order.  One block is held at a time.
 
     The result's trace is zero.  Each trace point lies in its own cell C,
     within 2 * rd(C) of x_C (a :class:`Partition` invariant), where C's
@@ -423,6 +424,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
         for ramp, start, stop, first in zip(ramps, np.maximum(lo, 0), np.minimum(hi, dom.shape), lo):
             view = out[tuple(map(slice, start, stop))]
             np.minimum(view, ramp[tuple(map(slice, start - first, stop - first))], out=view)
+        del dist, ramps, ramp  # before the next block is built
     # discrete vanishing trace: zero out the collar next to the boundary (the
     # cells within 1.5h of an exterior cell) and the exterior with it
     out[within_distance(~dom.mask, 1.5 * dom.spacing, dom.spacing)] = 0.0

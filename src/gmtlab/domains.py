@@ -113,10 +113,10 @@ class FaceTable:
     ``mask`` and ``origin`` are those of the domain the cloud was extracted
     from (read-only arrays; the domain itself is not held, since it caches
     its cloud).  ``blocks[axis, sign]`` holds, for the faces with outward
-    direction ``sign * e_axis``, their cloud rows and the flat index in the
-    grid of the interior cell each sits on (read-only arrays, ascending).
-    Every (axis, sign) has a block, and the blocks follow each other in
-    cloud order.
+    direction ``sign * e_axis``, their cloud rows, one contiguous run given
+    as a ``slice``, and the flat index in the grid of the interior cell each
+    sits on (a read-only array, ascending).  Every (axis, sign) has a block,
+    and the blocks follow each other in cloud order.
     """
 
     mask: np.ndarray
@@ -388,11 +388,9 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
                 cells = np.flatnonzero(flat[:-stride] > flat[stride:])
             else:
                 cells = np.flatnonzero(flat[stride:] > flat[:-stride]) + stride
-            rows = np.arange(start, start + len(cells))
-            start += len(cells)
-            rows.setflags(write=False)
             cells.setflags(write=False)
-            blocks[axis, sign] = (rows, cells)
+            blocks[axis, sign] = (slice(start, start + len(cells)), cells)
+            start += len(cells)
     # one row per axis: the cell centre origin + (index + 0.5) * h, moved half a cell
     # along each face's own axis
     coords = np.empty((domain.dim, start))
@@ -400,7 +398,7 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     for row, x, idx in zip(coords, domain.origin, index):
         row[...] = x + (idx + 0.5) * h
     for (axis, sign), (rows, _) in blocks.items():
-        coords[axis, rows[0] : rows[-1] + 1] += sign * h / 2.0
+        coords[axis, rows] += sign * h / 2.0
     cloud = BoundaryCloud(domain.dim, h, coords.T, np.full(start, h ** (domain.dim - 1)))
     object.__setattr__(cloud, "faces", FaceTable(mask, domain.origin, blocks))
     object.__setattr__(domain, "_boundary", cloud)
@@ -423,8 +421,8 @@ def _face_gaps(cloud: BoundaryCloud) -> np.ndarray:
     and (c + 2s e_a, a, -s).  The faces are taken one (axis, sign) block of
     the face table at a time, so a and s are scalars, every temporary is
     one block in size, and each block writes its own run of rows.  The
-    block's coordinates are read in place, as that run of the cloud's
-    per-axis rows (``coords[a, run]``).  Presence is one mask gather per
+    block's coordinates are read in place, as views of the cloud's per-axis
+    rows through the block's slice (``coords[a, rows]``).  Presence is one mask gather per
     position over the block.  Each neighbor's coordinates follow
     :func:`extract_boundary`'s formula from its owning cell, and at most
     two axes differ, so the squared distances have the bits of a KD-tree's
@@ -439,11 +437,10 @@ def _face_gaps(cloud: BoundaryCloud) -> np.ndarray:
     for (a, s), (rows, flat) in faces.blocks.items():
         # one block of faces, all with outward direction s e_a, and their cells
         cells = np.unravel_index(flat, shape)
-        run = slice(rows[0], rows[-1] + 1)  # the block's rows follow each other
         half = s * h / 2.0
         step = s * strides[a]  # flat offset of c + s e_a
         # along a: each face's own coordinate and the neighbors' differences from it
-        own = cloud.coords[a, run]
+        own = cloud.coords[a, rows]
         ca = cells[a]
         ca2 = ca + 2 * s
         on_grid = (ca2 >= 0) & (ca2 < shape[a])  # c + 2s e_a in the grid
@@ -458,7 +455,7 @@ def _face_gaps(cloud: BoundaryCloud) -> np.ndarray:
         outer *= outer
         for j in range(1, n):
             b = (a + j) % n
-            other = cloud.coords[b, run]
+            other = cloud.coords[b, rows]
             for t in (1, -1):
                 shift = flat + t * strides[b]
                 side = present[shift]  # c + t e_b interior
@@ -470,7 +467,7 @@ def _face_gaps(cloud: BoundaryCloud) -> np.ndarray:
                 np.minimum(best, outer + edge * edge, out=best, where=corner)
                 edge = beside - other
                 np.minimum(best, edge * edge, out=best, where=side & ~corner)
-        np.sqrt(best, out=gaps[run])
+        np.sqrt(best, out=gaps[rows])
     return gaps
 
 

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 MAZYA_MODES = ("optimal", "paper_factor")  # check_mazya's boundary factors: 1, or the paper's
+MOLLIFIER_INDICES = (4, 8, 16)  # check_extended_sobolev's chain when no k_list is given
 
 
 def _check_sides(name: str, lhs: float, rhs: float) -> None:
@@ -317,7 +318,7 @@ def check_mazya_l2(domain: GridDomain, u: calc.GridFunction, c1) -> Report:
     absu = calc.abs_value(u)
     mixed = calc._gradient_mag_squared(absu)
     cauchy_lhs = float(
-        np.sum(np.abs(u.values[domain.mask]) * np.sqrt(mixed[domain.mask]))
+        np.sum(np.abs(u.values[domain.mask]) * np.sqrt(mixed))
     ) * domain.spacing ** domain.dim
     cauchy_rhs = calc.lq_norm(u, 2.0) * math.sqrt(grad_sq)
     meta.update(
@@ -370,7 +371,7 @@ def check_brunn_minkowski(a: GridDomain, b: GridDomain) -> Report:
                   holds_tolerance("brunn_minkowski", a.spacing), metadata=meta, flipped=True)
 
 
-def check_extended_sobolev(u: calc.GridFunction, k_list=(4, 8, 16)) -> Report:
+def check_extended_sobolev(u: calc.GridFunction, k_list=MOLLIFIER_INDICES) -> Report:
     """L_q norm against c(n) times total variation, with a mollified chain.
 
     For each mollifier index k the report records that the smoothed function
@@ -610,7 +611,7 @@ def quotient_search(
     trace_owner = np.empty(len(cloud), dtype=np.intp)
     for (a, sign), (rows, cells) in cloud.faces.blocks.items():
         trace_owner[rows] = owner = label.reshape(-1)[cells]
-        src[owner, 2 * a + (sign < 0)] = n_cells + rows
+        src[owner, 2 * a + (sign < 0)] = np.arange(n_cells + rows.start, n_cells + rows.stop)
     # neighbour labels; the grid's false margin keeps a roll from wrapping onto a cell
     fwd_cell, bwd_cell = (np.stack([np.roll(label, -k, axis=a)[mask] for a in range(n)], axis=1)
                           for k in (1, -1))
@@ -637,7 +638,7 @@ def quotient_search(
 
     def full_grad():
         # every cell's gradient magnitude at once: the stencil sums grad_at's terms in its order
-        return np.sqrt(calc._gradient_mag_squared(as_function())[mask]).tolist()
+        return np.sqrt(calc._gradient_mag_squared(as_function())).tolist()
 
     def full_sums():
         arr = np.array(x)

@@ -53,7 +53,7 @@ _CHECKS = {
     "isoperimetric": lambda e, d, u: [ineq.check_isoperimetric(d)],
     "sobolev": lambda e, d, u: [ineq.check_sobolev(u)],
     "sobolev_extended": lambda e, d, u: [
-        ineq.check_extended_sobolev(u, e.parameters.get("k_list", (4, 8, 16)))],
+        ineq.check_extended_sobolev(u, e.parameters.get("k_list", ineq.MOLLIFIER_INDICES))],
     "bv_bound": lambda e, d, u: [ineq.check_bv_bound(d, u)],
     "brunn_minkowski": lambda e, d, u: [ineq.check_brunn_minkowski(
         d, domain_from_spec(e.parameters.get("domain_b", e.domain_spec)))],

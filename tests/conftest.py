@@ -1,4 +1,5 @@
-"""Shared fixtures: synthetic boundary clouds and standard test domains.
+"""Shared fixtures: synthetic boundary clouds, standard test domains and the
+reference face table of a domain (from rolled copies of its mask).
 
 Every property test runs the same fixed examples on every run: one
 ``hypothesis`` profile, loaded here, derandomizes them, keeps no example
@@ -6,6 +7,7 @@ database and sets no deadline.  Tests set only ``max_examples`` (and health
 checks) themselves.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -53,6 +55,30 @@ def segment_cloud(length=1.0, spacing=1 / 512):
     pts = np.stack([x, np.zeros(n)], axis=1)
     return BoundaryCloud(dim=2, resolution=spacing, points=pts,
                          weights=np.full(n, length / n))
+
+
+def ref_face_table(domain):
+    """Per (axis, sign), in cloud order: the rows of those faces and the flat
+    indices of their cells (integer arrays), from rolled copies of the mask."""
+    table, start = {}, 0
+    for axis, sign in itertools.product(range(domain.dim), (1, -1)):
+        flat = np.flatnonzero(domain.mask & ~np.roll(domain.mask, -sign, axis=axis))
+        table[axis, sign] = (np.arange(start, start + len(flat)), flat)
+        start += len(flat)
+    return table
+
+
+def assert_face_table(cloud, domain):
+    """``cloud.faces.blocks`` against :func:`ref_face_table`: each block's rows
+    a slice over the reference's rows, its cells bit for bit and read-only."""
+    ref = ref_face_table(domain)
+    assert list(cloud.faces.blocks) == list(ref)
+    for key, (rows, cells) in cloud.faces.blocks.items():
+        ref_rows, ref_cells = ref[key]
+        assert isinstance(rows, slice) and np.array_equal(np.arange(rows.start, rows.stop), ref_rows)
+        assert cells.dtype == ref_cells.dtype and np.array_equal(cells, ref_cells)
+        assert not cells.flags.writeable
+    assert sum(len(rows) for rows, _ in ref.values()) == len(cloud)
 
 
 def shoelace_area(vertices):

@@ -1,6 +1,8 @@
 """Discrete gradients, norms, barriers, truncation, TV, mollification."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +63,14 @@ class TestGradL1:
         # closed form: |grad(x + 2y)| = sqrt(5) on the unit square
         u = from_expression(square_128, "x + 2*y")
         assert grad_l1(u) == pytest.approx(math.sqrt(5.0), rel=0.02)
+
+    def test_huge_constant_has_zero_gradient_without_warning(self, disk_128):
+        # the stencil zeroes the differences on exterior cells before it squares
+        # them, so the 1e160 steps into the zero exterior never overflow
+        u = constant_function(disk_128, 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grad_l1(u) == 0.0 and grad_l2_squared(u) == 0.0
 
 
 class TestLqNorm:
@@ -267,6 +277,35 @@ class TestBarrier:
             monkeypatch.setattr(calc, "_MAX_WINDOW_CELLS", cells - 1)
             with pytest.raises(InvalidArgumentError, match=f"cells exceeds the limit of {cells - 1}$"):
                 run()
+
+    @pytest.mark.parametrize("consumer", ["shell_gradient_discrete", "truncate"])
+    def test_one_block_held_at_a_time(self, monkeypatch, consumer):
+        # two 3D windows of about 0.9M cells, one block each, over a grid of
+        # 8,000 cells: each block is dropped before the next is built, so the
+        # peak is one block's temporaries, the 33 bytes a cell that
+        # _MAX_WINDOW_CELLS is sized by (40 while two blocks were held)
+        dom = make_ball((0.0, 0.0, 0.0), 0.25, 1 / 32)
+        u = from_expression(dom, "1 + x")
+        n = len(u.cloud)
+        # two cells of the cloud's halves, each within 2 rd = 0.8 of its first member
+        part = Partition(np.arange(n), np.array([0, n // 2, n]), np.array([0, n // 2]),
+                         np.full(2, 0.4), np.zeros(2), 1.5, u.cloud)
+        s = 0.6
+        centers, diams, heights = calc._barriers(u, part, 0.1)
+        lo, hi = calc._index_box(dom, centers, (diams + s + 3 * dom.spacing)[:, None])
+        cells = int(np.max(np.prod(hi - lo, axis=1)))
+        assert cells > 100 * dom.mask.size
+        monkeypatch.setattr(calc, "_BLOCK_POINTS", 1)  # one window per block
+        run = {"shell_gradient_discrete": lambda: shell_gradient_discrete(centers, diams, s, heights, dom),
+               "truncate": lambda: truncate(u, part, eps=0.1, s=s)}[consumer]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 33 * cells
 
 
 class TestTruncate:
@@ -830,7 +869,8 @@ _GRADIENT_DOMAINS = {
 
 
 class TestGradientBitIdentity:
-    """The face-table stencil reproduces the full-grid trace-map stencil bit for bit."""
+    """The face-table stencil reproduces the full-grid trace-map stencil bit for
+    bit on the domain's cells, in the C order of ``values[mask]``."""
 
     @pytest.mark.parametrize("name", sorted(_GRADIENT_DOMAINS))
     def test_matches_reference(self, name):
@@ -842,7 +882,7 @@ class TestGradientBitIdentity:
         signed = (from_expression(dom, expr, cloud), random_function(dom, cloud, np.random.default_rng(3)))
         assert all((fn.values < 0).any() and (fn.trace != 0).any() for fn in signed)
         for fn in signed + (indicator_function(dom, cloud),):
-            assert np.array_equal(calc._gradient_mag_squared(fn), _ref_gradient_mag_squared(fn))
+            assert np.array_equal(calc._gradient_mag_squared(fn), _ref_gradient_mag_squared(fn)[dom.mask])
 
 
 # (domain, nonnegative function, partition delta, s values)
@@ -970,7 +1010,7 @@ class TestBitIdentityWithReferences:
         # the trace proof's second gradient: a zero collar under a capped trace
         dom, u, part, s_values = case
         out = truncate(u, part, eps=0.05, s=s_values[-1])
-        assert np.array_equal(calc._gradient_mag_squared(out), _ref_gradient_mag_squared(out))
+        assert np.array_equal(calc._gradient_mag_squared(out), _ref_gradient_mag_squared(out)[dom.mask])
 
 
 @pytest.mark.parametrize("shapes", [

@@ -24,7 +24,7 @@ from gmtlab.domains import (
 from gmtlab.errors import EmptyDomainError, InvalidArgumentError, SpecError
 from gmtlab.expressions import Expression
 
-from conftest import shoelace_area
+from conftest import assert_face_table, ref_face_table, shoelace_area
 
 
 class TestMakeBall:
@@ -136,7 +136,7 @@ class TestExtractBoundary:
         assert coords.flags.c_contiguous and not coords.flags.writeable
         assert np.shares_memory(coords, cloud.points) and cloud.points.shape == (len(cloud), dom.dim)
         assert not cloud.points.flags.writeable
-        ref = _ref_boundary(dom)[0]
+        ref = _ref_points(dom)
         assert np.array_equal(coords.T.view(np.int64), ref.view(np.int64))
 
 
@@ -345,21 +345,15 @@ def _ref_annulus(center, r_outer, r_inner, h):
     return origin, (dist2 < r_outer ** 2) & (dist2 >= r_inner ** 2)
 
 
-def _ref_boundary(domain):
-    """(points, {(axis, sign): (rows, flat cell indices)}) from rolled copies of the mask."""
+def _ref_points(domain):
+    """The face centres, in cloud order, from the face table of rolled masks."""
     h = domain.spacing
-    points, blocks, start = [], {}, 0
-    for axis in range(domain.dim):
-        for sign in (1, -1):
-            faces = domain.mask & ~np.roll(domain.mask, -sign, axis=axis)
-            idx = np.argwhere(faces)
-            pts = domain.origin + (idx + 0.5) * h
-            pts[:, axis] += sign * h / 2.0
-            points.append(pts)
-            blocks[axis, sign] = (np.arange(start, start + len(idx)),
-                                  np.ravel_multi_index(tuple(idx.T), domain.shape))
-            start += len(idx)
-    return np.concatenate(points), blocks
+    points = []
+    for (axis, sign), (_, flat) in ref_face_table(domain).items():
+        pts = domain.origin + (np.column_stack(np.unravel_index(flat, domain.shape)) + 0.5) * h
+        pts[:, axis] += sign * h / 2.0
+        points.append(pts)
+    return np.concatenate(points)
 
 
 # name -> (builder, its reference, arguments)
@@ -440,12 +434,8 @@ class TestBitIdentityWithReferences:
     def test_boundary_cloud(self, name):
         dom = _CLOUD_CASES[name]()
         cloud = extract_boundary(dom)
-        points, blocks = _ref_boundary(dom)
-        assert _same(cloud.points, points)
-        assert list(cloud.faces.blocks) == list(blocks)
-        for key, arrays in cloud.faces.blocks.items():
-            for got, want in zip(arrays, blocks[key]):
-                assert _same(got, want) and not got.flags.writeable
+        assert _same(cloud.points, _ref_points(dom))
+        assert_face_table(cloud, dom)
         assert cloud.faces.mask is dom.mask and cloud.faces.origin is dom.origin
 
 

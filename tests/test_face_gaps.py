@@ -10,7 +10,6 @@ rolled copies of the mask.
 """
 
 import gc
-import itertools
 import tracemalloc
 import weakref
 
@@ -24,6 +23,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gmtlab.domains import GridDomain, _face_gaps, extract_boundary, make_ball  # noqa: E402
 from gmtlab.hausdorff import _cloud_nn  # noqa: E402
 
+from conftest import assert_face_table  # noqa: E402
+
 _SPACINGS = [1 / 16, 0.1, 1 / 3, 0.07]
 _ORIGINS = [0.0, 0.37, -1.3, 12.345]
 
@@ -32,27 +33,10 @@ def _tree_gaps(cloud):
     return cKDTree(cloud.points).query(cloud.points, k=2)[0][:, 1]
 
 
-def _ref_face_table(dom):
-    """Per (axis, sign), in cloud order: the rows of those faces and the flat
-    indices of their cells, from rolled copies of the mask."""
-    table, start = {}, 0
-    for axis, sign in itertools.product(range(dom.dim), (1, -1)):
-        flat = np.flatnonzero(dom.mask & ~np.roll(dom.mask, -sign, axis=axis))
-        table[axis, sign] = (np.arange(start, start + len(flat)), flat)
-        start += len(flat)
-    return table
-
-
 def _check_face_table(dom):
     cloud = extract_boundary(dom)
     assert cloud.faces.shape == dom.shape and cloud.faces.mask is dom.mask
-    ref = _ref_face_table(dom)
-    assert list(cloud.faces.blocks) == list(ref)
-    for key, arrays in cloud.faces.blocks.items():
-        for got, want in zip(arrays, ref[key]):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert not got.flags.writeable
-    assert sum(len(rows) for rows, _ in ref.values()) == len(cloud)
+    assert_face_table(cloud, dom)
 
 
 def _lattice_gaps(cloud):

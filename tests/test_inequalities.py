@@ -778,5 +778,7 @@ class TestComputedOnce:
         u = from_expression(dom, "x*x")
         mag2 = calc._gradient_mag_squared(u)
         assert calc._gradient_mag_squared(u) is mag2
+        # one entry per domain cell: no exterior cell is held
+        assert mag2.shape == (np.count_nonzero(dom.mask),)
         with pytest.raises(ValueError):
-            mag2[0, 0] = 1.0
+            mag2[0] = 1.0

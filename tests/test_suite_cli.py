@@ -125,6 +125,16 @@ class TestRunSuite:
         assert len(manifest.entries[0]["reports"]) == 1
         assert manifest.entries[0]["reports"][0]["holds"] is True
 
+    def test_entry_without_k_list_reports_the_default_chain(self):
+        # the suite reads check_extended_sobolev's own default
+        entry = {"domain": {"kind": "ball", "params": {"r": 1}, "h": 1 / 64},
+                 "function": "indicator", "checks": ["sobolev_extended"]}
+        manifest = run_suite(parse_suite_dict({"name": "chain", "entries": [entry]}))
+        (report,) = manifest.entries[0]["reports"]
+        chain = report["metadata"]["mollified_chain"]
+        assert [link["k"] for link in chain] == [4, 8, 16] == list(ineq.MOLLIFIER_INDICES)
+        assert all("lq" in link for link in chain)
+
     def test_swap_test_fails(self):
         suite = {
             "name": "negative",
