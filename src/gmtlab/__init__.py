@@ -59,4 +59,4 @@ from .inequalities import (  # noqa: F401
     proof_trace,
     quotient_search,
 )
-from .suite import RunManifest, SuiteSpec, emit, parse_suite, run_suite  # noqa: F401
+from .suite import emit, parse_suite, run_suite  # noqa: F401

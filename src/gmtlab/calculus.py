@@ -277,6 +277,11 @@ def pointwise_min(u: GridFunction, v: GridFunction) -> GridFunction:
     return GridFunction(u.domain, np.minimum(u.values, v.values), np.minimum(u.trace, v.trace))
 
 
+def _nonnegative(u: GridFunction) -> bool:
+    """No value is negative and every trace value is >= 0, so a nan trace value fails."""
+    return not (u.values < 0).any() and bool((u.trace >= 0).all())
+
+
 def abs_value(u: GridFunction) -> GridFunction:
     """|u|; a function with no negative value or trace is returned as it is."""
     if not ((u.values < 0).any() or (u.trace < 0).any()):
@@ -410,7 +415,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     if part.cloud is not u.cloud:
         raise InvalidArgumentError("the partition is not of the function's boundary cloud")
     dom = u.domain
-    if (u.values < 0).any() or (u.trace < 0).any():
+    if not _nonnegative(u):
         raise InvalidArgumentError("truncate expects a nonnegative function")
     if not 0 < s < part.delta / 2:
         raise InvalidArgumentError("need 0 < s < delta/2 for the partition's delta")

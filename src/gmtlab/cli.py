@@ -70,17 +70,15 @@ def write_series(series, path) -> None:
 
 
 def cmd_verify(args) -> int:
-    spec = parse_suite(args.suite)
-    manifest = run_suite(spec, input_hash=hash_file(args.suite))
+    manifest = run_suite(parse_suite(args.suite), input_hash=hash_file(args.suite))
     if args.out:
         fmt = "csv" if args.out.endswith(".csv") else "json"
         emit(manifest, fmt, args.out)
-    n_reports = sum(len(e["reports"]) for e in manifest.entries)
-    n_failed = sum(
-        1 for e in manifest.entries for r in e["reports"] if not r["holds"]
-    )
-    n_errors = sum(1 for e in manifest.entries if e["error"])
-    for e in manifest.entries:
+    entries = manifest["entries"]
+    n_reports = sum(len(e["reports"]) for e in entries)
+    n_failed = sum(1 for e in entries for r in e["reports"] if not r["holds"])
+    n_errors = sum(1 for e in entries if e["error"])
+    for e in entries:
         for r in e["reports"]:
             status = "ok" if r["holds"] else "VIOLATED"
             print(
@@ -90,12 +88,12 @@ def cmd_verify(args) -> int:
         if e["error"]:
             print(f"[ERROR] entry {e['index']} ({e['domain']}): {e['error']}")
     print(
-        f"suite '{spec.name}': {n_reports} checks, {n_failed} violations, "
-        f"{n_errors} errors -> {'PASS' if manifest.passed else 'FAIL'}"
+        f"suite '{manifest['suite']}': {n_reports} checks, {n_failed} violations, "
+        f"{n_errors} errors -> {'PASS' if manifest['pass'] else 'FAIL'}"
     )
-    if not spec.entries:
+    if not entries:
         print("warning: suite has no entries")
-    return 0 if manifest.passed else 1
+    return 0 if manifest["pass"] else 1
 
 
 def cmd_estimate_hm(args) -> int:

@@ -460,7 +460,7 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
     finite number is a NumericalError.
     """
     _own_function(domain, u)
-    if (u.values < 0).any() or not (u.trace >= 0).all():  # a nan trace value is refused too
+    if not calc._nonnegative(u):
         raise InvalidArgumentError("proof trace expects a nonnegative function")
     if u.lipschitz is None:
         raise NoModulusError("proof trace needs a declared modulus of continuity")
@@ -580,7 +580,7 @@ def quotient_search(
     if u0.domain is not domain:
         raise InvalidArgumentError("quotient search needs a start function on the searched domain")
     mask = domain.mask
-    if (u0.values < 0).any() or not (u0.trace >= 0).all():  # a nan trace value is refused too
+    if not calc._nonnegative(u0):
         raise InvalidArgumentError("quotient search expects a nonnegative start")
     if not (u0.values.any() or u0.trace.any()):
         raise DegenerateStartError("all-zero start function")

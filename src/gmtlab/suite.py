@@ -1,15 +1,17 @@
-"""Suite specifications, suite execution, and report emission.
+"""Suite parsing, suite execution, and report emission.
 
-Suites are strict JSON: unknown keys anywhere in the file are rejected so a
-misspelled tolerance or parameter can never silently change a verdict.
+A suite and the manifest of its run are plain JSON data, held as the dicts
+they are read from and written to.  Suites are strict JSON: unknown keys
+anywhere in the file are rejected so a misspelled tolerance or parameter
+can never silently change a verdict.
 """
 
 from __future__ import annotations
 
+import copy
 import datetime as _dt
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from . import inequalities as ineq
 from .domains import describe_spec, domain_from_spec, is_json_number, load_json
 from .errors import GmtLabError, SpecError
 
-__all__ = ["SuiteSpec", "SuiteEntry", "RunManifest", "parse_suite", "run_suite", "emit"]
+__all__ = ["parse_suite", "run_suite", "emit"]
 
 _ENTRY_KEYS = {"domain", "function", "checks", "modes", "parameters"}
 # parameter -> (the JSON shape its value must have, the test of that shape)
@@ -48,65 +50,19 @@ def _swap_test(domain):
 # look ``ineq.check_*`` up at call time so wrappers installed on the module
 # see every call
 _CHECKS = {
-    "mazya": lambda e, d, u: [ineq.check_mazya(d, u, mode=m) for m in e.modes],
-    "mazya_l2": lambda e, d, u: [ineq.check_mazya_l2(d, u, e.parameters.get("c1", "auto"))],
+    "mazya": lambda e, d, u: [ineq.check_mazya(d, u, mode=m) for m in e["modes"]],
+    "mazya_l2": lambda e, d, u: [ineq.check_mazya_l2(d, u, e["parameters"].get("c1", "auto"))],
     "isoperimetric": lambda e, d, u: [ineq.check_isoperimetric(d)],
     "sobolev": lambda e, d, u: [ineq.check_sobolev(u)],
     "sobolev_extended": lambda e, d, u: [
-        ineq.check_extended_sobolev(u, e.parameters.get("k_list", ineq.MOLLIFIER_INDICES))],
+        ineq.check_extended_sobolev(u, e["parameters"].get("k_list", ineq.MOLLIFIER_INDICES))],
     "bv_bound": lambda e, d, u: [ineq.check_bv_bound(d, u)],
     "brunn_minkowski": lambda e, d, u: [ineq.check_brunn_minkowski(
-        d, domain_from_spec(e.parameters.get("domain_b", e.domain_spec)))],
-    "perimeter_iso": lambda e, d, u: [ineq.check_perimeter_iso(d, e.parameters.get("eps_list"))],
+        d, domain_from_spec(e["parameters"].get("domain_b", e["domain"])))],
+    "perimeter_iso": lambda e, d, u: [ineq.check_perimeter_iso(d, e["parameters"].get("eps_list"))],
     "swap_test": lambda e, d, u: [_swap_test(d)],
 }
 KNOWN_CHECKS = set(_CHECKS)
-
-
-@dataclass
-class SuiteEntry:
-    domain_spec: dict
-    function_spec: dict | str
-    checks: list
-    modes: list
-    parameters: dict
-
-    @property
-    def domain_label(self) -> str:
-        return describe_spec(self.domain_spec)
-
-    @property
-    def function_label(self) -> str:
-        if isinstance(self.function_spec, str):
-            return self.function_spec
-        return self.function_spec["expr"]
-
-
-@dataclass
-class SuiteSpec:
-    name: str
-    entries: list
-
-
-@dataclass
-class RunManifest:
-    version: str
-    timestamp: str
-    input_hash: str
-    suite_name: str
-    entries: list  # {"index", "domain", "function", "error", "reports": [...]}
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": "gmtlab",
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "input_hash": self.input_hash,
-            "suite": self.suite_name,
-            "pass": self.passed,
-            "entries": self.entries,
-        }
 
 
 def parse_function_spec(fn) -> dict | str:
@@ -137,7 +93,14 @@ def build_function(spec: dict | str, domain):
                                 lipschitz=None if lips is None else float(lips))
 
 
-def parse_suite_dict(data: dict) -> SuiteSpec:
+def parse_suite_dict(data: dict) -> dict:
+    """The checked suite in its normal form, else a SpecError.
+
+    The result is ``{"name": str, "entries": [...]}``, and every entry has
+    exactly the keys ``domain``, ``function``, ``checks``, ``modes`` and
+    ``parameters``, the defaults filled in (both Maz'ya modes, no
+    parameters).  Parsing a normal form again gives an equal dict.
+    """
     if not isinstance(data, dict):
         raise SpecError("suite must be a JSON object")
     unknown = set(data) - _SUITE_KEYS
@@ -180,86 +143,69 @@ def parse_suite_dict(data: dict) -> SuiteSpec:
         # only the domain's shape: its spec is checked when the entry runs
         if not isinstance(raw["domain"], dict):
             raise SpecError(f"entry {pos}: 'domain' must be an object")
-        entries.append(
-            SuiteEntry(
-                domain_spec=raw["domain"],
-                function_spec=parse_function_spec(raw["function"]),
-                checks=list(checks),
-                modes=list(modes),
-                parameters=dict(parameters),
-            )
-        )
-    return SuiteSpec(name=name, entries=entries)
+        entries.append({
+            "domain": raw["domain"],
+            "function": parse_function_spec(raw["function"]),
+            "checks": list(checks),
+            "modes": list(modes),
+            "parameters": dict(parameters),
+        })
+    return {"name": name, "entries": entries}
 
 
-def parse_suite(path) -> SuiteSpec:
+def parse_suite(path) -> dict:
     return parse_suite_dict(load_json(path))
 
 
-def suite_to_dict(spec: SuiteSpec) -> dict:
-    return {
-        "name": spec.name,
-        "entries": [
-            {
-                "domain": e.domain_spec,
-                "function": e.function_spec,
-                "checks": e.checks,
-                "modes": e.modes,
-                "parameters": e.parameters,
-            }
-            for e in spec.entries
-        ],
-    }
+def suite_to_dict(spec: dict) -> dict:
+    """A copy of a parsed suite that shares no object with it."""
+    return copy.deepcopy(spec)
 
 
-def _run_entry(entry: SuiteEntry) -> list:
-    domain = domain_from_spec(entry.domain_spec)
-    u = build_function(entry.function_spec, domain)
-    # a sum that overflows leaves inf or nan, which the Report refuses as an
-    # entry error; numpy's warning about it would only repeat that
-    with np.errstate(over="ignore", invalid="ignore"):
-        reports = [rep for cid in entry.checks for rep in _CHECKS[cid](entry, domain, u)]
-    for rep in reports:
-        rep.metadata["domain"] = entry.domain_label
-        rep.metadata["function"] = entry.function_label
-    return reports
+def run_suite(spec: dict, input_hash: str = "") -> dict:
+    """Run the entries of a parsed suite in order; the manifest that :func:`emit` writes.
 
-
-def run_suite(spec: SuiteSpec, input_hash: str = "") -> RunManifest:
-    """Execute all entries sequentially and collect reports.
-
-    Per-entry errors are recorded without aborting the suite; the manifest
-    passes only when every report holds and no entry errored.
+    The manifest is ``{"tool", "version", "timestamp", "input_hash",
+    "suite", "pass", "entries"}`` with one record ``{"index", "domain",
+    "function", "error", "reports"}`` per entry; each label is made once,
+    and every report's metadata repeats it.  Per-entry errors are recorded
+    without aborting the suite; the manifest passes only when every report
+    holds and no entry errored.
     """
-    entries_out = []
-    all_hold = True
-    for idx, entry in enumerate(spec.entries):
+    records = []
+    for idx, entry in enumerate(spec["entries"]):
+        fn = entry["function"]
         record = {
             "index": idx,
             "domain": "?",  # kept if the domain spec is too malformed to describe
-            "function": entry.function_label,
+            "function": fn if isinstance(fn, str) else fn["expr"],
             "error": None,
             "reports": [],
         }
         try:
-            record["domain"] = entry.domain_label
-            reports = _run_entry(entry)
-            record["reports"] = [r.to_dict() for r in reports]
-            if not all(r.holds for r in reports):
-                all_hold = False
+            record["domain"] = describe_spec(entry["domain"])
+            domain = domain_from_spec(entry["domain"])
+            u = build_function(fn, domain)
+            # a sum that overflows leaves inf or nan, which the Report refuses as an
+            # entry error; numpy's warning about it would only repeat that
+            with np.errstate(over="ignore", invalid="ignore"):
+                reports = [rep for cid in entry["checks"] for rep in _CHECKS[cid](entry, domain, u)]
+            for rep in reports:
+                rep.metadata["domain"] = record["domain"]
+                rep.metadata["function"] = record["function"]
+            record["reports"] = [rep.to_dict() for rep in reports]
         except (GmtLabError, ValueError) as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
-            all_hold = False
-        entries_out.append(record)
-    timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    return RunManifest(
-        version=__version__,
-        timestamp=timestamp,
-        input_hash=input_hash,
-        suite_name=spec.name,
-        entries=entries_out,
-        passed=all_hold,
-    )
+        records.append(record)
+    return {
+        "tool": "gmtlab",
+        "version": __version__,
+        "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        "input_hash": input_hash,
+        "suite": spec["name"],
+        "pass": all(r["error"] is None and all(rep["holds"] for rep in r["reports"]) for r in records),
+        "entries": records,
+    }
 
 
 def hash_file(path) -> str:
@@ -275,30 +221,25 @@ def hash_file(path) -> str:
 CSV_HEADER = "inequality_id,domain,function,h,lhs,rhs,ratio,holds"
 
 
-def _csv_body(manifest: RunManifest) -> list:
+def _quoted(text: str) -> str:
+    """A CSV field in double quotes, each quote inside it doubled (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _csv_body(manifest: dict) -> list:
     rows = [CSV_HEADER]
-    for entry in manifest.entries:
+    for entry in manifest["entries"]:
+        labels = f'{_quoted(entry["domain"])},{_quoted(entry["function"])}'
         for rep in entry["reports"]:
-            rows.append(
-                ",".join(
-                    [
-                        rep["inequality_id"],
-                        '"' + entry["domain"] + '"',
-                        '"' + entry["function"] + '"',
-                        repr(rep["metadata"].get("h", "")),
-                        repr(rep["lhs"]),
-                        repr(rep["rhs"]),
-                        repr(rep["ratio"]),
-                        str(bool(rep["holds"])).lower(),
-                    ]
-                )
-            )
+            numbers = (rep["metadata"].get("h", ""), rep["lhs"], rep["rhs"], rep["ratio"])
+            rows.append(",".join([rep["inequality_id"], labels, *map(repr, numbers),
+                                  str(bool(rep["holds"])).lower()]))
         if entry["error"]:
-            rows.append(f'error,"{entry["domain"]}","{entry["function"]}",,,,,error')
+            rows.append(f"error,{labels},,,,,error")
     return rows
 
 
-def emit(manifest: RunManifest, fmt: str, path) -> None:
+def emit(manifest: dict, fmt: str, path) -> None:
     """Write a manifest as json or csv.
 
     Output bytes depend only on the manifest content; the timestamp is
@@ -307,11 +248,11 @@ def emit(manifest: RunManifest, fmt: str, path) -> None:
     path = str(path)
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest.to_dict(), fh, indent=2)
+            json.dump(manifest, fh, indent=2)
             fh.write("\n")
         return
     if fmt == "csv":
-        lines = [f"# gmtlab {manifest.version} run {manifest.timestamp}"]
+        lines = [f"# gmtlab {manifest['version']} run {manifest['timestamp']}"]
         lines.extend(_csv_body(manifest))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -356,6 +356,19 @@ class TestTruncate:
         with pytest.raises(InvalidArgumentError):
             truncate(u, part, eps=0.1, s=part.delta)
 
+    @pytest.mark.parametrize("at_representative", [True, False])
+    def test_nan_trace_rejected(self, at_representative):
+        # a nan trace value passed the sign check: at a partition
+        # representative it failed later as a non-finite cell value, and
+        # anywhere else the function was accepted
+        dom, cloud, part = self._setup(h=1 / 64, delta=0.1)
+        others = np.setdiff1d(np.arange(len(cloud)), part.x_index)
+        trace = np.ones(len(cloud))
+        trace[part.x_index[0] if at_representative else others[0]] = np.nan
+        u = GridFunction(dom, constant_function(dom, 1.0).values, trace)
+        with pytest.raises(InvalidArgumentError, match="^truncate expects a nonnegative function$"):
+            truncate(u, part, eps=0.1, s=0.02)
+
 
 class TestTotalVariation:
     def test_zero(self, square_128):

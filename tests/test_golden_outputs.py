@@ -1,9 +1,9 @@
 """Command outputs against the copies kept in ``tests/golden/``.
 
-``verify suites/standard.json`` (its JSON report without the timestamp, and
-its CSV body) and ``trace`` on the proof benchmark's input (the h=1/512 unit
-disk, ``max(0, 1 - r*r)`` with lipschitz 2, eps 0.05) must reproduce the
-kept files: keys, labels and verdicts exactly, floats to 1e-12 relative,
+``verify suites/standard.json`` and ``verify tests/golden/suite_coverage.json``
+(each JSON report without the timestamp, and each CSV body) and ``trace`` on
+the proof benchmark's input (the h=1/512 unit disk, ``max(0, 1 - r*r)`` with
+lipschitz 2, eps 0.05) must reproduce the kept files: keys, labels and verdicts exactly, floats to 1e-12 relative,
 which absorbs last-bit libm differences across hosts.  A refactor that
 should not move a number is checked here.  A change that means to move one
 rewrites the files with ``PYTHONPATH=src python tests/test_golden_outputs.py``
@@ -25,6 +25,8 @@ from gmtlab.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SUITE = str(ROOT / "suites" / "standard.json")
+# every check id, both modes, every parameter, a 3D entry and two entry errors
+COVERAGE = str(GOLDEN / "suite_coverage.json")
 REL_TOL = 1e-12
 PROOF_DOMAIN = {"kind": "ball", "params": {"r": 1.0}, "h": 1 / 512}
 PROOF_FUNCTION = {"expr": "max(0, 1 - r*r)", "lipschitz": 2.0}
@@ -35,16 +37,18 @@ def _outputs(tmp: Path) -> dict:
     domain, function = tmp / "disk.json", tmp / "func.json"
     domain.write_text(json.dumps(PROOF_DOMAIN), encoding="utf-8")
     function.write_text(json.dumps(PROOF_FUNCTION), encoding="utf-8")
-    calls = {
-        "verify_standard.json": ["verify", SUITE],
-        "verify_standard.csv": ["verify", SUITE],
-        "trace_proof.json": ["trace", str(domain), str(function), "--eps", "0.05"],
+    calls = {  # golden file name -> (command, its exit code)
+        "verify_standard.json": (["verify", SUITE], 0),
+        "verify_standard.csv": (["verify", SUITE], 0),
+        "verify_coverage.json": (["verify", COVERAGE], 1),
+        "verify_coverage.csv": (["verify", COVERAGE], 1),
+        "trace_proof.json": (["trace", str(domain), str(function), "--eps", "0.05"], 0),
     }
     texts = {}
-    for name, argv in calls.items():
+    for name, (argv, code) in calls.items():
         path = tmp / name
-        if main(argv + ["--out", str(path)]) != 0:
-            raise AssertionError(f"{name}: the command did not exit 0")
+        if main(argv + ["--out", str(path)]) != code:
+            raise AssertionError(f"{name}: the command did not exit {code}")
         text = path.read_text(encoding="utf-8")
         if name.endswith(".csv"):
             text = text.split("\n", 1)[1]  # the first line holds the run's timestamp
@@ -86,7 +90,8 @@ def outputs(tmp_path_factory):
     return _outputs(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("name", ["verify_standard.json", "verify_standard.csv", "trace_proof.json"])
+@pytest.mark.parametrize("name", ["verify_standard.json", "verify_standard.csv", "verify_coverage.json",
+                                  "verify_coverage.csv", "trace_proof.json"])
 def test_matches_golden(outputs, name):
     want = (GOLDEN / name).read_text(encoding="utf-8")
     if name.endswith(".csv"):

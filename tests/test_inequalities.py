@@ -766,7 +766,7 @@ class TestComputedOnce:
                                         "suites", "standard.json"))
         run_suite(spec)  # warm
         _, stencil_runs = self._count(monkeypatch)
-        assert run_suite(spec).passed
+        assert run_suite(spec)["pass"]
         # 23 stencil runs before the cache and 16 before abs_value kept a
         # nonnegative function as it is; every grid function now takes one
         assert len({id(v) for v in stencil_runs}) == len(stencil_runs) == 14

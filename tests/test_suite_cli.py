@@ -2,7 +2,8 @@
 
 import argparse
 import ast
-import dataclasses
+import csv
+import io
 import json
 import math
 import os
@@ -52,9 +53,9 @@ def write_json(path, data):
 class TestParseSuite:
     def test_minimal_suite(self, tmp_path):
         spec = parse_suite(write_json(tmp_path / "s.json", SMOKE))
-        assert spec.name == "smoke"
-        assert len(spec.entries) == 1
-        assert spec.entries[0].checks == ["isoperimetric"]
+        assert spec["name"] == "smoke"
+        assert len(spec["entries"]) == 1
+        assert spec["entries"][0]["checks"] == ["isoperimetric"]
 
     @pytest.mark.parametrize("k_list", [4, [0], [4.5], ["8"], [True], [1e999], None])
     def test_k_list_must_hold_positive_integers(self, k_list):
@@ -110,6 +111,23 @@ class TestParseSuite:
         for name, options in flags.items():
             assert options <= named, (name, options - named)
 
+    def test_entries_are_in_normal_form(self):
+        # every entry has exactly the five keys, the defaults filled in
+        (entry,) = parse_suite_dict(SMOKE)["entries"]
+        assert list(entry) == ["domain", "function", "checks", "modes", "parameters"]
+        assert entry["modes"] == list(ineq.MAZYA_MODES) == ["optimal", "paper_factor"]
+        assert entry["parameters"] == {}
+
+    def test_suite_to_dict_is_a_copy(self):
+        spec = parse_suite_dict(SMOKE)
+        before = json.loads(json.dumps(spec))
+        copied = suite_to_dict(spec)
+        assert copied == spec == before
+        copied["entries"][0]["domain"]["h"] = 0.5
+        copied["entries"][0]["checks"].append("mazya")
+        copied["entries"][0]["parameters"]["c1"] = 1.0
+        assert spec == before
+
     def test_round_trip(self, tmp_path):
         spec = parse_suite(write_json(tmp_path / "s.json", SMOKE))
         redumped = suite_to_dict(spec)
@@ -120,17 +138,17 @@ class TestParseSuite:
 class TestRunSuite:
     def test_smoke_passes(self):
         manifest = run_suite(parse_suite_dict(SMOKE))
-        assert manifest.passed
-        assert len(manifest.entries) == 1
-        assert len(manifest.entries[0]["reports"]) == 1
-        assert manifest.entries[0]["reports"][0]["holds"] is True
+        assert manifest["pass"]
+        assert len(manifest["entries"]) == 1
+        assert len(manifest["entries"][0]["reports"]) == 1
+        assert manifest["entries"][0]["reports"][0]["holds"] is True
 
     def test_entry_without_k_list_reports_the_default_chain(self):
         # the suite reads check_extended_sobolev's own default
         entry = {"domain": {"kind": "ball", "params": {"r": 1}, "h": 1 / 64},
                  "function": "indicator", "checks": ["sobolev_extended"]}
         manifest = run_suite(parse_suite_dict({"name": "chain", "entries": [entry]}))
-        (report,) = manifest.entries[0]["reports"]
+        (report,) = manifest["entries"][0]["reports"]
         chain = report["metadata"]["mollified_chain"]
         assert [link["k"] for link in chain] == [4, 8, 16] == list(ineq.MOLLIFIER_INDICES)
         assert all("lq" in link for link in chain)
@@ -147,13 +165,13 @@ class TestRunSuite:
             ],
         }
         manifest = run_suite(parse_suite_dict(suite))
-        assert not manifest.passed
-        assert manifest.entries[0]["reports"][0]["holds"] is False
+        assert not manifest["pass"]
+        assert manifest["entries"][0]["reports"][0]["holds"] is False
 
     def test_empty_suite_passes_vacuously(self):
         manifest = run_suite(parse_suite_dict({"name": "empty", "entries": []}))
-        assert manifest.passed
-        assert manifest.entries == []
+        assert manifest["pass"]
+        assert manifest["entries"] == []
 
     def test_entry_error_recorded_without_abort(self):
         bad_domains = [
@@ -177,10 +195,10 @@ class TestRunSuite:
             ],
         }
         manifest = run_suite(parse_suite_dict(suite))
-        assert not manifest.passed
-        for entry in manifest.entries[:-1]:
+        assert not manifest["pass"]
+        for entry in manifest["entries"][:-1]:
             assert entry["error"] is not None
-        assert manifest.entries[-1]["reports"][0]["holds"] is True
+        assert manifest["entries"][-1]["reports"][0]["holds"] is True
 
     def test_mazya_modes_produce_two_reports(self):
         suite = {
@@ -195,7 +213,7 @@ class TestRunSuite:
             ],
         }
         manifest = run_suite(parse_suite_dict(suite))
-        reports = manifest.entries[0]["reports"]
+        reports = manifest["entries"][0]["reports"]
         assert [r["constant_mode"] for r in reports] == ["optimal", "paper_factor"]
 
     def test_standard_suite_estimates_each_boundary_once(self, monkeypatch):
@@ -212,19 +230,35 @@ class TestRunSuite:
         assert len(calls) == 4
         # every report equals the same check run on a freshly built domain
         # and function, so no cached estimate or metadata leaks between reports
-        for entry, record in zip(spec.entries, manifest.entries):
+        for entry, record in zip(spec["entries"], manifest["entries"]):
             fresh = []
-            for cid in entry.checks:
-                for mode in entry.modes if cid == "mazya" else [None]:
-                    domain = domain_from_spec(entry.domain_spec)
-                    u = build_function(entry.function_spec, domain)
-                    one = dataclasses.replace(entry, modes=[mode])
+            for cid in entry["checks"]:
+                for mode in entry["modes"] if cid == "mazya" else [None]:
+                    domain = domain_from_spec(entry["domain"])
+                    u = build_function(entry["function"], domain)
+                    one = dict(entry, modes=[mode])
                     [rep] = suite_mod._CHECKS[cid](one, domain, u)
                     fresh.append(rep.to_dict())
             got = [dict(r, metadata={k: v for k, v in r["metadata"].items()
                                      if k not in ("domain", "function")})
                    for r in record["reports"]]
             assert got == fresh
+
+    def test_standard_suite_describes_each_domain_once(self, monkeypatch):
+        # one label per entry, which every report's metadata repeats
+        calls = []
+        describe = suite_mod.describe_spec
+
+        def counting(spec):
+            calls.append(spec)
+            return describe(spec)
+
+        monkeypatch.setattr(suite_mod, "describe_spec", counting)
+        spec = parse_suite(os.path.join(REPO, "suites", "standard.json"))
+        manifest = run_suite(spec)
+        assert len(calls) == len(spec["entries"]) == 5
+        for record in manifest["entries"]:
+            assert {r["metadata"]["domain"] for r in record["reports"]} == {record["domain"]}
 
     def test_standard_suite_builds_gaps_only_where_read(self, monkeypatch):
         # the gaps of a face cloud are built on its first calibration, once;
@@ -252,11 +286,11 @@ class TestRunSuite:
         monkeypatch.setattr(calc, "mollify", lambda u, k: mollified.append(k))
         spec = parse_suite(os.path.join(REPO, "suites", "standard.json"))
         manifest = run_suite(spec)
-        assert manifest.passed
-        assert [e.checks for e in spec.entries][-1] == ["brunn_minkowski"]
-        assert sum(e.checks.count("sobolev_extended") for e in spec.entries) == 2
+        assert manifest["pass"]
+        assert [e["checks"] for e in spec["entries"]][-1] == ["brunn_minkowski"]
+        assert sum(e["checks"].count("sobolev_extended") for e in spec["entries"]) == 2
         assert mollified == []
-        assert len(clouds) == len(spec.entries) == 5
+        assert len(clouds) == len(spec["entries"]) == 5
         *calibrated, box = clouds
         assert box.nn_gaps is None and all(c is not box for c in built)
         assert [sum(c is b for b in built) for c in calibrated] == [1, 1, 1, 1]
@@ -282,6 +316,34 @@ class TestEmission:
         lines = out.read_text().splitlines()
         assert lines[1] == "inequality_id,domain,function,h,lhs,rhs,ratio,holds"
         assert lines[2].startswith("isoperimetric,")
+
+    def test_manifest_keys_in_emission_order(self, tmp_path):
+        manifest = self._manifest()
+        assert list(manifest) == ["tool", "version", "timestamp", "input_hash", "suite", "pass", "entries"]
+        assert list(manifest["entries"][0]) == ["index", "domain", "function", "error", "reports"]
+        out = tmp_path / "report.json"
+        emit(manifest, "json", out)
+        assert list(json.loads(out.read_text())) == list(manifest)
+
+    def test_csv_labels_with_quotes(self, tmp_path):
+        # a quote inside a label was written undoubled, which broke the row
+        box = {"kind": "box", "params": {"sides": [1, 1]}, "h": 0.0625}
+        suite = {"name": "quotes", "entries": [
+            {"domain": box, "function": {"expr": 'x" + 1'}, "checks": ["isoperimetric"]},
+            {"domain": dict(box, kind='bo"x'), "function": "indicator", "checks": ["isoperimetric"]},
+        ]}
+        manifest = run_suite(parse_suite_dict(suite))
+        smoke = self._manifest()["entries"][0]
+        manifest["entries"].append(dict(smoke, domain='ball "r=1"', function='"indicator"'))
+        out = tmp_path / "report.csv"
+        emit(manifest, "csv", out)
+        rows = list(csv.reader(io.StringIO(out.read_text().split("\n", 1)[1])))[1:]
+        assert [len(row) for row in rows] == [8, 8, 8]
+        assert [row[:3] for row in rows] == [
+            ["error", "box(sides=[1, 1])", 'x" + 1'],
+            ["error", 'bo"x(sides=[1, 1])', "indicator"],
+            ["isoperimetric", 'ball "r=1"', '"indicator"'],
+        ]
 
     def test_csv_bodies_deterministic(self, tmp_path):
         m1 = self._manifest()
@@ -520,7 +582,7 @@ class TestCli:
             manifest = run_suite(parse_suite(suite))
         except SpecError:
             return  # refused at parse time
-        assert manifest.entries[0]["error"] is not None
+        assert manifest["entries"][0]["error"] is not None
 
     def test_negative_lipschitz_refused_everywhere(self, tmp_path, capsys):
         # used to reach `trace` and fail there as an inconsistent trace (exit 2)
@@ -735,8 +797,8 @@ class TestCli:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 manifest = run_suite(parse_suite_dict({"name": cid, "entries": [dict(entry, checks=[cid])]}))
-            assert not manifest.passed
-            assert manifest.entries[0]["error"] == f"NumericalError: {cid}: the lhs is inf, not a finite number"
+            assert not manifest["pass"]
+            assert manifest["entries"][0]["error"] == f"NumericalError: {cid}: the lhs is inf, not a finite number"
 
     def test_function_undefined_off_the_domain_builds_silently(self, tmp_path):
         # sqrt(1 - r*r) is nan on exterior cells, which are dropped, and on
