@@ -6,13 +6,16 @@ adjacent boundary face (half-spacing step), so affine functions have exact
 gradients up to the boundary; the boundary faces are found through the
 cloud's face table, built with the cloud by ``domains.extract_boundary``.
 All reductions go through numpy's pairwise summation, which keeps results
-bitwise reproducible for a fixed shape.
+bitwise reproducible for a fixed shape.  The full-grid elementwise passes
+walk the grid in row slabs (``domains._row_slabs``) with slab-sized scratch;
+each cell gets the same operations and each reduction runs over the same full
+array, so every result has the whole-grid bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .domains import (
     _centers_grid,
     _grid_shape,
     _lattice,
+    _row_slabs,
     check_eps,
     dilate,
     extract_boundary,
@@ -70,6 +74,13 @@ class GridFunction:
     omega(t) = lipschitz * t which is checked against the trace at
     construction and consumed by the proof tracer.  Functions are equal
     only to themselves.
+
+    The constructor copies the given values into a C-ordered float grid,
+    then zeroes its exterior and checks that it is finite one row slab
+    (``domains._row_slabs``) at a time.  The private ``_adopt`` takes a
+    C-ordered float grid without the copy: for an array its builder has
+    just made and no longer holds (:func:`from_expression`,
+    :func:`truncate`).
     """
 
     domain: GridDomain
@@ -77,15 +88,20 @@ class GridFunction:
     trace: np.ndarray
     lipschitz: float | None = None
     metadata: dict = field(default_factory=dict)
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.domain.shape:
             raise InvalidArgumentError("values must cover the full grid box")
-        # exterior values are dropped first, so a non-finite one is never refused
-        values = np.where(self.domain.mask, values, 0.0)
-        if not np.isfinite(values).all():
-            raise InvalidArgumentError("values must be finite on every interior cell")
+        values = np.array(values, order="C", copy=None if _adopt else True)
+        mask = self.domain.mask
+        for rows in _row_slabs(values.shape):
+            # exterior values are dropped first, so a non-finite one is never refused
+            slab = values[rows]
+            np.copyto(slab, 0.0, where=~mask[rows])
+            if not np.isfinite(slab).all():
+                raise InvalidArgumentError("values must be finite on every interior cell")
         if self.lipschitz is not None and not self.lipschitz >= 0:
             raise InvalidArgumentError("lipschitz must be nonnegative")
         values.setflags(write=False)
@@ -138,19 +154,21 @@ def from_expression(
 ) -> GridFunction:
     """Evaluate an expression at the cell centres and at the boundary cloud points.
 
-    The values are evaluated on the whole grid box, on its sparse centre
-    lattice (the bits of ``cell_centers()``), and kept on the mask only, so
-    a non-finite value off it is ignored.  Trace values come from the
-    defining expression evaluated at the cloud points, never from interior
-    extrapolation.
+    The values are evaluated on the whole grid box, one row slab of its
+    sparse centre lattice (the bits of ``cell_centers()``) at a time, and
+    kept on the mask only, so a non-finite value off it is ignored.  Trace
+    values come from the defining expression evaluated at the cloud points,
+    never from interior extrapolation.
     """
     if isinstance(expr, str):
         expr = Expression(expr)
     cloud = _domain_cloud(domain, cloud)
-    lattice = _centers_grid(domain.origin, domain.shape, domain.spacing)
-    values = np.broadcast_to(expr(lattice), domain.shape)
+    first, *rest = _centers_grid(domain.origin, domain.shape, domain.spacing)
+    values = np.empty(domain.shape)
+    for rows in _row_slabs(domain.shape):
+        values[rows] = expr([first[rows], *rest])
     trace = np.broadcast_to(expr(cloud.coords), len(cloud))
-    return GridFunction(domain, values, trace, lipschitz)
+    return GridFunction(domain, values, trace, lipschitz, _adopt=True)
 
 
 def constant_function(domain: GridDomain, value: float, cloud: BoundaryCloud | None = None) -> GridFunction:
@@ -181,32 +199,55 @@ def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndar
     ``faces`` must hold every boundary face of ``mask`` (a function's
     cloud is its domain's): the differences are taken over the whole
     grid, zeroed on exterior cells, and a difference into an exterior cell
-    is then overwritten by its +face.
+    is then overwritten by its +face.  The grid is walked one row slab
+    (``domains._row_slabs``) at a time in slab-sized scratch, and each
+    slab's interior cells are written straight into their run of the
+    result; every face term is formed once, before the walk.
     """
-    mag2 = np.empty(mask.shape)
-    flat_mag2 = mag2.reshape(-1)
+    shape = mask.shape
+    row = math.prod(shape[1:])
+    bounds = [r.start * row for r in _row_slabs(shape)] + [mask.size]  # flat slab bounds
+    flat_mask = mask.reshape(-1)
     flat_vals = values.reshape(-1)
-    comp = np.empty(mask.shape)
-    flat_comp = comp.reshape(-1)
-    exterior = ~mask
-    for axis in range(mask.ndim):
-        # the forward neighbour is one stride on in the flat grid; past an
-        # axis's last slice the flat shift wraps, but that slice is exterior
-        stride = int(np.prod(mask.shape[axis + 1:]))
-        np.subtract(flat_vals[stride:], flat_vals[:-stride], out=flat_comp[:-stride])
-        flat_comp[:-stride] /= h
-        comp[exterior] = 0.0  # no difference into the exterior reaches a square
-        rows, cells = faces[axis, 1]
-        flat_comp[cells] = (trace[rows] - flat_vals[cells]) / (h / 2.0)
-        if axis == 0:
-            np.multiply(comp, comp, out=mag2)
+    terms = {}
+    for (axis, sign), (rows, cells) in faces.items():
+        # a +face's component replaces its cell's difference, and a -face adds
+        # its extra component squared; the cells of slab i are cells[cut[i]:cut[i + 1]]
+        if sign == 1:
+            term = (trace[rows] - flat_vals[cells]) / (h / 2.0)
         else:
-            mag2 += np.multiply(comp, comp, out=comp)
-        rows, cells = faces[axis, -1]
-        extra = (flat_vals[cells] - trace[rows]) / (h / 2.0)
-        flat_mag2[cells] += extra * extra
-    del comp, flat_comp  # before the gather: the pass peaks at two float grids
-    return mag2[mask]
+            term = (flat_vals[cells] - trace[rows]) / (h / 2.0)
+            term *= term
+        terms[axis, sign] = term, cells, np.searchsorted(cells, bounds).tolist()
+    size = max(b - a for a, b in zip(bounds, bounds[1:]))
+    comp, mag2 = np.empty((2, size))
+    exterior = np.empty(size, dtype=bool)
+    out = np.empty(np.count_nonzero(mask))
+    done = 0
+    for i, (f0, f1) in enumerate(zip(bounds, bounds[1:])):
+        c, m2 = comp[: f1 - f0], mag2[: f1 - f0]
+        interior = flat_mask[f0:f1]
+        ext = np.logical_not(interior, out=exterior[: f1 - f0])
+        for axis in range(mask.ndim):
+            # the forward neighbour is one stride on in the flat grid; past an axis's
+            # last slice the flat shift wraps or leaves the grid, but that slice is exterior
+            stride = math.prod(shape[axis + 1:])
+            k = min(f1, mask.size - stride) - f0
+            np.subtract(flat_vals[f0 + stride : f0 + stride + k], flat_vals[f0 : f0 + k], out=c[:k])
+            c[:k] /= h
+            np.copyto(c, 0.0, where=ext)  # exterior squares are never read: none may overflow
+            term, cells, cut = terms[axis, 1]
+            c[cells[cut[i] : cut[i + 1]] - f0] = term[cut[i] : cut[i + 1]]
+            if axis == 0:
+                np.multiply(c, c, out=m2)
+            else:
+                m2 += np.multiply(c, c, out=c)
+            term, cells, cut = terms[axis, -1]
+            m2[cells[cut[i] : cut[i + 1]] - f0] += term[cut[i] : cut[i + 1]]
+        got = m2[interior]
+        out[done : done + len(got)] = got
+        done += len(got)
+    return out
 
 
 def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
@@ -435,7 +476,7 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     out[within_distance(~dom.mask, 1.5 * dom.spacing, dom.spacing)] = 0.0
     masses = np.concatenate(masses)
     masses.setflags(write=False)
-    return GridFunction(dom, out, np.zeros(len(u.cloud)), metadata={"shell_masses": masses})
+    return GridFunction(dom, out, np.zeros(len(u.cloud)), metadata={"shell_masses": masses}, _adopt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -456,22 +497,47 @@ def _forward_tv(v: np.ndarray, h: float, widths: np.ndarray) -> np.ndarray:
     on each array's edge (the ramp's cap, for barrier shells), so a
     difference into it is zero.  Each array is summed over its own cells in
     its own order, so every TV is the same as for that array alone.
+
+    The stack is walked as one grid of B * width_0 rows, one row slab
+    (``domains._row_slabs``) at a time in slab-sized scratch, into one
+    array of the cells' roots.  The arrays of each distinct width are then
+    summed in one call, one row each of a (k, cells) array, which gives
+    each array's own pairwise sum.
     """
     n = v.ndim - 1
     flat_v = v.reshape(-1)
-    total = np.zeros(v.shape)
-    d = np.empty(v.shape)
-    for a in range(1, n + 1):
-        # the forward neighbour is one stride on in the flat stack, which wraps
-        # past the axis's last slice; that slice's difference is set to zero
-        stride = int(np.prod(v.shape[a + 1:]))
-        np.subtract(flat_v[stride:], flat_v[:-stride], out=d.reshape(-1)[:-stride])
-        d[(slice(None),) * a + (-1,)] = 0.0
-        total += np.multiply(d, d, out=d)
-    roots = np.sqrt(total, out=total)
-    sums = [np.sum(np.ascontiguousarray(r[tuple(slice(0, k) for k in w)])) for r, w in zip(roots, widths)]
+    roots = np.empty(v.shape)
+    flat_roots = roots.reshape(-1)
+    first = v.shape[1]  # rows per array
+    row = math.prod(v.shape[2:])
+    slabs = _row_slabs((len(v) * first,) + v.shape[2:])
+    total, d = np.empty((2, max(r.stop - r.start for r in slabs) * row))
+    for rows in slabs:
+        f0, f1 = rows.start * row, rows.stop * row
+        t, dd = total[: f1 - f0], d[: f1 - f0]
+        for a in range(1, n + 1):
+            # the forward neighbour is one stride on in the flat stack, which wraps past
+            # the axis's last slice (or leaves the stack); that slice's difference is set to zero
+            stride = math.prod(v.shape[a + 1:])
+            k = min(f1, v.size - stride) - f0
+            np.subtract(flat_v[f0 + stride : f0 + stride + k], flat_v[f0 : f0 + k], out=dd[:k])
+            if a == 1:  # the slab's rows r with r % first == first - 1
+                dd.reshape(-1, row)[(first - 1 - rows.start) % first :: first] = 0.0
+                np.multiply(dd, dd, out=t)
+            else:
+                dd.reshape((-1,) + v.shape[2:])[(slice(None),) * (a - 1) + (-1,)] = 0.0
+                t += np.multiply(dd, dd, out=dd)
+        np.sqrt(t, out=flat_roots[f0:f1])
+    groups = {}
+    for i, w in enumerate(map(tuple, widths.tolist())):
+        groups.setdefault(w, []).append(i)
+    sums = np.empty(len(v))
+    for w, same in groups.items():
+        # a view when every array has the stack's own width (the full-grid TV)
+        part = roots[(slice(None) if len(same) == len(v) else same,) + tuple(map(slice, w))]
+        sums[same] = np.sum(np.ascontiguousarray(part).reshape(len(same), -1), axis=1)
     # raw differences carry one factor of h less than the gradient
-    return np.array(sums) * h ** (n - 1)
+    return sums * h ** (n - 1)
 
 
 def _kernel_cells(k: int, spacing: float) -> int:

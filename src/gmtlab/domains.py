@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +140,10 @@ class BoundaryCloud:
     cloud may be given as any empty array), non-finite coordinates,
     weights that are not finite and nonnegative or not one per point,
     ragged or non-numeric input, and a resolution that is not finite and
-    positive.
+    positive.  The private ``_adopt`` takes the arrays without a copy: for
+    float arrays the caller has just made and no longer holds, ``points``
+    the transpose of a C-contiguous (n, N) array
+    (:func:`extract_boundary`).
 
     Clouds produced by :func:`extract_boundary` are given their ``faces``
     table, and every cloud its nearest-neighbour gaps ``nn_gaps`` the first
@@ -155,13 +158,14 @@ class BoundaryCloud:
     coords: np.ndarray = field(init=False, repr=False)
     faces: FaceTable | None = field(default=None, init=False, repr=False)
     nn_gaps: np.ndarray | None = field(default=None, init=False, repr=False)
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
             raise InvalidArgumentError(f"dimension must be a positive integer, got {self.dim!r}")
         try:
             points = np.asarray(self.points, dtype=float)
-            weights = np.asarray(self.weights, dtype=float).reshape(-1).copy()
+            weights = np.array(self.weights, dtype=float, copy=None if _adopt else True).reshape(-1)
         except (TypeError, ValueError) as err:  # ragged or non-numeric input
             raise InvalidArgumentError(f"points and weights must be numeric arrays: {err}") from None
         if points.size == 0:
@@ -176,7 +180,7 @@ class BoundaryCloud:
             raise InvalidArgumentError("weights must be finite and nonnegative")
         if not (math.isfinite(self.resolution) and self.resolution > 0):
             raise InvalidArgumentError(f"resolution must be finite and positive, got {self.resolution}")
-        coords = np.array(points.T, order="C")
+        coords = np.array(points.T, order="C", copy=None if _adopt else True)
         coords.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "coords", coords)
@@ -193,8 +197,9 @@ class BoundaryCloud:
 
 # false cells around the bounding box of a rasterized shape, per side
 _PAD_CELLS = 2
-# cells per block of the radial rasterizer's distances (2 MB per float array)
-_RADIAL_BLOCK = 1 << 18
+# cells per row slab of a full-grid elementwise pass (:func:`_row_slabs`): a
+# slab's few float temporaries, 256 KB each, stay in a core's L2 cache
+_SLAB_CELLS = 1 << 15
 # most cells a domain or dilation grid may have: about 64x the largest suite,
 # bench and test grid (the 2,052 x 2,052 disk); a float array of it is 2 GiB.
 # It must stay below 2^31: within_distance indexes the flat grid in int32
@@ -211,6 +216,21 @@ def _grid_shape(extent, limit: int | None = None) -> tuple:
     if not cells <= limit:
         raise InvalidArgumentError(f"grid of {cells:.3g} cells exceeds the limit of {limit}")
     return tuple(int(e) for e in extent)
+
+
+def _row_slabs(shape) -> list:
+    """Slices of whole rows along axis 0, in order, that cover a grid of ``shape``.
+
+    The grid is split into the number of slabs nearest to its cells over
+    ``_SLAB_CELLS`` (at least one, at most one per row), whose row counts
+    differ by at most one; so a slab holds about ``_SLAB_CELLS`` cells, and
+    a grid smaller than one and a half slabs is one slab.  A pass that
+    forms the same elementwise operations per cell, slab by slab, gives the
+    whole-grid bits.
+    """
+    count = min(shape[0], max(1, round(math.prod(shape) / _SLAB_CELLS)))
+    cuts = [shape[0] * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _empty_grid(low, high, h):
@@ -292,16 +312,15 @@ def make_annulus(center: Sequence[float], r_outer: float, r_inner: float, h: flo
 def _radial_domain(center: np.ndarray, r_outer: float, r_inner: float, h: float) -> GridDomain:
     """Cells whose centre c has r_inner <= |c - center| < r_outer (r_inner 0: the open ball).
 
-    Squared distances, summed ``((0 + a) + b)(+ c)``, are formed in blocks of
-    grid rows, so no full-grid float array is built.
+    Squared distances, summed ``((0 + a) + b)(+ c)``, are formed one row slab
+    (:func:`_row_slabs`) at a time, so no full-grid float array is built.
     """
     origin, shape = _empty_grid(center - r_outer, center + r_outer, h)
     first, *rest = _centers_grid(origin, shape, h)
     mask = np.empty(shape, dtype=bool)
-    rows = max(1, _RADIAL_BLOCK // int(np.prod(shape[1:])))
-    for r0 in range(0, shape[0], rows):
-        dist2 = sum((g - c) ** 2 for g, c in zip([first[r0 : r0 + rows], *rest], center))
-        mask[r0 : r0 + rows] = (dist2 < r_outer ** 2) & (dist2 >= r_inner ** 2)
+    for rows in _row_slabs(shape):
+        dist2 = sum((g - c) ** 2 for g, c in zip([first[rows], *rest], center))
+        mask[rows] = (dist2 < r_outer ** 2) & (dist2 >= r_inner ** 2)
     return GridDomain(h, origin, mask)
 
 
@@ -399,7 +418,7 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
         row[...] = x + (idx + 0.5) * h
     for (axis, sign), (rows, _) in blocks.items():
         coords[axis, rows] += sign * h / 2.0
-    cloud = BoundaryCloud(domain.dim, h, coords.T, np.full(start, h ** (domain.dim - 1)))
+    cloud = BoundaryCloud(domain.dim, h, coords.T, np.full(start, h ** (domain.dim - 1)), _adopt=True)
     object.__setattr__(cloud, "faces", FaceTable(mask, domain.origin, blocks))
     object.__setattr__(domain, "_boundary", cloud)
     return cloud

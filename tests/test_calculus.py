@@ -38,6 +38,7 @@ from gmtlab import domains
 from gmtlab.domains import (BoundaryCloud, GridDomain, extract_boundary, make_annulus, make_ball, make_box,
                             rasterize_polygon, volume)
 from gmtlab.errors import InvalidArgumentError, ResolutionError
+from gmtlab.expressions import Expression
 from gmtlab.hausdorff import Partition, build_partition, estimate_hm, unit_ball_volume
 
 
@@ -1040,3 +1041,79 @@ def test_stacked_tv_of_mixed_widths(shapes):
     stack = np.stack([np.pad(a, [(0, w - k) for w, k in zip(widest, a.shape)], mode="edge") for a in arrays])
     tvs = calc._forward_tv(stack, 0.07, np.array(shapes))
     assert tvs.tolist() == [_ref_padded_tv(a, 0.07) for a in arrays]
+
+
+# slabs of one row; of a few rows (a few planes in 3D), whose edges cut
+# through every face block; and the whole grid as one slab
+_SLAB_SIZES = [1, 3000, 1 << 40]
+
+
+class TestRowSlabs:
+    """The full-grid kernels walk the grid in row slabs of ``domains._SLAB_CELLS``
+    cells; every slab size gives the whole-grid reference's bits."""
+
+    @pytest.mark.parametrize("cells", _SLAB_SIZES)
+    @pytest.mark.parametrize("name", sorted(_GRADIENT_DOMAINS))
+    def test_kernels_at_any_slab_size(self, monkeypatch, name, cells):
+        dom = _GRADIENT_DOMAINS[name]()
+        monkeypatch.setattr(domains, "_SLAB_CELLS", cells)
+        slabs = domains._row_slabs(dom.shape)
+        if cells == 3000:
+            assert 1 < len(slabs) < dom.shape[0]  # several slabs, some of several rows
+        text = "x - 0.3*y - 0.1 + r" if dom.dim == 2 else "x*y - z + 0.1 + r"
+        u = from_expression(dom, text)
+        # the whole lattice at once, masked as a GridFunction keeps it (with signed zeros)
+        lattice = domains._centers_grid(dom.origin, dom.shape, dom.spacing)
+        ref = np.where(dom.mask, np.broadcast_to(Expression(text)(lattice), dom.shape), 0.0)
+        assert np.array_equal(u.values.view(np.int64), ref.view(np.int64))
+        rough = random_function(dom, u.cloud, np.random.default_rng(5))
+        for fn in (u, rough, indicator_function(dom)):
+            assert np.array_equal(calc._grad_stencil(dom.mask, dom.spacing, fn.values, fn.trace, fn.cloud.faces.blocks),
+                                  _ref_gradient_mag_squared(fn)[dom.mask])
+            assert total_variation(fn) == _ref_padded_tv(fn.values, dom.spacing)
+
+    @pytest.mark.parametrize("cells", _SLAB_SIZES)
+    def test_stacked_tv_at_any_slab_size(self, monkeypatch, cells):
+        # slab edges inside and between the padded arrays of a barrier stack
+        monkeypatch.setattr(domains, "_SLAB_CELLS", cells)
+        test_stacked_tv_of_mixed_widths([(4, 5, 6), (20, 30, 25), (2, 1, 3), (4, 5, 6)])
+        test_stacked_tv_of_mixed_widths([(5, 7), (40, 300), (3, 2), (40, 300), (52, 61)])
+
+    def test_adopted_values_are_not_copied(self):
+        # from_expression and truncate hand their fresh grids over; a caller's array is copied
+        dom = make_ball((0.0, 0.0), 1.0, 1 / 16)
+        values = np.ones(dom.shape)
+        u = GridFunction(dom, values, np.ones(len(extract_boundary(dom))), _adopt=True)
+        assert u.values is values and not values.flags.writeable and not values[~dom.mask].any()
+        values = np.ones(dom.shape)
+        v = GridFunction(dom, values, u.trace)
+        assert not np.shares_memory(v.values, values) and values.all()
+
+
+def _kernel_peak(run):
+    """(tracemalloc peak of ``run()``, its result)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_full_grid_kernels_hold_a_few_slabs_of_scratch():
+    # the bench proof grid (1028^2 cells, 32 slabs): the stencil and the lattice
+    # evaluation hold their result and a few slabs, the TV its one full array of
+    # roots and a few slabs (each held two or three full grids of scratch)
+    dom = make_ball((0.0, 0.0), 1.0, 1 / 512)
+    u = from_expression(dom, "max(0, 1 - r*r)", lipschitz=2.0)
+    grid, slab = 8 * dom.mask.size, 8 * domains._SLAB_CELLS
+    assert len(domains._row_slabs(dom.shape)) == 32
+    peak, mag2 = _kernel_peak(lambda: calc._grad_stencil(dom.mask, dom.spacing, u.values, u.trace,
+                                                          u.cloud.faces.blocks))
+    assert peak <= mag2.nbytes + 5 * slab
+    peak, _ = _kernel_peak(lambda: total_variation(u))
+    assert peak <= grid + 3 * slab
+    peak, _ = _kernel_peak(lambda: from_expression(dom, "max(0, 1 - r*r)"))
+    assert peak <= grid + 4 * slab

@@ -163,6 +163,15 @@ class TestBoundaryCloud:
         with pytest.raises(InvalidArgumentError):
             BoundaryCloud(dim, resolution, points, weights)
 
+    def test_extracted_coordinates_are_adopted(self):
+        # extract_boundary hands its fresh arrays over; a caller's arrays are copied
+        coords, weights = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]), np.ones(3)
+        adopted = BoundaryCloud(2, 0.1, coords.T, weights, _adopt=True)
+        assert np.shares_memory(adopted.coords, coords) and np.shares_memory(adopted.weights, weights)
+        copied = BoundaryCloud(2, 0.1, coords.T, weights)
+        assert not (np.shares_memory(copied.coords, coords) or np.shares_memory(copied.weights, weights))
+        assert np.array_equal(adopted.coords, copied.coords) and not adopted.coords.flags.writeable
+
     @pytest.mark.parametrize("points", [np.zeros((0, 2)), []])
     def test_empty_cloud_accepted(self, points):
         cloud = BoundaryCloud(2, 0.1, points, [])
@@ -395,11 +404,11 @@ class TestBitIdentityWithReferences:
         assert _same(dom.mask, mask)
         assert _same(dom.origin, origin)
 
-    @pytest.mark.parametrize("block", [1, 1000])
+    @pytest.mark.parametrize("block", [1, 1000, 1 << 40])
     @pytest.mark.parametrize("name", ["disk_off", "ball3_off", "annulus_off", "annulus3", "annulus_rim"])
     def test_radial_masks_in_row_blocks(self, monkeypatch, name, block):
-        # blocks of one row and of a few rows give the whole-grid bits
-        monkeypatch.setattr(domains, "_RADIAL_BLOCK", block)
+        # row slabs of one row, of a few rows and of the whole grid give the reference's bits
+        monkeypatch.setattr(domains, "_SLAB_CELLS", block)
         build, ref, args = _RASTER_CASES[name]
         assert _same(build(*args).mask, ref(*args)[1])
 

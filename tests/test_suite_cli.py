@@ -168,6 +168,27 @@ class TestRunSuite:
         assert not manifest["pass"]
         assert manifest["entries"][0]["reports"][0]["holds"] is False
 
+    # swap_test's verdict at h = 1/16, 1/32, 1/64, 1/128 (True: holds).  It is
+    # violated only where the domain's isoperimetric ratio exceeds 1 by more
+    # than the tolerance: never on the disk, the equality case, and on the unit
+    # square only from h = 1/128
+    _SWAP_VERDICTS = {
+        "disk": ({"kind": "ball", "params": {"r": 1.0}}, [True, True, True, True]),
+        "square": ({"kind": "box", "params": {"sides": [1, 1]}}, [True, True, True, False]),
+        "box_1x8": ({"kind": "box", "params": {"sides": [1, 8]}}, [False, False, False, False]),
+        "annulus": ({"kind": "annulus", "params": {"r_outer": 1.0, "r_inner": 0.5}}, [False, False, False, False]),
+        "triangle": ({"kind": "polygon", "params": {"vertices": [[0, 0], [1, 0], [0, 1]]}},
+                     [True, False, False, False]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_SWAP_VERDICTS))
+    def test_swap_test_verdicts_over_h(self, name):
+        spec, verdicts = self._SWAP_VERDICTS[name]
+        entries = [{"domain": dict(spec, h=1 / k), "function": "indicator", "checks": ["swap_test"]}
+                   for k in (16, 32, 64, 128)]
+        manifest = run_suite(parse_suite_dict({"name": "swap", "entries": entries}))
+        assert [e["reports"][0]["holds"] for e in manifest["entries"]] == verdicts
+
     def test_empty_suite_passes_vacuously(self):
         manifest = run_suite(parse_suite_dict({"name": "empty", "entries": []}))
         assert manifest["pass"]
