@@ -138,31 +138,18 @@ class GridFunction:
 # constructors
 
 
-def _domain_cloud(domain: GridDomain, cloud: BoundaryCloud | None) -> BoundaryCloud:
-    """The domain's boundary cloud; a ``cloud`` passed in must be that very object."""
-    own = extract_boundary(domain)
-    if cloud is not None and cloud is not own:
-        raise InvalidArgumentError("the cloud is not the boundary face cloud of this domain")
-    return own
-
-
-def from_expression(
-    domain: GridDomain,
-    expr: str | Expression,
-    cloud: BoundaryCloud | None = None,
-    lipschitz: float | None = None,
-) -> GridFunction:
+def from_expression(domain: GridDomain, expr: str | Expression, lipschitz: float | None = None) -> GridFunction:
     """Evaluate an expression at the cell centres and at the boundary cloud points.
 
     The values are evaluated on the whole grid box, one row slab of its
     sparse centre lattice (the bits of ``cell_centers()``) at a time, and
     kept on the mask only, so a non-finite value off it is ignored.  Trace
-    values come from the defining expression evaluated at the cloud points,
-    never from interior extrapolation.
+    values come from the defining expression evaluated at the points of the
+    domain's cloud, never from interior extrapolation.
     """
     if isinstance(expr, str):
         expr = Expression(expr)
-    cloud = _domain_cloud(domain, cloud)
+    cloud = extract_boundary(domain)
     first, *rest = _centers_grid(domain.origin, domain.shape, domain.spacing)
     values = np.empty(domain.shape)
     for rows in _row_slabs(domain.shape):
@@ -171,15 +158,14 @@ def from_expression(
     return GridFunction(domain, values, trace, lipschitz, _adopt=True)
 
 
-def constant_function(domain: GridDomain, value: float, cloud: BoundaryCloud | None = None) -> GridFunction:
-    cloud = _domain_cloud(domain, cloud)
+def constant_function(domain: GridDomain, value: float) -> GridFunction:
     values = np.broadcast_to(float(value), domain.shape)
-    trace = np.full(len(cloud), float(value))
+    trace = np.full(len(extract_boundary(domain)), float(value))
     return GridFunction(domain, values, trace, lipschitz=0.0)
 
 
-def indicator_function(domain: GridDomain, cloud: BoundaryCloud | None = None) -> GridFunction:
-    return constant_function(domain, 1.0, cloud)
+def indicator_function(domain: GridDomain) -> GridFunction:
+    return constant_function(domain, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +234,38 @@ def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndar
         out[done : done + len(got)] = got
         done += len(got)
     return out
+
+
+def _grad_stencil_lists(domain: GridDomain) -> tuple[list, list]:
+    """:func:`_grad_stencil` as per-coordinate lists, for updates one coordinate at a time.
+
+    The coordinates are the domain's cells in C order followed by its
+    cloud's trace points.  ``terms[i]`` lists cell i's differences in the
+    stencil's order as (coordinate, step): per axis the forward neighbour
+    cell (step h), else the trace on the +face (step h/2), then the trace on
+    the -face (h/2) when there is no backward neighbour cell; the squares of
+    ``(x[k] - x[i]) / step`` summed in that order from 0.0 are the stencil's
+    bits.  ``affected[k]`` lists the cells whose gradient coordinate k enters:
+    a cell and its backward neighbours, a trace point and the cell it sits on.
+    """
+    mask, h, n = domain.mask, domain.spacing, domain.dim
+    cloud = extract_boundary(domain)
+    n_cells = int(np.count_nonzero(mask))
+    label = np.full(domain.shape, -1, dtype=np.intp)
+    label[mask] = np.arange(n_cells)
+    src = np.full((n_cells, 2 * n), -1, dtype=np.intp)
+    trace_owner = np.empty(len(cloud), dtype=np.intp)
+    for (a, sign), (rows, cells) in cloud.faces.blocks.items():
+        trace_owner[rows] = owner = label.reshape(-1)[cells]
+        src[owner, 2 * a + (sign < 0)] = np.arange(n_cells + rows.start, n_cells + rows.stop)
+    # neighbour labels; the grid's false margin keeps a roll from wrapping onto a cell
+    fwd_cell, bwd_cell = (np.stack([np.roll(label, -k, axis=a)[mask] for a in range(n)], axis=1)
+                          for k in (1, -1))
+    src[:, 0::2] = np.where(fwd_cell >= 0, fwd_cell, src[:, 0::2])
+    terms = [[(k, h if k < n_cells else h / 2.0) for k in ks if k >= 0] for ks in src.tolist()]
+    affected = [[i] + [j for j in row if j >= 0] for i, row in enumerate(bwd_cell.tolist())]
+    affected += [[o] for o in trace_owner.tolist()]
+    return terms, affected
 
 
 def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
@@ -684,12 +702,11 @@ def minkowski_steiner(domain: GridDomain, eps_list) -> SteinerResult:
 # resampling
 
 
-def restrict_to_domain(u: GridFunction, domain: GridDomain, cloud: BoundaryCloud | None = None) -> GridFunction:
-    """Sample a (box) function onto a domain, tracing by linear interpolation."""
+def restrict_to_domain(u: GridFunction, domain: GridDomain) -> GridFunction:
+    """Sample a (box) function onto a domain, tracing by linear interpolation at its cloud."""
     h = domain.spacing
     if abs(u.domain.spacing - h) > 1e-12 * h:
         raise InvalidArgumentError("restriction requires matching spacings")
-    cloud = _domain_cloud(domain, cloud)
     src = u.values
 
     from scipy import ndimage  # first use only: the one caller of scipy.ndimage
@@ -701,5 +718,5 @@ def restrict_to_domain(u: GridFunction, domain: GridDomain, cloud: BoundaryCloud
 
     values = np.zeros(domain.shape)
     values[domain.mask] = sample(domain.cell_centers().T)
-    trace = sample(cloud.coords)
+    trace = sample(extract_boundary(domain).coords)
     return GridFunction(domain, values, trace)

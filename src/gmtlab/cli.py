@@ -128,11 +128,10 @@ def cmd_partition(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    domain = _load_domain(args.domain)
-    u = _load_function(args.function, domain)
+    u = _load_function(args.function, _load_domain(args.domain))
     # an overflowed side is refused as a NumericalError; numpy's warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = ineq.proof_trace(domain, u, eps=args.eps)
+        trace = ineq.proof_trace(u, eps=args.eps)
     for step in trace.steps:
         mark = "ok" if step.holds else "VIOLATED"
         print(f"[{mark}] {step.label}: lhs={step.lhs:.6g} rhs={step.rhs:.6g}")
@@ -152,11 +151,10 @@ def cmd_trace(args) -> int:
 
 
 def cmd_search(args) -> int:
-    domain = _load_domain(args.domain)
-    u0 = _load_function(args.function, domain)
-    best, q_best = ineq.quotient_search(domain, u0, iters=args.iters, step=args.step, seed=_env_seed())
+    u0 = _load_function(args.function, _load_domain(args.domain))
+    best, q_best = ineq.quotient_search(u0, iters=args.iters, step=args.step, seed=_env_seed())
     history = best.metadata["sweep_history"]
-    bound = ineq.iso_constant(domain.dim)
+    bound = ineq.iso_constant(u0.domain.dim)
     print(f"best quotient {q_best!r} after {args.iters} sweeps (sharp constant {bound!r})")
     if args.plot:
         rows = list(enumerate(history))

@@ -216,12 +216,6 @@ def _calibration(domain: GridDomain) -> tuple[float, dict]:
     return factor, meta
 
 
-def _own_function(domain: GridDomain, u: calc.GridFunction) -> None:
-    """Refuse a function that does not live on ``domain`` itself."""
-    if u.domain is not domain:
-        raise InvalidArgumentError("the function is not on the checked domain")
-
-
 # ---------------------------------------------------------------------------
 # checks
 
@@ -253,11 +247,11 @@ def check_sobolev(u: calc.GridFunction) -> Report:
                   holds_tolerance("sobolev", u.domain.spacing), metadata=meta)
 
 
-def check_mazya(domain: GridDomain, u: calc.GridFunction, mode: str = "paper_factor") -> Report:
-    """L_q norm against gradient mass plus (factored) boundary-trace mass."""
-    _own_function(domain, u)
+def check_mazya(u: calc.GridFunction, mode: str = "paper_factor") -> Report:
+    """L_q norm against gradient mass plus (factored) boundary-trace mass on u's domain."""
     if mode not in MAZYA_MODES:
         raise InvalidArgumentError(f"unknown constant mode {mode!r}")
+    domain = u.domain
     n = domain.dim
     q = n / (n - 1)
     c = iso_constant(n)
@@ -297,9 +291,9 @@ def _auto_c1(domain: GridDomain) -> float:
     return cached
 
 
-def check_mazya_l2(domain: GridDomain, u: calc.GridFunction, c1) -> Report:
-    """Squared L2 norm against 2 c1 (2 c1 |grad u|_2^2 + squared trace mass)."""
-    _own_function(domain, u)
+def check_mazya_l2(u: calc.GridFunction, c1) -> Report:
+    """Squared L2 norm against 2 c1 (2 c1 |grad u|_2^2 + squared trace mass) on u's domain."""
+    domain = u.domain
     cal, meta = _calibration(domain)
     auto = isinstance(c1, str)
     if auto:
@@ -334,9 +328,9 @@ def check_mazya_l2(domain: GridDomain, u: calc.GridFunction, c1) -> Report:
                   holds_tolerance("mazya_l2", domain.spacing), metadata=meta)
 
 
-def check_bv_bound(domain: GridDomain, u: calc.GridFunction) -> Report:
-    """Total variation of the zero extension against interior plus boundary mass."""
-    _own_function(domain, u)
+def check_bv_bound(u: calc.GridFunction) -> Report:
+    """Total variation of the zero extension against interior plus boundary mass on u's domain."""
+    domain = u.domain
     n = domain.dim
     factor = paper_boundary_factor(n)
     cal, meta = _calibration(domain)
@@ -442,7 +436,7 @@ def check_perimeter_iso(domain: GridDomain, eps_list=None) -> Report:
 _SHELL_BIAS = {2: 0.073, 3: 0.114}
 
 
-def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceReport:
+def proof_trace(u: calc.GridFunction, eps: float) -> TraceReport:
     """Numerically walk the truncation proof of the trace inequality.
 
     Builds the boundary partition at scale derived from the declared
@@ -459,11 +453,11 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
     then is u's own stencil formed (and cached on u).  A side that is not a
     finite number is a NumericalError.
     """
-    _own_function(domain, u)
     if not calc._nonnegative(u):
         raise InvalidArgumentError("proof trace expects a nonnegative function")
     if u.lipschitz is None:
         raise NoModulusError("proof trace needs a declared modulus of continuity")
+    domain = u.domain
     h = domain.spacing
     if not 0 < eps < math.inf:
         raise InvalidArgumentError(f"eps must be positive and finite, got {eps!r}")
@@ -525,7 +519,7 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
         np.sum((np.abs(u.trace) + 2.0 * eps) * u.cloud.weights)
     )
 
-    mazya = check_mazya(domain, u, mode="paper_factor")
+    mazya = check_mazya(u, mode="paper_factor")
 
     def step(label, lhs, rhs, two_sided=False):
         t = TRACE_STEP_TOLERANCES[label]
@@ -559,14 +553,8 @@ def proof_trace(domain: GridDomain, u: calc.GridFunction, eps: float) -> TraceRe
 # extremal-quotient search
 
 
-def quotient_search(
-    domain: GridDomain,
-    u0: calc.GridFunction,
-    iters: int,
-    step: float,
-    seed: int = 0,
-):
-    """Coordinate ascent on the trace-inequality quotient.
+def quotient_search(u0: calc.GridFunction, iters: int, step: float, seed: int = 0):
+    """Coordinate ascent on the trace-inequality quotient on u0's domain.
 
     Maximizes Q(u) = |u|_q / (grad mass + factor * boundary mass) by
     perturbing one cell or trace value at a time, keeping improvements, and
@@ -577,8 +565,7 @@ def quotient_search(
     """
     if iters < 1 or step < 0:
         raise InvalidArgumentError("need iters >= 1 and step >= 0")
-    if u0.domain is not domain:
-        raise InvalidArgumentError("quotient search needs a start function on the searched domain")
+    domain = u0.domain
     mask = domain.mask
     if not calc._nonnegative(u0):
         raise InvalidArgumentError("quotient search expects a nonnegative start")
@@ -600,27 +587,8 @@ def quotient_search(
     # powers summed over the cells must stay below the float range
     cap = (sys.float_info.max / (hn * n_cells)) ** (1.0 / q)
 
-    # The search coordinates x are the cell values followed by the trace
-    # values.  Per cell, ``terms`` lists the differences of its gradient in
-    # the stencil's order as (coordinate, step): per axis the forward
-    # neighbour cell (step h), else the trace on the +face (step h/2), then
-    # the trace on the -face (h/2) when there is no backward neighbour cell.
-    label = np.full(domain.shape, -1, dtype=np.intp)
-    label[mask] = np.arange(n_cells)
-    src = np.full((n_cells, 2 * n), -1, dtype=np.intp)
-    trace_owner = np.empty(len(cloud), dtype=np.intp)
-    for (a, sign), (rows, cells) in cloud.faces.blocks.items():
-        trace_owner[rows] = owner = label.reshape(-1)[cells]
-        src[owner, 2 * a + (sign < 0)] = np.arange(n_cells + rows.start, n_cells + rows.stop)
-    # neighbour labels; the grid's false margin keeps a roll from wrapping onto a cell
-    fwd_cell, bwd_cell = (np.stack([np.roll(label, -k, axis=a)[mask] for a in range(n)], axis=1)
-                          for k in (1, -1))
-    src[:, 0::2] = np.where(fwd_cell >= 0, fwd_cell, src[:, 0::2])
-    terms = [[(k, h if k < n_cells else h / 2.0) for k in ks if k >= 0] for ks in src.tolist()]
-    # cells whose gradient a coordinate enters: a cell and its backward
-    # neighbours, a trace point and the cell it sits on
-    affected = [[i] + [j for j in row if j >= 0] for i, row in enumerate(bwd_cell.tolist())]
-    affected += [[o] for o in trace_owner.tolist()]
+    # the search coordinates x are the cell values followed by the trace values
+    terms, affected = calc._grad_stencil_lists(domain)
     x = u0.values[mask].tolist() + u0.trace.tolist()
 
     def grad_at(i) -> float:
@@ -631,10 +599,10 @@ def quotient_search(
             acc += d * d
         return math.sqrt(acc)
 
-    def as_function():
+    def as_function(**metadata):
         values = np.zeros(domain.shape)
         values[mask] = x[:n_cells]
-        return calc.GridFunction(domain, values, x[n_cells:])
+        return calc.GridFunction(domain, values, x[n_cells:], metadata=metadata)
 
     def full_grad():
         # every cell's gradient magnitude at once: the stencil sums grad_at's terms in its order
@@ -711,6 +679,4 @@ def quotient_search(
             )
         history.append(q_cur)
 
-    best = as_function()
-    best.metadata["sweep_history"] = history
-    return best, q_cur
+    return as_function(sweep_history=history), q_cur

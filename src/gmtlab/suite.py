@@ -50,13 +50,13 @@ def _swap_test(domain):
 # look ``ineq.check_*`` up at call time so wrappers installed on the module
 # see every call
 _CHECKS = {
-    "mazya": lambda e, d, u: [ineq.check_mazya(d, u, mode=m) for m in e["modes"]],
-    "mazya_l2": lambda e, d, u: [ineq.check_mazya_l2(d, u, e["parameters"].get("c1", "auto"))],
+    "mazya": lambda e, d, u: [ineq.check_mazya(u, mode=m) for m in e["modes"]],
+    "mazya_l2": lambda e, d, u: [ineq.check_mazya_l2(u, e["parameters"].get("c1", "auto"))],
     "isoperimetric": lambda e, d, u: [ineq.check_isoperimetric(d)],
     "sobolev": lambda e, d, u: [ineq.check_sobolev(u)],
     "sobolev_extended": lambda e, d, u: [
         ineq.check_extended_sobolev(u, e["parameters"].get("k_list", ineq.MOLLIFIER_INDICES))],
-    "bv_bound": lambda e, d, u: [ineq.check_bv_bound(d, u)],
+    "bv_bound": lambda e, d, u: [ineq.check_bv_bound(u)],
     "brunn_minkowski": lambda e, d, u: [ineq.check_brunn_minkowski(
         d, domain_from_spec(e["parameters"].get("domain_b", e["domain"])))],
     "perimeter_iso": lambda e, d, u: [ineq.check_perimeter_iso(d, e["parameters"].get("eps_list"))],

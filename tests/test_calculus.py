@@ -115,7 +115,7 @@ class TestBoundaryIntegral:
 
     def test_calibrated_disk_circumference(self, disk_512):
         cloud = extract_boundary(disk_512)
-        u = constant_function(disk_512, 1.0, cloud)
+        u = constant_function(disk_512, 1.0)
         est = estimate_hm(cloud, 1.0, 8 / 512)
         cal = est / cloud.total_weight
         assert boundary_integral(u, calibration=cal) == pytest.approx(2 * math.pi, rel=0.03)
@@ -239,8 +239,7 @@ class TestBarrier:
     def test_capped_gradient_matches_shell_mass(self):
         # analytic shell-mass oracle for the discrete gradient of the ramp
         dom = make_ball((0.0, 0.0), 0.45, 1 / 512)
-        cloud = extract_boundary(dom)
-        capped = from_expression(dom, "min(1, max(0, (r - 0.2) / 0.05))", cloud)
+        capped = from_expression(dom, "min(1, max(0, (r - 0.2) / 0.05))")
         assert grad_l1(capped) == pytest.approx(shell_mass(0.2, 0.05, 1.0, 2), rel=0.05)
 
     def test_windowed_shell_gradient(self):
@@ -318,14 +317,14 @@ class TestTruncate:
 
     def test_zero_function_stays_zero(self):
         dom, cloud, part = self._setup()
-        u = constant_function(dom, 0.0, cloud)
+        u = constant_function(dom, 0.0)
         out = truncate(u, part, eps=0.1, s=0.02)
         assert np.all(out.values == 0.0)
         assert np.all(out.trace == 0.0)
 
     def test_indicator_plateau_and_collar(self):
         dom, cloud, part = self._setup()
-        u = constant_function(dom, 1.0, cloud)
+        u = constant_function(dom, 1.0)
         out = truncate(u, part, eps=0.1, s=0.02)
         inner = interior_region(dom, 0.1) & dom.mask
         assert np.array_equal(out.values[inner], u.values[inner])
@@ -353,7 +352,7 @@ class TestTruncate:
 
     def test_s_out_of_range_rejected(self):
         dom, cloud, part = self._setup()
-        u = constant_function(dom, 1.0, cloud)
+        u = constant_function(dom, 1.0)
         with pytest.raises(InvalidArgumentError):
             truncate(u, part, eps=0.1, s=part.delta)
 
@@ -552,7 +551,7 @@ class TestMollify:
         # anisotropy excess of the scheme, which no smooth approximant sees.
         rng = np.random.default_rng(5)
         cloud = extract_boundary(square_128)
-        cases = [indicator_function(square_128, cloud)]
+        cases = [indicator_function(square_128)]
         cases += [random_function(square_128, cloud, rng) for _ in range(4)]
         for u in cases:
             tv = total_variation(u)
@@ -634,84 +633,14 @@ class TestGridFunction:
         with pytest.raises(InvalidArgumentError):
             from_expression(square_128, "1", lipschitz=lips)
 
-    def test_cloud_of_another_grid_rejected(self):
-        # an r=1 disk's faces index cells past the grid of an r=0.5 disk
-        small, disk = make_ball((0.0, 0.0), 0.5, 1 / 16), make_ball((0.0, 0.0), 1.0, 1 / 16)
-        cloud = extract_boundary(disk)
-        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            constant_function(small, 0.0, cloud)
-
-    def test_cloud_of_another_domain_on_the_grid_rejected(self):
-        # the full disk's faces on the half disk, and the half disk's on the
-        # full disk: the grid shape matches, the faces do not
-        disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
-        half = GridDomain(disk.spacing, disk.origin, disk.mask & (np.indices(disk.shape)[0] > 20))
-        for dom, other in ((half, disk), (disk, half)):
-            ones = np.where(dom.mask, 1.0, 0.0)
-            own = extract_boundary(dom)
-            assert grad_l1(GridFunction(dom, ones, np.zeros(len(own)))) > 0
-            cloud = extract_boundary(other)
-            with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-                constant_function(dom, 0.0, cloud)
-
-    def test_cloud_of_one_component_rejected(self):
-        # the disk cut into two pieces: every face of one piece is a boundary
-        # face of the cut disk, but the other piece's faces are missing, and
-        # with them half of the gradient (9.72 against 19.44)
-        disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
-        i, j = np.indices(disk.shape)
-        split = GridDomain(disk.spacing, disk.origin, disk.mask & (np.abs(i - j) > 3))
-        piece = GridDomain(disk.spacing, disk.origin, split.mask & (i > j))
-        ones = np.where(split.mask, 1.0, 0.0)
-        own = extract_boundary(split)
-        assert grad_l1(GridFunction(split, ones, np.zeros(len(own)))) == pytest.approx(19.435028842544405)
-        cloud = extract_boundary(piece)
-        assert 0 < len(cloud) < len(own)
-        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            constant_function(split, 0.0, cloud)
-
-    def test_equal_domain_cloud_refused(self):
-        # another domain object with the same mask: a function's cloud is its
-        # own domain's, so the twin's equal cloud is refused too
-        disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
-        twin = GridDomain(disk.spacing, disk.origin, disk.mask)
-        cloud = extract_boundary(twin)
-        assert np.array_equal(cloud.points, extract_boundary(disk).points)
-        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            constant_function(disk, 1.0, cloud)
-
     def test_cloud_is_the_domains(self, disk_128):
-        u = from_expression(disk_128, "x", extract_boundary(disk_128))
+        u = from_expression(disk_128, "x")
         assert u.cloud is extract_boundary(disk_128)
         assert GridFunction(disk_128, u.values, u.trace).cloud is u.cloud
 
-    @pytest.mark.parametrize("twin", ["translated", "rescaled"])
-    def test_cloud_of_a_twin_grid_rejected(self, twin):
-        # the same mask on a moved or rescaled grid: the faces match, the
-        # points do not (the translated twin's gave grad_l1 69.1 against 3.16)
-        disk = make_ball((0.0, 0.0), 1.0, 1 / 64)
-        other = (disk.translated((5.0, 0.0)) if twin == "translated"
-                 else GridDomain(2 * disk.spacing, disk.origin, disk.mask))
-        assert np.array_equal(extract_boundary(other).faces.mask, disk.mask)
-        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            from_expression(disk, "1 + x", extract_boundary(other))
-
-    def test_synthetic_copy_of_face_cloud_rejected(self):
-        # the same points and weights without the face table: refused by
-        # every constructor that takes a cloud
-        disk = make_ball((0.0, 0.0), 1.0, 1 / 16)
-        faces = extract_boundary(disk)
-        synthetic = BoundaryCloud(faces.dim, faces.resolution, faces.points, faces.weights)
-        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            from_expression(disk, "1", synthetic)
-        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            indicator_function(disk, synthetic)
-        with pytest.raises(InvalidArgumentError, match="not the boundary face cloud of this domain"):
-            restrict_to_domain(constant_function(disk, 1.0), disk, synthetic)
-
     def test_expression_trace_from_cloud_points(self, square_128):
         cloud = extract_boundary(square_128)
-        u = from_expression(square_128, "x", cloud)
+        u = from_expression(square_128, "x")
         assert u.trace == pytest.approx(cloud.points[:, 0])
 
     def test_scale_homogeneity(self, disk_128):
@@ -882,6 +811,12 @@ _GRADIENT_DOMAINS = {
 }
 
 
+_STENCIL_LIST_DOMAINS = {
+    **_GRADIENT_DOMAINS,
+    "triangle": lambda: rasterize_polygon([(0, 0), (1, 0), (0, 1)], 1 / 128),
+}
+
+
 class TestGradientBitIdentity:
     """The face-table stencil reproduces the full-grid trace-map stencil bit for
     bit on the domain's cells, in the C order of ``values[mask]``."""
@@ -893,10 +828,37 @@ class TestGradientBitIdentity:
         expr = "x - 0.3*y - 0.1" if dom.dim == 2 else "x*y - z + 0.1"
         # signed values with nonzero traces; the random field's trace jumps
         # away from the cell values, the expression's is exact at the faces
-        signed = (from_expression(dom, expr, cloud), random_function(dom, cloud, np.random.default_rng(3)))
+        signed = (from_expression(dom, expr), random_function(dom, cloud, np.random.default_rng(3)))
         assert all((fn.values < 0).any() and (fn.trace != 0).any() for fn in signed)
-        for fn in signed + (indicator_function(dom, cloud),):
+        for fn in signed + (indicator_function(dom),):
             assert np.array_equal(calc._gradient_mag_squared(fn), _ref_gradient_mag_squared(fn)[dom.mask])
+
+
+    @pytest.mark.parametrize("name", sorted(_STENCIL_LIST_DOMAINS))
+    def test_lists_sum_to_the_stencil(self, name):
+        # the quotient search updates one coordinate at a time from these lists;
+        # each cell's squared differences, summed in order, are the stencil's bits
+        dom = _STENCIL_LIST_DOMAINS[name]()
+        rng = np.random.default_rng(11)
+        u = GridFunction(dom, rng.normal(size=dom.shape), rng.normal(size=len(extract_boundary(dom))))
+        terms, affected = calc._grad_stencil_lists(dom)
+        x = u.values[dom.mask].tolist() + u.trace.tolist()
+        sums = []
+        for i, cell_terms in enumerate(terms):
+            acc = 0.0
+            for k, step in cell_terms:
+                d = (x[k] - x[i]) / step
+                acc += d * d
+            sums.append(acc)
+        assert np.array_equal(np.array(sums), calc._gradient_mag_squared(u))
+        # a coordinate affects the cells whose terms read it, and a cell itself
+        readers = [set() for _ in x]
+        for i, cell_terms in enumerate(terms):
+            for k, _ in cell_terms:
+                readers[k].add(i)
+        n_cells = len(terms)
+        assert [set(cells) for cells in affected] == [r | {k} if k < n_cells else r
+                                                      for k, r in enumerate(readers)]
 
 
 # (domain, nonnegative function, partition delta, s values)

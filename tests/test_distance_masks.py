@@ -253,4 +253,4 @@ class TestBadEps:
     def test_proof_trace(self, disk, eps):
         u = from_expression(disk, "max(0, 1 - r*r)", lipschitz=2.0)
         with pytest.raises(InvalidArgumentError, match="eps must be positive and finite"):
-            proof_trace(disk, u, eps)
+            proof_trace(u, eps)

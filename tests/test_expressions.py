@@ -22,6 +22,10 @@ def test_variables():
     assert out == pytest.approx([1.0, -3.0, 0.0])
 
 
+def test_trailing_whitespace_ends_the_input():
+    assert np.array_equal(Expression("x ")(P.T), Expression("x")(P.T))
+
+
 def test_radial_shorthand():
     out = Expression("r")(P.T)
     assert out == pytest.approx(np.linalg.norm(P, axis=1))

@@ -821,8 +821,8 @@ class TestOneTreePerCloud:
         builds, gap_queries = counted
         dom = make_ball((0.0, 0.0), 1.0, 1 / 128)
         cloud = extract_boundary(dom)
-        u = from_expression(dom, "max(0, 1 - r*r)", cloud, lipschitz=2.0)
-        inequalities.proof_trace(dom, u, eps=0.2)
+        u = from_expression(dom, "max(0, 1 - r*r)", lipschitz=2.0)
+        inequalities.proof_trace(u, eps=0.2)
         assert not hasattr(calculus, "cKDTree")  # the truncated trace is zero: no ball query
         assert len(cloud) not in builds  # hausdorff's trees are over greedy centers
         assert gap_queries == []  # the face lattice gives the gaps
@@ -905,33 +905,25 @@ for d, delta in [(1.0, float("nan")), (float("inf"), 0.5)]:
             fn(cloud, d, delta)
         except InvalidArgumentError as exc:
             print("raised", fn.__name__, "finite" in str(exc))
-from gmtlab.calculus import constant_function, truncate
-from gmtlab.domains import GridDomain, extract_boundary, make_ball
+from gmtlab.calculus import GridFunction, constant_function, restrict_to_domain, truncate
+from gmtlab.domains import extract_boundary, make_ball
 from gmtlab.errors import ExpressionError
 from gmtlab.expressions import Expression
-from gmtlab.inequalities import check_mazya_l2, proof_trace, quotient_search
+from gmtlab.inequalities import TraceReport, check_mazya_l2, proof_trace, quotient_search
 small, disk = make_ball((0.0, 0.0), 0.5, 1 / 16), make_ball((0.0, 0.0), 1.0, 1 / 16)
 faces = extract_boundary(disk)
-twin = GridDomain(disk.spacing, disk.origin, disk.mask)
-half = GridDomain(disk.spacing, disk.origin, disk.mask & (np.indices(disk.shape)[0] > 20))
-i, j = np.indices(disk.shape)
-split = GridDomain(disk.spacing, disk.origin, disk.mask & (np.abs(i - j) > 3))
-piece = extract_boundary(GridDomain(disk.spacing, disk.origin, split.mask & (i > j)))
 refusals = {
     "deep expression": (ExpressionError, lambda: Expression("-" * 3000 + "x")),
-    "grid mismatch": (InvalidArgumentError, lambda: constant_function(small, 0.0, faces)),
-    "faceless search": (InvalidArgumentError,
-                        lambda: quotient_search(disk, constant_function(twin, 1.0), 1, 0.1)),
-    "foreign cloud": (InvalidArgumentError, lambda: constant_function(half, 0.0, faces)),
-    "partial cloud": (InvalidArgumentError, lambda: constant_function(split, 0.0, piece)),
+    "values shape": (InvalidArgumentError, lambda: GridFunction(disk, np.zeros((3, 3)), np.zeros(len(faces)))),
+    "trace length": (InvalidArgumentError, lambda: GridFunction(disk, np.zeros(disk.shape), np.zeros(3))),
+    "restriction spacing": (InvalidArgumentError, lambda: restrict_to_domain(
+        constant_function(disk, 1.0), make_ball((0.0, 0.0), 1.0, 1 / 32))),
     "foreign partition": (InvalidArgumentError, lambda: truncate(
         constant_function(disk, 1.0), build_partition(extract_boundary(small), 1, 0.25), 0.1, 0.02)),
-    "twin grid": (InvalidArgumentError,
-                  lambda: constant_function(disk, 0.0, extract_boundary(disk.translated((5.0, 0.0))))),
-    "foreign check": (InvalidArgumentError,
-                      lambda: check_mazya_l2(disk, constant_function(small, 1.0), 1.0)),
-    "foreign proof": (InvalidArgumentError,
-                      lambda: proof_trace(disk, constant_function(small, 1.0), 1.0)),
+    "c1 word": (InvalidArgumentError, lambda: check_mazya_l2(constant_function(disk, 1.0), "fast")),
+    "proof eps": (InvalidArgumentError, lambda: proof_trace(constant_function(disk, 1.0), 0.5)),
+    "search iters": (InvalidArgumentError, lambda: quotient_search(constant_function(disk, 1.0), 0, 0.1)),
+    "trace order": (InvalidArgumentError, lambda: TraceReport([], {})),
 }
 for name, (error, call) in refusals.items():
     try:
@@ -949,6 +941,6 @@ def test_typed_checks_survive_python_O():
     assert out[:6] == ["raised no cells", "raised empty cell", "raised overlap", "raised cover",
                        "raised representative", "raised beyond 2 rd"]
     assert out[6:10] == ["raised estimate_hm_detail True", "raised build_partition True"] * 2
-    assert out[10:19] == ["raised deep expression", "raised grid mismatch", "raised faceless search",
-                          "raised foreign cloud", "raised partial cloud", "raised foreign partition",
-                          "raised twin grid", "raised foreign check", "raised foreign proof"]
+    assert out[10:19] == ["raised deep expression", "raised values shape", "raised trace length",
+                          "raised restriction spacing", "raised foreign partition", "raised c1 word",
+                          "raised proof eps", "raised search iters", "raised trace order"]

@@ -1,9 +1,11 @@
 """Names that other code depends on: every ``__all__``, the package re-exports,
-and every gmtlab name that the benchmark harness under ``bench/`` imports; and
-every error type, which some ``raise`` in the package must name."""
+and every gmtlab name that the benchmark harness under ``bench/`` imports; every
+error type, which some ``raise`` in the package must name; and the signatures
+that a function's domain and cloud are read off."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 from types import ModuleType
@@ -84,3 +86,17 @@ def test_every_error_type_is_raised():
              if isinstance(obj, type) and obj.__module__ == errors.__name__}
     assert "GmtLabError" in types
     assert sorted(types - {"GmtLabError"} - _raised_names()) == []
+
+
+# a grid function carries its domain, and through it the domain's cloud: the
+# constructors read the cloud off the domain and the procedures read the domain
+# off the function, so neither is passed a second time
+_NO_CLOUD = ("from_expression", "constant_function", "indicator_function", "restrict_to_domain")
+_NO_DOMAIN = ("check_mazya", "check_mazya_l2", "check_bv_bound", "proof_trace", "quotient_search")
+
+
+def test_domain_and_cloud_are_read_off_the_function():
+    params = {name: list(inspect.signature(getattr(gmtlab, name)).parameters) for name in _NO_CLOUD + _NO_DOMAIN}
+    assert [name for name in _NO_CLOUD if "cloud" in params[name]] == []
+    assert [name for name in _NO_DOMAIN if "domain" in params[name]] == []
+    assert params["restrict_to_domain"] == ["u", "domain"]  # the target domain is a second input

@@ -411,6 +411,12 @@ class TestCli:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_verify_warns_on_an_empty_suite(self, tmp_path, capsys):
+        code = main(["verify", write_json(tmp_path / "s.json", {"name": "empty", "entries": []})])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out == "suite 'empty': 0 checks, 0 violations, 0 errors -> PASS\nwarning: suite has no entries\n"
+
     def test_verify_exit_two_on_bad_spec(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope}")

@@ -65,24 +65,24 @@ def test_cube_indicator_tv():
     assert total_variation(u) == pytest.approx(6.0, rel=0.03)
 
 
-def test_inequalities_hold(ball_48, ball_cloud):
+def test_inequalities_hold(ball_48):
     assert check_isoperimetric(ball_48).holds
-    u = from_expression(ball_48, "x*x + y*y + z*z", ball_cloud)
-    assert check_mazya(ball_48, u, "optimal").holds
-    assert check_mazya(ball_48, u, "paper_factor").holds
-    assert check_mazya_l2(ball_48, u, "auto").holds
-    assert check_bv_bound(ball_48, u).holds
+    u = from_expression(ball_48, "x*x + y*y + z*z")
+    assert check_mazya(u, "optimal").holds
+    assert check_mazya(u, "paper_factor").holds
+    assert check_mazya_l2(u, "auto").holds
+    assert check_bv_bound(u).holds
 
 
-def test_proof_trace_runs(ball_48, ball_cloud):
-    u = constant_function(ball_48, 1.0, ball_cloud)
-    tr = proof_trace(ball_48, u, eps=0.35)
+def test_proof_trace_runs(ball_48):
+    u = constant_function(ball_48, 1.0)
+    tr = proof_trace(u, eps=0.35)
     assert tr.all_hold
 
 
-def test_proof_trace_refuses_shells_the_stencil_cannot_resolve(ball_48, ball_cloud):
+def test_proof_trace_refuses_shells_the_stencil_cannot_resolve(ball_48):
     # delta = 0.15 clears six spacings, but shells of delta/4 = 1.8 h carry a
     # 3D stencil bias of about 0.11 h / s = 6 %, above main5's 5 % tolerance
-    u = from_expression(ball_48, "max(0, 1 - r*r)", ball_cloud, lipschitz=2.0)
+    u = from_expression(ball_48, "max(0, 1 - r*r)", lipschitz=2.0)
     with pytest.raises(ResolutionError, match="delta/4 is 1.8 grid spacings"):
-        proof_trace(ball_48, u, eps=0.5)
+        proof_trace(u, eps=0.5)
