@@ -202,7 +202,8 @@ _PAD_CELLS = 2
 _SLAB_CELLS = 1 << 15
 # most cells a domain or dilation grid may have: about 64x the largest suite,
 # bench and test grid (the 2,052 x 2,052 disk); a float array of it is 2 GiB.
-# It must stay below 2^31: within_distance indexes the flat grid in int32
+# It must stay below 2^31: within_distance holds its axis-0 distances, which
+# reach about three times a grid side, in int32
 _MAX_GRID_CELLS = 1 << 28
 
 
@@ -383,8 +384,8 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     boundary of curved sets; quantitative boundary-measure values come from
     the covering estimator, not from these raw weights.
 
-    The cloud is built with its face table, one pass over the mask per face
-    direction; its nearest-neighbour gaps are left to their first read
+    The cloud is built with its face table, one compare of the mask with
+    its shift per axis; its nearest-neighbour gaps are left to their first read
     (:func:`_face_gaps`).  Domains and clouds are immutable, so the cloud is
     built once per domain, cached on it, and shared by every caller.
     """
@@ -399,14 +400,12 @@ def extract_boundary(domain: GridDomain) -> BoundaryCloud:
     blocks, start = {}, 0
     for axis in range(domain.dim):
         stride = int(np.prod(mask.shape[axis + 1:]))
-        for sign in (1, -1):
-            # true cells, in C order, whose neighbour one stride on (back, for sign -1)
-            # is false (on booleans a > b is "a and not b"); the false margin keeps every
-            # neighbour of a true cell in the grid, and a nonempty mask has faces each way
-            if sign == 1:
-                cells = np.flatnonzero(flat[:-stride] > flat[stride:])
-            else:
-                cells = np.flatnonzero(flat[stride:] > flat[:-stride]) + stride
+        # the pairs of cells one stride apart that differ: where the first is true its
+        # +face, else the second's -face, each in C order; the false margin keeps every
+        # neighbour of a true cell in the grid, and a nonempty mask has faces each way
+        pairs = np.flatnonzero(flat[:-stride] != flat[stride:])
+        inside = flat[pairs]
+        for sign, cells in ((1, pairs[inside]), (-1, pairs[~inside] + stride)):
             cells.setflags(write=False)
             blocks[axis, sign] = (slice(start, start + len(cells)), cells)
             start += len(cells)
@@ -536,10 +535,11 @@ def within_distance(source: np.ndarray, t: float, h: float, strict: bool = False
     of each column from two running extrema, middle axes take capped
     min-plus passes, and along the contiguous last axis each cell with
     G < K stamps the interval of cells it brings within the cut, clamped to
-    its row.  The union of these flat intervals [start, end) is taken in
-    int32: each start keeps the largest end stamped there
-    (``np.maximum.at``), a running maximum carries the ends forward, and a
-    cell is covered when the running maximum passes its own index.
+    its row.  No interval crosses a row, so the union of these flat
+    intervals [start, end) is taken one row slab (:func:`_row_slabs`) at a
+    time: the slab's intervals are sorted by start, a running maximum
+    carries their ends forward, and the merged runs are painted over the
+    sources (on which G == 0) in one pass.
     """
     shape = source.shape
     # past the grid's diagonal every cell is within t of every source
@@ -561,24 +561,39 @@ def within_distance(source: np.ndarray, t: float, h: float, strict: bool = False
     g *= g
     for axis in range(1, source.ndim - 1):
         _min_plus(g, axis, reach)
-    zero = g == 0
-    # a source cell inside a run of source cells along the last axis adds no
-    # cell that the run's two ends do not; the run itself is in the mask
-    inner = zero.copy()
-    inner[..., 1:] &= zero[..., :-1]
-    inner[..., :-1] &= zero[..., 1:]
-    stamps = g < cut
-    stamps &= ~inner
-    flat = np.flatnonzero(stamps)
-    # half-widths floor(sqrt(K - 1 - G)): float sqrt is exact below 2^52
-    half = np.sqrt(cut - 1 - g.reshape(-1)[flat]).astype(np.int64)
-    col = flat % shape[-1]
-    reach_to = np.zeros(source.size, dtype=np.int32)  # no grid has 2^31 cells (_MAX_GRID_CELLS)
-    np.maximum.at(reach_to, flat - np.minimum(half, col),
-                  (flat + np.minimum(half, shape[-1] - 1 - col) + 1).astype(np.int32))
-    np.maximum.accumulate(reach_to, out=reach_to)
-    cover = reach_to > np.arange(source.size, dtype=np.int32)
-    return cover.reshape(shape) | zero
+    out = source.copy()  # G == 0 exactly on the sources
+    width = shape[-1]
+    for rows in _row_slabs(shape):
+        src, dist2 = source[rows], g[rows].reshape(-1)
+        # a source cell inside a run of source cells along the last axis adds no
+        # cell that the run's two ends do not; the run itself is in the mask
+        inner = src.copy()
+        inner[..., 1:] &= src[..., :-1]
+        inner[..., :-1] &= src[..., 1:]
+        stamps = dist2 < cut
+        stamps &= ~inner.reshape(-1)
+        flat = np.flatnonzero(stamps)
+        if not flat.size:
+            continue
+        # half-widths floor(sqrt(K - 1 - G)): float sqrt is exact below 2^52
+        half = np.sqrt(cut - 1 - dist2[flat]).astype(np.int64)
+        col = flat % width
+        start = flat - np.minimum(half, col)
+        order = np.argsort(start, kind="stable")
+        start = start[order]
+        end = (flat + np.minimum(half, width - 1 - col) + 1)[order]
+        np.maximum.accumulate(end, out=end)
+        # the union's runs break after each interval that ends before the next starts
+        gaps = np.flatnonzero(end[:-1] < start[1:])
+        # 0, each run's start and end, the slab's size: the slab's cells as
+        # alternating gaps and runs, the first and last gaps maybe empty
+        edges = np.empty(2 * len(gaps) + 4, dtype=np.int64)
+        edges[[0, 1, -2, -1]] = 0, start[0], end[-1], len(dist2)
+        edges[2:-2:2] = end[gaps]
+        edges[3:-2:2] = start[gaps + 1]
+        runs = np.repeat(np.arange(len(edges) - 1) % 2 == 1, edges[1:] - edges[:-1])
+        out[rows] |= runs.reshape(src.shape)
+    return out
 
 
 def _squared_cut(t: float, h: float, n: int, strict: bool) -> int:

@@ -294,16 +294,13 @@ def _auto_c1(domain: GridDomain) -> float:
 def check_mazya_l2(u: calc.GridFunction, c1) -> Report:
     """Squared L2 norm against 2 c1 (2 c1 |grad u|_2^2 + squared trace mass) on u's domain."""
     domain = u.domain
-    cal, meta = _calibration(domain)
     auto = isinstance(c1, str)
-    if auto:
-        if c1 != "auto":
-            raise InvalidArgumentError("c1 must be a positive number or 'auto'")
-        c1_val = _auto_c1(domain)
-    else:
-        c1_val = float(c1)
-    if c1_val <= 0:
+    if auto and c1 != "auto":
+        raise InvalidArgumentError("c1 must be a positive number or 'auto'")
+    if not auto and float(c1) <= 0:
         raise InvalidArgumentError("c1 must be positive")
+    cal, meta = _calibration(domain)
+    c1_val = _auto_c1(domain) if auto else float(c1)
     lhs = calc.lq_norm(u, 2.0) ** 2
     grad_sq = calc.grad_l2_squared(u)
     trace_sq = float(np.sum(u.trace ** 2 * u.cloud.weights)) * cal

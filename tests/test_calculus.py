@@ -1079,3 +1079,15 @@ def test_full_grid_kernels_hold_a_few_slabs_of_scratch():
     assert peak <= grid + 3 * slab
     peak, _ = _kernel_peak(lambda: from_expression(dom, "max(0, 1 - r*r)"))
     assert peak <= grid + 4 * slab
+
+
+@pytest.mark.parametrize("dim, h, eps, grids", [(2, 1 / 512, 0.05, 1.2), (3, 1 / 48, 1.0, 2.2)],
+                         ids=["proof_disk", "ball3d"])
+def test_interior_region_holds_its_int32_distances_and_slabs(dim, h, eps, grids):
+    # the boolean source and the two int32 axis-0 sweeps (1.13 float grids);
+    # in 3D the min-plus passes' int32 scratch and padded copy, which is
+    # about twice the grid at a reach of half its side, instead of one sweep
+    # (2.11); then the masks and one slab of stamps
+    dom = make_ball((0.0,) * dim, 1.0, h)
+    peak, _ = _kernel_peak(lambda: interior_region(dom, eps))
+    assert peak <= grids * 8 * dom.mask.size

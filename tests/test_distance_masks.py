@@ -18,6 +18,7 @@ from scipy import ndimage
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from gmtlab import domains  # noqa: E402
 from gmtlab.calculus import from_expression, interior_region, minkowski_steiner  # noqa: E402
 from gmtlab.domains import _MAX_GRID_CELLS, GridDomain, _within_unit, dilate, make_ball, within_distance  # noqa: E402
 from gmtlab.errors import InvalidArgumentError  # noqa: E402
@@ -159,7 +160,7 @@ def test_clamped_stamps_match_the_edt(shape, sources):
     thresholds a stamp reaches past both ends of its row, and no interval may
     spill into the next one.  A run of sources at a row's start and the cells
     beside it: several stamps clamped to one start with different ends, of
-    which the union keeps the farthest (``np.maximum.at``)."""
+    which the union keeps the farthest (the running maximum of the sorted ends)."""
     h = 1 / 8  # dyadic: no squared length straddles a threshold
     source = np.zeros(shape, dtype=bool)
     source[tuple(np.transpose(sources))] = True
@@ -169,9 +170,67 @@ def test_clamped_stamps_match_the_edt(shape, sources):
             assert np.array_equal(within_distance(source, t, h, strict), dist < t if strict else dist <= t)
 
 
+def _slab_sources(shape, rows_per_slab, kind):
+    """Sources for the slab union at about ``rows_per_slab`` rows a slab, and
+    that slab size in cells; h = 1/8 and ``t = 3h`` give a source the stamp
+    [c - 3, c + 4) along its row."""
+    cells = rows_per_slab * math.prod(shape[1:])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domains, "_SLAB_CELLS", cells)
+        slabs = domains._row_slabs(shape)
+    assert len(slabs) >= 3
+    first, last = slabs[1].start, slabs[1].stop - 1  # a middle slab's edge rows
+    lead = (0,) * (len(shape) - 2)  # the first plane of a 3D grid
+    source = np.zeros(shape, dtype=bool)
+    if kind == "slab_edge_rows":
+        source[(first,) + lead + (4,)] = source[(last,) + lead + (shape[-1] - 3,)] = True
+    elif kind == "touching":
+        # [2, 9) then [9, 16) on the sources' row, one merged run
+        source[(first,) + lead + (5,)] = source[(first,) + lead + (12,)] = True
+    elif kind == "nested":
+        # on the first row, column 6 (G = 9) stamps [6, 7) inside the source's
+        # [2, 9), and column 10 (G = 1) then [8, 13): one run, as ends are
+        # carried forward by their running maximum
+        source[(first,) + lead + (5,)] = source[(first + 3,) + lead + (6,)] = True
+        source[(first + 1,) + lead + (10,)] = True
+    elif kind == "full_row":
+        source[(last,) + lead] = True  # a row made only of sources, its inner cells skipped
+        source[(first,) + lead + (shape[-1] // 2,)] = True
+    return source, cells
+
+
+@pytest.mark.parametrize("shape", [(23, 17), (14, 4, 17)], ids=["2d", "3d"])
+@pytest.mark.parametrize("kind", ["slab_edge_rows", "touching", "nested", "full_row"])
+def test_slab_union_matches_the_edt(monkeypatch, shape, kind):
+    """The union of the stamped intervals is taken one row slab at a time;
+    at slabs of a few rows it must still give the EDT threshold."""
+    h = 1 / 8  # dyadic: no squared length straddles a threshold
+    source, cells = _slab_sources(shape, 3, kind)
+    dist = _edt(~source, h)
+    monkeypatch.setattr(domains, "_SLAB_CELLS", cells)
+    for t in (2.5 * h, 3.0 * h, 4.2 * h, 6.5 * h):
+        for strict in (False, True):
+            assert np.array_equal(within_distance(source, t, h, strict), dist < t if strict else dist <= t)
+
+
+@settings(max_examples=40)
+@given(dom=small_domains(), rows=st.integers(1, 4), data=st.data())
+def test_thresholds_match_the_edt_in_small_slabs(dom, rows, data):
+    h, mask = dom.spacing, dom.mask
+    t = data.draw(widths(h)) + 0.5 * h
+    dist = _edt(mask, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domains, "_SLAB_CELLS", rows * math.prod(mask.shape[1:]))
+        for strict in (False, True):
+            got = within_distance(~mask, t, h, strict)
+            assert np.array_equal(got, _length_rule(~mask, t, h, strict))
+            if not _straddles(t, h, dom.dim, strict):
+                assert np.array_equal(got, dist < t if strict else dist <= t)
+
+
 def test_flat_indices_fit_in_int32():
-    # within_distance unions its intervals in int32 flat indices, whose ends
-    # reach the cell count itself
+    # within_distance holds its axis-0 distances in int32; they reach about
+    # three times a grid side, and no side is longer than the cell count
     assert _MAX_GRID_CELLS < 2 ** 31
 
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from gmtlab import inequalities
 from gmtlab.calculus import GridFunction, constant_function, minkowski_steiner, mollify, restrict_to_domain
 from gmtlab.constants import TRACE_STEP_TOLERANCES
 from gmtlab.domains import GridDomain, extract_boundary, make_annulus, make_ball, make_box
@@ -87,3 +88,16 @@ def test_refusal(name):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call()
     assert info.type is error
+
+
+@pytest.mark.parametrize("c1, message", [("bogus", "c1 must be a positive number or 'auto'"),
+                                         (0.0, "c1 must be positive"), (-2.0, "c1 must be positive")])
+def test_malformed_c1_refused_before_any_estimate(monkeypatch, c1, message):
+    u = _one()
+
+    def estimate(domain):
+        raise AssertionError("the boundary measure was estimated before c1 was checked")
+
+    monkeypatch.setattr(inequalities, "_calibration", estimate)
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+        check_mazya_l2(u, c1)
