@@ -381,8 +381,9 @@ _MAX_WINDOW_CELLS = 1 << 26
 def _index_box(domain: GridDomain, center: np.ndarray, radius):
     """Cell index bounds [lo, hi) per axis covering B(center, radius), unclipped; broadcasts.
 
-    A window above ``_MAX_WINDOW_CELLS`` (the widest box, unclipped) is an
-    InvalidArgumentError, raised before any bound is cast to an integer.
+    A window above ``_MAX_WINDOW_CELLS`` is an InvalidArgumentError, raised
+    before any bound is cast to an integer.  The limit is checked on the box
+    of the per-axis maxima over all windows, which holds each of them.
     """
     h = domain.spacing
     lo = np.floor((center - radius - domain.origin) / h - 1)
@@ -396,26 +397,32 @@ _BLOCK_POINTS = 1 << 18
 
 
 def _barrier_windows(domain: GridDomain, centers: np.ndarray, diams: np.ndarray, s: float, heights: np.ndarray):
-    """Yield (slice of the barriers, lo, hi, dist, ramps) in blocks of bounded size.
+    """Yield (barrier indices, lo, hi, dist, ramps) in blocks of one window shape.
 
     ``centers`` is (B, n), ``diams`` and ``heights`` are (B,).  A barrier's
     window is the unclipped index box [lo, hi) of its shell B(x_C, diam + s
-    + 3h).  A block's ``dist`` (b, *width) holds each centre's distances to
-    its window's cell centres, padded to the widest window with ``inf``
-    (``domains._lattice``), and ``ramps`` their barrier ramps: 0 up to
-    ``diam``, linear up to ``height`` at ``diam + s``, the cap on the padding.
+    + 3h).  The barriers are grouped by window shape, stably, the groups in
+    the order of each shape's first barrier, and each group is cut into
+    blocks of at most ``_BLOCK_POINTS`` cells (at least one window each).
+    A block's ``dist`` (b, *shape) holds each centre's distances to its
+    window's cell centres, and ``ramps`` their barrier ramps: 0 up to
+    ``diam``, linear up to ``height`` at ``diam + s``.
     """
     lo, hi = _index_box(domain, centers, (diams + s + 3 * domain.spacing).reshape(-1, 1))
-    block = max(1, _BLOCK_POINTS // max(1, int(np.prod(np.max(hi - lo, axis=0, initial=0)))))
+    groups = {}
+    for i, shape in enumerate(map(tuple, (hi - lo).tolist())):
+        groups.setdefault(shape, []).append(i)
     per_centre = (-1,) + (1,) * domain.dim
-    for start in range(0, len(centers), block):
-        b = slice(start, start + block)
-        dist = 0
-        for a, x in enumerate(_lattice(domain.origin, domain.spacing, lo[b], hi[b])):
-            dist = dist + (x - centers[b, a].reshape(per_centre)) ** 2
-        np.sqrt(dist, out=dist)
-        ramps = heights[b].reshape(per_centre) * np.clip((dist - diams[b].reshape(per_centre)) / s, 0.0, 1.0)
-        yield b, lo[b], hi[b], dist, ramps
+    for shape, same in groups.items():
+        block = max(1, _BLOCK_POINTS // math.prod(shape))
+        for start in range(0, len(same), block):
+            b = np.array(same[start : start + block])
+            dist = 0
+            for a, x in enumerate(_lattice(domain.origin, domain.spacing, lo[b], shape)):
+                dist = dist + (x - centers[b, a].reshape(per_centre)) ** 2
+            np.sqrt(dist, out=dist)
+            ramps = heights[b].reshape(per_centre) * np.clip((dist - diams[b].reshape(per_centre)) / s, 0.0, 1.0)
+            yield b, lo[b], hi[b], dist, ramps
 
 
 def shell_gradient_discrete(x_c, diam, s: float, height, domain: GridDomain):
@@ -431,11 +438,11 @@ def shell_gradient_discrete(x_c, diam, s: float, height, domain: GridDomain):
     x_c = np.asarray(x_c, dtype=float)
     centers = x_c.reshape(-1, domain.dim)
     diams, heights = (np.broadcast_to(np.asarray(v, dtype=float), len(centers)) for v in (diam, height))
-    masses = []
-    for _, lo, hi, dist, ramps in _barrier_windows(domain, centers, diams, s, heights):
-        masses.append(_forward_tv(ramps, domain.spacing, hi - lo))
+    masses = np.empty(len(centers))
+    for b, _, _, dist, ramps in _barrier_windows(domain, centers, diams, s, heights):
+        masses[b] = _forward_tv(ramps, domain.spacing)
         del dist, ramps  # before the next block is built
-    return np.concatenate(masses) if x_c.ndim == 2 else float(masses[0][0])
+    return masses if x_c.ndim == 2 else float(masses[0])
 
 
 def interior_region(domain: GridDomain, eps: float) -> np.ndarray:
@@ -481,9 +488,9 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     centers, diams, heights = _barriers(u, part, eps)
 
     out = u.values.copy()
-    masses = []
+    masses = np.empty(len(centers))
     for b, lo, hi, dist, ramps in _barrier_windows(dom, centers, diams, s, heights):
-        masses.append(_forward_tv(ramps, dom.spacing, hi - lo))
+        masses[b] = _forward_tv(ramps, dom.spacing)
         ramps[dist > (diams[b] + s).reshape((-1,) + (1,) * dom.dim)] = np.inf
         for ramp, start, stop, first in zip(ramps, np.maximum(lo, 0), np.minimum(hi, dom.shape), lo):
             view = out[tuple(map(slice, start, stop))]
@@ -492,7 +499,6 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     # discrete vanishing trace: zero out the collar next to the boundary (the
     # cells within 1.5h of an exterior cell) and the exterior with it
     out[within_distance(~dom.mask, 1.5 * dom.spacing, dom.spacing)] = 0.0
-    masses = np.concatenate(masses)
     masses.setflags(write=False)
     return GridFunction(dom, out, np.zeros(len(u.cloud)), metadata={"shell_masses": masses}, _adopt=True)
 
@@ -503,24 +509,21 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
 
 def total_variation(u: GridFunction) -> float:
     """Isotropic discrete TV of u extended by zero over the whole grid box."""
-    return float(_forward_tv(u.values[None], u.domain.spacing, np.array([u.domain.shape]))[0])
+    return float(_forward_tv(u.values[None], u.domain.spacing)[0])
 
 
-def _forward_tv(v: np.ndarray, h: float, widths: np.ndarray) -> np.ndarray:
+def _forward_tv(v: np.ndarray, h: float) -> np.ndarray:
     """Isotropic forward-difference TV of stacked grid arrays (Chambolle, JMIV 20 (2004)).
 
-    ``v`` stacks B arrays padded to one shape, and row i of ``widths`` is
-    array i's own shape.  Along each axis an array's last slice has no
-    forward neighbour and adds nothing: the padding must repeat the values
-    on each array's edge (the ramp's cap, for barrier shells), so a
-    difference into it is zero.  Each array is summed over its own cells in
-    its own order, so every TV is the same as for that array alone.
+    ``v`` stacks B arrays of one shape.  Along each axis an array's last
+    slice has no forward neighbour and adds nothing.  Each array is summed
+    over its own cells in its own order, so every TV is the same as for
+    that array alone.
 
     The stack is walked as one grid of B * width_0 rows, one row slab
     (``domains._row_slabs``) at a time in slab-sized scratch, into one
-    array of the cells' roots.  The arrays of each distinct width are then
-    summed in one call, one row each of a (k, cells) array, which gives
-    each array's own pairwise sum.
+    array of the cells' roots; one call then sums each array's roots as a
+    row of (B, cells), pairwise, as it sums that array alone.
     """
     n = v.ndim - 1
     flat_v = v.reshape(-1)
@@ -546,16 +549,8 @@ def _forward_tv(v: np.ndarray, h: float, widths: np.ndarray) -> np.ndarray:
                 dd.reshape((-1,) + v.shape[2:])[(slice(None),) * (a - 1) + (-1,)] = 0.0
                 t += np.multiply(dd, dd, out=dd)
         np.sqrt(t, out=flat_roots[f0:f1])
-    groups = {}
-    for i, w in enumerate(map(tuple, widths.tolist())):
-        groups.setdefault(w, []).append(i)
-    sums = np.empty(len(v))
-    for w, same in groups.items():
-        # a view when every array has the stack's own width (the full-grid TV)
-        part = roots[(slice(None) if len(same) == len(v) else same,) + tuple(map(slice, w))]
-        sums[same] = np.sum(np.ascontiguousarray(part).reshape(len(same), -1), axis=1)
     # raw differences carry one factor of h less than the gradient
-    return sums * h ** (n - 1)
+    return np.sum(roots.reshape(len(v), -1), axis=1) * h ** (n - 1)
 
 
 def _kernel_cells(k: int, spacing: float) -> int:

@@ -243,31 +243,26 @@ def _empty_grid(low, high, h):
     return origin, shape
 
 
-def _lattice(origin, h, lo, hi) -> list:
-    """Cell-centre coordinates of B index boxes [lo, hi), one sparse array per axis.
+def _lattice(origin, h, lo, width) -> list:
+    """Cell-centre coordinates of B index boxes of one shape, one sparse array per axis.
 
-    ``lo`` and ``hi`` are (B, n) integer bounds, which may reach past the grid
-    box (a virtual lattice aligned with the grid).  Axis a's array has shape
-    (B, 1, ..., width_a, ..., 1), where width is the widest box, and holds
-    ``inf`` past each box's ``hi``.  The arrays broadcast against each other,
-    so a per-axis sum such as ``sum((x - c) ** 2 ...)`` adds every element in
-    the same order as on a dense meshgrid.
+    ``lo`` holds the boxes' (B, n) integer lower corners, which may lie past
+    the grid box (a virtual lattice aligned with the grid), and ``width``
+    their shape.  Axis a's array has shape (B, 1, ..., width_a, ..., 1).  The
+    arrays broadcast, so a per-axis sum such as ``sum((x - c) ** 2 ...)``
+    adds every element in the same order as on a dense meshgrid.
     """
     n = len(origin)
-    width = np.max(hi - lo, axis=0, initial=0)
     coords = []
     for a in range(n):
-        idx = lo[:, a, None] + np.arange(width[a])
-        x = origin[a] + (idx + 0.5) * h
-        x[idx >= hi[:, a, None]] = np.inf
+        x = origin[a] + (lo[:, a, None] + np.arange(width[a]) + 0.5) * h
         coords.append(x.reshape((len(x),) + (1,) * a + (width[a],) + (1,) * (n - 1 - a)))
     return coords
 
 
 def _centers_grid(origin, shape, h) -> list:
     """Cell-centre coordinates of the whole grid box as a sparse lattice."""
-    lo = np.zeros((1, len(shape)), dtype=np.int64)
-    return [x[0] for x in _lattice(origin, h, lo, np.array([shape]))]
+    return [x[0] for x in _lattice(origin, h, np.zeros((1, len(shape)), dtype=np.int64), shape)]
 
 
 def make_ball(center: Sequence[float], radius: float, h: float) -> GridDomain:
@@ -539,7 +534,9 @@ def within_distance(source: np.ndarray, t: float, h: float, strict: bool = False
     intervals [start, end) is taken one row slab (:func:`_row_slabs`) at a
     time: the slab's intervals are sorted by start, a running maximum
     carries their ends forward, and the merged runs are painted over the
-    sources (on which G == 0) in one pass.
+    sources (on which G == 0) in one pass.  A cut whose capped squared
+    distances would not fit int32 is an InvalidArgumentError, raised before
+    any grid is formed.
     """
     shape = source.shape
     # past the grid's diagonal every cell is within t of every source
@@ -549,6 +546,10 @@ def within_distance(source: np.ndarray, t: float, h: float, strict: bool = False
     reach = math.isqrt(cut - 1)  # the longest offset along one axis
     if reach <= 1:
         return _within_unit(source, cut)
+    # G is capped at (reach + 1)^2, and _min_plus adds a middle-axis shift's square to it
+    shift = max((min(reach, m - 1) for m in shape[1:-1]), default=0)
+    if (reach + 1) ** 2 + shift * shift > np.iinfo(np.int32).max:
+        raise InvalidArgumentError(f"a distance of {reach} cells overflows the int32 squared distances")
     far = shape[0] + reach + 1
     row = np.arange(shape[0], dtype=np.int32).reshape((-1,) + (1,) * (source.ndim - 1))
     before = _sweep(np.where(source, row, -far), np.maximum)

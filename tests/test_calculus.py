@@ -967,6 +967,27 @@ class TestBitIdentityWithReferences:
             ref = [_ref_shell_gradient(*args, s, ht, dom) for *args, ht in zip(centers, diams, heights)]
             assert np.array_equal(masses, ref)
 
+    @pytest.mark.parametrize("block_points", [1, 5000, calc._BLOCK_POINTS])
+    def test_barrier_windows_in_blocks_of_one_shape(self, case, monkeypatch, block_points):
+        # each barrier once, in blocks of one window shape and of at most
+        # _BLOCK_POINTS cells (or one window), with no padding
+        dom, u, part, s_values = case
+        monkeypatch.setattr(calc, "_BLOCK_POINTS", block_points)
+        centers, diams, heights = calc._barriers(u, part, 0.05)
+        seen = []
+        for b, lo, hi, dist, ramps in calc._barrier_windows(dom, centers, diams, s_values[-1], heights):
+            shape = hi[0] - lo[0]
+            assert (hi - lo == shape).all() and dist.shape == ramps.shape == (len(b), *shape)
+            assert len(b) == 1 or dist.size <= block_points
+            assert np.isfinite(dist).all()
+            seen.extend(b.tolist())
+        assert sorted(seen) == list(range(len(part)))
+
+    def test_empty_shell_stack(self, case):
+        dom = case[0]
+        masses = shell_gradient_discrete(np.empty((0, dom.dim)), 0.1, 0.02, 1.0, dom)
+        assert isinstance(masses, np.ndarray) and masses.shape == (0,)
+
     def test_shell_gradient_past_the_grid_box(self, case):
         # centres on and beyond the rim: the shell lattice leaves the grid box
         dom = case[0]
@@ -990,19 +1011,16 @@ class TestBitIdentityWithReferences:
 
 
 @pytest.mark.parametrize("shapes", [
-    [(5, 7), (40, 300), (5, 7), (3, 2), (1, 9), (40, 300), (52, 61)],
-    [(4, 5, 6), (20, 30, 25), (2, 1, 3), (4, 5, 6), (20, 30, 25)],
+    [(5, 7), (40, 300), (3, 2), (1, 9), (52, 61)],
+    [(4, 5, 6), (20, 30, 25), (2, 1, 3)],
 ])
-def test_stacked_tv_of_mixed_widths(shapes):
-    # arrays of several shapes, some repeated and some past numpy's 8192-element
-    # summation blocks, padded with their edge values into one stack: each TV
-    # is the one of that array alone
+def test_stacked_tv_of_one_shape(shapes):
+    # a stack of arrays of one shape, for shapes small and past numpy's 8192-element
+    # summation blocks: each TV is the one of that array alone
     rng = np.random.default_rng(11)
-    arrays = [rng.normal(size=shape) for shape in shapes]
-    widest = np.max(shapes, axis=0)
-    stack = np.stack([np.pad(a, [(0, w - k) for w, k in zip(widest, a.shape)], mode="edge") for a in arrays])
-    tvs = calc._forward_tv(stack, 0.07, np.array(shapes))
-    assert tvs.tolist() == [_ref_padded_tv(a, 0.07) for a in arrays]
+    for shape in shapes:
+        stack = rng.normal(size=(4,) + shape)
+        assert calc._forward_tv(stack, 0.07).tolist() == [_ref_padded_tv(a, 0.07) for a in stack]
 
 
 # slabs of one row; of a few rows (a few planes in 3D), whose edges cut
@@ -1036,10 +1054,10 @@ class TestRowSlabs:
 
     @pytest.mark.parametrize("cells", _SLAB_SIZES)
     def test_stacked_tv_at_any_slab_size(self, monkeypatch, cells):
-        # slab edges inside and between the padded arrays of a barrier stack
+        # slab edges inside and between the arrays of a barrier stack
         monkeypatch.setattr(domains, "_SLAB_CELLS", cells)
-        test_stacked_tv_of_mixed_widths([(4, 5, 6), (20, 30, 25), (2, 1, 3), (4, 5, 6)])
-        test_stacked_tv_of_mixed_widths([(5, 7), (40, 300), (3, 2), (40, 300), (52, 61)])
+        test_stacked_tv_of_one_shape([(4, 5, 6), (20, 30, 25), (2, 1, 3)])
+        test_stacked_tv_of_one_shape([(5, 7), (40, 300), (3, 2), (52, 61)])
 
     def test_adopted_values_are_not_copied(self):
         # from_expression and truncate hand their fresh grids over; a caller's array is copied

@@ -234,6 +234,24 @@ def test_flat_indices_fit_in_int32():
     assert _MAX_GRID_CELLS < 2 ** 31
 
 
+def test_longest_int32_reach_matches_the_edt():
+    """The capped squared distances are int32, so (reach + 1)^2 must fit.  On a
+    long 2D grid the longest reach that fits, 46,339 cells, still gives the EDT
+    threshold, and one cell more is refused before any grid is formed."""
+    assert 46340 ** 2 <= np.iinfo(np.int32).max < 46341 ** 2
+    h = 1 / 8
+    source = np.zeros((46345, 3), dtype=bool)
+    source[0, 1] = True
+    dist = _edt(~source, h)
+    for t, strict in ((46339.5 * h, False), (46339.5 * h, True), (46340 * h, True)):
+        got = within_distance(source, t, h, strict)
+        assert got[46339].all() and not got[46341:].any()
+        assert np.array_equal(got, dist < t if strict else dist <= t)
+    for t, strict in ((46340 * h, False), (46340.5 * h, True)):
+        with pytest.raises(InvalidArgumentError, match="^a distance of 46340 cells overflows the int32 squared"):
+            within_distance(source, t, h, strict)
+
+
 def test_empty_source_reaches_nothing():
     empty = np.zeros((6, 7, 5), dtype=bool)
     for t in (0.05, 1.0):

@@ -905,8 +905,8 @@ for d, delta in [(1.0, float("nan")), (float("inf"), 0.5)]:
             fn(cloud, d, delta)
         except InvalidArgumentError as exc:
             print("raised", fn.__name__, "finite" in str(exc))
-from gmtlab.calculus import GridFunction, constant_function, restrict_to_domain, truncate
-from gmtlab.domains import extract_boundary, make_ball
+from gmtlab.calculus import GridFunction, constant_function, interior_region, restrict_to_domain, truncate
+from gmtlab.domains import extract_boundary, make_ball, make_box
 from gmtlab.errors import ExpressionError
 from gmtlab.expressions import Expression
 from gmtlab.inequalities import TraceReport, check_mazya_l2, proof_trace, quotient_search
@@ -924,6 +924,7 @@ refusals = {
     "proof eps": (InvalidArgumentError, lambda: proof_trace(constant_function(disk, 1.0), 0.5)),
     "search iters": (InvalidArgumentError, lambda: quotient_search(constant_function(disk, 1.0), 0, 0.1)),
     "trace order": (InvalidArgumentError, lambda: TraceReport([], {})),
+    "int32 reach": (InvalidArgumentError, lambda: interior_region(make_box((0.0, 0.0), (500.0, 0.03), 0.01), 1e3)),
 }
 for name, (error, call) in refusals.items():
     try:
@@ -941,6 +942,6 @@ def test_typed_checks_survive_python_O():
     assert out[:6] == ["raised no cells", "raised empty cell", "raised overlap", "raised cover",
                        "raised representative", "raised beyond 2 rd"]
     assert out[6:10] == ["raised estimate_hm_detail True", "raised build_partition True"] * 2
-    assert out[10:19] == ["raised deep expression", "raised values shape", "raised trace length",
+    assert out[10:20] == ["raised deep expression", "raised values shape", "raised trace length",
                           "raised restriction spacing", "raised foreign partition", "raised c1 word",
-                          "raised proof eps", "raised search iters", "raised trace order"]
+                          "raised proof eps", "raised search iters", "raised trace order", "raised int32 reach"]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gmtlab import inequalities
-from gmtlab.calculus import GridFunction, constant_function, minkowski_steiner, mollify, restrict_to_domain
+from gmtlab.calculus import (GridFunction, constant_function, interior_region, minkowski_steiner, mollify,
+                             restrict_to_domain)
 from gmtlab.constants import TRACE_STEP_TOLERANCES
 from gmtlab.domains import GridDomain, extract_boundary, make_annulus, make_ball, make_box
 from gmtlab.errors import InvalidArgumentError
@@ -58,6 +59,9 @@ _REFUSALS = {
                              InvalidArgumentError, "corner and sides must both have 2 or 3 components"),
     "box side zero": (lambda: make_box((0.0, 0.0), (1.0, 0.0), 0.1),
                       InvalidArgumentError, "sides and spacing must be positive"),
+    "interior reach past int32": (lambda: interior_region(make_box((0.0, 0.0), (500.0, 0.03), 0.01), 1e3),
+                                  InvalidArgumentError,
+                                  "a distance of 50005 cells overflows the int32 squared distances"),
     "annulus width": (lambda: make_annulus((0.0, 0.0), 1.0, 0.9, 0.2),
                       InvalidArgumentError, "spacing must resolve the annulus width"),
     "negative hm dimension": (lambda: estimate_hm_detail(extract_boundary(_disk()), -1.0, 0.5),
