@@ -69,7 +69,7 @@ class GridFunction:
     ``values`` is a full-grid array that is zero outside the mask (the
     constructor keeps the given values on the mask only, so exterior ones,
     even non-finite ones, are ignored), and ``trace`` holds one value per
-    point of the domain's boundary face cloud (:attr:`cloud`).
+    point of ``cloud``, the domain's boundary face cloud, read at construction.
     ``lipschitz``, when given, declares a modulus of continuity
     omega(t) = lipschitz * t which is checked against the trace at
     construction and consumed by the proof tracer.  Functions are equal
@@ -88,6 +88,7 @@ class GridFunction:
     trace: np.ndarray
     lipschitz: float | None = None
     metadata: dict = field(default_factory=dict)
+    cloud: BoundaryCloud = field(init=False, repr=False)
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
@@ -106,6 +107,7 @@ class GridFunction:
             raise InvalidArgumentError("lipschitz must be nonnegative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "cloud", extract_boundary(self.domain))
         trace = np.asarray(self.trace, dtype=float).copy()
         if trace.shape != (len(self.cloud),):
             raise InvalidArgumentError("trace length must match the cloud")
@@ -113,11 +115,6 @@ class GridFunction:
         object.__setattr__(self, "trace", trace)
         if self.lipschitz is not None:
             self._check_trace_consistency()
-
-    @property
-    def cloud(self) -> BoundaryCloud:
-        """The domain's boundary face cloud (``extract_boundary``), where the trace lives."""
-        return extract_boundary(self.domain)
 
     def _check_trace_consistency(self):
         bound = self.lipschitz * self.h * math.sqrt(self.domain.dim) + 1e-12
@@ -172,8 +169,8 @@ def indicator_function(domain: GridDomain) -> GridFunction:
 # gradients and norms
 
 
-def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndarray, faces: dict) -> np.ndarray:
-    """Squared forward-difference gradient magnitude on the cells of ``mask``, in C order (uncached).
+def _grad_stencil(u: GridFunction) -> np.ndarray:
+    """Squared forward-difference gradient magnitude of u on its domain's cells, in C order (uncached).
 
     Along each axis, cells whose forward neighbour is interior take the
     difference from a shifted slice; cells on a +face difference toward the
@@ -182,21 +179,22 @@ def _grad_stencil(mask: np.ndarray, h: float, values: np.ndarray, trace: np.ndar
     boundary are never invisible to the scheme.  Per axis the component is
     squared and added before the extra one.
 
-    ``faces`` must hold every boundary face of ``mask`` (a function's
-    cloud is its domain's): the differences are taken over the whole
-    grid, zeroed on exterior cells, and a difference into an exterior cell
-    is then overwritten by its +face.  The grid is walked one row slab
+    The faces are read off u's cloud, which is its domain's, so they hold
+    every boundary face of the mask: the differences are taken over the
+    whole grid, zeroed on exterior cells, and a difference into an exterior
+    cell is then overwritten by its +face.  The grid is walked one row slab
     (``domains._row_slabs``) at a time in slab-sized scratch, and each
     slab's interior cells are written straight into their run of the
     result; every face term is formed once, before the walk.
     """
+    mask, h, trace = u.domain.mask, u.h, u.trace
     shape = mask.shape
     row = math.prod(shape[1:])
     bounds = [r.start * row for r in _row_slabs(shape)] + [mask.size]  # flat slab bounds
     flat_mask = mask.reshape(-1)
-    flat_vals = values.reshape(-1)
+    flat_vals = u.values.reshape(-1)
     terms = {}
-    for (axis, sign), (rows, cells) in faces.items():
+    for (axis, sign), (rows, cells) in u.cloud.faces.blocks.items():
         # a +face's component replaces its cell's difference, and a -face adds
         # its extra component squared; the cells of slab i are cells[cut[i]:cut[i + 1]]
         if sign == 1:
@@ -277,7 +275,7 @@ def _gradient_mag_squared(u: GridFunction) -> np.ndarray:
     cached = vars(u).get("_grad_mag2")
     if cached is not None:
         return cached
-    mag2 = _grad_stencil(u.domain.mask, u.h, u.values, u.trace, u.cloud.faces.blocks)
+    mag2 = _grad_stencil(u)
     mag2.setflags(write=False)
     object.__setattr__(u, "_grad_mag2", mag2)
     return mag2
@@ -449,7 +447,7 @@ def interior_region(domain: GridDomain, eps: float) -> np.ndarray:
     """Cells whose eps-ball stays inside the domain (conservative mask): those
     at least eps + h/2 from every exterior cell centre."""
     h = domain.spacing
-    return ~within_distance(~domain.mask, check_eps(eps) + 0.5 * h, h, strict=True)
+    return ~within_distance(~domain.mask, math.nextafter(check_eps(eps) + 0.5 * h, -math.inf), h)
 
 
 def _barriers(u: GridFunction, part: Partition, eps: float):
@@ -508,8 +506,10 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
 
 
 def total_variation(u: GridFunction) -> float:
-    """Isotropic discrete TV of u extended by zero over the whole grid box."""
-    return float(_forward_tv(u.values[None], u.domain.spacing)[0])
+    """Isotropic discrete TV of u extended by zero over the whole grid box (cached on u)."""
+    if "_tv" not in vars(u):
+        object.__setattr__(u, "_tv", float(_forward_tv(u.values[None], u.h)[0]))
+    return u._tv
 
 
 def _forward_tv(v: np.ndarray, h: float) -> np.ndarray:

@@ -510,18 +510,20 @@ def check_eps(eps) -> float:
     return eps
 
 
-def within_distance(source: np.ndarray, t: float, h: float, strict: bool = False) -> np.ndarray:
-    """Cells within distance t (below t if ``strict``) of a true cell of ``source``.
+def within_distance(source: np.ndarray, t: float, h: float) -> np.ndarray:
+    """Cells within distance t of a true cell of ``source``.
 
     The distance between cell centres with index offset d is scipy's EDT
     formula ``sqrt(sum((d_a * h) ** 2))`` in float, so the mask equals the
     threshold of scipy's exact Euclidean distance transform of ``~source``
-    with ``sampling=h`` bit for bit.  One stated rule goes beyond it: where
-    offsets of one squared length fall on both sides of t (a non-dyadic h
-    and a t within an ulp of that length), the length counts as within when
-    its shortest offset is, while the transform reports whichever nearest
-    source it met.  So the mask depends on each cell's squared index
-    distance alone.
+    with ``sampling=h`` bit for bit.  The cells below t are those within
+    ``math.nextafter(t, -math.inf)``: ``d < t`` holds exactly when ``d <=
+    nextafter(t, -inf)`` (toward 0, -5e-324 would step to -0.0).  One
+    stated rule goes beyond it: where offsets of one squared length fall on
+    both sides of t (a non-dyadic h and a t within an ulp of that length),
+    the length counts as within when its shortest offset is, while the
+    transform reports whichever nearest source it met.  So the mask depends
+    on each cell's squared index distance alone.
 
     Only the capped integer squared distance G to the nearest source is
     formed, one axis at a time (Felzenszwalb & Huttenlocher, Theory of
@@ -540,7 +542,7 @@ def within_distance(source: np.ndarray, t: float, h: float, strict: bool = False
     """
     shape = source.shape
     # past the grid's diagonal every cell is within t of every source
-    cut = _squared_cut(min(t, h * (math.hypot(*shape) + 1)), h, source.ndim, strict)
+    cut = _squared_cut(min(t, h * (math.hypot(*shape) + 1)), h, source.ndim)
     if cut == 0:
         return np.zeros(shape, dtype=bool)
     reach = math.isqrt(cut - 1)  # the longest offset along one axis
@@ -597,31 +599,32 @@ def within_distance(source: np.ndarray, t: float, h: float, strict: bool = False
     return out
 
 
-def _squared_cut(t: float, h: float, n: int, strict: bool) -> int:
+def _squared_cut(t: float, h: float, n: int) -> int:
     """Least squared index length K of an n-dimensional offset lying beyond t.
 
     An offset lies beyond t when its float distance (the formula of
-    :func:`within_distance`) exceeds t, or reaches it if ``strict``; a
-    length lies beyond t when the least distance of its offsets does.  The
-    search starts two below (t/h)^2, which leaves room for the rounding of
-    both formulas.
+    :func:`within_distance`) exceeds t; a length lies beyond t when the
+    least distance of its offsets does.  The search starts two below
+    (t/h)^2, which leaves room for the rounding of both formulas.  The
+    offsets (i, j, l) >= 0 of length k are those whose heads (i, j), each
+    at most sqrt(k), leave a square l^2; 3D takes the heads a block of rows
+    i at a time, at most ``_SLAB_CELLS`` while a row fits, and 2D one row
+    with i = 0, whose square adds an exact 0.0 to the distance.
     """
     k = max(int((t / h) ** 2) - 2, 0)
     while True:
-        dist = _offset_distances(k, h, n)
-        if dist.size and (dist.min() >= t if strict else dist.min() > t):
+        side = math.isqrt(k) + 1
+        rows, block, j = side ** (n - 2), max(1, _SLAB_CELLS // side), np.arange(side)
+        least = math.inf  # the least distance of an offset of length k, inf while none
+        for i0 in range(0, rows, block):
+            i = np.arange(i0, min(i0 + block, rows))[:, None]
+            rest = (k - i * i) - j * j
+            last = np.sqrt(np.maximum(rest, 0)).astype(np.int64)
+            dist2 = (i * h) ** 2 + (j * h) ** 2 + (last * h) ** 2
+            least = np.sqrt(dist2[last * last == rest]).min(initial=least)
+        if t < least < math.inf:
             return k
         k += 1
-
-
-def _offset_distances(k: int, h: float, n: int) -> np.ndarray:
-    """Float distances of the n-dimensional offsets d >= 0 with |d|^2 = k (the EDT formula)."""
-    head = np.indices((math.isqrt(k) + 1,) * (n - 1)).reshape(n - 1, -1)
-    rest = k - np.sum(head * head, axis=0)
-    last = np.sqrt(np.maximum(rest, 0)).astype(np.int64)
-    dt = np.vstack([head, last])[:, last * last == rest] * h
-    dt *= dt
-    return np.sqrt(np.add.reduce(dt, axis=0))
 
 
 def _within_unit(source: np.ndarray, cut: int) -> np.ndarray:

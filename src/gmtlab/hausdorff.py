@@ -230,14 +230,14 @@ def _diameter_candidates(points: np.ndarray, order: np.ndarray, bounds: np.ndarr
     return order[keep], np.concatenate(([0], np.cumsum(kept)))
 
 
-def _cell_rds(points: np.ndarray, nn_gaps: np.ndarray, order: np.ndarray,
-              bounds: np.ndarray, resolution: float, scale: float) -> np.ndarray:
-    """Half-diameter with patch compensation of every cell ``order[bounds[g]:bounds[g + 1]]``.
+def _cell_rds(cloud: BoundaryCloud, order: np.ndarray, bounds: np.ndarray, scale: float) -> np.ndarray:
+    """Half-diameter with patch compensation of every cell ``order[bounds[g]:bounds[g + 1]]`` of the cloud.
 
     Every sample stands for a boundary patch whose extent is roughly its
-    nearest-neighbor gap; a cell's compensation is the mean gap of its
-    members, capped so the cell stays feasible at the covering scale, and
-    its rd is min((diameter + compensation) / 2, scale).  Cells are taken in
+    nearest-neighbor gap (:func:`_cloud_nn`); a cell's compensation is the
+    mean gap of its members, capped at 2 sqrt(n) times the cloud's
+    resolution so the cell stays feasible at the covering scale, and its rd
+    is min((diameter + compensation) / 2, scale).  Cells are taken in
     buckets of one exact size: a bucket's rows of m gaps are averaged as
     each cell's own m gaps would be (padding would change numpy's pairwise
     summation).  Diameters are taken over the members
@@ -245,13 +245,13 @@ def _cell_rds(points: np.ndarray, nn_gaps: np.ndarray, order: np.ndarray,
     diameter, so each is the same maximum of the same pair distances, and
     :func:`_diameters` takes them per bucket.  Cells must be nonempty.
     """
-    mean_gap = np.empty(len(bounds) - 1)
-    diam = np.empty(len(bounds) - 1)
+    points, nn_gaps = cloud.points, _cloud_nn(cloud)
+    mean_gap, diam = np.empty((2, len(bounds) - 1))
     for cells, members in _size_buckets(order, bounds):
         mean_gap[cells] = nn_gaps[members].mean(axis=1)
     for cells, members in _size_buckets(*_diameter_candidates(points, order, bounds)):
         diam[cells] = _diameters(points[members])
-    comp = np.minimum(mean_gap, 2.0 * math.sqrt(points.shape[1]) * resolution)
+    comp = np.minimum(mean_gap, 2.0 * math.sqrt(cloud.dim) * cloud.resolution)
     return np.minimum(0.5 * (diam + comp), scale)
 
 
@@ -319,14 +319,14 @@ _SQUARE_SLACK = 1e-12
 _SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
 
 
-def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
+def _fps_centers(points: np.ndarray, thresholds):
     """One greedy farthest-point order, cut at each of the descending ``thresholds``.
 
     Returns (centers, counts, owners): the first ``counts[j]`` centers leave
     every point within ``thresholds[j]``, or ``counts[j]`` is None when that
-    takes more than ``limit`` centers.  The greedy choice does not depend on
-    where it stops (Gonzalez, Theor. Comput. Sci. 38 (1985)), so one run
-    serves every threshold.  The run starts at the lexicographically
+    takes more than ``_MAX_FPS_CENTERS`` centers.  The greedy choice does
+    not depend on where it stops (Gonzalez, Theor. Comput. Sci. 38 (1985)),
+    so one run serves every threshold.  The run starts at the lexicographically
     smallest point, the lowest index among equal ones (the first index of
     ``np.lexsort(points.T[::-1])``), found by filtering one axis at a time.
     Every pass reads the per-axis rows ``points.T``, which for a cloud's
@@ -391,7 +391,7 @@ def _fps_centers(points: np.ndarray, thresholds, limit: int | None = None):
             owners.append((owner.copy(), np.flatnonzero(tied_at > owner)))
             if len(counts) == len(thresholds):
                 return np.asarray(centers, dtype=np.int64), counts, owners
-        if limit is not None and len(centers) >= limit:
+        if len(centers) >= _MAX_FPS_CENTERS:
             missing = [None] * (len(thresholds) - len(counts))
             return np.asarray(centers, dtype=np.int64), counts + missing, owners + missing
         c = coords[:, nxt, None]
@@ -488,11 +488,10 @@ def estimate_hm_detail(cloud: BoundaryCloud, d: float, delta: float) -> HmEstima
     if len(cloud) == 0:
         return HmEstimate(0.0, d, delta, "empty", 0)
     pts = cloud.points
-    nn_gaps = _cloud_nn(cloud)
     scales = [delta]
     while scales[-1] / 2.0 >= _CASCADE_FLOOR * cloud.resolution:
         scales.append(scales[-1] / 2.0)
-    centers, counts, owners = _fps_centers(pts, scales, limit=_MAX_FPS_CENTERS)
+    centers, counts, owners = _fps_centers(pts, scales)
     best = None
     for scale, count, cut in zip(scales, counts, owners):
         order, bounds = _box_groups(pts, scale / math.sqrt(cloud.dim))
@@ -500,7 +499,7 @@ def estimate_hm_detail(cloud: BoundaryCloud, d: float, delta: float) -> HmEstima
         if count is not None:
             cand.append(("balls", *_ball_groups(pts, centers[:count], *cut)))
         for kind, order, bounds in cand:
-            rds = _cell_rds(pts, nn_gaps, order, bounds, cloud.resolution, scale)
+            rds = _cell_rds(cloud, order, bounds, scale)
             value = _sum_rd(rds, d)
             if best is None or value < best[0]:
                 best = (value, f"{kind}@{scale:g}", len(rds))
@@ -539,9 +538,8 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
             f"delta {delta} must be at least 4 times the resolution {cloud.resolution}"
         )
     pts = cloud.points
-    nn_gaps = _cloud_nn(cloud)
     order, bounds = _box_groups(pts, delta / math.sqrt(cloud.dim))
-    rds = _cell_rds(pts, nn_gaps, order, bounds, cloud.resolution, delta)
+    rds = _cell_rds(cloud, order, bounds, delta)
     centroid = np.empty((len(rds), cloud.dim))
     hm_est = np.empty(len(rds))
     for cells, members in _size_buckets(order, bounds):

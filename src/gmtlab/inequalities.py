@@ -18,7 +18,7 @@ import numpy as np
 
 from . import calculus as calc
 from .constants import TRACE_STEP_TOLERANCES, holds_tolerance
-from .domains import GridDomain, extract_boundary, volume
+from .domains import BoundaryCloud, GridDomain, extract_boundary, volume
 from .errors import (
     DegenerateStartError,
     GmtLabError,
@@ -181,18 +181,16 @@ def paper_boundary_factor(n: int) -> float:
 _MIN_RESOLVED_POINTS_FACTOR = 4
 
 
-def _boundary_measure(domain: GridDomain) -> tuple[float, dict]:
-    """Covering estimate of the domain's boundary measure at scale 8h, with its provenance.
+def _boundary_measure(cloud: BoundaryCloud) -> tuple[float, dict]:
+    """Covering estimate of a boundary cloud's measure at scale 8h (h its resolution), with its provenance.
 
-    The estimate is a pure function of the domain's immutable cloud, so it is
-    computed once and memoised on the cloud; every caller gets its own copy
-    of the metadata.
+    The estimate is a pure function of the immutable cloud, so it is computed
+    once and memoised on the cloud; every caller gets its own copy of the
+    metadata.
     """
-    cloud = extract_boundary(domain)
     cached = vars(cloud).get("_boundary_measure")
     if cached is None:
-        n = domain.dim
-        delta = 8.0 * domain.spacing
+        n, delta = cloud.dim, 8.0 * cloud.resolution
         meta = {"delta_auto": delta}
         if len(cloud) <= _MIN_RESOLVED_POINTS_FACTOR * n * 2:
             meta["method"] = "face-count fallback (cloud too small to cover)"
@@ -208,9 +206,9 @@ def _boundary_measure(domain: GridDomain) -> tuple[float, dict]:
     return measure, dict(meta)
 
 
-def _calibration(domain: GridDomain) -> tuple[float, dict]:
-    measure, meta = _boundary_measure(domain)
-    raw = extract_boundary(domain).total_weight
+def _calibration(cloud: BoundaryCloud) -> tuple[float, dict]:
+    measure, meta = _boundary_measure(cloud)
+    raw = cloud.total_weight
     factor = measure / raw if raw > 0 else 1.0
     meta.update({"boundary_measure": measure, "raw_weight": raw, "calibration_factor": factor})
     return factor, meta
@@ -226,7 +224,7 @@ def check_isoperimetric(domain: GridDomain) -> Report:
     vol = volume(domain)
     if vol == 0:
         raise InvalidArgumentError("isoperimetric check needs a nonempty domain")
-    measure, meta = _boundary_measure(domain)
+    measure, meta = _boundary_measure(extract_boundary(domain))
     c = iso_constant(n)
     lhs = vol ** ((n - 1) / n)
     rhs = c * measure
@@ -256,7 +254,7 @@ def check_mazya(u: calc.GridFunction, mode: str = "paper_factor") -> Report:
     q = n / (n - 1)
     c = iso_constant(n)
     factor = 1.0 if mode == "optimal" else paper_boundary_factor(n)
-    cal, meta = _calibration(domain)
+    cal, meta = _calibration(u.cloud)
     lhs = calc.lq_norm(u, q)
     rhs = c * (calc.grad_l1(u) + factor * calc.boundary_integral(u, calibration=cal))
     meta.update({"h": domain.spacing, "q": q, "boundary_factor": factor})
@@ -275,7 +273,7 @@ def _auto_c1(domain: GridDomain) -> float:
     cloud = extract_boundary(domain)
     cached = vars(cloud).get("_auto_c1")
     if cached is None:
-        cal, _ = _calibration(domain)
+        cal, _ = _calibration(cloud)
         worst = 0.0
         for expr in _AUTO_C1_EXPRS:
             try:
@@ -299,7 +297,7 @@ def check_mazya_l2(u: calc.GridFunction, c1) -> Report:
         raise InvalidArgumentError("c1 must be a positive number or 'auto'")
     if not auto and float(c1) <= 0:
         raise InvalidArgumentError("c1 must be positive")
-    cal, meta = _calibration(domain)
+    cal, meta = _calibration(u.cloud)
     c1_val = _auto_c1(domain) if auto else float(c1)
     lhs = calc.lq_norm(u, 2.0) ** 2
     grad_sq = calc.grad_l2_squared(u)
@@ -330,7 +328,7 @@ def check_bv_bound(u: calc.GridFunction) -> Report:
     domain = u.domain
     n = domain.dim
     factor = paper_boundary_factor(n)
-    cal, meta = _calibration(domain)
+    cal, meta = _calibration(u.cloud)
     lhs = calc.total_variation(u)
     rhs = calc.grad_l1(u) + factor * calc.boundary_integral(u, calibration=cal)
     meta.update({"h": domain.spacing, "boundary_factor": factor})
@@ -573,10 +571,10 @@ def quotient_search(u0: calc.GridFunction, iters: int, step: float, seed: int = 
     h = domain.spacing
     q = n / (n - 1)
     factor = paper_boundary_factor(n)
-    cal, _ = _calibration(domain)
+    cloud = u0.cloud
+    cal, _ = _calibration(cloud)
     c_bound = iso_constant(n) * 1.05
 
-    cloud = u0.cloud
     n_cells = int(np.count_nonzero(mask))
     hn = h ** n
     w_cal = (cloud.weights * cal).tolist()
@@ -603,7 +601,7 @@ def quotient_search(u0: calc.GridFunction, iters: int, step: float, seed: int = 
 
     def full_grad():
         # every cell's gradient magnitude at once: the stencil sums grad_at's terms in its order
-        return np.sqrt(calc._gradient_mag_squared(as_function())).tolist()
+        return np.sqrt(calc._grad_stencil(as_function())).tolist()
 
     def full_sums():
         arr = np.array(x)

@@ -81,6 +81,17 @@ def assert_face_table(cloud, domain):
     assert sum(len(rows) for rows, _ in ref.values()) == len(cloud)
 
 
+def fps_capped(points, thresholds, limit=None):
+    """``hausdorff._fps_centers`` run with ``_MAX_FPS_CENTERS`` set to ``limit``
+    (None keeps the module's own cap, above every test cloud's size)."""
+    from gmtlab import hausdorff
+
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(hausdorff, "_MAX_FPS_CENTERS", limit)
+        return hausdorff._fps_centers(points, thresholds)
+
+
 def shoelace_area(vertices):
     v = np.asarray(vertices, float)
     x, y = v.T

@@ -1048,8 +1048,7 @@ class TestRowSlabs:
         assert np.array_equal(u.values.view(np.int64), ref.view(np.int64))
         rough = random_function(dom, u.cloud, np.random.default_rng(5))
         for fn in (u, rough, indicator_function(dom)):
-            assert np.array_equal(calc._grad_stencil(dom.mask, dom.spacing, fn.values, fn.trace, fn.cloud.faces.blocks),
-                                  _ref_gradient_mag_squared(fn)[dom.mask])
+            assert np.array_equal(calc._grad_stencil(fn), _ref_gradient_mag_squared(fn)[dom.mask])
             assert total_variation(fn) == _ref_padded_tv(fn.values, dom.spacing)
 
     @pytest.mark.parametrize("cells", _SLAB_SIZES)
@@ -1090,8 +1089,7 @@ def test_full_grid_kernels_hold_a_few_slabs_of_scratch():
     u = from_expression(dom, "max(0, 1 - r*r)", lipschitz=2.0)
     grid, slab = 8 * dom.mask.size, 8 * domains._SLAB_CELLS
     assert len(domains._row_slabs(dom.shape)) == 32
-    peak, mag2 = _kernel_peak(lambda: calc._grad_stencil(dom.mask, dom.spacing, u.values, u.trace,
-                                                          u.cloud.faces.blocks))
+    peak, mag2 = _kernel_peak(lambda: calc._grad_stencil(u))
     assert peak <= mag2.nbytes + 5 * slab
     peak, _ = _kernel_peak(lambda: total_variation(u))
     assert peak <= grid + 3 * slab

@@ -34,8 +34,9 @@ from gmtlab.hausdorff import (  # noqa: E402
     _ball_groups,
     _box_groups,
     _diameter_candidates,
-    _fps_centers,
 )
+
+from conftest import fps_capped  # noqa: E402
 
 _SPACINGS = [0.1, 0.07, 1 / 12]
 _SHIFTS = [0.0, 0.37, -1.3, 12.345]
@@ -99,7 +100,7 @@ def _diameter_candidates_rows(points, order, bounds):
 
 
 def _assert_same_run(points, thresholds, limit=None):
-    got, want = _fps_centers(points, thresholds, limit), _fps_rows(points, thresholds, limit)
+    got, want = fps_capped(points, thresholds, limit), _fps_rows(points, thresholds, limit)
     assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
     assert got[1] == want[1]
     for cut, ref in zip(got[2], want[2]):

@@ -10,6 +10,7 @@ against brute force.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,11 @@ def _length_rule(source, t, h, strict):
     return (dist < t if strict else dist <= t).reshape(source.shape)
 
 
+def _threshold(t, strict):
+    """within_distance's threshold for the cells at most t from a source, or below t if ``strict``."""
+    return math.nextafter(t, -math.inf) if strict else t
+
+
 def _edt(mask, h):
     return ndimage.distance_transform_edt(mask, sampling=h)
 
@@ -103,7 +109,7 @@ def test_thresholds_match_the_edt(dom, data):
     dist = _edt(mask, h)
     for t in thresholds:
         for strict in (False, True):
-            got = within_distance(~mask, t, h, strict)
+            got = within_distance(~mask, _threshold(t, strict), h)
             assert np.array_equal(got, _length_rule(~mask, t, h, strict))
             if not _straddles(t, h, n, strict):
                 assert np.array_equal(got, dist < t if strict else dist <= t)
@@ -167,7 +173,7 @@ def test_clamped_stamps_match_the_edt(shape, sources):
     dist = _edt(~source, h)
     for t in (2.5 * h, 3.0 * h, 4.2 * h, 6.5 * h, 9.0 * h):
         for strict in (False, True):
-            assert np.array_equal(within_distance(source, t, h, strict), dist < t if strict else dist <= t)
+            assert np.array_equal(within_distance(source, _threshold(t, strict), h), dist < t if strict else dist <= t)
 
 
 def _slab_sources(shape, rows_per_slab, kind):
@@ -210,7 +216,7 @@ def test_slab_union_matches_the_edt(monkeypatch, shape, kind):
     monkeypatch.setattr(domains, "_SLAB_CELLS", cells)
     for t in (2.5 * h, 3.0 * h, 4.2 * h, 6.5 * h):
         for strict in (False, True):
-            assert np.array_equal(within_distance(source, t, h, strict), dist < t if strict else dist <= t)
+            assert np.array_equal(within_distance(source, _threshold(t, strict), h), dist < t if strict else dist <= t)
 
 
 @settings(max_examples=40)
@@ -222,10 +228,60 @@ def test_thresholds_match_the_edt_in_small_slabs(dom, rows, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(domains, "_SLAB_CELLS", rows * math.prod(mask.shape[1:]))
         for strict in (False, True):
-            got = within_distance(~mask, t, h, strict)
+            got = within_distance(~mask, _threshold(t, strict), h)
             assert np.array_equal(got, _length_rule(~mask, t, h, strict))
             if not _straddles(t, h, dom.dim, strict):
                 assert np.array_equal(got, dist < t if strict else dist <= t)
+
+
+def _ref_squared_cut(t, h, n):
+    """The least squared length whose offsets all lie beyond t, by brute force
+    over every offset in a box that holds each length up to past t/h."""
+    side = int(t / h) + 3
+    box = np.indices((side,) * n).reshape(n, -1)
+    lengths = np.sum(box * box, axis=0)
+    least = np.full(int(lengths.max()) + 1, np.inf)
+    np.minimum.at(least, lengths, _distances(box, h))
+    complete = least[: (side - 1) ** 2 + 1]  # every offset of these lengths is in the box
+    return int(np.flatnonzero((complete > t) & np.isfinite(complete))[0])
+
+
+@pytest.mark.parametrize("slab", [None, 20], ids=["one_block", "blocks_of_rows"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16, 0.1, 1 / 3, 0.07])
+def test_squared_cut_matches_the_whole_box(monkeypatch, n, h, slab):
+    """At each offset's own float distance and one ulp to either side (where
+    lengths straddle the threshold with a non-dyadic h), at reals between, and
+    at the cap past a small grid's diagonal that within_distance applies.  At
+    ``_SLAB_CELLS`` 20 the 3D heads come in blocks of one to several rows."""
+    if slab is not None:
+        monkeypatch.setattr(domains, "_SLAB_CELLS", slab)
+    rng = np.random.default_rng(n * 1000 + int(1 / h))
+    ts = [0.0, 5e-324, 0.5 * h, 1.5 * h]
+    for _ in range(25):
+        t0 = float(_distances(rng.integers(0, 9, n), h))
+        ts += [math.nextafter(t0, -math.inf), t0, math.nextafter(t0, math.inf), float(rng.uniform(0, 12)) * h]
+    for shape in ((9, 11), (4, 5, 6), (2, 2), (3, 1, 2)):
+        cap = h * (math.hypot(*shape) + 1)
+        ts += [math.nextafter(cap, -math.inf), cap]
+    for t in ts:
+        assert domains._squared_cut(t, h, n) == _ref_squared_cut(t, h, n), t
+
+
+def test_squared_cut_holds_a_few_blocks_of_scratch():
+    # the 3D heads are taken at most _SLAB_CELLS a block: at a reach of 1,000
+    # cells all of them at once were 62 MiB; 2D takes its one row of heads
+    h = 1 / 8
+    for n in (2, 3):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            cut = domains._squared_cut(1000 * h, h, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cut == 1000 ** 2 + 1
+        assert peak < 2 * 2 ** 20
 
 
 def test_flat_indices_fit_in_int32():
@@ -244,12 +300,12 @@ def test_longest_int32_reach_matches_the_edt():
     source[0, 1] = True
     dist = _edt(~source, h)
     for t, strict in ((46339.5 * h, False), (46339.5 * h, True), (46340 * h, True)):
-        got = within_distance(source, t, h, strict)
+        got = within_distance(source, _threshold(t, strict), h)
         assert got[46339].all() and not got[46341:].any()
         assert np.array_equal(got, dist < t if strict else dist <= t)
     for t, strict in ((46340 * h, False), (46340.5 * h, True)):
         with pytest.raises(InvalidArgumentError, match="^a distance of 46340 cells overflows the int32 squared"):
-            within_distance(source, t, h, strict)
+            within_distance(source, _threshold(t, strict), h)
 
 
 def test_empty_source_reaches_nothing():
@@ -273,7 +329,7 @@ def test_straddled_length_counts_as_within():
     assert (dist[11, 6] <= short) != (dist[9, 10] <= short)
     got = within_distance(source, short, h)
     assert got[11, 6] and got[9, 10] and got[6, 1] and got[10, 3]
-    assert not within_distance(source, short, h, strict=True)[11, 6]
+    assert not within_distance(source, math.nextafter(short, -math.inf), h)[11, 6]
 
 
 @pytest.mark.parametrize("shape", [(9, 11), (4, 5, 6)])
@@ -286,7 +342,7 @@ def test_corner_source_reaches_across_the_grid(shape):
     dist = _edt(~source, h)
     for t in (2.5 * h, 5.0 * h, 7.1 * h, 12.9 * h, 1e3):
         for strict in (False, True):
-            assert np.array_equal(within_distance(source, t, h, strict), dist < t if strict else dist <= t)
+            assert np.array_equal(within_distance(source, _threshold(t, strict), h), dist < t if strict else dist <= t)
 
 
 def test_threshold_past_the_grid_reaches_every_cell():
@@ -295,14 +351,14 @@ def test_threshold_past_the_grid_reaches_every_cell():
     dom = make_ball((0.0, 0.0, 0.0), 0.3, 0.1)
     assert not interior_region(dom, 1e300).any()
     for strict in (False, True):
-        assert within_distance(dom.mask, 1e300, 0.1, strict).all()
-        assert within_distance(dom.mask, 50.0, 0.1, strict).all()
+        assert within_distance(dom.mask, _threshold(1e300, strict), 0.1).all()
+        assert within_distance(dom.mask, _threshold(50.0, strict), 0.1).all()
 
 
 def test_threshold_below_every_source_reaches_nothing():
     source = np.zeros((5, 5), dtype=bool)
     source[2, 2] = True
-    assert not within_distance(source, 0.0, 0.1, strict=True).any()
+    assert not within_distance(source, math.nextafter(0.0, -math.inf), 0.1).any()
     assert np.array_equal(within_distance(source, 0.0, 0.1), source)
 
 

@@ -138,14 +138,16 @@ class TestFpsCenters:
             assert got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
 
-    def test_limit_returns_none(self, fps_clouds):
+    def test_limit_returns_none(self, fps_clouds, monkeypatch):
         cloud = fps_clouds["disk"]
         threshold = 4 * cloud.resolution
         n_centers = len(_fps_reference(cloud.points, threshold))
         assert _fps_reference(cloud.points, threshold, limit=n_centers - 1) is None
-        assert _fps_centers(cloud.points, [threshold], limit=n_centers - 1)[1] == [None]
+        monkeypatch.setattr(hausdorff, "_MAX_FPS_CENTERS", n_centers - 1)
+        assert _fps_centers(cloud.points, [threshold])[1] == [None]
+        monkeypatch.setattr(hausdorff, "_MAX_FPS_CENTERS", n_centers)
         np.testing.assert_array_equal(
-            _fps_centers(cloud.points, [threshold], limit=n_centers)[0],
+            _fps_centers(cloud.points, [threshold])[0],
             _fps_reference(cloud.points, threshold),
         )
 
@@ -589,7 +591,7 @@ class TestSegmentedRdBitIdentity:
         for scale in deltas:
             centers, _, (cut,) = _fps_centers(cloud.points, [scale])
             order, bounds = _ball_groups(cloud.points, centers, *cut)
-            rds = hausdorff._cell_rds(cloud.points, nn_gaps, order, bounds, cloud.resolution, scale)
+            rds = hausdorff._cell_rds(cloud, order, bounds, scale)
             ref = [_ref_sample_rd(cloud.points[m], nn_gaps[m], cloud.resolution, scale)
                    for m in _segments(order, bounds)]
             assert rds.tolist() == ref
@@ -685,12 +687,13 @@ class TestOneGreedyRun:
             np.testing.assert_array_equal(centers[:count], ref)
 
     @pytest.mark.parametrize("name", ["disk", "annulus", "ball3"])
-    def test_limit_leaves_the_finer_scales_none(self, fps_clouds, name):
+    def test_limit_leaves_the_finer_scales_none(self, fps_clouds, monkeypatch, name):
         cloud = fps_clouds[name]
         scales = _dyadic_scales(cloud, top=32, bottom=4)
         full = [len(_fps_reference(cloud.points, s)) for s in scales]
         limit = full[1]  # enough for the two coarsest scales only
-        centers, counts, _ = _fps_centers(cloud.points, scales, limit=limit)
+        monkeypatch.setattr(hausdorff, "_MAX_FPS_CENTERS", limit)
+        centers, counts, _ = _fps_centers(cloud.points, scales)
         assert counts == full[:2] + [None] * (len(scales) - 2)
         for s, count in zip(scales, counts):
             ref = _fps_reference(cloud.points, s, limit=limit)
@@ -757,7 +760,7 @@ def _cells_from_lists(cells):
 class TestPrunedDiameters:
     def _assert_rds_match_reference(self, cloud, order, bounds, scale):
         nn_gaps = _cloud_nn(cloud)
-        rds = hausdorff._cell_rds(cloud.points, nn_gaps, order, bounds, cloud.resolution, scale)
+        rds = hausdorff._cell_rds(cloud, order, bounds, scale)
         ref = [_ref_sample_rd(cloud.points[m], nn_gaps[m], cloud.resolution, scale)
                for m in _segments(order, bounds)]
         assert rds.tolist() == ref

@@ -610,7 +610,7 @@ class TestQuotientSearch:
 
         u0 = indicator_function(disk_128)
         best, q = quotient_search(u0, iters=5, step=0.1)
-        cal, _ = _calibration(disk_128)
+        cal, _ = _calibration(best.cloud)
         den = grad_l1(best) + paper_boundary_factor(2) * boundary_integral(best, calibration=cal)
         assert q == pytest.approx(lq_norm(best, 2.0) / den, rel=1e-9)
 
@@ -716,9 +716,9 @@ class TestComputedOnce:
             edt_calls.append(1)
             return edt(*args, **kwargs)
 
-        def counting_stencil(mask, h, values, trace, faces):
-            stencil_runs.append(values)  # a function's read-only values: one array per function
-            return stencil(mask, h, values, trace, faces)
+        def counting_stencil(u):
+            stencil_runs.append(u.values)  # a function's read-only values: one array per function
+            return stencil(u)
 
         monkeypatch.setattr(ndimage, "distance_transform_edt", counting_edt)
         monkeypatch.setattr(calc, "_grad_stencil", counting_stencil)
@@ -749,6 +749,51 @@ class TestComputedOnce:
         # 23 stencil runs before the cache and 16 before abs_value kept a
         # nonnegative function as it is; every grid function now takes one
         assert len({id(v) for v in stencil_runs}) == len(stencil_runs) == 14
+
+    @staticmethod
+    def _standard_suite():
+        import os
+
+        from gmtlab.suite import parse_suite
+
+        return parse_suite(os.path.join(os.path.dirname(os.path.dirname(__file__)), "suites", "standard.json"))
+
+    def test_standard_suite_takes_each_total_variation_once(self, monkeypatch):
+        import gmtlab.calculus as calc
+        from gmtlab.suite import run_suite
+
+        spec = self._standard_suite()
+        tv_runs, forward_tv = [], calc._forward_tv
+
+        def counting_tv(v, h):
+            tv_runs.append(len(v))
+            return forward_tv(v, h)
+
+        monkeypatch.setattr(calc, "_forward_tv", counting_tv)
+        assert run_suite(spec)["pass"]
+        # 5 before the TV was cached: the box entry's bv_bound and sobolev took it twice
+        assert tv_runs == [1] * 4
+
+    def test_standard_suite_extracts_each_cloud_at_construction(self, monkeypatch):
+        import sys
+
+        import gmtlab.domains
+        from gmtlab.suite import run_suite
+
+        spec = self._standard_suite()
+        calls, extract = [], gmtlab.domains.extract_boundary
+
+        def counting_extract(domain):
+            calls.append(domain)
+            return extract(domain)
+
+        # inequalities, calculus and cli import it by name
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "gmtlab" and getattr(mod, "extract_boundary", None) is extract:
+                monkeypatch.setattr(mod, "extract_boundary", counting_extract)
+        assert run_suite(spec)["pass"]
+        # 97 while a function's cloud was a property that looked it up on every read
+        assert len(calls) == 34
 
     def test_cached_arrays_are_read_only(self):
         import gmtlab.calculus as calc

@@ -34,6 +34,7 @@ from gmtlab.domains import (  # noqa: E402
 from gmtlab.errors import InvalidArgumentError  # noqa: E402
 from gmtlab.hausdorff import _fps_centers, build_partition, estimate_hm_detail  # noqa: E402
 
+from conftest import fps_capped  # noqa: E402
 from test_hausdorff import _fps_reference  # noqa: E402
 
 _LEN = st.floats(0.2, 0.6)
@@ -159,7 +160,7 @@ def test_slab_updates_match_full_updates(seed, n, dim, levels, dups, top, n_cuts
     pts = rng.integers(-levels, levels + 1, (n, dim)) / levels
     pts = np.concatenate([pts, pts[rng.integers(0, n, dups)]])
     scales = [top / 2 ** j for j in range(n_cuts)]
-    centers, counts, owners = _fps_centers(pts, scales, limit=limit)
+    centers, counts, owners = fps_capped(pts, scales, limit)
     ref_centers, ref_counts, ref_owners = _fps_owner_reference(pts, scales, limit=limit)
     assert centers.tolist() == ref_centers and counts == ref_counts
     for cut, ref in zip(owners, ref_owners):

@@ -1,7 +1,8 @@
 """Names that other code depends on: every ``__all__``, the package re-exports,
 and every gmtlab name that the benchmark harness under ``bench/`` imports; every
-error type, which some ``raise`` in the package must name; and the signatures
-that a function's domain and cloud are read off."""
+error type, which some ``raise`` in the package must name; the signatures
+that a function's domain and cloud, and each kernel's inputs, are read off;
+and every private function, which the package itself must name."""
 
 import ast
 import importlib
@@ -100,3 +101,50 @@ def test_domain_and_cloud_are_read_off_the_function():
     assert [name for name in _NO_CLOUD if "cloud" in params[name]] == []
     assert [name for name in _NO_DOMAIN if "domain" in params[name]] == []
     assert params["restrict_to_domain"] == ["u", "domain"]  # the target domain is a second input
+
+
+# one layer down, each kernel reads what it needs off the object it is given:
+# a function's mask, spacing, values, trace and faces, a cloud's points, gaps and
+# resolution, the greedy run's cap, and a strict cut as the largest float below t
+_KERNELS = {
+    "calculus._grad_stencil": ["u"],
+    "hausdorff._cell_rds": ["cloud", "order", "bounds", "scale"],
+    "hausdorff._fps_centers": ["points", "thresholds"],
+    "domains.within_distance": ["source", "t", "h"],
+    "domains._squared_cut": ["t", "h", "n"],
+    "inequalities._boundary_measure": ["cloud"],
+    "inequalities._calibration": ["cloud"],
+}
+
+
+def test_kernels_read_their_inputs():
+    params = {}
+    for name in _KERNELS:
+        mod, attr = name.split(".")
+        params[name] = list(inspect.signature(getattr(importlib.import_module(f"gmtlab.{mod}"), attr)).parameters)
+    assert params == _KERNELS
+
+
+def _private_functions_and_names():
+    """(module, name) of each private module-level function in ``src/gmtlab``,
+    and every name that the package mentions outside a ``def`` line."""
+    private, used = [], set()
+    for path in sorted(Path(gmtlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        private.extend((path.stem, node.name) for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return private, used
+
+
+def test_every_private_function_is_used_in_the_package():
+    # a helper that only tests still call is dead code: nothing in the package reaches it
+    private, used = _private_functions_and_names()
+    assert private
+    assert [f"{mod}.{name}" for mod, name in private if name not in used] == []

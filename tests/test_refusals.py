@@ -99,7 +99,7 @@ def test_refusal(name):
 def test_malformed_c1_refused_before_any_estimate(monkeypatch, c1, message):
     u = _one()
 
-    def estimate(domain):
+    def estimate(cloud):
         raise AssertionError("the boundary measure was estimated before c1 was checked")
 
     monkeypatch.setattr(inequalities, "_calibration", estimate)
