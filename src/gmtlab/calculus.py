@@ -490,9 +490,12 @@ def truncate(u: GridFunction, part: Partition, eps: float, s: float) -> GridFunc
     for b, lo, hi, dist, ramps in _barrier_windows(dom, centers, diams, s, heights):
         masses[b] = _forward_tv(ramps, dom.spacing)
         ramps[dist > (diams[b] + s).reshape((-1,) + (1,) * dom.dim)] = np.inf
-        for ramp, start, stop, first in zip(ramps, np.maximum(lo, 0), np.minimum(hi, dom.shape), lo):
-            view = out[tuple(map(slice, start, stop))]
-            np.minimum(view, ramp[tuple(map(slice, start - first, stop - first))], out=view)
+        start, stop = np.maximum(lo, 0), np.minimum(hi, dom.shape)
+        # each window's slices from Python ints: numpy scalars cost more per slice
+        for ramp, i0, i1, r0, r1 in zip(ramps, start.tolist(), stop.tolist(),
+                                        (start - lo).tolist(), (stop - lo).tolist()):
+            view = out[tuple(map(slice, i0, i1))]
+            np.minimum(view, ramp[tuple(map(slice, r0, r1))], out=view)
         del dist, ramps, ramp  # before the next block is built
     # discrete vanishing trace: zero out the collar next to the boundary (the
     # cells within 1.5h of an exterior cell) and the exterior with it

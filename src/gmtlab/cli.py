@@ -7,6 +7,7 @@ entry errors, 2 for usage or specification errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -21,6 +22,31 @@ from .domains import domain_from_spec, extract_boundary, load_json
 from .errors import GmtLabError, SpecError
 from .hausdorff import build_partition, estimate_hm_detail, partition_defect, partition_to_json
 from .suite import build_function, emit, hash_file, parse_function_spec, parse_suite, run_suite
+
+
+# mallopt(3) parameters of glibc
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory that numpy frees mapped for the rest of the process.
+
+    By default glibc serves each block over 128 KiB with its own ``mmap``
+    and unmaps it when it is freed, or trims the freed heap top, so the
+    next temporary of that size faults its pages in again.  Serving blocks
+    of up to 32 MiB (glibc's 64-bit maximum) from the heap and trimming
+    only past 1 GiB keeps them mapped for reuse.  Only the command-line
+    entry point calls this: a library caller keeps its own allocator.  A C
+    library without ``mallopt`` (macOS, Windows) is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on the C library
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def _finite_float(text: str) -> float:
@@ -227,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

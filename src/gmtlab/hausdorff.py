@@ -289,15 +289,17 @@ def _squared_norms(cols: np.ndarray, c: np.ndarray, out=None, work=None) -> np.n
     ``c`` broadcasts against ``cols``: one point as an (n, 1) column, or one
     point per column.  The squares are summed axis by axis, ``(dx*dx +
     dy*dy) (+ dz*dz)``, the order in which np.linalg.norm(rows, axis=1)
-    sums each row.  The sums go into ``out`` and the differences into
-    ``work`` (the shape of ``cols``) when these are given, so a caller's
-    buffers serve every call.
+    sums each row.  The sums go into ``out``, and the squares of each axis
+    after the first through ``work`` (one row of ``cols``), when these are
+    given, so a caller's buffers serve every call and no difference array
+    of the shape of ``cols`` is built.
     """
-    work = np.subtract(cols, c, out=work)
-    np.multiply(work, work, out=work)
-    total = work[0]
-    for a in range(1, len(work)):
-        total = out = np.add(total, work[a], out=out)
+    total = np.subtract(cols[0], c[0], out=out)
+    np.multiply(total, total, out=total)
+    for a in range(1, len(cols)):
+        sq = np.subtract(cols[a], c[a], out=work)
+        np.multiply(sq, sq, out=sq)
+        np.add(total, sq, out=total)
     return total
 
 
@@ -310,7 +312,8 @@ def _column_norms(cols: np.ndarray, c: np.ndarray, out=None, work=None) -> np.nd
     ``np.take(points.T, index, axis=1)``, so no (N, n) gather or difference
     array is built.
     """
-    return np.sqrt(_squared_norms(cols, c, out, work), out=out)
+    s = _squared_norms(cols, c, out, work)
+    return np.sqrt(s, out=s)
 
 
 # a squared distance s has a square root that rounds to at most d only if
@@ -381,7 +384,7 @@ def _fps_centers(points: np.ndarray, thresholds):
     cols = np.take(coords, by_axis, axis=1)  # the rows, in order along the axis
     key = cols[axis]
     bound = np.maximum(np.square(dist[by_axis]) * (1.0 + _SQUARE_SLACK), _SMALLEST_NORMAL)
-    sq, work = np.empty(len(points)), np.empty_like(cols)
+    sq, work = np.empty((2, len(points)))
     near = np.empty(len(points), dtype=bool)
     while True:
         nxt = int(dist.argmax())  # methods, not np.* wrappers: about 1 us less per center
@@ -400,7 +403,7 @@ def _fps_centers(points: np.ndarray, thresholds):
         ca = float(coords[axis, nxt])
         lo, hi = key.searchsorted((ca - reach, math.nextafter(ca + reach, math.inf))).tolist()
         m = hi - lo
-        s = _squared_norms(cols[:, lo:hi], c, sq[:m], work[:, :m])
+        s = _squared_norms(cols[:, lo:hi], c, sq[:m], work[:m])
         slab_bound = bound[lo:hi]  # a view: writes to it land in bound
         cand = np.less_equal(s, slab_bound, out=near[:m]).nonzero()[0]
         s = s[cand]

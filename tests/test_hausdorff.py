@@ -722,7 +722,7 @@ class TestOneGreedyRun:
 
 def _norms_into_buffers(pts, c):
     """``_column_norms`` of the rows of ``pts`` about c, in buffers holding stale values."""
-    out, work = np.full(len(pts), np.nan), np.full(pts.T.shape, -7.0)
+    out, work = np.full(len(pts), np.nan), np.full(len(pts), -7.0)
     norms = hausdorff._column_norms(pts.T.copy(), c[:, None], out, work)
     assert norms is out
     return norms

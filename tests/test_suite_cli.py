@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import ctypes
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 
 import pytest
@@ -379,6 +381,46 @@ class TestEmission:
             emit(self._manifest(), "xml", tmp_path / "x")
 
 
+# case: (argv, message), paths in braces
+_UNWORKABLE_SCALES = {
+    "trace_eps_1e6": (["trace", "{disk}", "{fn}", "--eps", "1e6"], "exceeds the limit"),
+    "trace_eps_1e300": (["trace", "{disk}", "{fn}", "--eps", "1e300"], "exceeds the limit"),
+    "search_step_1e300": (["search", "{disk}", "{fn}", "--iters", "1", "--step", "1e300"],
+                          "by step 1e+300 overflow"),
+    "trace_3d_thin_shells": (["trace", "{ball}", "{fn}", "--eps", "0.5"], "delta/4 is 1.8 grid spacings"),
+    "trace_window_past_its_limit": (["trace", "{disk}", "{fn}", "--eps", "2000"],
+                                    "cells exceeds the limit of 67108864"),
+    "search_start_overflows": (["search", "{disk}", "{huge}", "--iters", "1", "--step", "0.1"],
+                               "up to 1e+200 moved by step 0.1 overflow"),
+    "trace_interior_nan": (["trace", "{disk}", "{hole}", "--eps", "1"],
+                           "values must be finite on every interior cell"),
+    "search_start_gradient_overflows": (["search", "{disk}", "{steep}", "--iters", "1", "--step", "0.1"],
+                                        "gradient mass is inf"),
+    "trace_sides_overflow": (["trace", "{disk}", "{tall}", "--eps", "1.5e300"],
+                             "mazya: the lhs is inf, not a finite number"),
+}
+
+# runs main on each argv of the JSON list argv[1] and prints [{code, stdout, stderr}, ...];
+# each case gets fresh warning registries, so a warning shows as in a process of its own
+_MAIN_PER_ARGV = """
+import contextlib, io, json, sys, traceback, warnings
+from gmtlab.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    runs.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+print(json.dumps(runs))
+"""
+
+
 class TestCli:
     def _domain_file(self, tmp_path, h=0.01):
         return write_json(
@@ -742,20 +784,33 @@ class TestCli:
         assert "must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("argv, message", [
-        (["trace", "{disk}", "{fn}", "--eps", "1e6"], "exceeds the limit"),
-        (["trace", "{disk}", "{fn}", "--eps", "1e300"], "exceeds the limit"),
-        (["search", "{disk}", "{fn}", "--iters", "1", "--step", "1e300"], "by step 1e+300 overflow"),
-        (["trace", "{ball}", "{fn}", "--eps", "0.5"], "delta/4 is 1.8 grid spacings"),
-        (["trace", "{disk}", "{fn}", "--eps", "2000"], "cells exceeds the limit of 67108864"),
-        (["search", "{disk}", "{huge}", "--iters", "1", "--step", "0.1"], "up to 1e+200 moved by step 0.1 overflow"),
-        (["trace", "{disk}", "{hole}", "--eps", "1"], "values must be finite on every interior cell"),
-        (["search", "{disk}", "{steep}", "--iters", "1", "--step", "0.1"], "gradient mass is inf"),
-        (["trace", "{disk}", "{tall}", "--eps", "1.5e300"], "mazya: the lhs is inf, not a finite number"),
-    ], ids=["trace_eps_1e6", "trace_eps_1e300", "search_step_1e300", "trace_3d_thin_shells",
-            "trace_window_past_its_limit", "search_start_overflows", "trace_interior_nan",
-            "search_start_gradient_overflows", "trace_sides_overflow"])
-    def test_unworkable_scale_exits_two_under_python_O(self, tmp_path, argv, message):
+    @pytest.fixture(scope="class")
+    def unworkable_runs(self, tmp_path_factory):
+        """Every case of ``_UNWORKABLE_SCALES``, run by ``main`` in one ``python -O`` child.
+
+        Returns {case: {"code", "stdout", "stderr"}}.
+        """
+        tmp_path = tmp_path_factory.mktemp("unworkable")
+        ball = {"kind": "ball", "params": {"r": 1.0, "center": [0, 0, 0]}, "h": 1 / 48}
+        paths = {"disk": self._domain_file(tmp_path, h=1 / 32),
+                 "ball": write_json(tmp_path / "ball.json", ball),
+                 "fn": write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2}),
+                 "huge": write_json(tmp_path / "huge.json", {"expr": "1e200", "lipschitz": 0}),
+                 "hole": write_json(tmp_path / "hole.json", {"expr": "sqrt(0.5 - r*r)", "lipschitz": 2}),
+                 "steep": write_json(tmp_path / "steep.json",
+                                     {"expr": "5e153*min(1, max(0, 1e6*x))", "lipschitz": 0}),
+                 "tall": write_json(tmp_path / "tall.json",
+                                    {"expr": "1e300*max(0, 1 - r*r)", "lipschitz": 3e300})}
+        argvs = [[a.format(**paths) for a in argv] for argv, _ in _UNWORKABLE_SCALES.values()]
+        src = os.path.dirname(os.path.dirname(gmtlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _MAIN_PER_ARGV, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src), check=True,
+        )
+        return dict(zip(_UNWORKABLE_SCALES, json.loads(proc.stdout)))
+
+    @pytest.mark.parametrize("case", list(_UNWORKABLE_SCALES))
+    def test_unworkable_scale_exits_two_under_python_O(self, unworkable_runs, case):
         # shell windows past the grid limit (at eps 1e6 they exhausted memory,
         # at 1e300 their index bounds overflowed) or past the window limit (a
         # 9,728^2 window at eps 2000, about 3 GB of temporaries), a step or a
@@ -767,25 +822,12 @@ class TestCli:
         # the cap but whose gradient overflows reported quotient 0.0 and
         # exited 0; a trace whose sums overflow printed numpy's warnings
         # before its refusal
-        ball = {"kind": "ball", "params": {"r": 1.0, "center": [0, 0, 0]}, "h": 1 / 48}
-        paths = {"disk": self._domain_file(tmp_path, h=1 / 32),
-                 "ball": write_json(tmp_path / "ball.json", ball),
-                 "fn": write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2}),
-                 "huge": write_json(tmp_path / "huge.json", {"expr": "1e200", "lipschitz": 0}),
-                 "hole": write_json(tmp_path / "hole.json", {"expr": "sqrt(0.5 - r*r)", "lipschitz": 2}),
-                 "steep": write_json(tmp_path / "steep.json",
-                                     {"expr": "5e153*min(1, max(0, 1e6*x))", "lipschitz": 0}),
-                 "tall": write_json(tmp_path / "tall.json",
-                                    {"expr": "1e300*max(0, 1 - r*r)", "lipschitz": 3e300})}
-        src = os.path.dirname(os.path.dirname(gmtlab.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "gmtlab.cli", *[a.format(**paths) for a in argv]],
-            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert message in proc.stderr
+        run = unworkable_runs[case]
+        assert run["code"] == 2
+        assert run["stdout"] == ""
+        assert run["stderr"].startswith("error: ") and run["stderr"].count("\n") == 1
+        assert _UNWORKABLE_SCALES[case][1] in run["stderr"]
+        assert "Traceback" not in run["stderr"]
 
     def test_window_under_its_limit_runs(self, tmp_path):
         # eps 373: one window of about 3.7M cells (210 MB peak), well under the limit
@@ -901,6 +943,76 @@ assert not loaded, sorted(loaded)
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         suite = os.path.join(here, "suites", "smoke.json")
         assert main(["verify", suite]) == 0
+
+
+def _c_library_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# four in-process traces of argv[1:], each printed as: exit code, minor page faults
+_FAULTS_PER_MAIN = """
+import contextlib, io, resource, sys
+from gmtlab.cli import main
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestProcessMemory:
+    """``main`` keeps freed memory mapped (glibc's mallopt); library callers keep their allocator."""
+
+    def _trace_argv(self, tmp_path):
+        return ["trace", write_json(tmp_path / "disk.json", {"kind": "ball", "params": {"r": 1}, "h": 1 / 128}),
+                write_json(tmp_path / "f.json", {"expr": "max(0, 1 - r*r)", "lipschitz": 2}), "--eps", "0.2"]
+
+    @pytest.mark.skipif(not _c_library_has_mallopt(), reason="the C library has no mallopt")
+    def test_repeated_trace_faults_in_no_pages(self, tmp_path):
+        # with glibc's defaults each freed block over 128 KiB went back to the
+        # system, and every later trace faulted about 1,000 pages in again
+        src = os.path.dirname(os.path.dirname(gmtlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTS_PER_MAIN, *self._trace_argv(tmp_path)],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src), check=True,
+        )
+        runs = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+        assert [code for code, _ in runs] == [0] * 4
+        assert all(faults < 50 for _, faults in runs[2:]), runs
+
+    def test_main_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        assert (mallopt.argtypes, mallopt.restype) == ((ctypes.c_int, ctypes.c_int), ctypes.c_int)
+
+    @pytest.mark.parametrize("error", [OSError, TypeError, AttributeError],
+                             ids=["dlopen_fails", "no_handle_for_none", "no_mallopt"])
+    def test_main_runs_without_mallopt(self, tmp_path, capsys, monkeypatch, error):
+        # no C library to open, CDLL(None) refused (Windows), or a C library without mallopt (macOS)
+        argv = self._trace_argv(tmp_path)
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+
+        def c_library(name):
+            if error is AttributeError:
+                return types.SimpleNamespace()
+            raise error("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", c_library)
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
 
 
 class TestHashFile:
