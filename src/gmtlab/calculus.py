@@ -15,6 +15,7 @@ array, so every result has the whole-grid bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ from .domains import (
     volume,
     within_distance,
 )
-from .errors import InvalidArgumentError, ResolutionError
+from .errors import GmtLabError, InvalidArgumentError, ResolutionError
 from .expressions import Expression
 from .hausdorff import Partition, unit_ball_volume
 
@@ -556,8 +557,17 @@ def _forward_tv(v: np.ndarray, h: float) -> np.ndarray:
     return np.sum(roots.reshape(len(v), -1), axis=1) * h ** (n - 1)
 
 
+def _mollifier_index(k) -> int:
+    """k as an int (``operator.index``); a float or a bool is an InvalidArgumentError,
+    so a fractional index never runs some other kernel under a rounded k."""
+    if isinstance(k, (bool, float, np.bool_, np.floating)):
+        raise InvalidArgumentError("mollifier index must be a positive integer")
+    return operator.index(k)
+
+
 def _kernel_cells(k: int, spacing: float) -> int:
     """Half width m, in cells, of the index-k kernel: its grid is (2m+1)^n."""
+    k = _mollifier_index(k)
     if k < 1:
         raise InvalidArgumentError("mollifier index must be a positive integer")
     radius = 1.0 / k
@@ -606,8 +616,13 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``scipy.signal.fftconvolve``).  Both arrays are zero-padded on every axis
     to the 5-smooth length (:func:`_fast_len`) of at least that size, so the
     product of their real FFTs (``numpy.fft``) is the linear convolution, not
-    a circular one.
+    a circular one.  Operands with a different number of axes, no axis or an
+    empty axis are an InvalidArgumentError.
     """
+    if a.ndim != b.ndim or a.ndim == 0:
+        raise InvalidArgumentError("convolution operands need the same number of axes, at least one")
+    if 0 in a.shape or 0 in b.shape:
+        raise InvalidArgumentError("convolution operands must be nonempty on every axis")
     full = [n + m - 1 for n, m in zip(a.shape, b.shape)]
     fshape = [_fast_len(n) for n in full]
     axes = tuple(range(a.ndim))
@@ -615,26 +630,90 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(spectrum, fshape, axes=axes)[tuple(slice(0, n) for n in full)]
 
 
-def _convolved(u: GridFunction, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index-k mollification's values on the box of its support, and its mask.
+def _discrete_kernel(u: GridFunction, k: int) -> np.ndarray:
+    """The index-k kernel's weights on u's grid, (2m+1)^n of them summing to 1.
 
-    The convolution is the full one of u's values with the (2m+1)^n kernel
-    weights: its n + 2m cells per axis hold the whole support.  It is one
-    real FFT product, whose rounding leaves noise of order 1e-16 of the peak
-    on cells the kernel never reaches; values below 1e-13 of the peak are
-    scrubbed to zero so the support stays sharp.  The mask is that support
-    plus u's mask, so every cell outside it holds an exact zero.  A grid
-    two cells wider on every side (:func:`mollify`'s) above the domain grid
-    limit is an InvalidArgumentError, raised before anything is allocated.
+    A grid two cells wider on every side than the convolution's box
+    (:func:`mollify`'s, u's shape + 2(m + 2) cells) above the domain grid
+    limit is an InvalidArgumentError, raised before anything is allocated;
+    then :func:`build_mollifier` checks the kernel's own grid.
     """
     h, n = u.domain.spacing, u.domain.dim
     m = _kernel_cells(k, h)
     _grid_shape([s + 2 * (m + 2) for s in u.domain.shape])
-    weights = build_mollifier(k, h, n) * h ** n  # discrete weights sum to 1
+    return build_mollifier(k, h, n) * h ** n
+
+
+def _convolved(u: GridFunction, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index-k mollification's values on the box of its support, and its mask.
+
+    The convolution is the full one of u's values with the (2m+1)^n kernel
+    weights (:func:`_discrete_kernel`, whose refusals come first): its
+    n + 2m cells per axis hold the whole support.  It is one real FFT
+    product, whose rounding leaves noise of order 1e-16 of the peak on cells
+    the kernel never reaches; values below 1e-13 of the peak are scrubbed to
+    zero so the support stays sharp.  The mask is that support plus u's
+    mask, so every cell outside it holds an exact zero.  The 2D mollified
+    chain reads its L_2 norms off :func:`_mollified_l2_norms` instead; this
+    is its 3D path and its reference.
+    """
+    weights = _discrete_kernel(u, k)
     conv = fft_convolve(u.values, weights)
     tiny = 1e-13 * float(np.max(np.abs(conv), initial=0.0))
     conv[np.abs(conv) < tiny] = 0.0
-    return conv, (conv != 0.0) | np.pad(u.domain.mask, m)
+    return conv, (conv != 0.0) | np.pad(u.domain.mask, len(weights) // 2)
+
+
+def _mollified_l2_norms(u: GridFunction, ks) -> list:
+    """For each index k of ``ks``, the L_2 norm of :func:`_convolved`'s values, off one spectrum of u.
+
+    Each entry is the norm, or the GmtLabError that :func:`_discrete_kernel`
+    raises for that k; every k is checked, in order, before u is transformed.
+    By Parseval's identity the norm is (sum w |U|^2 |K|^2 h^n / prod L)^(1/2),
+    with U and K the real FFTs (``numpy.fft.rfftn``) of u's values and of the
+    kernel's weights, both zero-padded to L = ``_fast_len(s + 2 m)`` cells on
+    each axis of u's s, with m the largest half width that passed: at that
+    size every k's circular product is its linear convolution.  The weight w
+    counts each rfft column once for itself and once for its conjugate: 1 on
+    the zero column and on the Nyquist column of an even L, 2 elsewhere.  So
+    one forward transform of u and one per kernel give the whole chain, with
+    no inverse.  u is scaled by 2^-e, e the exponent of its peak, so that
+    |U|^2 cannot overflow, and the norm by 2^e; both scalings are exact
+    wherever a value stays normal.  The scrub and the mask of
+    :func:`_convolved` are left out: they zero only values below 1e-13 of
+    the peak, whose squares, below 1e-26 of the peak's, add far less than one
+    ulp to the sum; the norms agree with ``_convolved``'s to a few ulps.
+    """
+    h, n = u.domain.spacing, u.domain.dim
+    norms = []
+    for k in ks:
+        try:
+            norms.append(_discrete_kernel(u, k))
+        except GmtLabError as exc:
+            norms.append(exc)
+    reach = max((len(w) - 1 for w in norms if isinstance(w, np.ndarray)), default=None)
+    if reach is None:
+        return norms
+    fshape = [_fast_len(s + reach) for s in u.domain.shape]
+    axes = tuple(range(n))
+    e = math.frexp(max(float(np.max(u.values)), -float(np.min(u.values))))[1]
+    power = _power(np.fft.rfftn(np.ldexp(u.values, -e), fshape, axes=axes))
+    power[..., 1 : (fshape[-1] + 1) // 2] *= 2.0
+    cell = h ** n / math.prod(fshape)
+    for i, weights in enumerate(norms):
+        if isinstance(weights, np.ndarray):
+            gain = _power(np.fft.rfftn(weights, fshape, axes=axes))
+            gain *= power
+            norms[i] = float(np.ldexp(math.sqrt(float(np.sum(gain)) * cell), e))
+    return norms
+
+
+def _power(spectrum: np.ndarray) -> np.ndarray:
+    """|spectrum|^2, formed in place in the real parts of ``spectrum``: a view of them."""
+    re, im = spectrum.real, spectrum.imag
+    np.multiply(re, re, out=re)
+    re += np.multiply(im, im, out=im)
+    return re
 
 
 def mollify(u: GridFunction, k: int) -> GridFunction:
@@ -646,7 +725,8 @@ def mollify(u: GridFunction, k: int) -> GridFunction:
     of the enlarged domain are those of :func:`_convolved` with two zero
     cells more on every side, so the grid box is m + 2 cells wider than the
     domain's and the result's trace is zero.  ``check_extended_sobolev``
-    reads its norms off :func:`_convolved` and builds no such function.
+    reads its norms off :func:`_convolved` (3D) or :func:`_mollified_l2_norms`
+    (2D) and builds no such function.
     """
     conv, mask = _convolved(u, k)
     pad = _kernel_cells(k, u.domain.spacing) + 2

@@ -360,15 +360,29 @@ def check_brunn_minkowski(a: GridDomain, b: GridDomain) -> Report:
                   holds_tolerance("brunn_minkowski", a.spacing), metadata=meta, flipped=True)
 
 
+def _chain_lq(u: calc.GridFunction, k: int, q: float):
+    """The L_q norm of :func:`calculus._convolved`'s values, or the GmtLabError it raises."""
+    try:
+        conv, mask = calc._convolved(u, k)
+    except GmtLabError as exc:  # e.g. a kernel narrower than two cells
+        return exc
+    return calc._lq(conv, mask, q, u.h ** u.domain.dim)
+
+
 def check_extended_sobolev(u: calc.GridFunction, k_list=MOLLIFIER_INDICES) -> Report:
     """L_q norm against c(n) times total variation, with a mollified chain.
 
     For each mollifier index k the report records that the smoothed function
     still satisfies the same bound with the unsmoothed right side, realizing
-    the smoothing-limit argument numerically.  Each chain norm is read off
-    the scrubbed convolution and its mask, as ``lq_norm(mollify(u, k), q)``
-    would read it.
+    the smoothing-limit argument numerically.  Every k must be an integer (a
+    float or a bool is an InvalidArgumentError, raised before any transform);
+    a k whose kernel cannot be built is recorded with its error.  In 2D,
+    where q = 2, the chain's norms are read off one spectrum of u
+    (:func:`calculus._mollified_l2_norms`, Parseval's identity); in 3D each
+    is read off the scrubbed convolution and its mask, as
+    ``lq_norm(mollify(u, k), q)`` would read it.
     """
+    ks = [calc._mollifier_index(k) for k in k_list]
     n = u.domain.dim
     q = n / (n - 1)
     c = iso_constant(n)
@@ -376,17 +390,15 @@ def check_extended_sobolev(u: calc.GridFunction, k_list=MOLLIFIER_INDICES) -> Re
     lhs = calc.lq_norm(u, q)
     rhs = c * tv
     tol_val = holds_tolerance("sobolev_extended", u.domain.spacing)
+    norms = calc._mollified_l2_norms(u, ks) if q == 2 else [_chain_lq(u, k, q) for k in ks]
     chain = []
-    for k in k_list:
-        try:
-            conv, mask = calc._convolved(u, k)
-        except GmtLabError as exc:  # e.g. a kernel narrower than two cells
-            chain.append({"k": int(k), "error": str(exc)})
+    for k, lq_k in zip(ks, norms):
+        if isinstance(lq_k, GmtLabError):
+            chain.append({"k": k, "error": str(lq_k)})
             continue
-        lq_k = calc._lq(conv, mask, q, u.h ** n)
         chain.append(
             {
-                "k": int(k),
+                "k": k,
                 "lq": lq_k,
                 "tv_bound": c * tv,
                 "holds": bool(lq_k <= c * tv * (1.0 + tol_val)),

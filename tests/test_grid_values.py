@@ -7,14 +7,18 @@ oracle is the expression evaluated at the gathered ``cell_centers()`` and at
 contiguous copies of the cloud's columns: every interior value and every
 trace value must equal it bit for bit, and ``r`` must have the bits of
 ``np.sqrt(np.sum(points * points, axis=-1))``.  ``check_extended_sobolev``
-reads each chain norm off the scrubbed convolution; its oracles are
-``lq_norm(mollify(u, k), q)`` and the norm of a mollified function whose
-convolution is padded to its grid box before it is scrubbed and masked.
+reads each 2D chain norm off one spectrum of u (Parseval's identity) and each
+3D one off the scrubbed convolution; its oracles are the spatial path
+(``_lq`` of ``_convolved``), ``lq_norm(mollify(u, k), q)`` and the norm of a
+mollified function whose convolution is padded to its grid box before it is
+scrubbed and masked.  The 3D norms have their bits; the 2D ones lie within
+1e-13 of them (the largest move over the fixed inputs here is 3.3e-16 relative).
 """
 
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from gmtlab.domains import (  # noqa: E402
     make_box,
     rasterize_polygon,
 )
-from gmtlab.errors import InvalidArgumentError  # noqa: E402
+from gmtlab.errors import GmtLabError, InvalidArgumentError  # noqa: E402
 from gmtlab.expressions import Expression  # noqa: E402
 from gmtlab.inequalities import check_extended_sobolev  # noqa: E402
 from gmtlab.suite import build_function  # noqa: E402
@@ -52,8 +56,8 @@ def _same(a, b) -> bool:
 
 
 @st.composite
-def domains_(draw):
-    dim = draw(st.sampled_from([2, 3]))
+def domains_(draw, dims=(2, 3)):
+    dim = draw(st.sampled_from(dims))
     h = draw(st.sampled_from(_SPACINGS[dim]))
     centre = [draw(st.sampled_from(_OFFSETS)) for _ in range(dim)]
     size = draw(st.floats(0.45, 1.0 if dim == 2 else 0.7))
@@ -168,16 +172,41 @@ def _padded_lq(u, k, q):
     return float(np.sum(np.abs(mk.values[dom.mask]) ** q) * h ** n) ** (1.0 / q)
 
 
+# the 2D chain's norms against the spatial path's: a few ulps apart by Parseval's identity
+_CHAIN_REL = 1e-13
+
+
+def _assert_chain_norm(u, got, want):
+    assert math.isfinite(want)
+    if u.domain.dim == 3:  # q = 3/2: read off the scrubbed convolution, as the references are
+        assert got.hex() == want.hex()
+    else:
+        assert abs(got - want) <= _CHAIN_REL * want
+
+
+def _spatial_chain(u, k):
+    """The spatial path's chain entry for k: the norm of ``_convolved``'s values, or its error text."""
+    try:
+        conv, mask = calc._convolved(u, k)
+    except GmtLabError as exc:
+        return str(exc)
+    n = u.domain.dim
+    return calc._lq(conv, mask, n / (n - 1), u.h ** n)
+
+
 @pytest.mark.parametrize("build", [
     lambda: calc.from_expression(rasterize_polygon([(0, 0), (1, 0), (0, 1)], 1 / 64), "x + 3*y*y"),
     lambda: calc.from_expression(make_ball((0.37, -1.3), 0.8, 1 / 48), "max(0, 1 - r) - x"),
+    lambda: calc.from_expression(make_ball((0.1, -0.2, 0.3), 0.6, 1 / 40), "x + 2*y*z - 0.1"),
 ])
 def test_chain_norms_match_a_mollification_built_on_its_padded_grid(build):
     # asymmetric domains and values, so a misplaced mask or margin would show
     u = build()
+    n = u.domain.dim
     chain = check_extended_sobolev(u, (4, 8, 16)).metadata["mollified_chain"]
+    assert [link["k"] for link in chain] == [4, 8, 16]
     for link in chain:
-        assert link["lq"].hex() == _padded_lq(u, link["k"], 2.0).hex()
+        _assert_chain_norm(u, link["lq"], _padded_lq(u, link["k"], n / (n - 1)))
 
 
 @pytest.mark.parametrize("kind", ["ball", "annulus"])
@@ -188,5 +217,58 @@ def test_chain_norms_are_those_of_the_mollified_functions(kind):
     chain = check_extended_sobolev(u, (4, 8, 16)).metadata["mollified_chain"]
     assert [link["k"] for link in chain] == [4, 8, 16]
     for link in chain:
-        want = calc.lq_norm(calc.mollify(u, link["k"]), 2.0)
-        assert math.isfinite(want) and link["lq"].hex() == want.hex()
+        _assert_chain_norm(u, link["lq"], calc.lq_norm(calc.mollify(u, link["k"]), 2.0))
+
+
+_SIGNED = ["x - 0.3*y", "max(0, 1 - r) - x", "x*y - 0.1", "(x - 0.2)^3 + y", "2*y*y - exp(x)", "1"]
+
+
+@st.composite
+def chain_cases(draw):
+    dom = draw(domains_(dims=(2,)))
+    text = f"{draw(st.sampled_from([1, -1, 1e-3, 1e3]))} * ({draw(st.sampled_from(_SIGNED))})"
+    ks = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 8]), min_size=1, max_size=3))
+    # 1/16 is below two cells at every 2D spacing drawn
+    ks.insert(draw(st.integers(0, len(ks))), 16)
+    return dom, text, ks
+
+
+@given(chain_cases())
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+def test_spectral_chain_matches_the_spatial_path(case):
+    dom, text, ks = case
+    u = calc.from_expression(dom, text)
+    chain = check_extended_sobolev(u, ks).metadata["mollified_chain"]
+    assert [link["k"] for link in chain] == ks
+    for link in chain:
+        want = _spatial_chain(u, link["k"])
+        if isinstance(want, str):
+            assert link == {"k": link["k"], "error": want}
+        else:
+            assert abs(link["lq"] - want) <= _CHAIN_REL * want
+
+
+@pytest.mark.parametrize("text", ["1e150*(1 - x)", "1e-150*(1 - x)"])
+def test_spectral_chain_at_extreme_scales(text):
+    # |U|^2 of the unscaled 1e150 values would overflow to inf
+    u = calc.from_expression(make_ball((0.0, 0.0), 1.0, 1 / 128), text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chain = check_extended_sobolev(u, (4, 8, 16)).metadata["mollified_chain"]
+    for link in chain:
+        want = _spatial_chain(u, link["k"])
+        assert math.isfinite(link["lq"]) and abs(link["lq"] - want) <= _CHAIN_REL * want
+
+
+@pytest.mark.parametrize("dim, calls", [(2, (4, 0)), (3, (6, 3))])
+def test_chain_transform_counts(monkeypatch, dim, calls):
+    # 2D: one spectrum of u and one per kernel, no inverse; 3D: one product per k
+    u = calc.indicator_function(make_ball((0.0,) * dim, 1.0, 1 / 32 if dim == 2 else 1 / 16))
+    counts = {"rfftn": 0, "irfftn": 0}
+    for name in counts:
+        def counting(*args, _f=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    check_extended_sobolev(u, (2, 4, 8) if dim == 3 else (4, 8, 16))
+    assert (counts["rfftn"], counts["irfftn"]) == calls

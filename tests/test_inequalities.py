@@ -441,6 +441,7 @@ class TestExtendedSobolev:
         u = GridFunction(square_128, np.zeros(square_128.shape), np.zeros(len(cloud)))
         rep = check_extended_sobolev(u, k_list=(4,))
         assert rep.holds and rep.lhs == 0.0
+        assert rep.metadata["mollified_chain"][0]["lq"].hex() == (0.0).hex()
 
 
     def test_unresolved_kernel_recorded_other_errors_raise(self):
@@ -452,10 +453,11 @@ class TestExtendedSobolev:
             check_extended_sobolev(u, k_list=("4",))
 
     def test_oversized_kernel_recorded_as_chain_error(self):
-        # a 404^2 grid whose k=1 kernel would have 199,999^2 cells
+        # a 404^2 grid whose k=1 kernel would have 199,999^2 cells; the next k still runs
         u = indicator_function(make_ball((0.0, 0.0), 0.002, 1e-5))
-        (link,) = check_extended_sobolev(u, k_list=(1,)).metadata["mollified_chain"]
-        assert link["k"] == 1 and "exceeds the limit" in link["error"]
+        link, ok = check_extended_sobolev(u, k_list=(1, 4000)).metadata["mollified_chain"]
+        assert link == {"k": 1, "error": "grid of 4.02e+10 cells exceeds the limit of 268435456"}
+        assert ok["lq"] == pytest.approx(0.0034455905256264617, rel=1e-13)
 
 
 class TestPerimeterIso:

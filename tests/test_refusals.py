@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gmtlab import inequalities
-from gmtlab.calculus import (GridFunction, constant_function, interior_region, minkowski_steiner, mollify,
-                             restrict_to_domain)
+from gmtlab.calculus import (GridFunction, constant_function, fft_convolve, interior_region, minkowski_steiner,
+                             mollify, restrict_to_domain)
 from gmtlab.constants import TRACE_STEP_TOLERANCES
 from gmtlab.domains import GridDomain, extract_boundary, make_annulus, make_ball, make_box
 from gmtlab.errors import InvalidArgumentError
@@ -16,6 +16,7 @@ from gmtlab.inequalities import (
     TraceReport,
     TraceStep,
     check_brunn_minkowski,
+    check_extended_sobolev,
     check_isoperimetric,
     check_mazya_l2,
     proof_trace,
@@ -41,6 +42,18 @@ _REFUSALS = {
                      InvalidArgumentError, "trace length must match the cloud"),
     "mollifier index": (lambda: mollify(_one(), 0),
                         InvalidArgumentError, "mollifier index must be a positive integer"),
+    "fractional mollifier index": (lambda: mollify(_one(), 4.5),
+                                   InvalidArgumentError, "mollifier index must be a positive integer"),
+    "bool mollifier index": (lambda: mollify(_one(), True),
+                             InvalidArgumentError, "mollifier index must be a positive integer"),
+    "fractional chain index": (lambda: check_extended_sobolev(_one(), (4, 4.5)),
+                               InvalidArgumentError, "mollifier index must be a positive integer"),
+    "convolution empty axis": (lambda: fft_convolve(np.zeros(0), np.zeros(1)),
+                               InvalidArgumentError, "convolution operands must be nonempty on every axis"),
+    "convolution 1D by 2D": (lambda: fft_convolve(np.ones(3), np.ones((3, 3))), InvalidArgumentError,
+                             "convolution operands need the same number of axes, at least one"),
+    "convolution 2D by 1D": (lambda: fft_convolve(np.ones((3, 3)), np.ones(3)), InvalidArgumentError,
+                             "convolution operands need the same number of axes, at least one"),
     "no steiner eps": (lambda: minkowski_steiner(_disk(), []),
                        InvalidArgumentError, "need at least one eps value"),
     "restriction spacing": (lambda: restrict_to_domain(_one(), _disk(1 / 32)),
@@ -105,3 +118,18 @@ def test_malformed_c1_refused_before_any_estimate(monkeypatch, c1, message):
     monkeypatch.setattr(inequalities, "_calibration", estimate)
     with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
         check_mazya_l2(u, c1)
+
+
+def test_chain_index_refused_before_any_transform(monkeypatch):
+    def transform(*args, **kwargs):
+        raise AssertionError("a transform ran before the indices were checked")
+
+    monkeypatch.setattr(np.fft, "rfftn", transform)
+    with pytest.raises(InvalidArgumentError, match="^mollifier index must be a positive integer$"):
+        check_extended_sobolev(_one(), (4, 8, 4.5))
+
+
+def test_integral_chain_indices_are_accepted_as_ints():
+    chain = check_extended_sobolev(_one(), (np.int64(4), 0)).metadata["mollified_chain"]
+    assert type(chain[0]["k"]) is int and chain[0]["k"] == 4 and "lq" in chain[0]
+    assert chain[1] == {"k": 0, "error": "mollifier index must be a positive integer"}

@@ -286,7 +286,7 @@ class TestRunSuite:
     def test_standard_suite_builds_gaps_only_where_read(self, monkeypatch):
         # the gaps of a face cloud are built on its first calibration, once;
         # the brunn_minkowski box calibrates nothing, so its cloud has none;
-        # the mollified chain reads its norms off the convolution, so no
+        # the mollified chain reads its norms off spectra and convolutions, so no
         # mollified function, domain or cloud is built at all
         import gmtlab.calculus as calc
         import gmtlab.hausdorff as hausdorff
