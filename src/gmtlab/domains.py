@@ -316,7 +316,9 @@ def _radial_domain(center: np.ndarray, r_outer: float, r_inner: float, h: float)
     mask = np.empty(shape, dtype=bool)
     for rows in _row_slabs(shape):
         dist2 = sum((g - c) ** 2 for g, c in zip([first[rows], *rest], center))
-        mask[rows] = (dist2 < r_outer ** 2) & (dist2 >= r_inner ** 2)
+        inside = np.less(dist2, r_outer ** 2, out=mask[rows])
+        if r_inner > 0:  # a ball skips it: every sum of squares is >= 0
+            inside &= dist2 >= r_inner ** 2
     return GridDomain(h, origin, mask)
 
 

@@ -18,6 +18,10 @@ Coverings and partitions are held as segmented index arrays (cell g owns
 :func:`_cell_rds`, gives every cell's half-diameter, each bit for bit as if
 its cell were computed alone; diameters are taken only over the members
 that the triangle inequality lets end one, all by one broadcast kernel.
+A per-cell value reaches its cell's members by ``np.repeat`` over the cell
+sizes, a block copy rather than a gather through a member-to-cell index,
+and cells grouped by label (:func:`_group_by_label`) sort their labels as
+the narrowest unsigned type that holds them.
 A cloud holds its coordinates axis by axis (``BoundaryCloud.coords``, one
 contiguous row per axis, with ``points`` its transposed view), and the
 kernels here read a cloud through ``points.T``, so each reduction,
@@ -127,8 +131,9 @@ class Partition:
         # each cell lies in its barrier's flat ball B(x_C, 2 rd(C)), by the
         # barrier rule's own distance: truncate's zero trace rests on it
         coords = self.cloud.coords
-        reach = _column_norms(np.take(coords, self.order, axis=1), np.take(coords, x_index[cell], axis=1))
-        if not (reach <= 2.0 * self.rd[cell]).all():
+        reps = np.repeat(np.take(coords, x_index, axis=1), sizes, axis=1)
+        reach = _column_norms(np.take(coords, self.order, axis=1), reps)
+        if not (reach <= np.repeat(2.0 * self.rd, sizes)).all():
             raise InvalidArgumentError("partition member lies beyond 2 rd of its representative")
 
     @property
@@ -220,12 +225,12 @@ def _diameter_candidates(points: np.ndarray, order: np.ndarray, bounds: np.ndarr
     cell = np.repeat(np.arange(len(sizes)), sizes)
     cols = np.take(points.T, order, axis=1)
     centroid = np.add.reduceat(cols, starts, axis=1) / sizes
-    r = _column_norms(cols, centroid[:, cell])
+    r = _column_norms(cols, np.repeat(centroid, sizes, axis=1))
     big_r = np.maximum.reduceat(r, starts)
-    at_max = np.flatnonzero(r == big_r[cell])
+    at_max = np.flatnonzero(r == np.repeat(big_r, sizes))
     first = at_max[np.flatnonzero(np.diff(cell[at_max], prepend=-1))]
-    ell = np.maximum.reduceat(_column_norms(cols, cols[:, first[cell]]), starts)
-    keep = r >= (ell - big_r - 1e-9 * big_r)[cell]
+    ell = np.maximum.reduceat(_column_norms(cols, np.repeat(cols[:, first], sizes, axis=1)), starts)
+    keep = r >= np.repeat(ell - big_r - 1e-9 * big_r, sizes)
     kept = np.add.reduceat(keep.astype(np.intp), starts)
     return order[keep], np.concatenate(([0], np.cumsum(kept)))
 
@@ -248,7 +253,7 @@ def _cell_rds(cloud: BoundaryCloud, order: np.ndarray, bounds: np.ndarray, scale
     points, nn_gaps = cloud.points, _cloud_nn(cloud)
     mean_gap, diam = np.empty((2, len(bounds) - 1))
     for cells, members in _size_buckets(order, bounds):
-        mean_gap[cells] = nn_gaps[members].mean(axis=1)
+        mean_gap[cells] = np.add.reduce(nn_gaps[members], axis=1) / members.shape[1]
     for cells, members in _size_buckets(*_diameter_candidates(points, order, bounds)):
         diam[cells] = _diameters(points[members])
     comp = np.minimum(mean_gap, 2.0 * math.sqrt(cloud.dim) * cloud.resolution)
@@ -259,10 +264,14 @@ def _group_by_label(labels: np.ndarray):
     """(order, bounds) of the nonempty label groups in ascending label order.
 
     Group g is ``order[bounds[g]:bounds[g + 1]]``, its members ascending: one
-    stable sort, with a group's members one run of the sorted labels.
+    stable sort, with a group's members one run of the sorted labels.  The
+    labels must be nonnegative; they are sorted as the narrowest unsigned
+    type that holds the largest, so keys of 8 or 16 bits take numpy's radix
+    sort, which gives the same stable order.
     """
-    order = np.argsort(labels, kind="stable")
-    runs = labels[order]
+    key = labels.astype(np.min_scalar_type(labels.max(initial=0)))
+    order = np.argsort(key, kind="stable")
+    runs = key[order]
     starts = np.flatnonzero(runs[1:] != runs[:-1]) + 1
     return order, np.concatenate(([0], starts, [len(labels)]))
 
@@ -546,11 +555,12 @@ def build_partition(cloud: BoundaryCloud, d: float, delta: float) -> Partition:
     centroid = np.empty((len(rds), cloud.dim))
     hm_est = np.empty(len(rds))
     for cells, members in _size_buckets(order, bounds):
-        centroid[cells] = pts[members].mean(axis=1)
+        centroid[cells] = np.add.reduce(pts[members], axis=1) / members.shape[1]
         hm_est[cells] = cloud.weights[members].sum(axis=1)
-    cell = np.repeat(np.arange(len(rds)), np.diff(bounds))
+    sizes = np.diff(bounds)
+    cell = np.repeat(np.arange(len(rds)), sizes)
     cols = np.take(cloud.coords, order, axis=1)
-    dist = _column_norms(cols, np.take(centroid.T, cell, axis=1))
+    dist = _column_norms(cols, np.repeat(centroid.T, sizes, axis=1))
     first = np.lexsort((*cols[::-1], dist, cell))[bounds[:-1]]
     return Partition(order, bounds, order[first], rds, hm_est, delta, cloud)
 

@@ -3,13 +3,17 @@
 ``verify suites/standard.json`` and ``verify tests/golden/suite_coverage.json``
 (each JSON report without the timestamp, and each CSV body) and ``trace`` on
 the proof benchmark's input (the h=1/512 unit disk, ``max(0, 1 - r*r)`` with
-lipschitz 2, eps 0.05) must reproduce the kept files: keys, labels and verdicts exactly, floats to 1e-12 relative,
+lipschitz 2, eps 0.05) and the printed ``estimate-hm`` lines on the covering
+benchmark's inputs (the h=1/64 unit ball with d=2, delta=0.125 and the h=1/1024
+unit disk with d=1, delta=0.2) must reproduce the kept files: keys, labels and
+verdicts exactly, floats to 1e-12 relative,
 which absorbs last-bit libm differences across hosts.  A refactor that
 should not move a number is checked here.  A change that means to move one
 rewrites the files with ``PYTHONPATH=src python tests/test_golden_outputs.py``
 and says so.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -30,6 +34,13 @@ COVERAGE = str(GOLDEN / "suite_coverage.json")
 REL_TOL = 1e-12
 PROOF_DOMAIN = {"kind": "ball", "params": {"r": 1.0}, "h": 1 / 512}
 PROOF_FUNCTION = {"expr": "max(0, 1 - r*r)", "lipschitz": 2.0}
+# the covering benchmark's seed-0 inputs: (file name, domain spec, --d, --delta)
+COVERING = (
+    ("ball3d.json", {"kind": "ball", "params": {"r": 1.0, "center": [0.0, 0.0, 0.0]}, "h": 1 / 64}, "2", "0.125"),
+    ("disk2d.json", {"kind": "ball", "params": {"r": 1.0}, "h": 1 / 1024}, "1", "0.2"),
+)
+NAMES = ["verify_standard.json", "verify_standard.csv", "verify_coverage.json", "verify_coverage.csv",
+         "trace_proof.json", "estimate_covering.txt"]
 
 
 def _outputs(tmp: Path) -> dict:
@@ -57,6 +68,13 @@ def _outputs(tmp: Path) -> dict:
             data.pop("timestamp", None)
             text = json.dumps(data, indent=1) + "\n"
         texts[name] = text
+    lines = io.StringIO()
+    for name, spec, d, delta in COVERING:
+        (tmp / name).write_text(json.dumps(spec), encoding="utf-8")
+        with contextlib.redirect_stdout(lines):
+            if main(["estimate-hm", str(tmp / name), "--d", d, "--delta", delta]) != 0:
+                raise AssertionError(f"estimate-hm {name}: the command did not exit 0")
+    texts["estimate_covering.txt"] = lines.getvalue()
     return texts
 
 
@@ -75,14 +93,21 @@ def _close(got, want, where="") -> None:
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
+def _cell(field: str):
+    try:
+        return float(field)
+    except ValueError:
+        return field
+
+
 def _csv_cells(text: str) -> list:
     """The CSV rows with every field that parses as a float replaced by that float."""
-    def cell(field):
-        try:
-            return float(field)
-        except ValueError:
-            return field
-    return [[cell(f) for f in row] for row in csv.reader(io.StringIO(text))]
+    return [[_cell(f) for f in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _words(text: str) -> list:
+    """The lines split on whitespace, with every word that parses as a float replaced by that float."""
+    return [[_cell(w) for w in line.split()] for line in text.splitlines()]
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +115,13 @@ def outputs(tmp_path_factory):
     return _outputs(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("name", ["verify_standard.json", "verify_standard.csv", "verify_coverage.json",
-                                  "verify_coverage.csv", "trace_proof.json"])
+@pytest.mark.parametrize("name", NAMES)
 def test_matches_golden(outputs, name):
     want = (GOLDEN / name).read_text(encoding="utf-8")
     if name.endswith(".csv"):
         _close(_csv_cells(outputs[name]), _csv_cells(want), name)
+    elif name.endswith(".txt"):
+        _close(_words(outputs[name]), _words(want), name)
     else:
         _close(json.loads(outputs[name]), json.loads(want), name)
 

@@ -22,6 +22,7 @@ from gmtlab.hausdorff import (
     _cloud_nn,
     _diameters,
     _fps_centers,
+    _group_by_label,
     build_partition,
     estimate_hm,
     estimate_hm_detail,
@@ -178,6 +179,34 @@ class TestBoxGroups:
             assert len(groups) == len(ref_groups) > 1
             for got, ref in zip(groups, ref_groups):
                 np.testing.assert_array_equal(got, ref)
+
+
+class TestGroupByLabel:
+    """Labels sort on their narrowest unsigned key, with the groups of an int64 stable sort."""
+
+    @staticmethod
+    def _reference(labels):
+        order = np.argsort(labels.astype(np.int64), kind="stable")
+        runs = labels[order]
+        starts = np.flatnonzero(runs[1:] != runs[:-1]) + 1
+        return order, np.concatenate(([0], starts, [len(labels)]))
+
+    # the largest label sits at each side of the uint8, uint16, uint32 and uint64 boundaries
+    @pytest.mark.parametrize("top", [255, 256, 65535, 65536, 2**32 - 1, 2**32])
+    def test_matches_int64_stable_sort(self, top):
+        rng = np.random.default_rng(top)
+        pool = np.unique(np.concatenate(([0, 1, top - 1, top], rng.integers(0, top, 40))))
+        labels = rng.choice(pool, 3000).astype(np.intp)
+        labels[rng.integers(3000)] = top
+        for got, want in zip(_group_by_label(labels), self._reference(labels)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("labels", [np.full(50, 7), np.full(9, 2**40), np.array([300]),
+                                        np.array([0]), np.zeros(0, dtype=np.int64)],
+                             ids=["all-equal", "all-equal-wide", "single", "single-zero", "empty"])
+    def test_degenerate_labels(self, labels):
+        for got, want in zip(_group_by_label(labels), self._reference(labels)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestBallCovering:
